@@ -27,6 +27,7 @@ from .tableaux import (
     inverse_promotion,
     loads,
     promotion,
+    standard_rectangle_dims,
 )
 from .verify import (
     EnumerationCapError,
@@ -46,7 +47,14 @@ EXIT_DOMAIN = 5
 
 
 def _read_tableau(path: str):
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
+    except UnicodeDecodeError as exc:
+        raise TableauFormatError(f"not UTF-8 text: {exc}") from exc
     return loads(text)
 
 
@@ -105,13 +113,15 @@ def _cmd_promote(args) -> int:
     except (OSError, TableauFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    step = promotion if args.steps >= 0 else inverse_promotion
     try:
-        for _ in range(abs(args.steps)):
-            t = step(t)
+        nrows, ncols = standard_rectangle_dims(t, "promote")
     except TableauError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    # promotion^(nrows*ncols) is the identity, so only the residue matters
+    step = promotion if args.steps >= 0 else inverse_promotion
+    for _ in range(abs(args.steps) % (nrows * ncols)):
+        t = step(t)
     _print_tableau(t, args.format)
     return EXIT_OK
 
@@ -197,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("promote", help="apply promotion steps to a tableau file")
     p.add_argument("--tableau", default="-", help='JSON tableau file, or "-" for stdin')
-    p.add_argument("--steps", type=int, default=1, help="negative values apply inverse promotion")
+    p.add_argument("--steps", type=int, default=1, help="negative values apply inverse promotion; taken mod the cell count")
     p.add_argument("--format", choices=("json", "grid"), default="json")
     p.set_defaults(func=_cmd_promote)
 

@@ -20,18 +20,20 @@ from .shapes import (
     Partition,
     Rectangle,
     SkewShape,
-    complement_box,
     complement_shape,
     contains,
     staircase_diagonal,
 )
 from .tableaux import (
     PartialTableau,
-    _forward_slide_core,
-    _reverse_slide_core,
     complement_tableau,
+    from_grid,
+    from_rows,
+    grid_slide,
     is_standard_normalized,
     promotion,
+    standard_rectangle_dims,
+    to_grid,
 )
 from .words import (
     Permutation,
@@ -58,27 +60,25 @@ class DiagonalMismatchError(RuntimeError):
 
 def superstandard_choice(shape: Partition) -> PartialTableau:
     """Row-by-row filling 1..N of a straight shape."""
-    entries = {}
-    k = 1
-    for i, length in enumerate(shape.rows, start=1):
-        for j in range(1, length + 1):
-            entries[Box(i, j)] = k
-            k += 1
-    return PartialTableau(SkewShape(shape), entries)
+    return PartialTableau(SkewShape(shape), _choice_entries(None, shape))
 
 
-def _check_choice(u: PartialTableau, shape: Partition) -> PartialTableau:
-    if u.region != SkewShape(shape):
-        raise ValueError(f"choice tableau must live on {shape}, got {u.region}")
-    if not is_standard_normalized(u):
+def _choice_entries(choice: PartialTableau | None, shape: Partition) -> dict:
+    """Entries of the choice tableau on `shape`; the superstandard filling
+    when choice is None."""
+    if choice is None:
+        return {b: k for k, b in enumerate(shape.cells(), start=1)}
+    if choice.region != SkewShape(shape):
+        raise ValueError(f"choice tableau must live on {shape}, got {choice.region}")
+    if not is_standard_normalized(choice):
         raise ValueError("choice tableau must be standard with entries 1..N")
-    return u
+    return choice.entries
 
 
-def _slide_order(u: PartialTableau) -> list[Box]:
+def _slide_order(entries: dict) -> list[Box]:
     """Boxes in the order they are slid: the k-th slide uses the box
     holding entry N+1-k, i.e. decreasing entry order."""
-    return [b for b, _ in sorted(u.entries.items(), key=lambda kv: -kv[1])]
+    return sorted(entries, key=entries.__getitem__, reverse=True)
 
 
 def _pop_corner(mu: list[int], b: Box) -> None:
@@ -86,6 +86,42 @@ def _pop_corner(mu: list[int], b: Box) -> None:
     if not (1 <= row <= len(mu) and mu[row - 1] == col and (row == len(mu) or mu[row] < col)):
         raise ValueError(f"{b} is not a removable corner of the unfilled region")
     mu[row - 1] -= 1
+
+
+def _refill_slide(grid: list[int], width: int, hole: int, forward: bool, targets: set, shift: int) -> None:
+    """Slide from grid index `hole`; the path must end on a diagonal box,
+    which gets the entry that left it plus `shift`."""
+    end, moved = grid_slide(grid, width, hole, forward)
+    if end not in targets:
+        raise DiagonalMismatchError(f"slide from {Box(*divmod(hole, width))} ended at {Box(*divmod(end, width))}, off the diagonal")
+    grid[end] = moved + shift
+
+
+def _construct(w: Permutation, diag: Diagonal, region: SkewShape, shift: int, shape: Partition, choice: PartialTableau | None, rect: Rectangle | None, trace: bool):
+    """Seed w(i) + shift at the i-th diagonal box of `region`, then slide
+    from each cell of `shape` in the choice tableau's slide order: forward
+    from the cell itself when rect is None, otherwise in reverse from its
+    180-degree rotation in rect.  Each path must end on the diagonal, whose
+    box takes the entry that left it plus n (forward) or minus n."""
+    n = diag.n
+    if w.n != n:
+        raise ValueError(f"permutation size {w.n} != diagonal size {n}")
+    order = _slide_order(_choice_entries(choice, shape))
+    grid, width = to_grid(region, {b: w(i) + shift for i, b in enumerate(diag.boxes, start=1)})
+    frames = [from_grid(region, grid, width)] if trace else None
+    targets = {r * width + c for r, c in diag.boxes}
+    forward = rect is None
+    far = 0 if forward else (rect.nrows + 1) * width + rect.ncols + 1  # rotation maps index i to far - i
+    mu = list(shape.rows)
+    for b in order:
+        _pop_corner(mu, b)
+        i = b.row * width + b.col
+        _refill_slide(grid, width, i if forward else far - i, forward, targets, n if forward else -n)
+        if trace:
+            frames.append(from_grid(region, grid, width))
+    t = frames[-1] if trace else from_grid(region, grid, width)
+    assert t.size == region.size, "construction did not fill its region"
+    return (t, frames) if trace else t
 
 
 def forward_tableau(w: Permutation, diag: Diagonal, choice: PartialTableau | None = None, trace: bool = False):
@@ -97,25 +133,7 @@ def forward_tableau(w: Permutation, diag: Diagonal, choice: PartialTableau | Non
     entries <= n form the insertion tableau of w's one-line word.  With
     trace=True returns (tableau, frames) including the initial seeding.
     """
-    n = diag.n
-    if w.n != n:
-        raise ValueError(f"permutation size {w.n} != diagonal size {n}")
-    u = _check_choice(choice, diag.lambda_minus) if choice is not None else superstandard_choice(diag.lambda_minus)
-    region = SkewShape(diag.lambda_plus)
-    t = PartialTableau(region, {b: w(i) for i, b in enumerate(diag.boxes, start=1)})
-    frames = [t]
-    targets = set(diag.boxes)
-    mu = list(diag.lambda_minus.rows)
-    for b in _slide_order(u):
-        _pop_corner(mu, b)
-        entries, _path, terminal = _forward_slide_core(t, b)
-        if terminal not in targets:
-            raise DiagonalMismatchError(f"slide from {b} ended at {terminal}, off the diagonal")
-        entries[terminal] = t[terminal] + n
-        t = PartialTableau(region, entries)
-        frames.append(t)
-    assert t.size == diag.lambda_plus.size, "construction did not fill lambda_plus"
-    return (t, frames) if trace else t
+    return _construct(w, diag, SkewShape(diag.lambda_plus), 0, diag.lambda_minus, choice, None, trace)
 
 
 def reverse_tableau(w: Permutation, diag: Diagonal, rect: Rectangle, choice: PartialTableau | None = None, trace: bool = False):
@@ -126,31 +144,11 @@ def reverse_tableau(w: Permutation, diag: Diagonal, rect: Rectangle, choice: Par
     The choice tableau lives on the complement of lambda_plus (a straight
     shape); its cells are rotated into the rectangle.
     """
-    n = diag.n
-    if w.n != n:
-        raise ValueError(f"permutation size {w.n} != diagonal size {n}")
     full = rect.as_partition()
     if not contains(diag.lambda_plus, full):
         raise ValueError("diagonal does not fit in the rectangle")
     nu = complement_shape(diag.lambda_plus, rect)
-    u = _check_choice(choice, nu) if choice is not None else superstandard_choice(nu)
-    region = SkewShape(full, diag.lambda_minus)
-    shift = rect.ncells - n
-    t = PartialTableau(region, {b: w(i) + shift for i, b in enumerate(diag.boxes, start=1)})
-    frames = [t]
-    targets = set(diag.boxes)
-    mu = list(nu.rows)
-    for cell in _slide_order(u):
-        _pop_corner(mu, cell)
-        b = complement_box(cell, rect)
-        entries, _path, terminal = _reverse_slide_core(t, b)
-        if terminal not in targets:
-            raise DiagonalMismatchError(f"slide from {b} ended at {terminal}, off the diagonal")
-        entries[terminal] = t[terminal] - n
-        t = PartialTableau(region, entries)
-        frames.append(t)
-    assert t.size == region.size, "construction did not fill the region"
-    return (t, frames) if trace else t
+    return _construct(w, diag, SkewShape(full, diag.lambda_minus), rect.ncells - diag.n, nu, choice, rect, trace)
 
 
 def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> PartialTableau:
@@ -170,20 +168,16 @@ def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> 
         raise ValueError(f"permutation size {w.n} != diagonal size {n}")
     region = SkewShape(diag.lambda_plus)
     seed = {b: i for i, b in enumerate(diag.boxes, start=1)}
-    t = PartialTableau(region, {})
+    grid, width = to_grid(region, {})
+    targets = {r * width + c for r, c in diag.boxes}
     mu = [ncols] * nrows
     for b in order:
         _pop_corner(mu, b)
         if b in seed:
-            entries = dict(t.entries)
-            entries[b] = w(seed[b])
-            t = PartialTableau(region, entries)
+            grid[b.row * width + b.col] = w(seed[b])
         elif b in diag.lambda_minus:
-            entries, _path, terminal = _forward_slide_core(t, b)
-            if terminal not in seed:
-                raise DiagonalMismatchError(f"slide from {b} ended at {terminal}, off the diagonal")
-            entries[terminal] = t[terminal] + n
-            t = PartialTableau(region, entries)
+            _refill_slide(grid, width, b.row * width + b.col, True, targets, n)
+    t = from_grid(region, grid, width)
     assert t.size == diag.lambda_plus.size
     return t
 
@@ -210,7 +204,7 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     slides are trivial.
     """
     n = diag.n
-    u = _check_choice(choice, diag.lambda_minus) if choice is not None else superstandard_choice(diag.lambda_minus)
+    entries = _choice_entries(choice, diag.lambda_minus)
     auto = steps is None
     if auto:
         steps = n * (diag.lambda_minus.size + 1)
@@ -218,20 +212,20 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     if any(not 1 <= s <= n for s in sig):
         raise ValueError(f"sequence terms must lie in 1..{n}")
     region = SkewShape(diag.lambda_plus)
-    t = PartialTableau(region, u.entries)
-    frames = [t]
+    grid, width = to_grid(region, entries)
+    frames = [from_grid(region, grid, width)] if trace else None
     boxes = []
     for s in sig:
         hole = diag.box(s)
-        if t.is_filled(hole):
+        p = hole.row * width + hole.col
+        if grid[p]:
             raise RuntimeError(f"diagonal box {hole} occupied before its slide")
-        entries, _path, terminal = _reverse_slide_core(t, hole)
-        boxes.append(terminal)
-        entries.pop(hole, None)
-        t = PartialTableau(region, entries)
+        end, _ = grid_slide(grid, width, p, False)
+        boxes.append(Box(*divmod(end, width)))
+        grid[p] = 0
         if trace:
-            frames.append(t)
-    if auto and t.entries:
+            frames.append(from_grid(region, grid, width))
+    if auto and any(grid):
         raise RuntimeError("stabilization bound too small: entries remain")
     delta = {i: 0 for i in range(1, n + 1)}
     for s, b in zip(sig, boxes):
@@ -295,17 +289,13 @@ def augmented_insertion_tableau(w: Permutation, m: int, shape: Partition | None 
     n = w.n
     rows = insertion_tableau(augmented_word(w, m))
     if shape is None:
-        return PartialTableau(
-            SkewShape(Partition(tuple(len(r) for r in rows))),
-            {Box(i, j): v for i, row in enumerate(rows, 1) for j, v in enumerate(row, 1)},
-        )
+        return from_rows(rows)
     if shape.nrows > n:
         raise ValueError(f"shape has {shape.nrows} rows; at most {n} allowed")
     got = Partition(tuple(len(r) for r in rows))
     if not contains(shape, got):
         raise ValueError(f"shape {shape} not contained in the insertion tableau shape {got}")
-    entries = {Box(i, j): rows[i - 1][j - 1] for (i, j) in shape.cells()}
-    return PartialTableau(SkewShape(shape), entries)
+    return from_rows([row[:length] for row, length in zip(rows, shape.rows)])
 
 
 def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, lam_plus: Partition, lam_minus: Partition) -> PartialTableau:
@@ -314,9 +304,7 @@ def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, lam_pl
             raise DiagonalMismatchError(
                 f"constructions disagree at {cell}: {plus[cell]} vs {minus[cell]}"
             )
-    entries = dict(minus.entries)
-    entries.update(plus.entries)
-    t = PartialTableau(SkewShape(rect.as_partition()), entries)
+    t = PartialTableau(SkewShape(rect.as_partition()), {**minus.entries, **plus.entries})
     if not is_standard_normalized(t):
         raise DiagonalMismatchError("combined tableau is not standard")
     return t
@@ -401,12 +389,7 @@ def invert(t: PartialTableau, diag: Diagonal | None = None) -> Permutation:
     reconstructed permutation does not rebuild t, both of which certify
     that t is outside the minimal promotion-orbit set.
     """
-    outer, inner = t.region.outer, t.region.inner
-    if inner.size or not outer.rows or len(set(outer.rows)) != 1:
-        raise ValueError("invert needs a full rectangle tableau")
-    if not is_standard_normalized(t):
-        raise ValueError("invert needs a standard tableau with entries 1..N")
-    nrows, ncols = outer.nrows, outer.ncols
+    nrows, ncols = standard_rectangle_dims(t, "invert")
     n, m = min(nrows, ncols), max(nrows, ncols)
     rect = Rectangle(n, m, n_is_rows=(nrows == n))
     diag = diag if diag is not None else staircase_diagonal(rect)

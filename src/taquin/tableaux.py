@@ -5,8 +5,11 @@ the constructions in `orbits` interleave filled and unfilled cells in
 irregular patterns.  Strictness is enforced between adjacent filled cells
 on every construction, which turns a buggy slide into a loud error.
 
-Every operation is a pure function returning new values; callers may
-parallelize freely.
+Slides run on a mutable grid instead (`to_grid`, `grid_slide`, `from_grid`),
+so a run of slides is validated once, when its public function returns.
+
+Every public operation is a pure function returning new values; callers
+may parallelize freely.
 """
 
 from __future__ import annotations
@@ -45,15 +48,12 @@ class PartialTableau:
     __slots__ = ("region", "entries")
 
     def __init__(self, region: SkewShape, entries: Mapping | Iterable = ()):
-        if isinstance(entries, dict):
-            items = entries.items()
-        elif isinstance(entries, Mapping):
-            items = entries.items()
-        else:
-            items = entries
+        items = entries.items() if isinstance(entries, Mapping) else entries
         norm = {}
         for b, v in items:
-            norm[b if type(b) is Box else Box(*b)] = v if type(v) is int else int(v)
+            if type(v) is not int:
+                raise TableauError(f"entry {v!r} at {tuple(b)} is not an integer")
+            norm[b if type(b) is Box else Box(*b)] = v
         outer_rows = region.outer.rows
         inner_rows = region.inner.rows
         n_inner = len(inner_rows)
@@ -147,11 +147,75 @@ def is_standard_normalized(t: PartialTableau) -> bool:
     return is_filled(t) and sorted(t.entries.values()) == list(range(1, t.size + 1))
 
 
-def _rectangle_dims(t: PartialTableau) -> tuple[int, int]:
-    outer, inner = t.region.outer, t.region.inner
-    if inner.size or not outer.rows or len(set(outer.rows)) != 1:
-        raise TableauError("not a full rectangle region")
+def standard_rectangle_dims(t: PartialTableau, what: str) -> tuple[int, int]:
+    """(nrows, ncols) of a standard filling 1..N of a full rectangle;
+    raises TableauError naming `what` otherwise."""
+    outer = t.region.outer
+    if t.region.inner.size or not outer.rows or len(set(outer.rows)) != 1:
+        raise TableauError(f"{what} needs a full rectangle region")
+    if not is_standard_normalized(t):
+        raise TableauError(f"{what} needs a standard tableau with entries 1..N")
     return outer.nrows, outer.ncols
+
+
+def to_grid(region: SkewShape, entries: Mapping) -> tuple[list[int], int]:
+    """A fresh grid for `region` holding `entries`, and its width.
+
+    A grid is a flat row-major list over the bounding rectangle of the
+    region plus a border of empty cells: cell (r, c) sits at index
+    r * width + c with width = ncols + 2, and 0 marks an empty cell.  The
+    border lets a slide read all four neighbours without bounds checks.
+    """
+    width = region.outer.ncols + 2
+    grid = [0] * ((region.outer.nrows + 2) * width)
+    for (r, c), v in entries.items():
+        grid[r * width + c] = v
+    return grid, width
+
+
+def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
+    """The validated tableau of the filled region cells of a grid."""
+    return PartialTableau(region, {b: v for b in region.cells() if (v := grid[b.row * width + b.col])})
+
+
+def grid_slide(grid: list[int], width: int, hole: int, forward: bool = True, path: list | None = None) -> tuple[int, int]:
+    """Slide the empty cell at index `hole` through `grid` in place.
+
+    Forward, the hole swaps with the smaller of its filled right/below
+    neighbours; reverse, with the larger of its filled left/above ones.  It
+    stops when neither is filled.  Returns the terminal index, now empty,
+    and the entry that left it (0 for a slide that never moved).  Each
+    index the hole moves to is appended to `path` when one is given.
+    """
+    g, p, moved = grid, hole, 0
+    if forward:
+        while True:
+            right, below = g[p + 1], g[p + width]
+            if right and not (below and below < right):
+                g[p] = moved = right
+                p += 1
+            elif below:
+                g[p] = moved = below
+                p += width
+            else:
+                break
+            if path is not None:
+                path.append(p)
+    else:
+        while True:
+            left, above = g[p - 1], g[p - width]
+            if left > above:
+                g[p] = moved = left
+                p -= 1
+            elif above:
+                g[p] = moved = above
+                p -= width
+            else:
+                break
+            if path is not None:
+                path.append(p)
+    g[p] = 0
+    return p, moved
 
 
 @dataclass(frozen=True)
@@ -161,30 +225,17 @@ class SlideResult:
     terminal: Box
 
 
-def _forward_slide_core(t: PartialTableau, hole: Box):
-    if hole not in t.region:
-        raise SlideError(f"hole {hole} outside the region")
-    if t.is_filled(hole):
-        raise SlideError(f"hole {hole} is filled")
-    if t.is_filled((hole.row, hole.col - 1)) or t.is_filled((hole.row - 1, hole.col)):
-        raise SlideError(f"{hole} has a filled left/above neighbor")
-    entries = dict(t.entries)
-    get = entries.get
-    cur = hole
-    path = [cur]
-    while True:
-        right = get((cur.row, cur.col + 1))
-        below = get((cur.row + 1, cur.col))
-        if right is None and below is None:
-            break
-        if below is None or (right is not None and right < below):
-            nxt = Box(cur.row, cur.col + 1)
-        else:
-            nxt = Box(cur.row + 1, cur.col)
-        entries[cur] = entries.pop(nxt)
-        cur = nxt
-        path.append(cur)
-    return entries, tuple(path), cur
+def _slide(t: PartialTableau, hole, forward: bool) -> SlideResult:
+    hole = r, c = Box(*hole)
+    behind = ((r, c - 1), (r - 1, c)) if forward else ((r, c + 1), (r + 1, c))
+    if hole not in t.region or hole in t.entries or any(b in t.entries for b in behind):
+        side = "left of or above" if forward else "right of or below"
+        raise SlideError(f"hole {hole} must be an empty region cell with no filled cell {side} it")
+    grid, width = to_grid(t.region, t.entries)
+    path = [r * width + c]
+    grid_slide(grid, width, path[0], forward, path)
+    boxes = tuple(Box(*divmod(i, width)) for i in path)
+    return SlideResult(from_grid(t.region, grid, width), boxes, boxes[-1])
 
 
 def forward_slide(t: PartialTableau, hole) -> SlideResult:
@@ -194,41 +245,13 @@ def forward_slide(t: PartialTableau, hole) -> SlideResult:
     The hole must be an unfilled region cell with no filled cell directly
     left of or above it.
     """
-    entries, path, terminal = _forward_slide_core(t, Box(*hole))
-    return SlideResult(PartialTableau(t.region, entries), path, terminal)
-
-
-def _reverse_slide_core(t: PartialTableau, hole: Box):
-    if hole not in t.region:
-        raise SlideError(f"hole {hole} outside the region")
-    if t.is_filled(hole):
-        raise SlideError(f"hole {hole} is filled")
-    if t.is_filled((hole.row, hole.col + 1)) or t.is_filled((hole.row + 1, hole.col)):
-        raise SlideError(f"{hole} has a filled right/below neighbor")
-    entries = dict(t.entries)
-    get = entries.get
-    cur = hole
-    path = [cur]
-    while True:
-        left = get((cur.row, cur.col - 1))
-        above = get((cur.row - 1, cur.col))
-        if left is None and above is None:
-            break
-        if above is None or (left is not None and left > above):
-            nxt = Box(cur.row, cur.col - 1)
-        else:
-            nxt = Box(cur.row - 1, cur.col)
-        entries[cur] = entries.pop(nxt)
-        cur = nxt
-        path.append(cur)
-    return entries, tuple(path), cur
+    return _slide(t, hole, True)
 
 
 def reverse_slide(t: PartialTableau, hole) -> SlideResult:
     """Mirror of forward_slide: swap with the larger of the filled
     left/above neighbors; the hole travels up/left."""
-    entries, path, terminal = _reverse_slide_core(t, Box(*hole))
-    return SlideResult(PartialTableau(t.region, entries), path, terminal)
+    return _slide(t, hole, False)
 
 
 def rectify(t: PartialTableau) -> PartialTableau:
@@ -240,19 +263,19 @@ def rectify(t: PartialTableau) -> PartialTableau:
     if not is_filled(t):
         raise TableauError("rectify needs a fully filled region")
     outer, inner = t.region.outer, t.region.inner
-    cur = PartialTableau(SkewShape(outer), t.entries)
+    grid, width = to_grid(t.region, t.entries)
     inner_rows = list(inner.rows)
     while any(inner_rows):
-        corner = removable_corners(Partition(tuple(inner_rows)))[-1]
-        cur = forward_slide(cur, corner).tableau
-        inner_rows[corner.row - 1] -= 1
+        r, c = removable_corners(Partition(tuple(inner_rows)))[-1]
+        grid_slide(grid, width, r * width + c)
+        inner_rows[r - 1] -= 1
     shape = []
     for r in range(1, outer.nrows + 1):
-        width = sum(1 for c in range(1, outer.row_len(r) + 1) if cur.is_filled((r, c)))
-        for c in range(1, width + 1):
-            assert cur.is_filled((r, c)), "rectified entries are not left-justified"
-        shape.append(width)
-    return PartialTableau(SkewShape(Partition(tuple(shape))), cur.entries)
+        row = grid[r * width + 1 : r * width + outer.row_len(r) + 1]
+        filled = sum(1 for v in row if v)
+        assert all(row[:filled]), "rectified entries are not left-justified"
+        shape.append(filled)
+    return from_grid(SkewShape(Partition(tuple(shape))), grid, width)
 
 
 def promotion(t: PartialTableau) -> PartialTableau:
@@ -262,31 +285,23 @@ def promotion(t: PartialTableau) -> PartialTableau:
     slide from (1,1), whose path necessarily ends at the bottom-right
     corner.
     """
-    nrows, ncols = _rectangle_dims(t)
-    if not is_standard_normalized(t):
-        raise TableauError("promotion needs a standard tableau with entries 1..N")
-    n_cells = nrows * ncols
-    entries = dict(t.entries)
-    del entries[Box(1, 1)]  # entry 1 always sits at (1,1)
-    res = forward_slide(PartialTableau(t.region, entries), Box(1, 1))
-    assert res.terminal == Box(nrows, ncols)
-    new = {b: v - 1 for b, v in res.tableau.entries.items()}
-    new[Box(nrows, ncols)] = n_cells
-    return PartialTableau(t.region, new)
+    nrows, ncols = standard_rectangle_dims(t, "promotion")
+    grid, width = to_grid(t.region, t.entries)
+    grid[width + 1] = 0  # entry 1 always sits at (1,1)
+    end, _ = grid_slide(grid, width, width + 1)
+    assert end == nrows * width + ncols
+    grid[end] = nrows * ncols + 1
+    return PartialTableau(t.region, {b: grid[b.row * width + b.col] - 1 for b in t.entries})
 
 
 def inverse_promotion(t: PartialTableau) -> PartialTableau:
-    nrows, ncols = _rectangle_dims(t)
-    if not is_standard_normalized(t):
-        raise TableauError("inverse promotion needs a standard tableau with entries 1..N")
-    n_cells = nrows * ncols
-    entries = dict(t.entries)
-    del entries[Box(nrows, ncols)]  # entry N always sits at the bottom-right corner
-    res = reverse_slide(PartialTableau(t.region, entries), Box(nrows, ncols))
-    assert res.terminal == Box(1, 1)
-    new = {b: v + 1 for b, v in res.tableau.entries.items()}
-    new[Box(1, 1)] = 1
-    return PartialTableau(t.region, new)
+    nrows, ncols = standard_rectangle_dims(t, "inverse promotion")
+    grid, width = to_grid(t.region, t.entries)
+    corner = nrows * width + ncols
+    grid[corner] = 0  # entry N always sits at the bottom-right corner
+    end, _ = grid_slide(grid, width, corner, False)
+    assert end == width + 1
+    return PartialTableau(t.region, {b: grid[b.row * width + b.col] + 1 for b in t.entries})
 
 
 def promotion_order(t: PartialTableau) -> int:
@@ -316,12 +331,7 @@ def reading_word(t: PartialTableau) -> tuple[int, ...]:
     """Row reading word: bottom row first, left-to-right within rows."""
     if not is_filled(t):
         raise TableauError("reading word needs a fully filled region")
-    outer, inner = t.region.outer, t.region.inner
-    word = []
-    for r in range(outer.nrows, 0, -1):
-        for c in range(inner.row_len(r) + 1, outer.row_len(r) + 1):
-            word.append(t.entries[Box(r, c)])
-    return tuple(word)
+    return tuple(v for row in reversed(t.row_lists()) for v in row)
 
 
 def to_file_dict(t: PartialTableau) -> dict:
@@ -332,24 +342,28 @@ def to_file_dict(t: PartialTableau) -> dict:
     return d
 
 
+def _int_list(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise TableauFormatError(f"'{key}' must be a list of integers")
+    return tuple(value)
+
+
 def from_file_dict(d) -> PartialTableau:
+    """Parse the JSON object form; shapes and entries must be JSON integers
+    (floats, booleans and numeric strings are rejected, never coerced)."""
     if not isinstance(d, dict) or "outer" not in d or "rows" not in d:
         raise TableauFormatError("tableau object needs 'outer' and 'rows'")
     try:
-        outer = Partition(tuple(d["outer"]))
-        inner = Partition(tuple(d.get("inner", ())))
+        outer = Partition(_int_list(d["outer"], "outer"))
+        inner = Partition(_int_list(d.get("inner", []), "inner"))
         rows = d["rows"]
-        if len(rows) != outer.nrows:
+        if not isinstance(rows, list) or len(rows) != outer.nrows:
             raise TableauFormatError("'rows' must list one row per outer row")
-        entries = {}
         for i, row in enumerate(rows, start=1):
-            lo, hi = inner.row_len(i), outer.row_len(i)
-            if len(row) != hi - lo:
-                raise TableauFormatError(f"row {i} must have {hi - lo} cells")
-            for j, v in enumerate(row, start=lo + 1):
-                if v is not None:
-                    entries[Box(i, j)] = v
-        return PartialTableau(SkewShape(outer, inner), entries)
+            cells = outer.row_len(i) - inner.row_len(i)
+            if not isinstance(row, list) or len(row) != cells:
+                raise TableauFormatError(f"row {i} must be a list of {cells} cells")
+        return from_rows(rows, inner)
     except TableauFormatError:
         raise
     except (TypeError, ValueError) as exc:

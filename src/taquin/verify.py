@@ -14,11 +14,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial, gcd, prod
 
 from .shapes import (
     Partition,
     Rectangle,
+    SkewShape,
     box_less,
     enumerate_diagonals,
     staircase_diagonal,
@@ -79,66 +81,74 @@ def count_standard_tableaux(shape: Partition) -> int:
     return num // denom
 
 
-def _foreach_syt_flat(shape: Partition, emit) -> None:
-    """Call emit(bytes) for every standard filling, entries placed 1..N
-    with the topmost feasible row tried first (lexicographic placement)."""
+def _iter_syt_flat(shape: Partition):
+    """Yield every standard filling as bytes, entries placed 1..N with the
+    topmost feasible row tried first (lexicographic placement)."""
     rows = shape.rows
     total = shape.size
     if total > 255:
         raise EnumerationCapError("flat encoding limited to 255 cells")
     if total == 0:
-        emit(b"")
+        yield b""
         return
     nr = len(rows)
-    offsets = [0] * nr
-    for i in range(1, nr):
-        offsets[i] = offsets[i - 1] + rows[i - 1]
+    offsets = [0, *accumulate(rows[:-1])]
     flat = bytearray(total)
     heights = [0] * nr
-
-    def rec(k):
-        for i in range(nr):
+    placed = []  # row of each placed entry below the one being placed
+    i = 0  # first row to try for the next entry
+    while True:
+        while i < nr:
             h = heights[i]
             if h < rows[i] and (i == 0 or heights[i - 1] > h):
-                flat[offsets[i] + h] = k
+                break
+            i += 1
+        if i < nr:
+            k = len(placed) + 1
+            flat[offsets[i] + h] = k
+            if k == total:
+                yield bytes(flat)
+                i += 1
+            else:
                 heights[i] = h + 1
-                if k == total:
-                    emit(bytes(flat))
-                else:
-                    rec(k + 1)
-                heights[i] = h
+                placed.append(i)
+                i = 0
+        elif placed:
+            i = placed.pop()
+            heights[i] -= 1
+            i += 1
+        else:
+            return
 
-    rec(1)
+
+def _foreach_syt_flat(shape: Partition, emit) -> None:
+    """Call emit(bytes) for every standard filling, in _iter_syt_flat order."""
+    for b in _iter_syt_flat(shape):
+        emit(b)
 
 
 def _flat_rows(flat: bytes, shape: Partition) -> tuple:
-    out = []
-    pos = 0
-    for length in shape.rows:
-        out.append(tuple(flat[pos : pos + length]))
-        pos += length
-    return tuple(out)
+    starts = [0, *accumulate(shape.rows)]
+    return tuple(tuple(flat[a:b]) for a, b in zip(starts, starts[1:]))
+
+
+def _check_caps(shape: Partition, max_cells: int, max_count: int) -> None:
+    if shape.size > max_cells:
+        raise EnumerationCapError(f"{shape.size} cells exceeds the {max_cells}-cell cap")
+    count = count_standard_tableaux(shape)
+    if count > max_count:
+        raise EnumerationCapError(f"{count} tableaux exceed the {max_count} cap; raise max_count to sweep")
 
 
 def standard_tableaux(shape: Partition, *, max_cells: int = 20, max_count: int = 1_000_000):
-    """Yield every standard tableau of `shape` exactly once, as a tuple of
-    row tuples, in deterministic placement order.
+    """Iterate lazily over every standard tableau of `shape` exactly once,
+    as a tuple of row tuples, in deterministic placement order.
 
-    Caps guard accidental huge sweeps; pass larger values explicitly to go
-    beyond them.
+    Caps guard accidental huge sweeps and are checked by the call, from the
+    hook length count; pass larger values explicitly to go beyond them.
     """
-    if shape.size > max_cells:
-        raise EnumerationCapError(f"{shape.size} cells exceeds the {max_cells}-cell cap")
-    out: list[bytes] = []
-
-    def emit(b):
-        out.append(b)
-        if len(out) > max_count:
-            raise EnumerationCapError(f"more than {max_count} tableaux; raise max_count to sweep")
-
-    _foreach_syt_flat(shape, emit)
-    for b in out:
-        yield _flat_rows(b, shape)
+    _check_caps(shape, max_cells, max_count)
+    return (_flat_rows(b, shape) for b in _iter_syt_flat(shape))
 
 
 def _promote_flat(flat, nrows: int, ncols: int) -> bytes:
@@ -202,8 +212,7 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
     """Full orbit decomposition under promotion, streaming the enumeration
     so each tableau is promoted exactly once."""
     shape = rect.as_partition()
-    if shape.size > max_cells:
-        raise EnumerationCapError(f"{shape.size} cells exceeds the {max_cells}-cell cap")
+    _check_caps(shape, max_cells, max_count)
     nrows, ncols = rect.nrows, rect.ncols
     visited: set[bytes] = set()
     rep_flats: list[bytes] = []
@@ -213,8 +222,6 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
     def emit(b):
         nonlocal count
         count += 1
-        if count > max_count:
-            raise EnumerationCapError(f"more than {max_count} tableaux; raise max_count to sweep")
         if b in visited:
             return
         orbit = [b]
@@ -416,14 +423,8 @@ def _case(cases: list[CaseResult], name: str, failures: list[str]) -> None:
 
 
 def _column_superstandard(shape: Partition) -> PartialTableau:
-    conj = transpose(shape)
-    entries = {}
-    k = 1
-    for j, length in enumerate(conj.rows, start=1):
-        for i in range(1, length + 1):
-            entries[(i, j)] = k
-            k += 1
-    return PartialTableau(superstandard_choice(shape).region, entries)
+    cells = sorted(shape.cells(), key=lambda b: (b.col, b.row))
+    return PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(cells, start=1)})
 
 
 def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:

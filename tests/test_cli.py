@@ -105,6 +105,52 @@ def test_promote_steps():
     assert back == tw
 
 
+def test_promote_huge_step_count_is_reduced_mod_cells():
+    tw = run_cli("construct", "--n", "6", "--m", "10", "--w", "352416")[1]
+    for sign in (1, -1):
+        code, huge, _ = run_cli("promote", "--steps", str(sign * 10**12), stdin=tw)
+        assert code == 0
+        assert huge == run_cli("promote", "--steps", str(sign * (10**12 % 60)), stdin=tw)[1]
+    # the input is checked before the step count is reduced
+    code, _, err = run_cli("promote", "--steps", "60", stdin='{"outer": [2, 1], "rows": [[1, 3], [2]]}')
+    assert code == 4 and "rectangle" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"outer": [2, 2], "rows": [[1, 2], [3, 4.7]]}',
+        '{"outer": [2, 2], "rows": [[true, 2], [3, 4]]}',
+        '{"outer": [2, 2], "rows": [[1, 2], [3, "4"]]}',
+        '{"outer": "22", "rows": [[1, 2], [3, 4]]}',
+    ],
+)
+def test_tableau_json_is_not_coerced(text):
+    code, out, err = run_cli("promote", stdin=text)
+    assert code == 4 and out == "" and err.startswith("error:")
+
+
+def test_tableau_file_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "t.json"
+    path.write_bytes(b'{"outer": [1], "rows": [[1]]}\xff')
+    for command in ("promote", "invert"):
+        code, _, err = run_cli(command, "--tableau", str(path))
+        assert code == 4 and "UTF-8" in err
+
+
+def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
+    import taquin.verify as verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started despite the count cap")
+
+    monkeypatch.setattr(verify, "_foreach_syt_flat", never)
+    monkeypatch.setattr(verify, "_iter_syt_flat", never)
+    assert main(["verify", "--n", "4", "--m", "5"]) == 2
+    assert main(["csp", "--n", "4", "--m", "5"]) == 2
+    assert "max-count" in capsys.readouterr().err
+
+
 def test_promote_malformed_input():
     code, _, _ = run_cli("promote", stdin="{bad json")
     assert code == 4

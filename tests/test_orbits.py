@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taquin.orbits import (
     ExperimentalConstructionError,
@@ -253,6 +256,28 @@ def test_combined_validations():
     d3 = staircase_diagonal(Rectangle(3, 4))
     with pytest.raises(ValueError):
         minimal_orbit_tableau(W3142, Rectangle(4, 6), d3)
+
+
+@lru_cache(maxsize=None)
+def _diagonals(n, m):
+    return enumerate_diagonals(Rectangle(n, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slides_route_matches_insertion_route_and_any_diagonal(data):
+    # two independent routes to T_w, plus the inverse, on random rectangles
+    n = data.draw(st.integers(1, 6), label="n")
+    m = data.draw(st.integers(n, 3 * n), label="m")
+    w = Permutation(tuple(data.draw(st.permutations(range(1, n + 1)), label="w")))
+    rect = Rectangle(n, m)
+    diagonals = _diagonals(n, m)
+    d = diagonals[data.draw(st.integers(0, len(diagonals) - 1), label="diagonal")]
+    t = minimal_orbit_tableau(w, rect)
+    assert t == minimal_orbit_tableau(w, rect, via="insertion")
+    assert t == minimal_orbit_tableau(w, rect, d)
+    assert invert(t) == w
+    assert invert(t, d) == w
 
 
 # -- inversion -------------------------------------------------------------------

@@ -151,6 +151,25 @@ def test_enumeration_caps():
     assert sum(1 for _ in standard_tableaux(Partition((21,)), max_cells=25)) == 1
 
 
+def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
+    import taquin.verify as verify
+
+    with pytest.raises(EnumerationCapError):
+        standard_tableaux(parse_partition("5555"))  # raised by the call, nothing iterated
+    pulled = []
+    real = verify._iter_syt_flat
+
+    def counting(shape):
+        for b in real(shape):
+            pulled.append(b)
+            yield b
+
+    monkeypatch.setattr(verify, "_iter_syt_flat", counting)
+    it = standard_tableaux(parse_partition("5555"), max_count=2_000_000)
+    assert next(it) == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (11, 12, 13, 14, 15), (16, 17, 18, 19, 20))
+    assert len(pulled) == 1
+
+
 def test_empty_shape():
     assert list(standard_tableaux(Partition())) == [()]
     assert count_standard_tableaux(Partition()) == 1
