@@ -31,7 +31,6 @@ from .shapes import (
 )
 from .tableaux import (
     PartialTableau,
-    SlideResult,
     TableauError,
     TableauFormatError,
     complement_tableau,
@@ -47,7 +46,6 @@ from .tableaux import (
     reading_word,
     rectify,
     reverse_slide,
-    standard_from_rows,
     to_file_dict,
 )
 from .words import (
@@ -55,18 +53,15 @@ from .words import (
     EquivalenceVerdict,
     PeriodicSequence,
     Permutation,
-    PosetSequence,
     all_permutations,
     augmented_word,
     bounded_equivalence,
     conjugate_by_reversal,
     descent_sequence,
-    descent_sequence_prefix,
     descents,
     elementary_knuth,
     identity,
     insertion_tableau,
-    inverse_word_prefix,
     inverse_word_sequence,
     major_index,
     parse_permutation,
@@ -78,7 +73,6 @@ from .words import (
 )
 from .orbits import (
     BoxSequenceRun,
-    ExperimentalConstructionError,
     NotMinimalOrbitError,
     augmented_insertion_tableau,
     box_sequence,

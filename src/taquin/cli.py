@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3
-experimental-path guard, 4 tableau parse error, 5 domain error (tableau
-outside the minimal orbit set).  These are stable so shell harnesses need
-no output parsing.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+a rectangle with m < n), 4 tableau parse error, 5 domain error (tableau
+outside the minimal orbit set).  Code 3 is retired and unused.  These are
+stable so shell harnesses need no output parsing.
 """
 
 from __future__ import annotations
@@ -12,12 +12,7 @@ import argparse
 import json
 import sys
 
-from .orbits import (
-    ExperimentalConstructionError,
-    NotMinimalOrbitError,
-    invert,
-    minimal_orbit_tableau,
-)
+from .orbits import NotMinimalOrbitError, invert, minimal_orbit_tableau
 from .shapes import Rectangle, diagonal_from_lambda_plus, parse_partition
 from .tableaux import (
     TableauError,
@@ -41,7 +36,6 @@ from .words import format_permutation, parse_permutation
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
-EXIT_EXPERIMENTAL = 3
 EXIT_PARSE = 4
 EXIT_DOMAIN = 5
 
@@ -72,12 +66,6 @@ def _cmd_construct(args) -> int:
         print(f"error: --w has {w.n} letters but --n is {n}", file=sys.stderr)
         return EXIT_USAGE
     rect = Rectangle(n, args.m)
-    if args.m < n and not (args.via == "insertion" and args.experimental):
-        print(
-            "error: m < n is experimental; pass --via insertion --experimental",
-            file=sys.stderr,
-        )
-        return EXIT_EXPERIMENTAL
     diag = None
     if args.diagonal is not None:
         lam_plus = parse_partition(args.diagonal)
@@ -96,10 +84,7 @@ def _cmd_construct(args) -> int:
             print(f"error: bad choice tableau: {exc}", file=sys.stderr)
             return EXIT_PARSE
     try:
-        t = minimal_orbit_tableau(w, rect, diag, via=args.via, experimental=args.experimental, choice=choice)
-    except ExperimentalConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENTAL
+        t = minimal_orbit_tableau(w, rect, diag, via=args.via, choice=choice)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -201,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diagonal", default=None, help='diagonal as its outer shape, e.g. "5431"')
     p.add_argument("--choice-tableau", default=None, help="JSON tableau file fixing the slide order")
     p.add_argument("--via", choices=("slides", "insertion"), default="slides")
-    p.add_argument("--experimental", action="store_true", help="allow the m < n route")
     p.add_argument("--format", choices=("json", "grid"), default="json")
     p.set_defaults(func=_cmd_construct)
 

@@ -31,7 +31,6 @@ from .tableaux import (
     from_rows,
     grid_slide,
     is_standard_normalized,
-    promotion,
     standard_rectangle_dims,
     to_grid,
 )
@@ -47,10 +46,6 @@ from .words import (
 
 class NotMinimalOrbitError(ValueError):
     """The tableau is not in the minimal promotion-orbit set."""
-
-
-class ExperimentalConstructionError(ValueError):
-    """The tall-rectangle (m < n) construction is undefined or failed."""
 
 
 class DiagonalMismatchError(RuntimeError):
@@ -310,15 +305,6 @@ def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, lam_pl
     return t
 
 
-def _tall_frame(n: int, m: int):
-    """Pseudo-diagonal for tall rectangles (m < n): boxes climb the first
-    column, then step strictly up-right across the remaining columns."""
-    lam_plus = Partition(tuple(max(1, m + 1 - r) for r in range(1, n + 1)))
-    lam_minus = Partition(tuple(max(0, m - r) for r in range(1, n + 1)))
-    boxes = tuple(Box(r, lam_plus.row_len(r)) for r in range(n, 0, -1))
-    return lam_plus, lam_minus, boxes
-
-
 def _minimal_orbit_tableau_insertion(w: Permutation, rect: Rectangle, lam_plus: Partition, lam_minus: Partition) -> PartialTableau:
     m = rect.ncells // w.n
     plus = augmented_insertion_tableau(w, m, lam_plus)
@@ -334,42 +320,24 @@ def minimal_orbit_tableau(
     rect: Rectangle,
     diag: Diagonal | None = None,
     via: str = "slides",
-    experimental: bool = False,
     choice: PartialTableau | None = None,
-    choice_reverse: PartialTableau | None = None,
 ) -> PartialTableau:
     """The standard tableau of shape rect attached to w: forward and
     reverse constructions spliced along a diagonal.  One promotion step
     carries the result to the tableau of (promotion cycle) o w, so its
     promotion order divides n.
 
-    For m < n no diagonal exists; with experimental=True the insertion
-    route is used on a pseudo-diagonal, checked after the fact
-    (consistency, standardness, promotion order dividing n).
+    Needs m >= n, where the diagonal exists; raises ValueError otherwise,
+    before any construction work.  A tall rectangle is built with its
+    short side as n (Rectangle(n, m, n_is_rows=False)).
     """
     n = w.n
     if rect.n != n:
         raise ValueError(f"rectangle n={rect.n} does not match permutation size {n}")
+    if rect.m < n:
+        raise ValueError(f"the construction needs m >= n, got n={n}, m={rect.m}")
     if via not in ("slides", "insertion"):
         raise ValueError(f"unknown route {via!r}")
-    if rect.m < n:
-        if not experimental or via != "insertion":
-            raise ExperimentalConstructionError(
-                "m < n is undefined here; pass via='insertion' and experimental=True"
-            )
-        if not rect.n_is_rows:
-            raise ExperimentalConstructionError("tall-rectangle route needs n as the row count")
-        lam_plus, lam_minus, _boxes = _tall_frame(n, rect.m)
-        try:
-            t = _minimal_orbit_tableau_insertion(w, rect, lam_plus, lam_minus)
-        except (DiagonalMismatchError, ValueError) as exc:
-            raise ExperimentalConstructionError(f"construction failed for w={w}: {exc}") from exc
-        cur = t
-        for _ in range(n):
-            cur = promotion(cur)
-        if cur != t:
-            raise ExperimentalConstructionError(f"promotion order of the result does not divide {n}")
-        return t
     diag = diag if diag is not None else staircase_diagonal(rect)
     if diag.n != n:
         raise ValueError(f"diagonal size {diag.n} does not match permutation size {n}")
@@ -378,7 +346,7 @@ def minimal_orbit_tableau(
             raise ValueError("insertion route needs n as the row count")
         return _minimal_orbit_tableau_insertion(w, rect, diag.lambda_plus, diag.lambda_minus)
     plus = forward_tableau(w, diag, choice)
-    minus = reverse_tableau(w, diag, rect, choice_reverse)
+    minus = reverse_tableau(w, diag, rect)
     return _splice(plus, minus, rect, diag.lambda_plus, diag.lambda_minus)
 
 

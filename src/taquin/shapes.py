@@ -131,8 +131,10 @@ def removable_corners(p: Partition) -> list[Box]:
 class Rectangle:
     """An n-by-m rectangle; `n_is_rows` says which dimension counts rows.
 
-    The bijection needs m >= n; rectangles with m < n can be built but the
-    construction entry points treat them as experimental.
+    The bijection needs m >= n.  Rectangles with m < n can be built, but
+    the construction (`minimal_orbit_tableau`) and the verification suites
+    refuse them; a tall rectangle takes its short side as n, with
+    n_is_rows=False.
     """
 
     n: int

@@ -131,13 +131,6 @@ def from_rows(rows, inner=EMPTY) -> PartialTableau:
     return PartialTableau(SkewShape(outer, inner), entries)
 
 
-def standard_from_rows(rows) -> PartialTableau:
-    t = from_rows(rows)
-    if not is_standard_normalized(t):
-        raise TableauError("rows do not form a standard tableau with entries 1..N")
-    return t
-
-
 def is_filled(t: PartialTableau) -> bool:
     return t.size == t.region.size
 

@@ -121,12 +121,6 @@ def _iter_syt_flat(shape: Partition):
             return
 
 
-def _foreach_syt_flat(shape: Partition, emit) -> None:
-    """Call emit(bytes) for every standard filling, in _iter_syt_flat order."""
-    for b in _iter_syt_flat(shape):
-        emit(b)
-
-
 def _flat_rows(flat: bytes, shape: Partition) -> tuple:
     starts = [0, *accumulate(shape.rows)]
     return tuple(tuple(flat[a:b]) for a, b in zip(starts, starts[1:]))
@@ -218,12 +212,10 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
     rep_flats: list[bytes] = []
     sizes: list[int] = []
     count = 0
-
-    def emit(b):
-        nonlocal count
+    for b in _iter_syt_flat(shape):
         count += 1
         if b in visited:
-            return
+            continue
         orbit = [b]
         cur = _promote_flat(b, nrows, ncols)
         while cur != b:
@@ -232,8 +224,6 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
         visited.update(orbit)
         rep_flats.append(b)
         sizes.append(len(orbit))
-
-    _foreach_syt_flat(shape, emit)
     orbits = [(_flat_rows(b, shape), s) for b, s in zip(rep_flats, sizes)]
     counts = {r: sum(s for s in sizes if r % s == 0) for r in divisors(rect.ncells)}
     return OrbitTable(rect, orbits, counts, count, rep_flats)

@@ -12,7 +12,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice, permutations
-from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -167,16 +166,8 @@ def inverse_word_sequence(w: Permutation) -> PeriodicSequence:
     return PeriodicSequence(w.inverse().oneline)
 
 
-def inverse_word_prefix(w: Permutation, n: int) -> tuple[int, ...]:
-    return inverse_word_sequence(w).prefix(n)
-
-
 def descent_sequence(w: Permutation) -> DescentSequence:
     return DescentSequence(tuple(sorted(descents(w), reverse=True)), w.n)
-
-
-def descent_sequence_prefix(w: Permutation, n: int) -> tuple[int, ...]:
-    return descent_sequence(w).prefix(n)
 
 
 def augmented_word(w: Permutation, m: int) -> tuple[int, ...]:
@@ -227,41 +218,21 @@ def elementary_knuth(word, k: int):
     return None
 
 
-@dataclass(frozen=True)
-class PosetSequence:
-    """Finite sequence over a poset; `less` is the strict order test."""
-
-    terms: tuple
-    less: Callable
-
-    def __len__(self):
-        return len(self.terms)
-
-
 def strict_knuth(seq, k: int, less=None):
     """Strict Knuth move: like the classical move but every comparison in
     the pattern must hold strictly in the poset; None when undefined,
-    which includes windows with incomparable terms.
-
-    Accepts a PosetSequence or a plain sequence (with `less` defaulting to
-    integer <) and returns the same kind.
+    which includes windows with incomparable terms.  `less` is the
+    poset's strict order test (integer < by default); returns a tuple.
     """
-    if isinstance(seq, PosetSequence):
-        terms, lt = seq.terms, seq.less
-    else:
-        terms, lt = tuple(seq), less or operator.lt
+    terms, lt = tuple(seq), less or operator.lt
     if not 1 <= k <= len(terms) - 2:
         raise ValueError(f"k must lie in 1..{len(terms) - 2}")
     a, b, c = terms[k - 1 : k + 2]
     if (lt(b, a) and lt(a, c)) or (lt(c, a) and lt(a, b)):
-        out = terms[: k - 1] + (a, c, b) + terms[k + 2 :]
-    elif (lt(a, c) and lt(c, b)) or (lt(b, c) and lt(c, a)):
-        out = terms[: k - 1] + (b, a, c) + terms[k + 2 :]
-    else:
-        return None
-    if isinstance(seq, PosetSequence):
-        return PosetSequence(out, seq.less)
-    return out
+        return terms[: k - 1] + (a, c, b) + terms[k + 2 :]
+    if (lt(a, c) and lt(c, b)) or (lt(b, c) and lt(c, a)):
+        return terms[: k - 1] + (b, a, c) + terms[k + 2 :]
+    return None
 
 
 @dataclass(frozen=True)

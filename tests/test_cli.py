@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from taquin.cli import main
-from taquin.tableaux import dumps, from_rows
+from taquin.tableaux import dumps, format_grid, from_rows, loads, promotion
 from taquin.verify import orbit_table
 from taquin.shapes import Rectangle
 
@@ -69,19 +70,14 @@ def test_construct_usage_errors():
     assert code == 2
 
 
-def test_experimental_guard_and_route():
-    code, _, err = run_cli("construct", "--n", "3", "--m", "2", "--w", "132")
-    assert code == 3 and "experimental" in err
-    code, out, _ = run_cli(
-        "construct", "--n", "3", "--m", "2", "--w", "132", "--via", "insertion", "--experimental"
-    )
-    assert code == 0
-    assert json.loads(out)["rows"] == [[1, 2], [3, 5], [4, 6]]
-    # a permutation with no tall-rectangle tableau exits 3 as well
-    code, _, _ = run_cli(
-        "construct", "--n", "3", "--m", "2", "--w", "213", "--via", "insertion", "--experimental"
-    )
-    assert code == 3
+def test_construct_refuses_m_below_n(capsys):
+    argv = ["construct", "--n", "3", "--m", "2", "--w", "132"]
+    for via in ([], ["--via", "insertion"]):
+        assert main(argv + via) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "m >= n" in err
+    assert main(argv + ["--via", "insertion", "--experimental"]) == 2
+    assert "unrecognized arguments: --experimental" in capsys.readouterr().err
 
 
 def test_construct_invert_pipe_round_trip():
@@ -144,7 +140,6 @@ def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("enumeration started despite the count cap")
 
-    monkeypatch.setattr(verify, "_foreach_syt_flat", never)
     monkeypatch.setattr(verify, "_iter_syt_flat", never)
     assert main(["verify", "--n", "4", "--m", "5"]) == 2
     assert main(["csp", "--n", "4", "--m", "5"]) == 2
@@ -215,6 +210,20 @@ def test_main_callable_directly(capsys):
     out = capsys.readouterr().out
     assert out == "1 3\n2 4\n"
     assert main(["bogus-subcommand"]) == 2
+
+
+def test_repeated_main_calls_use_their_own_defaults(monkeypatch, capsys):
+    argv = ["construct", "--n", "3", "--m", "4", "--w", "231"]
+    assert main(argv + ["--format", "grid"]) == 0
+    grid = capsys.readouterr().out
+    assert main(argv) == 0
+    tw = capsys.readouterr().out
+    t = loads(tw)
+    assert grid == format_grid(t) + "\n"
+    for steps, expected in ((["--steps", "2"], promotion(promotion(t))), ([], promotion(t))):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(tw))
+        assert main(["promote", *steps]) == 0
+        assert loads(capsys.readouterr().out) == expected
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin.orbits import (
-    ExperimentalConstructionError,
     NotMinimalOrbitError,
     augmented_insertion_tableau,
     box_sequence,
@@ -489,37 +488,7 @@ def test_insertion_route_equals_slides_route():
             assert minimal_orbit_tableau(w, rect, via="insertion") == minimal_orbit_tableau(w, rect)
 
 
-# -- tall rectangles (m < n, experimental) -----------------------------------------
-
-
-def test_tall_rectangle_worked_example():
-    t = minimal_orbit_tableau(parse_permutation("132"), Rectangle(3, 2), via="insertion", experimental=True)
-    assert t.row_tuples() == ((1, 2), (3, 5), (4, 6))
-    assert promotion_order(t) == 3
-
-
-def test_tall_rectangle_requires_flag():
-    with pytest.raises(ExperimentalConstructionError):
-        minimal_orbit_tableau(parse_permutation("132"), Rectangle(3, 2))
-    with pytest.raises(ExperimentalConstructionError):
-        minimal_orbit_tableau(parse_permutation("132"), Rectangle(3, 2), via="insertion")
-    with pytest.raises(ExperimentalConstructionError):
-        minimal_orbit_tableau(parse_permutation("132"), Rectangle(3, 2), experimental=True)
-
-
-def test_tall_rectangle_partial_coverage():
-    # only 5 standard tableaux exist on 3 rows x 2 cols, so at least one of
-    # the 6 permutations cannot be represented
-    built = {}
-    failed = []
-    for w in all_permutations(3):
-        try:
-            t = minimal_orbit_tableau(w, Rectangle(3, 2), via="insertion", experimental=True)
-        except ExperimentalConstructionError:
-            failed.append(w)
-            continue
-        assert is_standard_normalized(t)
-        assert promotion_order(t) in (1, 3)
-        built[w] = t
-    assert failed
-    assert len(set(built.values())) == len(built)
+def test_tall_rectangle_is_refused_on_both_routes():
+    for via in ("slides", "insertion"):
+        with pytest.raises(ValueError, match="m >= n"):
+            minimal_orbit_tableau(parse_permutation("132"), Rectangle(3, 2), via=via)

@@ -85,19 +85,12 @@ def test_counts_match_hooks_and_recursion():
 
 
 def test_enumeration_count_agrees_with_hooks_up_to_16_cells():
-    from taquin.verify import _foreach_syt_flat
+    from taquin.verify import _iter_syt_flat
 
     for shape in all_partitions_in_box(4, 6):
         if shape.size > 16:
             continue
-        seen = 0
-
-        def emit(_b):
-            nonlocal seen
-            seen += 1
-
-        _foreach_syt_flat(shape, emit)
-        assert seen == count_standard_tableaux(shape)
+        assert sum(1 for _ in _iter_syt_flat(shape)) == count_standard_tableaux(shape)
 
 
 def test_enumeration_rows_agree_with_hooks_small():

@@ -10,18 +10,17 @@ from taquin.words import (
     DescentSequence,
     PeriodicSequence,
     Permutation,
-    PosetSequence,
     all_permutations,
     augmented_word,
     bounded_equivalence,
     conjugate_by_reversal,
-    descent_sequence_prefix,
+    descent_sequence,
     descents,
     elementary_knuth,
     identity,
     insertion_knuth_positions,
     insertion_tableau,
-    inverse_word_prefix,
+    inverse_word_sequence,
     major_index,
     parse_permutation,
     format_permutation,
@@ -100,17 +99,17 @@ def test_promotion_cycle_and_composition():
 
 def test_inverse_word_prefix():
     w = parse_permutation("3142")
-    assert inverse_word_prefix(w, 8) == (2, 4, 1, 3, 2, 4, 1, 3)
+    assert inverse_word_sequence(w).prefix(8) == (2, 4, 1, 3, 2, 4, 1, 3)
     n = 5
-    assert inverse_word_prefix(identity(n), 2 * n) == tuple(range(1, n + 1)) * 2
-    assert inverse_word_prefix(w, 0) == ()
+    assert inverse_word_sequence(identity(n)).prefix(2 * n) == tuple(range(1, n + 1)) * 2
+    assert inverse_word_sequence(w).prefix(0) == ()
 
 
 def test_descent_sequence_prefix():
-    assert descent_sequence_prefix(parse_permutation("3142"), 9) == (4, 2, 3, 4, 1, 2, 3, 4, 1)
+    assert descent_sequence(parse_permutation("3142")).prefix(9) == (4, 2, 3, 4, 1, 2, 3, 4, 1)
     n = 4
-    assert descent_sequence_prefix(identity(n), 2 * n) == tuple(range(1, n + 1)) * 2
-    assert descent_sequence_prefix(reversal(3), 9) == (3, 2, 3, 1, 2, 3, 1, 2, 3)
+    assert descent_sequence(identity(n)).prefix(2 * n) == tuple(range(1, n + 1)) * 2
+    assert descent_sequence(reversal(3)).prefix(9) == (3, 2, 3, 1, 2, 3, 1, 2, 3)
     with pytest.raises(ValueError):
         DescentSequence((1, 2), 4)  # must strictly decrease
     with pytest.raises(ValueError):
@@ -230,10 +229,7 @@ def test_strict_knuth_on_boxes():
     assert strict_knuth((2, 3, 1), 1) == (2, 1, 3)  # same chain shape on ints
     # incomparable window: (1,1) vs (2,2) in both orders
     assert strict_knuth((Box(1, 1), Box(2, 2), Box(1, 2)), 1, less=box_less) is None
-    ps = PosetSequence((1, 3, 2), lambda a, b: a < b)
-    out = strict_knuth(ps, 1)
-    assert isinstance(out, PosetSequence)
-    assert out.terms == (3, 1, 2)
+    assert strict_knuth([1, 3, 2], 1, less=lambda a, b: a < b) == (3, 1, 2)
 
 
 # -- bounded equivalence ---------------------------------------------------------
