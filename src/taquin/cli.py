@@ -25,6 +25,7 @@ from .tableaux import (
     standard_rectangle_dims,
 )
 from .verify import (
+    SUITES,
     EnumerationCapError,
     divisors,
     orbit_table,
@@ -83,11 +84,7 @@ def _cmd_construct(args) -> int:
         except (OSError, TableauFormatError, TableauError) as exc:
             print(f"error: bad choice tableau: {exc}", file=sys.stderr)
             return EXIT_PARSE
-    try:
-        t = minimal_orbit_tableau(w, rect, diag, via=args.via, choice=choice)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    t = minimal_orbit_tableau(w, rect, diag, via=args.via, choice=choice)
     _print_tableau(t, args.format)
     return EXIT_OK
 
@@ -130,23 +127,15 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rect = Rectangle(args.n, args.m)
-    try:
-        report = run_suite(
-            rect,
-            args.suite,
-            seed=args.seed,
-            all_choices=args.all_choices,
-            all_diagonals=args.all_diagonals,
-            max_cells=args.max_cells,
-            max_count=args.max_count,
-        )
-    except EnumerationCapError as exc:
-        print(f"error: {exc} (see --max-cells/--max-count)", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = run_suite(
+        Rectangle(args.n, args.m),
+        args.suite,
+        seed=args.seed,
+        all_choices=args.all_choices,
+        all_diagonals=args.all_diagonals,
+        max_cells=args.max_cells,
+        max_count=args.max_count,
+    )
     print(report.format_text())
     if args.json:
         print(json.dumps(report.to_json_dict()))
@@ -155,11 +144,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_csp(args) -> int:
     rect = Rectangle(args.n, args.m)
-    try:
-        table = orbit_table(rect, max_cells=args.max_cells, max_count=args.max_count)
-    except EnumerationCapError as exc:
-        print(f"error: {exc} (see --max-cells/--max-count)", file=sys.stderr)
-        return EXIT_USAGE
+    table = orbit_table(rect, max_cells=args.max_cells, max_count=args.max_count)
     ok = True
     for r in divisors(rect.ncells):
         fixed = table.counts[r]
@@ -202,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--suite", default="all", choices=("bijection", "independence", "csp", "haiman", "propositions", "all"))
+    p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
     p.add_argument("--all-choices", action="store_true", help="sweep every choice tableau")
     p.add_argument("--all-diagonals", action="store_true", help="sweep every diagonal")
     p.add_argument("--seed", type=int, default=0)
@@ -228,6 +213,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except EnumerationCapError as exc:
+        print(f"error: {exc} (see --max-cells/--max-count)", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

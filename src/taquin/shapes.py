@@ -232,6 +232,11 @@ class Diagonal:
         skew = set(SkewShape(self.lambda_plus, self.lambda_minus).cells())
         if set(boxes) != skew:
             raise ValueError("boxes do not match lambda_plus/lambda_minus")
+        # each box of this chain-shaped skew shape is a removable corner of
+        # lambda_plus, which is the smallest partition around the boxes
+        # exactly when it has no other corner: one per distinct row length
+        if len(set(self.lambda_plus.rows)) != len(boxes):
+            raise ValueError(f"{self.lambda_plus} is not the smallest partition containing the boxes")
 
     @property
     def n(self) -> int:

@@ -6,28 +6,36 @@ The enumeration lane works on flat byte strings for speed; it is
 cross-checked against the object-level promotion in the test suite.  Root
 of unity values are always computed by two independent methods (cyclotomic
 reduction and residue pairing) and must agree, loudly.
+
+The check suites are listed in `SUITES`.  Each is a list of named cases;
+a case is a check that returns its first counterexample (None when it
+passes), and `run_suite` reports pass or fail with that counterexample.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import factorial, gcd, prod
 
 from .shapes import (
+    Box,
     Partition,
     Rectangle,
     SkewShape,
     box_less,
+    complement_shape,
     enumerate_diagonals,
+    removable_corners,
     staircase_diagonal,
     transpose,
 )
 from .tableaux import PartialTableau, from_rows, promotion
 from .orbits import (
+    NotMinimalOrbitError,
     augmented_insertion_tableau,
     box_sequence,
     column_sequence,
@@ -185,17 +193,16 @@ class OrbitTable:
     orbits: list[tuple[tuple, int]]  # (representative rows, orbit size)
     counts: dict[int, int]  # divisor r of the cell count -> #{T : r-fold promotion fixes T}
     total: int
-    _rep_flats: list[bytes] = field(repr=False, default_factory=list)
 
     def fixed_rows(self, r: int) -> list[tuple]:
         """All tableaux fixed by r-fold promotion, as row tuples."""
         nrows, ncols = self.rect.nrows, self.rect.ncols
         shape = self.rect.as_partition()
         out = []
-        for flat, (_, size) in zip(self._rep_flats, self.orbits):
+        for rows, size in self.orbits:
             if r % size:
                 continue
-            cur = flat
+            cur = bytes(v for row in rows for v in row)
             for _ in range(size):
                 out.append(_flat_rows(cur, shape))
                 cur = _promote_flat(cur, nrows, ncols)
@@ -209,8 +216,7 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
     _check_caps(shape, max_cells, max_count)
     nrows, ncols = rect.nrows, rect.ncols
     visited: set[bytes] = set()
-    rep_flats: list[bytes] = []
-    sizes: list[int] = []
+    orbits: list[tuple[tuple, int]] = []
     count = 0
     for b in _iter_syt_flat(shape):
         count += 1
@@ -222,11 +228,9 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
             orbit.append(cur)
             cur = _promote_flat(cur, nrows, ncols)
         visited.update(orbit)
-        rep_flats.append(b)
-        sizes.append(len(orbit))
-    orbits = [(_flat_rows(b, shape), s) for b, s in zip(rep_flats, sizes)]
-    counts = {r: sum(s for s in sizes if r % s == 0) for r in divisors(rect.ncells)}
-    return OrbitTable(rect, orbits, counts, count, rep_flats)
+        orbits.append((_flat_rows(b, shape), len(orbit)))
+    counts = {r: sum(s for _, s in orbits if r % s == 0) for r in divisors(rect.ncells)}
+    return OrbitTable(rect, orbits, counts, count)
 
 
 # -- exact integer polynomial arithmetic (coefficients ascending) --------
@@ -405,11 +409,8 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _case(cases: list[CaseResult], name: str, failures: list[str]) -> None:
-    if failures:
-        cases.append(CaseResult(name, "fail", failures[0]))
-    else:
-        cases.append(CaseResult(name, "pass"))
+def _case(name: str, counterexample: str | None) -> CaseResult:
+    return CaseResult(name, "pass" if counterexample is None else "fail", counterexample)
 
 
 def _column_superstandard(shape: Partition) -> PartialTableau:
@@ -418,16 +419,24 @@ def _column_superstandard(shape: Partition) -> PartialTableau:
 
 
 def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
-    perms = list(all_permutations(n))
-    if len(perms) <= limit:
-        return perms
-    rng = random.Random(seed)
-    return rng.sample(perms, limit)
+    """All of S_n in lexicographic order if it has at most `limit` elements,
+    else `limit` of them drawn by lexicographic rank; S_n is never listed."""
+    total = factorial(n)
+    ranks = range(total) if total <= limit else random.Random(seed).sample(range(total), limit)
+    out = []
+    for rank in ranks:
+        letters = list(range(1, n + 1))
+        oneline = []
+        for k in range(n - 1, -1, -1):
+            index, rank = divmod(rank, factorial(k))
+            oneline.append(letters.pop(index))
+        out.append(Permutation(tuple(oneline)))
+    return out
 
 
-def _choice_tableaux(shape: Partition, all_choices: bool, max_count: int):
+def _choice_tableaux(shape: Partition, all_choices: bool, caps: dict):
     if all_choices:
-        return [from_rows(rows) for rows in standard_tableaux(shape, max_count=max_count)]
+        return [from_rows(rows) for rows in standard_tableaux(shape, **caps)]
     out = [superstandard_choice(shape)]
     alt = _column_superstandard(shape)
     if alt != out[0]:
@@ -437,8 +446,6 @@ def _choice_tableaux(shape: Partition, all_choices: bool, max_count: int):
 
 def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
     """A uniform-ish random order peeling the rectangle corner by corner."""
-    from .shapes import Box, removable_corners
-
     mu = [ncols] * nrows
     order = []
     while any(mu):
@@ -449,304 +456,288 @@ def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
     return order
 
 
-def _suite_bijection(rect: Rectangle, caps: dict) -> list[CaseResult]:
-    cases: list[CaseResult] = []
+# Every suite takes (rect, seed, all_choices, all_diagonals, caps) and
+# returns its cases in a fixed order.  Each case is a check that returns its
+# first counterexample, or None when it passes; checks that draw from the
+# suite's rng run in case order, so reports are deterministic per seed.
+
+
+def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     n = rect.n
     table = orbit_table(rect, **caps)
-    failures = [] if table.counts[n] == factorial(n) else [f"counts[{n}] = {table.counts[n]} != {factorial(n)}"]
-    _case(cases, f"minimal-orbit-count-{n}!", failures)
-
-    image = {}
-    failures = []
-    for w in all_permutations(n):
-        t = minimal_orbit_tableau(w, rect)
-        image[w] = t
-    image_rows = {t.row_tuples() for t in image.values()}
-    minimal = set(table.fixed_rows(n))
-    if image_rows != minimal:
-        failures.append(
-            f"image has {len(image_rows)} tableaux, enumeration gives {len(minimal)}; "
-            f"symmetric difference size {len(image_rows ^ minimal)}"
-        )
-    _case(cases, "image-equals-minimal-orbits", failures)
-
+    image = {w: minimal_orbit_tableau(w, rect) for w in all_permutations(n)}
     # one promotion step subtracts 1 mod n from every diagonal residue,
     # i.e. it carries the tableau of w to the tableau of c o w
     c = promotion_cycle(n)
-    failures = []
-    for w, t in image.items():
-        if promotion(t) != image[right_multiply(c, w)]:
-            failures.append(f"promotion(T_{w}) != T_{right_multiply(c, w)}")
-            break
-    _case(cases, "promotion-equivariance", failures)
 
-    failures = []
-    for w, t in image.items():
-        got = invert(t)
-        if got != w:
-            failures.append(f"invert round trip failed: {w} -> {got}")
-            break
-    _case(cases, "invert-round-trip", failures)
+    def image_is_minimal():
+        image_rows = {t.row_tuples() for t in image.values()}
+        minimal = set(table.fixed_rows(n))
+        if image_rows != minimal:
+            return (
+                f"image has {len(image_rows)} tableaux, enumeration gives {len(minimal)}; "
+                f"symmetric difference size {len(image_rows ^ minimal)}"
+            )
 
-    non_minimal = [rows for rows, size in table.orbits if n % size != 0]
-    if non_minimal:
-        failures = []
-        t = from_rows(non_minimal[0])
-        try:
+    def equivariant():
+        for w, t in image.items():
+            if promotion(t) != image[right_multiply(c, w)]:
+                return f"promotion(T_{w}) != T_{right_multiply(c, w)}"
+
+    def round_trip():
+        for w, t in image.items():
             got = invert(t)
-            failures.append(f"invert accepted a non-minimal tableau as {got}")
-        except Exception:
-            pass
-        _case(cases, "non-minimal-rejected", failures)
+            if got != w:
+                return f"invert round trip failed: {w} -> {got}"
+
+    def rejected(rows):
+        try:
+            got = invert(from_rows(rows))
+        except NotMinimalOrbitError:
+            return None
+        except Exception as exc:
+            return f"invert raised {exc!r} instead of NotMinimalOrbitError"
+        return f"invert accepted a non-minimal tableau as {got}"
+
+    cases = [
+        _case(
+            f"minimal-orbit-count-{n}!",
+            None if table.counts[n] == factorial(n) else f"counts[{n}] = {table.counts[n]} != {factorial(n)}",
+        ),
+        _case("image-equals-minimal-orbits", image_is_minimal()),
+        _case("promotion-equivariance", equivariant()),
+        _case("invert-round-trip", round_trip()),
+    ]
+    non_minimal = next((rows for rows, size in table.orbits if n % size), None)
+    if non_minimal is not None:
+        cases.append(_case("non-minimal-rejected", rejected(non_minimal)))
     return cases
 
 
 def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
-    cases: list[CaseResult] = []
-    n = rect.n
-    perms = _perm_sample(n, seed)
+    perms = _perm_sample(rect.n, seed)
     diagonals = enumerate_diagonals(rect) if all_diagonals else [staircase_diagonal(rect)]
-    max_count = caps.get("max_count", 1_000_000)
 
-    failures = []
-    for d in diagonals:
-        choices = _choice_tableaux(d.lambda_minus, all_choices, max_count)
+    def forward_choices():
+        for d in diagonals:
+            choices = _choice_tableaux(d.lambda_minus, all_choices, caps)
+            for w in perms:
+                if len({forward_tableau(w, d, u) for u in choices}) != 1:
+                    return f"forward construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
+
+    def reverse_choices():
+        for d in diagonals:
+            choices = _choice_tableaux(complement_shape(d.lambda_plus, rect), all_choices, caps)
+            for w in perms:
+                if len({reverse_tableau(w, d, rect, u) for u in choices}) != 1:
+                    return f"reverse construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
+
+    def agreement():
+        for d in diagonals:
+            for w in perms:
+                plus = forward_tableau(w, d)
+                minus = reverse_tableau(w, d, rect)
+                bad = next((b for b in d.boxes if plus[b] != minus[b]), None)
+                if bad is not None:
+                    return f"w={w}, diagonal {d.lambda_plus}: disagree at {bad}"
+
+    def diagonal_independence():
         for w in perms:
-            results = {forward_tableau(w, d, u) for u in choices}
-            if len(results) != 1:
-                failures.append(f"forward construction depends on the choice for w={w}, diagonal {d.lambda_plus}")
-                break
-        if failures:
-            break
-    _case(cases, "forward-choice-independence", failures)
+            if len({minimal_orbit_tableau(w, rect, d) for d in diagonals}) != 1:
+                return f"combined tableau depends on the diagonal for w={w}"
 
-    failures = []
-    from .shapes import complement_shape as _comp
-
-    for d in diagonals:
-        choices = _choice_tableaux(_comp(d.lambda_plus, rect), all_choices, max_count)
-        for w in perms:
-            results = {reverse_tableau(w, d, rect, u) for u in choices}
-            if len(results) != 1:
-                failures.append(f"reverse construction depends on the choice for w={w}, diagonal {d.lambda_plus}")
-                break
-        if failures:
-            break
-    _case(cases, "reverse-choice-independence", failures)
-
-    failures = []
-    for d in diagonals:
-        for w in perms:
-            plus = forward_tableau(w, d)
-            minus = reverse_tableau(w, d, rect)
-            bad = [b for b in d.boxes if plus[b] != minus[b]]
-            if bad:
-                failures.append(f"w={w}, diagonal {d.lambda_plus}: disagree at {bad[0]}")
-                break
-        if failures:
-            break
-    _case(cases, "diagonal-agreement", failures)
-
-    failures = []
-    for w in perms:
-        tableaux = {minimal_orbit_tableau(w, rect, d) for d in diagonals}
-        if len(tableaux) != 1:
-            failures.append(f"combined tableau depends on the diagonal for w={w}")
-            break
-    _case(cases, "diagonal-independence", failures)
-    return cases
+    return [
+        _case("forward-choice-independence", forward_choices()),
+        _case("reverse-choice-independence", reverse_choices()),
+        _case("diagonal-agreement", agreement()),
+        _case("diagonal-independence", diagonal_independence()),
+    ]
 
 
-def _suite_csp(rect: Rectangle, caps: dict) -> list[CaseResult]:
-    cases: list[CaseResult] = []
+def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     table = orbit_table(rect, **caps)
-    failures = []
-    if q_hook_polynomial(rect)(1) != table.total:
-        failures.append(f"F(1) = {q_hook_polynomial(rect)(1)} != {table.total} tableaux")
-    _case(cases, "polynomial-at-one", failures)
-    for r in divisors(rect.ncells):
-        failures = []
+    at_one = q_hook_polynomial(rect)(1)
+
+    def sieving(r):
         try:
             val = q_hook_at_root(rect, r)
-            if val != table.counts[r]:
-                failures.append(f"F(zeta^{r}) = {val} but {table.counts[r]} tableaux are fixed")
         except RuntimeError as exc:
-            failures.append(str(exc))
-        _case(cases, f"sieving-r={r}", failures)
-    return cases
+            return str(exc)
+        if val != table.counts[r]:
+            return f"F(zeta^{r}) = {val} but {table.counts[r]} tableaux are fixed"
+
+    return [
+        _case("polynomial-at-one", None if at_one == table.total else f"F(1) = {at_one} != {table.total} tableaux"),
+        *(_case(f"sieving-r={r}", sieving(r)) for r in divisors(rect.ncells)),
+    ]
 
 
-def _suite_haiman(rect: Rectangle, caps: dict) -> list[CaseResult]:
-    cases: list[CaseResult] = []
+def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     total_cells = rect.ncells
     table = orbit_table(rect, **caps)
-    failures = []
-    for rows, size in table.orbits:
-        if total_cells % size:
-            failures.append(f"orbit of size {size} does not divide {total_cells}: {rows}")
-            break
-    _case(cases, "orbit-sizes-divide-cell-count", failures)
 
-    failures = []
-    for rows, _ in table.orbits[:3]:
-        t = from_rows(rows)
-        cur = t
-        for _ in range(total_cells):
-            cur = promotion(cur)
-        if cur != t:
-            failures.append(f"full-cycle promotion moved {rows}")
-            break
-    _case(cases, "full-cycle-spot-check", failures)
+    def sizes_divide():
+        for rows, size in table.orbits:
+            if total_cells % size:
+                return f"orbit of size {size} does not divide {total_cells}: {rows}"
 
-    failures = []
-    for r in divisors(total_cells):
-        if r < rect.n and table.counts[r] != 0:
-            failures.append(f"{table.counts[r]} tableaux fixed by {r}-fold promotion with r < n")
-    _case(cases, "no-orbits-below-n", failures)
-    return cases
+    def full_cycle():
+        for rows, _ in table.orbits[:3]:
+            t = cur = from_rows(rows)
+            for _ in range(total_cells):
+                cur = promotion(cur)
+            if cur != t:
+                return f"full-cycle promotion moved {rows}"
+
+    def none_below_n():
+        for r in divisors(total_cells):
+            if r < rect.n and table.counts[r]:
+                return f"{table.counts[r]} tableaux fixed by {r}-fold promotion with r < n"
+
+    return [
+        _case("orbit-sizes-divide-cell-count", sizes_divide()),
+        _case("full-cycle-spot-check", full_cycle()),
+        _case("no-orbits-below-n", none_below_n()),
+    ]
 
 
-def _suite_propositions(rect: Rectangle, seed: int, all_diagonals: bool, caps: dict) -> list[CaseResult]:
-    cases: list[CaseResult] = []
+def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     n = rect.n
+    length = 3 * n
     rng = random.Random(seed)
     perms = _perm_sample(n, seed)
     stair = staircase_diagonal(rect)
-    max_count = caps.get("max_count", 1_000_000)
-
-    failures = []
-    for w in perms:
-        run = box_sequence(inverse_word_sequence(w), stair)
-        if tableau_from_box_sequence(run, stair) != forward_tableau(w, stair):
-            failures.append(f"box-sequence reconstruction differs for w={w}")
-            break
-    _case(cases, "box-sequence-reconstruction", failures)
-
-    failures = []
-    for _ in range(50):
-        length = 3 * n
-        sigma = tuple(rng.randint(1, n) for _ in range(length))
-        run = box_sequence(sigma, stair, steps=length)
-        for k in range(length - 1):
-            if sigma[k] < sigma[k + 1] and not box_less(run.boxes[k], run.boxes[k + 1]):
-                failures.append(f"sigma={sigma}, k={k + 1}: ascent not transported")
-            if sigma[k] > sigma[k + 1] and not box_less(run.boxes[k + 1], run.boxes[k]):
-                failures.append(f"sigma={sigma}, k={k + 1}: descent not transported")
-        if failures:
-            break
-    _case(cases, "box-order-transport", failures)
-
-    failures = _equivariance_failures(rect, stair, rng, 200, max_count)
-    _case(cases, "strict-knuth-equivariance", failures)
-
     rect_cols = rect if rect.ncols == n else rect.transposed()
     diags = enumerate_diagonals(rect_cols) if all_diagonals else [staircase_diagonal(rect_cols)]
-    failures = []
-    for d in diags:
-        for w in perms:
-            run = box_sequence(descent_sequence(w), d)
-            cols = column_sequence(sorted(descents(w), reverse=True), n, len(run.boxes))
-            bad = [k for k in range(len(run.boxes)) if run.boxes[k].col != cols[k]]
-            if bad:
-                failures.append(f"w={w}: box {bad[0] + 1} lands in column {run.boxes[bad[0]].col}, expected {cols[bad[0]]}")
-                break
-            if run.delta != delta_closed_form(w, d.lambda_plus, n):
-                failures.append(f"w={w}: delta {run.delta} != closed form {delta_closed_form(w, d.lambda_plus, n)}")
-                break
-        if failures:
-            break
-    _case(cases, "descent-run-columns-and-delta", failures)
 
-    failures = []
-    if len(diags) > 1:
+    def reconstruction():
+        for w in perms:
+            run = box_sequence(inverse_word_sequence(w), stair)
+            if tableau_from_box_sequence(run, stair) != forward_tableau(w, stair):
+                return f"box-sequence reconstruction differs for w={w}"
+
+    def box_order():
+        for _ in range(50):
+            sigma = tuple(rng.randint(1, n) for _ in range(length))
+            run = box_sequence(sigma, stair, steps=length)
+            for k in range(length - 1):
+                if sigma[k] < sigma[k + 1] and not box_less(run.boxes[k], run.boxes[k + 1]):
+                    return f"sigma={sigma}, k={k + 1}: ascent not transported"
+                if sigma[k] > sigma[k + 1] and not box_less(run.boxes[k + 1], run.boxes[k]):
+                    return f"sigma={sigma}, k={k + 1}: descent not transported"
+
+    def equivariance(instances=200):
+        # random strict-Knuth moves on the driving sequence must transport to
+        # the box sequence and leave the displacement counts alone
+        choices = [from_rows(rows) for rows in standard_tableaux(stair.lambda_minus, **caps)]
+        done = attempts = 0
+        # strict moves need 3 distinct letters; n < 3 has none, so give up
+        while done < instances and attempts < 50 * instances:
+            attempts += 1
+            sigma = tuple(rng.randint(1, n) for _ in range(length))
+            k = rng.randint(1, length - 2)
+            moved = strict_knuth(sigma, k)
+            if moved is None:
+                continue
+            done += 1
+            u = rng.choice(choices)
+            run_a = box_sequence(sigma, stair, u, steps=length)
+            run_b = box_sequence(moved, stair, u, steps=length)
+            transported = strict_knuth(run_a.boxes, k, less=box_less)
+            if transported is None:
+                return f"sigma={sigma}, k={k}: move undefined on the box sequence"
+            if tuple(transported) != run_b.boxes:
+                return f"sigma={sigma}, k={k}: box sequences differ"
+            if run_a.delta != run_b.delta:
+                return f"sigma={sigma}, k={k}: delta changed"
+
+    def descent_runs():
+        for d in diags:
+            for w in perms:
+                run = box_sequence(descent_sequence(w), d)
+                cols = column_sequence(sorted(descents(w), reverse=True), n, len(run.boxes))
+                bad = next((k for k in range(len(run.boxes)) if run.boxes[k].col != cols[k]), None)
+                if bad is not None:
+                    return f"w={w}: box {bad + 1} lands in column {run.boxes[bad].col}, expected {cols[bad]}"
+                delta = delta_closed_form(w, d.lambda_plus, n)
+                if run.delta != delta:
+                    return f"w={w}: delta {run.delta} != closed form {delta}"
+
+    def cross_diagonal():
+        if len(diags) < 2:
+            return None
         steps = n * (max(d.lambda_minus.size for d in diags) + 1)
         for w in perms:
             runs = [box_sequence(descent_sequence(w), d, steps=steps) for d in diags]
-            for a in range(len(diags)):
-                for b in range(a + 1, len(diags)):
-                    for k in range(steps):
-                        ba, bb = runs[a].boxes[k], runs[b].boxes[k]
-                        if bb in diags[a].lambda_plus and ba in diags[b].lambda_plus and ba != bb:
-                            failures.append(f"w={w}, diagonals {a},{b}, step {k + 1}: {ba} vs {bb}")
-                            break
-                    if failures:
-                        break
-                if failures:
-                    break
-            if failures:
-                break
-    _case(cases, "cross-diagonal-compatibility", failures)
+            for a, b in combinations(range(len(diags)), 2):
+                for k in range(steps):
+                    ba, bb = runs[a].boxes[k], runs[b].boxes[k]
+                    if bb in diags[a].lambda_plus and ba in diags[b].lambda_plus and ba != bb:
+                        return f"w={w}, diagonals {a},{b}, step {k + 1}: {ba} vs {bb}"
 
-    failures = []
-    for _ in range(10):
-        order = random_corner_peeling(rect.nrows, rect.ncols, rng)
-        for w in perms[:6]:
-            if forward_tableau_by_peeling(w, stair, order) != forward_tableau(w, stair):
-                failures.append(f"peeling order {order} differs for w={w}")
-                break
-        if failures:
-            break
-    _case(cases, "corner-peeling-equivalence", failures)
+    def peeling():
+        for _ in range(10):
+            order = random_corner_peeling(rect.nrows, rect.ncols, rng)
+            for w in perms[:6]:
+                if forward_tableau_by_peeling(w, stair, order) != forward_tableau(w, stair):
+                    return f"peeling order {order} differs for w={w}"
 
-    failures = []
-    for w in perms:
-        m = rect.ncells // n
+    def insertion_route():
         if rect.n_is_rows:
-            via = augmented_insertion_tableau(w, m, stair.lambda_plus)
-            if via != forward_tableau(w, stair):
-                failures.append(f"insertion route differs for w={w}")
-                break
-    _case(cases, "insertion-route", failures)
+            for w in perms:
+                if augmented_insertion_tableau(w, rect.m, stair.lambda_plus) != forward_tableau(w, stair):
+                    return f"insertion route differs for w={w}"
 
-    failures = []
-    pairs = []
-    seen: dict[tuple, Permutation] = {}
-    for w in all_permutations(min(n, 3)):
-        key = insertion_tableau(w.inverse().oneline)
-        if key in seen:
-            pairs.append((seen[key], w))
-        else:
-            seen[key] = w
-    for w1, w2 in pairs[:3]:
-        verdict = bounded_equivalence(inverse_word_sequence(w1), inverse_word_sequence(w2), 4, budget=20_000, slack=4)
-        if verdict.status != "proved":
-            failures.append(f"{w1} ~ {w2} came back {verdict.status}")
-    _case(cases, "periodic-word-equivalence", failures)
+    def periodic_words():
+        seen: dict[tuple, Permutation] = {}
+        pairs = []
+        for w in all_permutations(min(n, 3)):
+            key = insertion_tableau(w.inverse().oneline)
+            if key in seen:
+                pairs.append((seen[key], w))
+            else:
+                seen[key] = w
+        for w1, w2 in pairs[:3]:
+            verdict = bounded_equivalence(inverse_word_sequence(w1), inverse_word_sequence(w2), 4, budget=20_000, slack=4)
+            if verdict.status != "proved":
+                return f"{w1} ~ {w2} came back {verdict.status}"
 
-    failures = []
-    for w in _perm_sample(min(n, 3), seed):
-        verdict = bounded_equivalence(inverse_word_sequence(w), descent_sequence(w), 4, budget=50_000, slack=4)
-        if verdict.status != "proved":
-            failures.append(f"descent sequence of {w} came back {verdict.status}")
-    _case(cases, "descent-sequence-equivalence", failures)
+    def descent_words():
+        for w in _perm_sample(min(n, 3), seed):
+            verdict = bounded_equivalence(inverse_word_sequence(w), descent_sequence(w), 4, budget=50_000, slack=4)
+            if verdict.status != "proved":
+                return f"descent sequence of {w} came back {verdict.status}"
 
-    failures = []
-    words_checked = 0
-    for length in (4, 5):
-        for _ in range(200):
-            word = tuple(rng.randint(1, 3) for _ in range(length))
-            if not _prefixes_row_strict(word):
-                continue
-            words_checked += 1
-            cur = word
-            ok = True
-            for k in insertion_knuth_positions(word):
-                nxt = strict_knuth(cur, k)
-                if nxt is None:
-                    failures.append(f"strict move {k} undefined replaying {word}")
-                    ok = False
-                    break
-                cur = nxt
-            if ok and cur != reading_word_of_rows(insertion_tableau(word)):
-                failures.append(f"replay of {word} missed the reading word")
-            if failures:
-                break
-        if failures:
-            break
-    if not words_checked:
-        failures.append("no row-strict words sampled")
-    _case(cases, "row-strict-insertion-moves", failures)
-    return cases
+    def row_strict_moves():
+        words_checked = 0
+        for word_length in (4, 5):
+            for _ in range(200):
+                word = tuple(rng.randint(1, 3) for _ in range(word_length))
+                if not _prefixes_row_strict(word):
+                    continue
+                words_checked += 1
+                cur = word
+                for k in insertion_knuth_positions(word):
+                    cur = strict_knuth(cur, k)
+                    if cur is None:
+                        return f"strict move {k} undefined replaying {word}"
+                if cur != reading_word_of_rows(insertion_tableau(word)):
+                    return f"replay of {word} missed the reading word"
+        if not words_checked:
+            return "no row-strict words sampled"
+
+    return [
+        _case("box-sequence-reconstruction", reconstruction()),
+        _case("box-order-transport", box_order()),
+        _case("strict-knuth-equivariance", equivariance()),
+        _case("descent-run-columns-and-delta", descent_runs()),
+        _case("cross-diagonal-compatibility", cross_diagonal()),
+        _case("corner-peeling-equivalence", peeling()),
+        _case("insertion-route", insertion_route()),
+        _case("periodic-word-equivalence", periodic_words()),
+        _case("descent-sequence-equivalence", descent_words()),
+        _case("row-strict-insertion-moves", row_strict_moves()),
+    ]
 
 
 def _prefixes_row_strict(word) -> bool:
@@ -757,42 +748,7 @@ def _prefixes_row_strict(word) -> bool:
     return True
 
 
-def _equivariance_failures(rect: Rectangle, diag, rng: random.Random, instances: int, max_count: int) -> list[str]:
-    """Random strict-Knuth moves on the driving sequence must transport to
-    the box sequence and leave the displacement counts alone."""
-    n = diag.n
-    choices = [from_rows(rows) for rows in standard_tableaux(diag.lambda_minus, max_count=max_count)]
-    failures = []
-    done = 0
-    attempts = 0
-    while done < instances:
-        attempts += 1
-        if attempts > 50 * instances:
-            break  # strict moves need 3 distinct letters; n < 3 has none
-        length = 3 * n
-        sigma = tuple(rng.randint(1, n) for _ in range(length))
-        k = rng.randint(1, length - 2)
-        moved = strict_knuth(sigma, k)
-        if moved is None:
-            continue
-        done += 1
-        u = rng.choice(choices)
-        run_a = box_sequence(sigma, diag, u, steps=length)
-        run_b = box_sequence(moved, diag, u, steps=length)
-        transported = strict_knuth(run_a.boxes, k, less=box_less)
-        if transported is None:
-            failures.append(f"sigma={sigma}, k={k}: move undefined on the box sequence")
-            break
-        if tuple(transported) != run_b.boxes:
-            failures.append(f"sigma={sigma}, k={k}: box sequences differ")
-            break
-        if run_a.delta != run_b.delta:
-            failures.append(f"sigma={sigma}, k={k}: delta changed")
-            break
-    return failures
-
-
-_SUITES = ("bijection", "independence", "csp", "haiman", "propositions")
+SUITES = ("bijection", "independence", "csp", "haiman", "propositions")
 
 
 def run_suite(
@@ -805,27 +761,25 @@ def run_suite(
     max_cells: int = 20,
     max_count: int = 1_000_000,
 ) -> SuiteReport:
-    """Run a named check battery; failures become report entries, never
-    exceptions.  Reports are deterministic for a fixed seed."""
-    caps = {"max_cells": max_cells, "max_count": max_count}
-    names = _SUITES if suite == "all" else (suite,)
-    if any(s not in _SUITES for s in names):
-        raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(_SUITES + ('all',))}")
+    """Run one suite of `SUITES`, or all of them in that order for "all"
+    (case names then carry a "<suite>." prefix).
+
+    Each case records pass, or fail with the first counterexample its check
+    found; a failing check becomes a report entry, never an exception.  The
+    caps bound every enumeration a suite makes.  Reports are deterministic
+    for a fixed seed.
+    """
+    if suite != "all" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(SUITES + ('all',))}")
     if rect.m < rect.n:
         raise ValueError("verification suites need m >= n")
+    caps = {"max_cells": max_cells, "max_count": max_count}
     cases: list[CaseResult] = []
-    for name in names:
+    for name in SUITES if suite == "all" else (suite,):
         prefix = f"{name}." if suite == "all" else ""
-        if name == "bijection":
-            got = _suite_bijection(rect, caps)
-        elif name == "independence":
-            got = _suite_independence(rect, seed, all_choices, all_diagonals, caps)
-        elif name == "csp":
-            got = _suite_csp(rect, caps)
-        elif name == "haiman":
-            got = _suite_haiman(rect, caps)
-        else:
-            got = _suite_propositions(rect, seed, all_diagonals, caps)
-        for c in got:
+        # looked up by name at call time, so a replaced module attribute
+        # (a tracing wrapper, say) is the one that runs
+        check = globals()[f"_suite_{name}"]
+        for c in check(rect, seed, all_choices, all_diagonals, caps):
             cases.append(CaseResult(prefix + c.name, c.status, c.counterexample))
     return SuiteReport(suite, rect, cases)

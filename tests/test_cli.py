@@ -195,6 +195,14 @@ def test_verify_suites():
     assert all(c["status"] == "pass" for c in report["cases"])
 
 
+def test_verify_caps_reach_the_choice_enumerations(capsys):
+    argv = ["verify", "--n", "1", "--m", "22", "--all-choices", "--all-diagonals"]
+    assert main(argv + ["--max-cells", "22"]) == 0
+    assert "all: 26/26 cases ok" in capsys.readouterr().out
+    assert main(argv) == 2
+    assert "22 cells exceeds the 20-cell cap (see --max-cells/--max-count)" in capsys.readouterr().err
+
+
 def test_verify_cap_guard():
     code, _, err = run_cli("verify", "--n", "4", "--m", "6", "--suite", "bijection")
     assert code == 2 and "max-cells" in err

@@ -233,6 +233,13 @@ def test_diagonal_invariants():
         Diagonal(parse_partition("21"), parse_partition("1"), (Box(1, 2), Box(2, 1)))
 
 
+def test_diagonal_outer_shape_is_the_smallest_around_its_boxes():
+    # (1, 2) is the skew cell of 21/11, but the smallest shape around it is 2
+    with pytest.raises(ValueError, match="smallest partition"):
+        Diagonal(Partition((2, 1)), Partition((1, 1)), (Box(1, 2),))
+    assert Diagonal(Partition((2,)), Partition((1,)), (Box(1, 2),)).lambda_plus == Partition((2,))
+
+
 def test_diagonal_from_lambda_plus_round_trip():
     for rect in [Rectangle(3, 5), Rectangle(4, 6)]:
         for d in enumerate_diagonals(rect):

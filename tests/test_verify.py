@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from taquin.shapes import Partition, Rectangle, parse_partition
 from taquin.tableaux import from_rows, promotion
+from taquin.orbits import NotMinimalOrbitError
+from taquin.words import Permutation
 from taquin.verify import (
     EnumerationCapError,
     _cyclotomic,
@@ -312,3 +315,210 @@ def test_random_corner_peeling_is_valid():
             assert remaining[b.row - 1] == b.col
             assert b.row == 3 or remaining[b.row] < b.col
             remaining[b.row - 1] -= 1
+
+
+# -- suite cases can fail --------------------------------------------------------
+
+
+def _rotated(w):
+    return Permutation(w.oneline[1:] + w.oneline[:1])
+
+
+def _unknown_verdict(*args, **kwargs):
+    return SimpleNamespace(status="unknown")
+
+
+# (name patched in taquin.verify, replacement built from the real function,
+#  {failing case: its first counterexample} for run_suite(Rectangle(3, 4), "all"))
+BROKEN_DEPENDENCIES = [
+    (
+        "invert",
+        lambda real: lambda t: Permutation((1, 2, 3)),
+        {
+            "bijection.invert-round-trip": "invert round trip failed: 132 -> 123",
+            "bijection.non-minimal-rejected": "invert accepted a non-minimal tableau as 123",
+        },
+    ),
+    (
+        "promotion",
+        lambda real: lambda t: t,
+        {"bijection.promotion-equivariance": "promotion(T_123) != T_312"},
+    ),
+    (
+        "reverse_tableau",
+        lambda real: lambda w, *args: real(_rotated(w), *args),
+        {"independence.diagonal-agreement": "w=123, diagonal 321: disagree at Box(row=3, col=1)"},
+    ),
+    (
+        "q_hook_at_root",
+        lambda real: lambda rect, r: real(rect, r) + 1,
+        {
+            "csp.sieving-r=1": "F(zeta^1) = 1 but 0 tableaux are fixed",
+            "csp.sieving-r=2": "F(zeta^2) = 1 but 0 tableaux are fixed",
+            "csp.sieving-r=3": "F(zeta^3) = 7 but 6 tableaux are fixed",
+            "csp.sieving-r=4": "F(zeta^4) = 13 but 12 tableaux are fixed",
+            "csp.sieving-r=6": "F(zeta^6) = 31 but 30 tableaux are fixed",
+            "csp.sieving-r=12": "F(zeta^12) = 463 but 462 tableaux are fixed",
+        },
+    ),
+    (
+        "tableau_from_box_sequence",
+        lambda real: lambda run, d: None,
+        {"propositions.box-sequence-reconstruction": "box-sequence reconstruction differs for w=123"},
+    ),
+    (
+        "box_less",
+        lambda real: lambda a, b: False,
+        {
+            "propositions.box-order-transport": "sigma=(2, 2, 1, 2, 3, 2, 2, 2, 2), k=2: descent not transported",
+            "propositions.strict-knuth-equivariance": "sigma=(1, 3, 2, 2, 3, 2, 1, 3, 1), k=1: move undefined on the box sequence",
+        },
+    ),
+    (
+        "column_sequence",
+        lambda real: lambda descents, n, k: [1] * k,
+        {"propositions.descent-run-columns-and-delta": "w=123: box 2 lands in column 2, expected 1"},
+    ),
+    (
+        "delta_closed_form",
+        lambda real: lambda w, lambda_plus, n: {},
+        {"propositions.descent-run-columns-and-delta": "w=123: delta {1: 3, 2: 2, 3: 1} != closed form {}"},
+    ),
+    (
+        "forward_tableau_by_peeling",
+        lambda real: lambda w, diag, order: real(_rotated(w), diag, order),
+        {
+            "propositions.corner-peeling-equivalence": (
+                "peeling order [Box(row=3, col=4), Box(row=2, col=4), Box(row=1, col=4), "
+                "Box(row=3, col=3), Box(row=2, col=3), Box(row=3, col=2), Box(row=3, col=1), "
+                "Box(row=2, col=2), Box(row=1, col=3), Box(row=2, col=1), Box(row=1, col=2), "
+                "Box(row=1, col=1)] differs for w=123"
+            )
+        },
+    ),
+    (
+        "augmented_insertion_tableau",
+        lambda real: lambda w, m, shape: real(_rotated(w), m, shape),
+        {"propositions.insertion-route": "insertion route differs for w=123"},
+    ),
+    (
+        "bounded_equivalence",
+        lambda real: _unknown_verdict,
+        {
+            "propositions.periodic-word-equivalence": "132 ~ 231 came back unknown",
+            "propositions.descent-sequence-equivalence": "descent sequence of 123 came back unknown",
+        },
+    ),
+    (
+        "reading_word_of_rows",
+        lambda real: lambda rows: (),
+        {"propositions.row-strict-insertion-moves": "replay of (2, 1, 3, 2) missed the reading word"},
+    ),
+]
+
+
+@pytest.mark.parametrize("name, broken, expected", BROKEN_DEPENDENCIES, ids=[row[0] for row in BROKEN_DEPENDENCIES])
+def test_suite_cases_report_their_first_counterexample(monkeypatch, name, broken, expected):
+    import taquin.verify as verify
+
+    monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
+    report = run_suite(Rectangle(3, 4), "all")
+    failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
+    assert failed == expected
+    assert all(c.status == "pass" and c.counterexample is None for c in report.cases if c.name not in expected)
+    assert len(report.cases) == 29 and not report.passed
+
+
+def test_suite_case_names_in_order():
+    report = run_suite(Rectangle(3, 4), "all", all_choices=True, all_diagonals=True)
+    assert [c.name for c in report.cases] == [
+        "bijection.minimal-orbit-count-3!",
+        "bijection.image-equals-minimal-orbits",
+        "bijection.promotion-equivariance",
+        "bijection.invert-round-trip",
+        "bijection.non-minimal-rejected",
+        "independence.forward-choice-independence",
+        "independence.reverse-choice-independence",
+        "independence.diagonal-agreement",
+        "independence.diagonal-independence",
+        "csp.polynomial-at-one",
+        "csp.sieving-r=1",
+        "csp.sieving-r=2",
+        "csp.sieving-r=3",
+        "csp.sieving-r=4",
+        "csp.sieving-r=6",
+        "csp.sieving-r=12",
+        "haiman.orbit-sizes-divide-cell-count",
+        "haiman.full-cycle-spot-check",
+        "haiman.no-orbits-below-n",
+        "propositions.box-sequence-reconstruction",
+        "propositions.box-order-transport",
+        "propositions.strict-knuth-equivariance",
+        "propositions.descent-run-columns-and-delta",
+        "propositions.cross-diagonal-compatibility",
+        "propositions.corner-peeling-equivalence",
+        "propositions.insertion-route",
+        "propositions.periodic-word-equivalence",
+        "propositions.descent-sequence-equivalence",
+        "propositions.row-strict-insertion-moves",
+    ]
+    assert report.passed
+
+
+def test_fixed_rows_are_the_tableaux_fixed_by_promotion():
+    rect = Rectangle(3, 3)
+    table = orbit_table(rect)
+    everything = [from_rows(rows) for rows in standard_tableaux(rect.as_partition())]
+    for r in divisors(rect.ncells):
+        fixed = set()
+        for t in everything:
+            cur = t
+            for _ in range(r):
+                cur = promotion(cur)
+            if cur == t:
+                fixed.add(t.row_tuples())
+        got = table.fixed_rows(r)
+        assert len(got) == len(set(got)) and set(got) == fixed
+
+
+def test_non_minimal_rejected_accepts_only_the_documented_error(monkeypatch):
+    import taquin.verify as verify
+
+    real = verify.invert
+
+    def crash_on_non_minimal(t):
+        try:
+            return real(t)
+        except NotMinimalOrbitError:
+            raise RuntimeError("boom") from None
+
+    monkeypatch.setattr(verify, "invert", crash_on_non_minimal)
+    report = run_suite(Rectangle(2, 3), "bijection")
+    failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
+    assert failed == {"non-minimal-rejected": "invert raised RuntimeError('boom') instead of NotMinimalOrbitError"}
+
+
+def test_caps_reach_every_enumeration():
+    report = run_suite(Rectangle(1, 22), "all", all_choices=True, all_diagonals=True, max_cells=22)
+    assert report.passed and len(report.cases) == 26
+
+
+def test_perm_sample_picks_by_rank_without_listing_s_n(monkeypatch):
+    import taquin.verify as verify
+
+    def listing_sample(n, seed, limit=24):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        if len(perms) <= limit:
+            return perms
+        return random.Random(seed).sample(perms, limit)
+
+    for n in range(1, 8):
+        for seed in (0, 1, 7, 2024):
+            assert [w.oneline for w in verify._perm_sample(n, seed)] == listing_sample(n, seed)
+
+    def never(n):
+        raise AssertionError("S_n was listed")
+
+    monkeypatch.setattr(verify, "all_permutations", never)
+    sample = verify._perm_sample(12, 3)
+    assert len(sample) == 24 and len(set(sample)) == 24 and all(w.n == 12 for w in sample)
