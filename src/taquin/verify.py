@@ -2,14 +2,20 @@
 orbit tables, hook-length counting, the q-analogue of the hook length
 formula with exact evaluation at roots of unity, and named check suites.
 
-The enumeration lane works on flat byte strings for speed; it is
-cross-checked against the object-level promotion in the test suite.  Root
-of unity values are always computed by two independent methods (cyclotomic
-reduction and residue pairing) and must agree, loudly.
+The enumeration lane works on flat row-major byte strings for speed.
+Standard tableaux are enumerated in two halves, the placements of the
+upper half of the entries listed once per partition the lower half ends
+on, and joined by adding ints; flat promotion drops every entry through a
+translate table and walks only the slide path.  The test suite checks the
+enumeration against a plain recursive enumerator and the flat promotion
+against the object-level promotion.  Root of unity values are always
+computed by two independent methods (cyclotomic reduction and residue
+pairing) and must agree, loudly.
 
 The check suites are listed in `SUITES`.  Each is a list of named cases;
 a case is a check that returns its first counterexample (None when it
-passes), and `run_suite` reports pass or fail with that counterexample.
+passes), and `run_suite` reports pass or fail with that counterexample; a
+check that raises fails with the exception as its counterexample.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations
 from math import factorial, gcd, prod
 
@@ -89,44 +95,46 @@ def count_standard_tableaux(shape: Partition) -> int:
     return num // denom
 
 
+def _placements(rows, weights, heights: list[int], first: int, last: int, code: int = 0):
+    """Yield (code, heights) for every way to place entries first..last on
+    top of the partition `heights`, topmost feasible row tried first.  The
+    code sums each entry times the weight of its cell; `heights` is
+    restored on exit."""
+    if first > last:
+        yield code, tuple(heights)
+        return
+    for i, h in enumerate(heights):
+        if h < rows[i] and (i == 0 or heights[i - 1] > h):
+            heights[i] = h + 1
+            yield from _placements(rows, weights, heights, first + 1, last, code + first * weights[i][h])
+            heights[i] = h
+
+
 def _iter_syt_flat(shape: Partition):
     """Yield every standard filling as bytes, entries placed 1..N with the
-    topmost feasible row tried first (lexicographic placement)."""
+    topmost feasible row tried first (lexicographic placement).
+
+    The placements are split at half = N // 2: entries 1..half are placed
+    first, each prefix ending on a partition mu, and the placements of
+    half+1..N on top of each distinct mu are listed once and reused.  Each
+    half is the int of its N-byte row-major filling (zeros in the other
+    half's cells), so a tableau is the sum of its prefix and suffix codes.
+    Prefix-then-suffix order is the lexicographic placement order."""
     rows = shape.rows
     total = shape.size
     if total > 255:
         raise EnumerationCapError("flat encoding limited to 255 cells")
-    if total == 0:
-        yield b""
-        return
-    nr = len(rows)
-    offsets = [0, *accumulate(rows[:-1])]
-    flat = bytearray(total)
-    heights = [0] * nr
-    placed = []  # row of each placed entry below the one being placed
-    i = 0  # first row to try for the next entry
-    while True:
-        while i < nr:
-            h = heights[i]
-            if h < rows[i] and (i == 0 or heights[i - 1] > h):
-                break
-            i += 1
-        if i < nr:
-            k = len(placed) + 1
-            flat[offsets[i] + h] = k
-            if k == total:
-                yield bytes(flat)
-                i += 1
-            else:
-                heights[i] = h + 1
-                placed.append(i)
-                i = 0
-        elif placed:
-            i = placed.pop()
-            heights[i] -= 1
-            i += 1
-        else:
-            return
+    # weights[i][j] is the value of byte (i, j) in the big-endian int
+    starts = accumulate(rows, initial=0)
+    weights = [[256 ** (total - 1 - k) for k in range(start, start + length)] for start, length in zip(starts, rows)]
+    half = total // 2
+    suffixes: dict[tuple, list[int]] = {}
+    for p, mu in _placements(rows, weights, [0] * len(rows), 1, half):
+        tails = suffixes.get(mu)
+        if tails is None:
+            tails = suffixes[mu] = [q for q, _ in _placements(rows, weights, list(mu), half + 1, total)]
+        for q in tails:
+            yield (p + q).to_bytes(total, "big")
 
 
 def _flat_rows(flat: bytes, shape: Partition) -> tuple:
@@ -153,35 +161,44 @@ def standard_tableaux(shape: Partition, *, max_cells: int = 20, max_count: int =
     return (_flat_rows(b, shape) for b in _iter_syt_flat(shape))
 
 
-def _promote_flat(flat, nrows: int, ncols: int) -> bytes:
-    """Promotion on the flat row-major encoding of a full rectangle."""
-    a = list(flat)
-    p = r = c = 0
-    last_r, last_c = nrows - 1, ncols - 1
-    while True:
-        if r < last_r and c < last_c:
-            right = a[p + 1]
-            if right < a[p + ncols]:
-                p += 1
-                c += 1
-                a[p - 1] = right
-                continue
-            a[p] = a[p + ncols]
-            p += ncols
-            r += 1
-        elif c < last_c:
-            a[p] = a[p + 1]
-            p += 1
-            c += 1
-        elif r < last_r:
-            a[p] = a[p + ncols]
-            p += ncols
-            r += 1
+_DECREMENT = bytes((v - 1) % 256 for v in range(256))
+_SENTINEL = 255  # above every decremented entry (at most 254)
+
+
+@lru_cache(maxsize=None)
+def _slide_steps(nrows: int, ncols: int) -> tuple[tuple[int, int], ...]:
+    """(right, down) neighbour index of each cell of the row-major
+    rectangle; a neighbour off the grid is the sentinel index nrows*ncols."""
+    total = nrows * ncols
+    return tuple(
+        (p + 1 if (p + 1) % ncols else total, p + ncols if p + ncols < total else total)
+        for p in range(total)
+    )
+
+
+def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
+    """Promotion on the flat row-major encoding of a full rectangle.
+
+    All entries drop by one through a translate table, then the hole left
+    by entry 1 slides along its path only: each step takes the smaller of
+    its right and down neighbours, a sentinel byte past the end standing in
+    for any neighbour off the grid.  In a rectangle the slide always ends
+    in the last cell, which takes the largest entry."""
+    a = bytearray(flat.translate(_DECREMENT))
+    a.append(_SENTINEL)
+    steps = _slide_steps(nrows, ncols)
+    last = nrows * ncols - 1
+    p = 0
+    while p != last:
+        right, down = steps[p]
+        if a[right] < a[down]:
+            a[p] = a[right]
+            p = right
         else:
-            break
-    for i in range(len(a)):
-        a[i] -= 1
-    a[p] = nrows * ncols
+            a[p] = a[down]
+            p = down
+    a[p] = last + 1
+    a.pop()
     return bytes(a)
 
 
@@ -409,7 +426,15 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _case(name: str, counterexample: str | None) -> CaseResult:
+def _case(name: str, check) -> CaseResult:
+    """Run one check; a check that raises fails with the exception as its
+    counterexample, except a cap error, which stops the whole run."""
+    try:
+        counterexample = check()
+    except EnumerationCapError:
+        raise
+    except Exception as exc:
+        counterexample = f"raised {exc!r}"
     return CaseResult(name, "pass" if counterexample is None else "fail", counterexample)
 
 
@@ -458,8 +483,9 @@ def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
 
 # Every suite takes (rect, seed, all_choices, all_diagonals, caps) and
 # returns its cases in a fixed order.  Each case is a check that returns its
-# first counterexample, or None when it passes; checks that draw from the
-# suite's rng run in case order, so reports are deterministic per seed.
+# first counterexample, or None when it passes, and `_case` runs it; checks
+# that draw from the suite's rng run in case order, so reports are
+# deterministic per seed.
 
 
 def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
@@ -490,6 +516,10 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
             if got != w:
                 return f"invert round trip failed: {w} -> {got}"
 
+    def count_is_factorial():
+        if table.counts[n] != factorial(n):
+            return f"counts[{n}] = {table.counts[n]} != {factorial(n)}"
+
     def rejected(rows):
         try:
             got = invert(from_rows(rows))
@@ -500,17 +530,14 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
         return f"invert accepted a non-minimal tableau as {got}"
 
     cases = [
-        _case(
-            f"minimal-orbit-count-{n}!",
-            None if table.counts[n] == factorial(n) else f"counts[{n}] = {table.counts[n]} != {factorial(n)}",
-        ),
-        _case("image-equals-minimal-orbits", image_is_minimal()),
-        _case("promotion-equivariance", equivariant()),
-        _case("invert-round-trip", round_trip()),
+        _case(f"minimal-orbit-count-{n}!", count_is_factorial),
+        _case("image-equals-minimal-orbits", image_is_minimal),
+        _case("promotion-equivariance", equivariant),
+        _case("invert-round-trip", round_trip),
     ]
     non_minimal = next((rows for rows, size in table.orbits if n % size), None)
     if non_minimal is not None:
-        cases.append(_case("non-minimal-rejected", rejected(non_minimal)))
+        cases.append(_case("non-minimal-rejected", partial(rejected, non_minimal)))
     return cases
 
 
@@ -547,16 +574,20 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 return f"combined tableau depends on the diagonal for w={w}"
 
     return [
-        _case("forward-choice-independence", forward_choices()),
-        _case("reverse-choice-independence", reverse_choices()),
-        _case("diagonal-agreement", agreement()),
-        _case("diagonal-independence", diagonal_independence()),
+        _case("forward-choice-independence", forward_choices),
+        _case("reverse-choice-independence", reverse_choices),
+        _case("diagonal-agreement", agreement),
+        _case("diagonal-independence", diagonal_independence),
     ]
 
 
 def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     table = orbit_table(rect, **caps)
     at_one = q_hook_polynomial(rect)(1)
+
+    def at_one_is_total():
+        if at_one != table.total:
+            return f"F(1) = {at_one} != {table.total} tableaux"
 
     def sieving(r):
         try:
@@ -567,8 +598,8 @@ def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: boo
             return f"F(zeta^{r}) = {val} but {table.counts[r]} tableaux are fixed"
 
     return [
-        _case("polynomial-at-one", None if at_one == table.total else f"F(1) = {at_one} != {table.total} tableaux"),
-        *(_case(f"sieving-r={r}", sieving(r)) for r in divisors(rect.ncells)),
+        _case("polynomial-at-one", at_one_is_total),
+        *(_case(f"sieving-r={r}", partial(sieving, r)) for r in divisors(rect.ncells)),
     ]
 
 
@@ -595,9 +626,9 @@ def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: 
                 return f"{table.counts[r]} tableaux fixed by {r}-fold promotion with r < n"
 
     return [
-        _case("orbit-sizes-divide-cell-count", sizes_divide()),
-        _case("full-cycle-spot-check", full_cycle()),
-        _case("no-orbits-below-n", none_below_n()),
+        _case("orbit-sizes-divide-cell-count", sizes_divide),
+        _case("full-cycle-spot-check", full_cycle),
+        _case("no-orbits-below-n", none_below_n),
     ]
 
 
@@ -631,7 +662,8 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
         # the box sequence and leave the displacement counts alone
         choices = [from_rows(rows) for rows in standard_tableaux(stair.lambda_minus, **caps)]
         done = attempts = 0
-        # strict moves need 3 distinct letters; n < 3 has none, so give up
+        # strict moves need 3 distinct letters: n < 3 has none, so the search
+        # gives up and passes; at n >= 3 too few defined moves is a failure
         while done < instances and attempts < 50 * instances:
             attempts += 1
             sigma = tuple(rng.randint(1, n) for _ in range(length))
@@ -650,6 +682,8 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 return f"sigma={sigma}, k={k}: box sequences differ"
             if run_a.delta != run_b.delta:
                 return f"sigma={sigma}, k={k}: delta changed"
+        if n >= 3 and done < instances:
+            return f"only {done} of {instances} strict-Knuth moves were defined"
 
     def descent_runs():
         for d in diags:
@@ -727,16 +761,16 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
             return "no row-strict words sampled"
 
     return [
-        _case("box-sequence-reconstruction", reconstruction()),
-        _case("box-order-transport", box_order()),
-        _case("strict-knuth-equivariance", equivariance()),
-        _case("descent-run-columns-and-delta", descent_runs()),
-        _case("cross-diagonal-compatibility", cross_diagonal()),
-        _case("corner-peeling-equivalence", peeling()),
-        _case("insertion-route", insertion_route()),
-        _case("periodic-word-equivalence", periodic_words()),
-        _case("descent-sequence-equivalence", descent_words()),
-        _case("row-strict-insertion-moves", row_strict_moves()),
+        _case("box-sequence-reconstruction", reconstruction),
+        _case("box-order-transport", box_order),
+        _case("strict-knuth-equivariance", equivariance),
+        _case("descent-run-columns-and-delta", descent_runs),
+        _case("cross-diagonal-compatibility", cross_diagonal),
+        _case("corner-peeling-equivalence", peeling),
+        _case("insertion-route", insertion_route),
+        _case("periodic-word-equivalence", periodic_words),
+        _case("descent-sequence-equivalence", descent_words),
+        _case("row-strict-insertion-moves", row_strict_moves),
     ]
 
 
@@ -765,9 +799,10 @@ def run_suite(
     (case names then carry a "<suite>." prefix).
 
     Each case records pass, or fail with the first counterexample its check
-    found; a failing check becomes a report entry, never an exception.  The
-    caps bound every enumeration a suite makes.  Reports are deterministic
-    for a fixed seed.
+    found; a failing check becomes a report entry, never an exception, and
+    a check that raises fails with `raised <repr>`.  The caps bound every
+    enumeration a suite makes; exceeding one raises `EnumerationCapError`.
+    Reports are deterministic for a fixed seed.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(SUITES + ('all',))}")

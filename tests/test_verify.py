@@ -77,6 +77,30 @@ def all_partitions_in_box(nrows, ncols):
     return [Partition(p) for p in rec([], nrows)]
 
 
+def syt_flats_by_recursion(shape):
+    """Every standard filling as row-major bytes: entries placed 1..N, the
+    topmost feasible row tried first, one recursive call per entry."""
+    rows, total = shape.rows, shape.size
+    starts = [sum(rows[:i]) for i in range(len(rows))]
+    filling = bytearray(total)
+    heights = [0] * len(rows)
+    out = []
+
+    def place(k):
+        if k > total:
+            out.append(bytes(filling))
+            return
+        for i, h in enumerate(heights):
+            if h < rows[i] and (i == 0 or heights[i - 1] > h):
+                filling[starts[i] + h] = k
+                heights[i] = h + 1
+                place(k + 1)
+                heights[i] = h
+
+    place(1)
+    return out
+
+
 # -- enumeration and counting -------------------------------------------------
 
 
@@ -94,6 +118,14 @@ def test_enumeration_count_agrees_with_hooks_up_to_16_cells():
         if shape.size > 16:
             continue
         assert sum(1 for _ in _iter_syt_flat(shape)) == count_standard_tableaux(shape)
+
+
+def test_split_enumeration_matches_a_recursive_enumerator():
+    from taquin.verify import _iter_syt_flat
+
+    shapes = [s for s in all_partitions_in_box(4, 6) if s.size <= 16] + [Partition((6, 6, 6))]
+    for shape in shapes:
+        assert list(_iter_syt_flat(shape)) == syt_flats_by_recursion(shape), shape
 
 
 def test_enumeration_rows_agree_with_hooks_small():
@@ -175,7 +207,7 @@ def test_empty_shape():
 
 
 def test_flat_promotion_matches_object_promotion():
-    for nrows, ncols in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (3, 4)]:
+    for nrows, ncols in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (3, 4), (3, 2), (4, 2), (4, 3), (5, 1), (1, 6), (2, 5)]:
         shape = Partition((ncols,) * nrows)
         for rows in standard_tableaux(shape):
             flat = bytes(v for row in rows for v in row)
@@ -496,6 +528,42 @@ def test_non_minimal_rejected_accepts_only_the_documented_error(monkeypatch):
     report = run_suite(Rectangle(2, 3), "bijection")
     failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
     assert failed == {"non-minimal-rejected": "invert raised RuntimeError('boom') instead of NotMinimalOrbitError"}
+
+
+def test_strict_knuth_equivariance_fails_when_no_move_is_defined(monkeypatch):
+    import taquin.verify as verify
+
+    monkeypatch.setattr(verify, "strict_knuth", lambda *args, **kwargs: None)
+    case = "strict-knuth-equivariance"
+    report = run_suite(Rectangle(3, 4), "propositions")
+    failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
+    assert failed[case] == "only 0 of 200 strict-Knuth moves were defined"
+    # n <= 2 has no strict-Knuth moves to check, so the case still passes
+    for rect in (Rectangle(1, 3), Rectangle(2, 3)):
+        statuses = {c.name: c.status for c in run_suite(rect, "propositions").cases}
+        assert statuses[case] == "pass"
+
+
+def test_a_check_that_raises_is_a_failing_case(monkeypatch):
+    import taquin.verify as verify
+
+    def broken(t):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "invert", broken)
+    report = run_suite(Rectangle(2, 3), "bijection")
+    assert [c.name for c in report.cases] == [
+        "minimal-orbit-count-2!",
+        "image-equals-minimal-orbits",
+        "promotion-equivariance",
+        "invert-round-trip",
+        "non-minimal-rejected",
+    ]
+    failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
+    assert failed == {
+        "invert-round-trip": "raised RuntimeError('boom')",
+        "non-minimal-rejected": "invert raised RuntimeError('boom') instead of NotMinimalOrbitError",
+    }
 
 
 def test_caps_reach_every_enumeration():
