@@ -6,11 +6,17 @@ The enumeration lane works on flat row-major byte strings for speed.
 Standard tableaux are enumerated in two halves, the placements of the
 upper half of the entries listed once per partition the lower half ends
 on, and joined by adding ints; flat promotion drops every entry through a
-translate table and walks only the slide path.  The test suite checks the
-enumeration against a plain recursive enumerator and the flat promotion
-against the object-level promotion.  Root of unity values are always
-computed by two independent methods (cyclotomic reduction and residue
-pairing) and must agree, loudly.
+translate table and walks only the slide path.  The orbit sweep promotes
+on the same split: the entries 1..N//2 of T fill a partition mu, and the
+slide path stays in mu, comparing only those entries, until it leaves mu
+at a corner c; from there it meets only the upper entries.  So promotion
+is A(p) + B(c, q) for the halves p and q of T, and the sweep steps each
+tableau by two memo lookups, running the flat kernel only when a half is
+new.  The test suite checks the enumeration against a recursive
+enumerator, the flat promotion against the object-level promotion, and
+the memo step and orbit table against the flat kernel.  Root of unity
+values are always computed by two independent methods (cyclotomic
+reduction and residue pairing) and must agree, loudly.
 
 The check suites are listed in `SUITES`.  Each is a list of named cases;
 a case is a check that returns its first counterexample (None when it
@@ -23,7 +29,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import accumulate, combinations
 from math import factorial, gcd, prod
 
@@ -110,16 +116,16 @@ def _placements(rows, weights, heights: list[int], first: int, last: int, code: 
             heights[i] = h
 
 
-def _iter_syt_flat(shape: Partition):
-    """Yield every standard filling as bytes, entries placed 1..N with the
-    topmost feasible row tried first (lexicographic placement).
+def _syt_halves(shape: Partition):
+    """Yield (p, tails) for every placement p of the entries 1..half =
+    N // 2, in lexicographic placement order (topmost feasible row first).
 
-    The placements are split at half = N // 2: entries 1..half are placed
-    first, each prefix ending on a partition mu, and the placements of
-    half+1..N on top of each distinct mu are listed once and reused.  Each
-    half is the int of its N-byte row-major filling (zeros in the other
-    half's cells), so a tableau is the sum of its prefix and suffix codes.
-    Prefix-then-suffix order is the lexicographic placement order."""
+    Each half is the big-endian int of its N-byte row-major filling (zeros
+    in the other half's cells), so the standard fillings of `shape` are
+    the sums p + q for q in tails, in lexicographic placement order.  A
+    prefix ends on a partition mu, and `tails` lists the placements of
+    half+1..N on top of mu; it is built once per distinct mu and shared by
+    every prefix ending on it."""
     rows = shape.rows
     total = shape.size
     if total > 255:
@@ -133,6 +139,14 @@ def _iter_syt_flat(shape: Partition):
         tails = suffixes.get(mu)
         if tails is None:
             tails = suffixes[mu] = [q for q, _ in _placements(rows, weights, list(mu), half + 1, total)]
+        yield p, tails
+
+
+def _iter_syt_flat(shape: Partition):
+    """Yield every standard filling as bytes, entries placed 1..N with the
+    topmost feasible row tried first (lexicographic placement)."""
+    total = shape.size
+    for p, tails in _syt_halves(shape):
         for q in tails:
             yield (p + q).to_bytes(total, "big")
 
@@ -226,27 +240,84 @@ class OrbitTable:
         return out
 
 
+def _half_steps(nrows: int, ncols: int):
+    """Memo of promotion on the (prefix, suffix) split of `_syt_halves`,
+    for a rectangle of N >= 2 cells: returns (step_p, step_q, fill).
+
+    Let T = p + q, p holding the entries 1..half on a partition mu.  Every
+    entry of p is below every entry of q, so at a cell with a right or
+    down neighbour in mu the slide takes a neighbour in mu: the path stays
+    in mu, decided by p alone, until it reaches a corner c of mu, and from
+    c on it runs only through entries of q.  Promotion thus splits as
+    A(p) + B(c, q), with A the result on mu minus c (entries 2..half
+    dropped to 1..half-1) and B the rest, and step_p[p] = (A, c),
+    step_q[c, q] = (B, E), where E is the term of the one cell of B that
+    now holds half.  The promoted halves are p' = A + E and q' = B - E.
+
+    fill(p, q) runs `_promote_flat` on T, so the dicts hold kernel results
+    only; it stores both entries and returns (A, c, B, E)."""
+    total = nrows * ncols
+    half = total // 2
+    below_half = bytes(v if v < half else 0 for v in range(256))
+    step_p: dict[int, tuple[int, int]] = {}
+    step_q: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def fill(p: int, q: int) -> tuple[int, int, int, int]:
+        out = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
+        low = out.translate(below_half)
+        # c is the one cell of mu that now holds an entry of q
+        c = next(i for i, (v, w) in enumerate(zip(p.to_bytes(total, "big"), low)) if v and not w)
+        a = int.from_bytes(low, "big")
+        b = int.from_bytes(out, "big") - a
+        e = half << 8 * (total - 1 - out.index(half))
+        step_p[p] = a, c
+        step_q[c, q] = b, e
+        return a, c, b, e
+
+    return step_p, step_q, fill
+
+
 def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_000) -> OrbitTable:
-    """Full orbit decomposition under promotion, streaming the enumeration
-    so each tableau is promoted exactly once."""
+    """Full orbit decomposition under promotion, streaming the enumeration.
+
+    Tableaux are the (prefix, suffix) int pairs (p, q) of `_syt_halves`,
+    and the first unvisited tableau of each orbit walks it by int steps.
+    The slide path stays in the prefix's partition mu until its exit
+    corner c, so promotion is A(p) + B(c, q): each step looks up (A, c)
+    and then (B, E) in the memo dicts of `_half_steps`, which are local
+    to this call and run the flat kernel only on a miss.  The visited set
+    holds the ints p + q; representatives are the first tableau of each
+    orbit in enumeration order."""
     shape = rect.as_partition()
     _check_caps(shape, max_cells, max_count)
-    nrows, ncols = rect.nrows, rect.ncols
-    visited: set[bytes] = set()
+    total = rect.ncells
+    if total == 1:
+        return OrbitTable(rect, [(((1,),), 1)], {1: 1}, 1)
+    step_p, step_q, fill = _half_steps(rect.nrows, rect.ncols)
+    visited: set[int] = set()
     orbits: list[tuple[tuple, int]] = []
     count = 0
-    for b in _iter_syt_flat(shape):
-        count += 1
-        if b in visited:
-            continue
-        orbit = [b]
-        cur = _promote_flat(b, nrows, ncols)
-        while cur != b:
-            orbit.append(cur)
-            cur = _promote_flat(cur, nrows, ncols)
-        visited.update(orbit)
-        orbits.append((_flat_rows(b, shape), len(orbit)))
-    counts = {r: sum(s for _, s in orbits if r % s == 0) for r in divisors(rect.ncells)}
+    for p, tails in _syt_halves(shape):
+        count += len(tails)
+        for q in tails:
+            start = p + q
+            if start in visited:
+                continue
+            size, t, lo, hi = 0, start, p, q
+            while True:
+                visited.add(t)
+                size += 1
+                try:
+                    a, c = step_p[lo]
+                    b, e = step_q[c, hi]
+                except KeyError:
+                    a, c, b, e = fill(lo, hi)
+                lo, hi = a + e, b - e
+                t = lo + hi
+                if t == start:
+                    break
+            orbits.append((_flat_rows(start.to_bytes(total, "big"), shape), size))
+    counts = {r: sum(s for _, s in orbits if r % s == 0) for r in divisors(total)}
     return OrbitTable(rect, orbits, counts, count)
 
 
@@ -491,13 +562,18 @@ def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
 def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     n = rect.n
     table = orbit_table(rect, **caps)
-    image = {w: minimal_orbit_tableau(w, rect) for w in all_permutations(n)}
     # one promotion step subtracts 1 mod n from every diagonal residue,
     # i.e. it carries the tableau of w to the tableau of c o w
     c = promotion_cycle(n)
 
+    @cache
+    def image():
+        # built by the first check that needs it, so a construction that
+        # raises fails those checks instead of aborting the suite
+        return {w: minimal_orbit_tableau(w, rect) for w in all_permutations(n)}
+
     def image_is_minimal():
-        image_rows = {t.row_tuples() for t in image.values()}
+        image_rows = {t.row_tuples() for t in image().values()}
         minimal = set(table.fixed_rows(n))
         if image_rows != minimal:
             return (
@@ -506,12 +582,13 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
             )
 
     def equivariant():
-        for w, t in image.items():
-            if promotion(t) != image[right_multiply(c, w)]:
+        tableaux = image()
+        for w, t in tableaux.items():
+            if promotion(t) != tableaux[right_multiply(c, w)]:
                 return f"promotion(T_{w}) != T_{right_multiply(c, w)}"
 
     def round_trip():
-        for w, t in image.items():
+        for w, t in image().items():
             got = invert(t)
             if got != w:
                 return f"invert round trip failed: {w} -> {got}"

@@ -140,7 +140,7 @@ def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("enumeration started despite the count cap")
 
-    monkeypatch.setattr(verify, "_iter_syt_flat", never)
+    monkeypatch.setattr(verify, "_syt_halves", never)
     assert main(["verify", "--n", "4", "--m", "5"]) == 2
     assert main(["csp", "--n", "4", "--m", "5"]) == 2
     assert "max-count" in capsys.readouterr().err

@@ -12,10 +12,14 @@ from taquin.words import Permutation
 from taquin.verify import (
     EnumerationCapError,
     _cyclotomic,
+    _flat_rows,
+    _half_steps,
+    _iter_syt_flat,
     _poly_div_exact,
     _poly_divmod,
     _poly_mul,
     _promote_flat,
+    _syt_halves,
     count_standard_tableaux,
     divisors,
     hook_lengths,
@@ -79,26 +83,70 @@ def all_partitions_in_box(nrows, ncols):
 
 def syt_flats_by_recursion(shape):
     """Every standard filling as row-major bytes: entries placed 1..N, the
-    topmost feasible row tried first, one recursive call per entry."""
+    topmost feasible row tried first.  Entries 1..N//3 are placed one
+    recursive call per entry; the placements of the rest on top of each
+    partition are listed once, as sums of per-entry byte terms, and reused
+    by every prefix that reaches it."""
     rows, total = shape.rows, shape.size
     starts = [sum(rows[:i]) for i in range(len(rows))]
-    filling = bytearray(total)
-    heights = [0] * len(rows)
+    memo = {}
     out = []
 
-    def place(k):
-        if k > total:
-            out.append(bytes(filling))
-            return
+    def grown(heights):
+        # (cell, heights grown by that cell) for each feasible row, topmost first
         for i, h in enumerate(heights):
             if h < rows[i] and (i == 0 or heights[i - 1] > h):
-                filling[starts[i] + h] = k
-                heights[i] = h + 1
-                place(k + 1)
-                heights[i] = h
+                yield starts[i] + h, heights[:i] + (h + 1,) + heights[i + 1 :]
 
-    place(1)
-    return out
+    def term(k, cell):
+        return k << 8 * (total - 1 - cell)
+
+    def completions(heights):
+        k = sum(heights) + 1
+        if k > total:
+            return [0]
+        if heights not in memo:
+            memo[heights] = listed = []
+            for cell, up in grown(heights):
+                listed.extend(map(term(k, cell).__add__, completions(up)))
+        return memo[heights]
+
+    def place(heights, k, code):
+        if k > total // 3:
+            out.extend(map(code.__add__, completions(heights)))
+            return
+        for cell, up in grown(heights):
+            place(up, k + 1, code + term(k, cell))
+
+    place((0,) * len(rows), 1, 0)
+    return [code.to_bytes(total, "big") for code in out]
+
+
+def orbit_table_by_visited_bytes(rect):
+    """The orbit sweep on whole tableaux: walk each unvisited enumerated
+    tableau around its orbit with the flat kernel, remembering every
+    tableau seen as bytes.  Returns the orbits, counts and total an
+    `OrbitTable` holds, and for each divisor r the flat tableaux fixed by
+    r-fold promotion, listed orbit by orbit from the representative."""
+    shape = rect.as_partition()
+    visited = set()
+    members = []
+    count = 0
+    for b in _iter_syt_flat(shape):
+        count += 1
+        if b in visited:
+            continue
+        orbit = [b]
+        cur = _promote_flat(b, rect.nrows, rect.ncols)
+        while cur != b:
+            orbit.append(cur)
+            cur = _promote_flat(cur, rect.nrows, rect.ncols)
+        visited.update(orbit)
+        members.append(orbit)
+    orbits = [(_flat_rows(orbit[0], shape), len(orbit)) for orbit in members]
+    counts = {r: sum(s for _, s in orbits if r % s == 0) for r in divisors(rect.ncells)}
+    fixed = {r: [b for orbit in members if r % len(orbit) == 0 for b in orbit] for r in counts}
+    return orbits, counts, count, fixed
 
 
 # -- enumeration and counting -------------------------------------------------
@@ -112,8 +160,6 @@ def test_counts_match_hooks_and_recursion():
 
 
 def test_enumeration_count_agrees_with_hooks_up_to_16_cells():
-    from taquin.verify import _iter_syt_flat
-
     for shape in all_partitions_in_box(4, 6):
         if shape.size > 16:
             continue
@@ -121,8 +167,6 @@ def test_enumeration_count_agrees_with_hooks_up_to_16_cells():
 
 
 def test_split_enumeration_matches_a_recursive_enumerator():
-    from taquin.verify import _iter_syt_flat
-
     shapes = [s for s in all_partitions_in_box(4, 6) if s.size <= 16] + [Partition((6, 6, 6))]
     for shape in shapes:
         assert list(_iter_syt_flat(shape)) == syt_flats_by_recursion(shape), shape
@@ -216,6 +260,27 @@ def test_flat_promotion_matches_object_promotion():
             assert got == bytes(v for row in expected.row_tuples() for v in row)
 
 
+def test_memo_step_matches_the_kernel():
+    # every (nrows, ncols) with 2..16 cells, both orientations, and 3x6
+    dims = [(r, c) for r in range(1, 17) for c in range(1, 17) if 2 <= r * c <= 16] + [(3, 6)]
+    for nrows, ncols in dims:
+        total = nrows * ncols
+        half = total // 2
+        step_p, step_q, fill = _half_steps(nrows, ncols)
+        for p, tails in _syt_halves(Partition((ncols,) * nrows)):
+            for q in tails:
+                try:
+                    a, c = step_p[p]
+                    b, e = step_q[c, q]
+                except KeyError:
+                    a, c, b, e = fill(p, q)
+                promoted = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
+                assert (a + b).to_bytes(total, "big") == promoted
+                lower = int.from_bytes(bytes(v if v <= half else 0 for v in promoted), "big")
+                upper = int.from_bytes(bytes(v if v > half else 0 for v in promoted), "big")
+                assert (a + e, b - e) == (lower, upper), (nrows, ncols, p, q)
+
+
 # -- orbit tables -----------------------------------------------------------------
 
 
@@ -238,6 +303,41 @@ def test_orbit_table_invariants():
         for r in divisors(rect.ncells):
             assert table.counts[r] == sum(size for _, size in table.orbits if r % size == 0)
             assert len(table.fixed_rows(r)) == table.counts[r]
+
+
+def test_orbit_table_matches_the_visited_bytes_walk():
+    # every grid of at most 18 cells: n_is_rows=False transposes the non-square ones
+    rects = [
+        Rectangle(n, m, rows)
+        for n in range(1, 19)
+        for m in range(n, 19)
+        if n * m <= 18
+        for rows in ((True,) if m == n else (True, False))
+    ]
+    assert Rectangle(1, 1) in rects and Rectangle(1, 18, False) in rects and Rectangle(3, 6, False) in rects
+    for rect in rects:
+        table = orbit_table(rect)
+        orbits, counts, total, fixed = orbit_table_by_visited_bytes(rect)
+        assert (table.orbits, table.counts, table.total) == (orbits, counts, total), rect
+        for r in divisors(rect.ncells):
+            assert [b"".join(map(bytes, rows)) for rows in table.fixed_rows(r)] == fixed[r], (rect, r)
+
+
+def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
+    # a lost memo shows as more kernel calls, whatever the host's speed
+    import taquin.verify as verify
+
+    calls = []
+    real = verify._promote_flat
+
+    def counting(flat, nrows, ncols):
+        calls.append(flat)
+        return real(flat, nrows, ncols)
+
+    monkeypatch.setattr(verify, "_promote_flat", counting)
+    table = orbit_table(Rectangle(3, 6))
+    assert table.total == 87_516 and len(table.orbits) == 4_896
+    assert len(calls) == 2_618
 
 
 def test_orbit_table_minimal_count_is_factorial():
@@ -564,6 +664,24 @@ def test_a_check_that_raises_is_a_failing_case(monkeypatch):
         "invert-round-trip": "raised RuntimeError('boom')",
         "non-minimal-rejected": "invert raised RuntimeError('boom') instead of NotMinimalOrbitError",
     }
+
+
+def test_bijection_suite_reports_when_the_construction_raises(monkeypatch):
+    import taquin.verify as verify
+
+    def broken(w, rect):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "minimal_orbit_tableau", broken)
+    report = run_suite(Rectangle(2, 3), "bijection")
+    failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
+    assert failed == {
+        "image-equals-minimal-orbits": "raised RuntimeError('boom')",
+        "promotion-equivariance": "raised RuntimeError('boom')",
+        "invert-round-trip": "raised RuntimeError('boom')",
+    }
+    statuses = {c.name: c.status for c in report.cases}
+    assert statuses["minimal-orbit-count-2!"] == statuses["non-minimal-rejected"] == "pass"
 
 
 def test_caps_reach_every_enumeration():
