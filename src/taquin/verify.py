@@ -12,10 +12,17 @@ slide path stays in mu, comparing only those entries, until it leaves mu
 at a corner c; from there it meets only the upper entries.  So promotion
 is A(p) + B(c, q) for the halves p and q of T, and the sweep steps each
 tableau by two memo lookups, running the flat kernel only when a half is
-new.  The test suite checks the enumeration against a recursive
-enumerator, the flat promotion against the object-level promotion, and
-the memo step and orbit table against the flat kernel.  Root of unity
-values are always computed by two independent methods (cyclotomic
+new.  It flags visited tableaux by enumeration rank, one byte each: a
+first pass over the halves records how many tableaux come before each
+prefix and the position of each suffix in its list, and the memo also
+holds the position of the promoted suffix, so a step yields the promoted
+tableau's rank without hashing it.  The test suite checks the
+enumeration against a recursive enumerator, the ranks against the
+enumeration order, the flat promotion against the object-level
+promotion, and the memo step and orbit table against the flat kernel.
+The q-hook polynomial is built as a quotient of products of 1 - q^k in
+place, and the tests compare it with dense long division.  Root of
+unity values are always computed by two independent methods (cyclotomic
 reduction and residue pairing) and must agree, loudly.
 
 The check suites are listed in `SUITES`.  Each is a list of named cases;
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import accumulate, combinations
 from math import factorial, gcd, prod
+from operator import sub
 
 from .shapes import (
     Box,
@@ -240,9 +248,31 @@ class OrbitTable:
         return out
 
 
-def _half_steps(nrows: int, ncols: int):
+def _ranked_halves(shape: Partition):
+    """The first pass of the orbit sweep: returns (halves, offset, index).
+
+    `halves` lists the (p, tails) pairs of `_syt_halves`, so the tableau
+    p + tails[k] has enumeration rank offset[p] + k, offset[p] being the
+    number of tableaux before prefix p.  index[q] is the position of the
+    suffix q in its tails list; the tails of different partitions fill
+    different cells, so they are distinct ints and one dict holds them
+    all."""
+    halves = list(_syt_halves(shape))
+    offset: dict[int, int] = {}
+    index: dict[int, int] = {}
+    count = 0
+    for p, tails in halves:
+        offset[p] = count
+        count += len(tails)
+        if tails[0] not in index:  # first prefix ending on this partition
+            index.update(zip(tails, range(len(tails))))
+    return halves, offset, index
+
+
+def _half_steps(nrows: int, ncols: int, index: dict[int, int]):
     """Memo of promotion on the (prefix, suffix) split of `_syt_halves`,
-    for a rectangle of N >= 2 cells: returns (step_p, step_q, fill).
+    for a rectangle of N >= 2 cells whose suffixes `_ranked_halves`
+    indexed: returns (step_p, step_q, fill).
 
     Let T = p + q, p holding the entries 1..half on a partition mu.  Every
     entry of p is below every entry of q, so at a cell with a right or
@@ -251,18 +281,20 @@ def _half_steps(nrows: int, ncols: int):
     c on it runs only through entries of q.  Promotion thus splits as
     A(p) + B(c, q), with A the result on mu minus c (entries 2..half
     dropped to 1..half-1) and B the rest, and step_p[p] = (A, c),
-    step_q[c, q] = (B, E), where E is the term of the one cell of B that
-    now holds half.  The promoted halves are p' = A + E and q' = B - E.
+    step_q[c, q] = (B, E, j), where E is the term of the one cell of B
+    that now holds half and j = index[B - E].  The promoted halves are
+    p' = A + E and q' = B - E, and the rank of the promoted tableau is
+    offset[p'] + j.
 
     fill(p, q) runs `_promote_flat` on T, so the dicts hold kernel results
-    only; it stores both entries and returns (A, c, B, E)."""
+    only; it stores both entries and returns (A, c, B, E, j)."""
     total = nrows * ncols
     half = total // 2
     below_half = bytes(v if v < half else 0 for v in range(256))
     step_p: dict[int, tuple[int, int]] = {}
-    step_q: dict[tuple[int, int], tuple[int, int]] = {}
+    step_q: dict[tuple[int, int], tuple[int, int, int]] = {}
 
-    def fill(p: int, q: int) -> tuple[int, int, int, int]:
+    def fill(p: int, q: int) -> tuple[int, int, int, int, int]:
         out = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
         low = out.translate(below_half)
         # c is the one cell of mu that now holds an entry of q
@@ -270,9 +302,10 @@ def _half_steps(nrows: int, ncols: int):
         a = int.from_bytes(low, "big")
         b = int.from_bytes(out, "big") - a
         e = half << 8 * (total - 1 - out.index(half))
+        j = index[b - e]
         step_p[p] = a, c
-        step_q[c, q] = b, e
-        return a, c, b, e
+        step_q[c, q] = b, e, j
+        return a, c, b, e, j
 
     return step_p, step_q, fill
 
@@ -281,56 +314,52 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
     """Full orbit decomposition under promotion, streaming the enumeration.
 
     Tableaux are the (prefix, suffix) int pairs (p, q) of `_syt_halves`,
-    and the first unvisited tableau of each orbit walks it by int steps.
-    The slide path stays in the prefix's partition mu until its exit
-    corner c, so promotion is A(p) + B(c, q): each step looks up (A, c)
-    and then (B, E) in the memo dicts of `_half_steps`, which are local
-    to this call and run the flat kernel only on a miss.  The visited set
-    holds the ints p + q; representatives are the first tableau of each
-    orbit in enumeration order."""
+    and the first unseen tableau of each orbit walks it by int steps.  The
+    slide path stays in the prefix's partition mu until its exit corner
+    c, so promotion is A(p) + B(c, q): each step looks up (A, c) and then
+    (B, E, j) in the memo dicts of `_half_steps`, which are local to this
+    call and run the flat kernel only on a miss.  Visited tableaux are
+    flagged in a bytearray by enumeration rank: a first pass
+    (`_ranked_halves`) records the rank offset of each prefix and the
+    position of each suffix in its tails list, so the promoted tableau's
+    rank is offset[A + E] + j, and the sweep jumps to the next unflagged
+    rank of each prefix with `bytearray.find`.  Representatives are the
+    first tableau of each orbit in enumeration order."""
     shape = rect.as_partition()
     _check_caps(shape, max_cells, max_count)
     total = rect.ncells
     if total == 1:
         return OrbitTable(rect, [(((1,),), 1)], {1: 1}, 1)
-    step_p, step_q, fill = _half_steps(rect.nrows, rect.ncols)
-    visited: set[int] = set()
+    halves, offset, index = _ranked_halves(shape)
+    step_p, step_q, fill = _half_steps(rect.nrows, rect.ncols, index)
+    seen = bytearray(sum(len(tails) for _, tails in halves))
     orbits: list[tuple[tuple, int]] = []
-    count = 0
-    for p, tails in _syt_halves(shape):
-        count += len(tails)
-        for q in tails:
-            start = p + q
-            if start in visited:
-                continue
-            size, t, lo, hi = 0, start, p, q
+    for p, tails in halves:
+        first = offset[p]
+        end = first + len(tails)
+        start = seen.find(0, first, end)
+        while start >= 0:
+            q = tails[start - first]
+            size, rank, lo, hi = 0, start, p, q
             while True:
-                visited.add(t)
+                seen[rank] = 1
                 size += 1
                 try:
                     a, c = step_p[lo]
-                    b, e = step_q[c, hi]
+                    b, e, j = step_q[c, hi]
                 except KeyError:
-                    a, c, b, e = fill(lo, hi)
+                    a, c, b, e, j = fill(lo, hi)
                 lo, hi = a + e, b - e
-                t = lo + hi
-                if t == start:
+                rank = offset[lo] + j
+                if rank == start:
                     break
-            orbits.append((_flat_rows(start.to_bytes(total, "big"), shape), size))
+            orbits.append((_flat_rows((p + q).to_bytes(total, "big"), shape), size))
+            start = seen.find(0, start + 1, end)
     counts = {r: sum(s for _, s in orbits if r % s == 0) for r in divisors(total)}
-    return OrbitTable(rect, orbits, counts, count)
+    return OrbitTable(rect, orbits, counts, len(seen))
 
 
 # -- exact integer polynomial arithmetic (coefficients ascending) --------
-
-
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -371,10 +400,6 @@ def _cyclotomic(e: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _q_int(k: int) -> list[int]:
-    return [1] * k
-
-
 @dataclass(frozen=True)
 class QPolynomial:
     """Integer coefficients, ascending degree."""
@@ -394,19 +419,32 @@ class QPolynomial:
 
 def q_hook_polynomial(rect: Rectangle) -> QPolynomial:
     """[N]_q! divided by the product of [hook]_q over the boxes, computed
-    with exact integer polynomial arithmetic (any remainder is a bug)."""
+    with exact integer arithmetic."""
     return _q_hook_polynomial_cached(rect.nrows, rect.ncols)
 
 
 @lru_cache(maxsize=None)
 def _q_hook_polynomial_cached(nrows: int, ncols: int) -> QPolynomial:
+    """F = prod_k (1 - q^k) / prod_h (1 - q^h) over k = 1..N and the hooks
+    h: [k]_q = (1 - q^k) / (1 - q), and there are N of each, so the
+    factors 1 - q cancel.  Equal exponents cancel first; the rest act in
+    place on the power series truncated past deg F, which is exact because
+    F is a polynomial.  Times 1 - q^k is c_i -= c_{i-k} from the old
+    values; over 1 - q^h is c_i += c_{i-h} bottom-up, a running sum along
+    each residue class mod h."""
     shape = Partition((ncols,) * nrows)
-    poly = [1]
-    for k in range(1, shape.size + 1):
-        poly = _poly_mul(poly, _q_int(k))
-    for h in hook_lengths(shape):
-        poly = _poly_div_exact(poly, _q_int(h))
-    assert all(c >= 0 for c in poly)
+    numerator = Counter(range(1, shape.size + 1))
+    hooks = Counter(hook_lengths(shape))
+    numerator, hooks = numerator - hooks, hooks - numerator
+    poly = [1] + [0] * (sum(numerator.elements()) - sum(hooks.elements()))
+    for k in numerator.elements():
+        if k < len(poly):
+            poly[k:] = map(sub, poly[k:], poly[: len(poly) - k])
+    for h in hooks.elements():
+        for r in range(min(h, len(poly))):
+            poly[r::h] = accumulate(poly[r::h])
+    # a wrong factor list would show in one of these
+    assert all(c >= 0 for c in poly) and poly == poly[::-1]
     assert sum(poly) == count_standard_tableaux(shape)
     return QPolynomial(tuple(poly))
 
@@ -556,12 +594,14 @@ def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
 # returns its cases in a fixed order.  Each case is a check that returns its
 # first counterexample, or None when it passes, and `_case` runs it; checks
 # that draw from the suite's rng run in case order, so reports are
-# deterministic per seed.
+# deterministic per seed.  A suite's orbit table is built, once, by the
+# first check that reads it (`table()`), so a build that raises fails the
+# checks that read the table instead of aborting the suite.
 
 
 def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     n = rect.n
-    table = orbit_table(rect, **caps)
+    table = cache(partial(orbit_table, rect, **caps))
     # one promotion step subtracts 1 mod n from every diagonal residue,
     # i.e. it carries the tableau of w to the tableau of c o w
     c = promotion_cycle(n)
@@ -574,7 +614,7 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
 
     def image_is_minimal():
         image_rows = {t.row_tuples() for t in image().values()}
-        minimal = set(table.fixed_rows(n))
+        minimal = set(table().fixed_rows(n))
         if image_rows != minimal:
             return (
                 f"image has {len(image_rows)} tableaux, enumeration gives {len(minimal)}; "
@@ -594,10 +634,17 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
                 return f"invert round trip failed: {w} -> {got}"
 
     def count_is_factorial():
-        if table.counts[n] != factorial(n):
-            return f"counts[{n}] = {table.counts[n]} != {factorial(n)}"
+        counts = table().counts
+        if counts[n] != factorial(n):
+            return f"counts[{n}] = {counts[n]} != {factorial(n)}"
 
-    def rejected(rows):
+    def non_minimal():
+        return next((rows for rows, size in table().orbits if n % size), None)
+
+    def rejected():
+        rows = non_minimal()
+        if rows is None:
+            return None
         try:
             got = invert(from_rows(rows))
         except NotMinimalOrbitError:
@@ -612,9 +659,11 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
         _case("promotion-equivariance", equivariant),
         _case("invert-round-trip", round_trip),
     ]
-    non_minimal = next((rows for rows, size in table.orbits if n % size), None)
-    if non_minimal is not None:
-        cases.append(_case("non-minimal-rejected", partial(rejected, non_minimal)))
+    # left out when every orbit is minimal; a pass means the table was built
+    # (and is cached), so a failed build is always listed
+    last = _case("non-minimal-rejected", rejected)
+    if last.status == "fail" or non_minimal() is not None:
+        cases.append(last)
     return cases
 
 
@@ -659,20 +708,22 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
 
 
 def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
-    table = orbit_table(rect, **caps)
-    at_one = q_hook_polynomial(rect)(1)
+    table = cache(partial(orbit_table, rect, **caps))
 
     def at_one_is_total():
-        if at_one != table.total:
-            return f"F(1) = {at_one} != {table.total} tableaux"
+        total = table().total
+        at_one = q_hook_polynomial(rect)(1)
+        if at_one != total:
+            return f"F(1) = {at_one} != {total} tableaux"
 
     def sieving(r):
+        fixed = table().counts[r]
         try:
             val = q_hook_at_root(rect, r)
         except RuntimeError as exc:
             return str(exc)
-        if val != table.counts[r]:
-            return f"F(zeta^{r}) = {val} but {table.counts[r]} tableaux are fixed"
+        if val != fixed:
+            return f"F(zeta^{r}) = {val} but {fixed} tableaux are fixed"
 
     return [
         _case("polynomial-at-one", at_one_is_total),
@@ -682,15 +733,15 @@ def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: boo
 
 def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     total_cells = rect.ncells
-    table = orbit_table(rect, **caps)
+    table = cache(partial(orbit_table, rect, **caps))
 
     def sizes_divide():
-        for rows, size in table.orbits:
+        for rows, size in table().orbits:
             if total_cells % size:
                 return f"orbit of size {size} does not divide {total_cells}: {rows}"
 
     def full_cycle():
-        for rows, _ in table.orbits[:3]:
+        for rows, _ in table().orbits[:3]:
             t = cur = from_rows(rows)
             for _ in range(total_cells):
                 cur = promotion(cur)
@@ -698,9 +749,10 @@ def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: 
                 return f"full-cycle promotion moved {rows}"
 
     def none_below_n():
+        counts = table().counts
         for r in divisors(total_cells):
-            if r < rect.n and table.counts[r]:
-                return f"{table.counts[r]} tableaux fixed by {r}-fold promotion with r < n"
+            if r < rect.n and counts[r]:
+                return f"{counts[r]} tableaux fixed by {r}-fold promotion with r < n"
 
     return [
         _case("orbit-sizes-divide-cell-count", sizes_divide),

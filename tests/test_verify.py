@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -17,9 +18,8 @@ from taquin.verify import (
     _iter_syt_flat,
     _poly_div_exact,
     _poly_divmod,
-    _poly_mul,
     _promote_flat,
-    _syt_halves,
+    _ranked_halves,
     count_standard_tableaux,
     divisors,
     hook_lengths,
@@ -120,6 +120,27 @@ def syt_flats_by_recursion(shape):
 
     place((0,) * len(rows), 1, 0)
     return [code.to_bytes(total, "big") for code in out]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def q_hook_by_dense_division(nrows, ncols):
+    """[N]_q! as the product of the dense [k]_q, divided by each [hook]_q
+    by exact long division (a remainder raises)."""
+    shape = Partition((ncols,) * nrows)
+    poly = [1]
+    for k in range(1, shape.size + 1):
+        poly = _poly_mul(poly, [1] * k)
+    for h in hook_lengths(shape):
+        poly = _poly_div_exact(poly, [1] * h)
+    return tuple(poly)
 
 
 def orbit_table_by_visited_bytes(rect):
@@ -260,25 +281,40 @@ def test_flat_promotion_matches_object_promotion():
             assert got == bytes(v for row in expected.row_tuples() for v in row)
 
 
+# every (nrows, ncols) with 2..16 cells, both orientations, and 3x6
+HALF_STEP_DIMS = [(r, c) for r in range(1, 17) for c in range(1, 17) if 2 <= r * c <= 16] + [(3, 6)]
+
+
+def test_rank_tables_number_the_tableaux_in_enumeration_order():
+    for nrows, ncols in HALF_STEP_DIMS:
+        shape = Partition((ncols,) * nrows)
+        total = shape.size
+        halves, offset, index = _ranked_halves(shape)
+        pairs = [(p, q) for p, tails in halves for q in tails]
+        assert [(p + q).to_bytes(total, "big") for p, q in pairs] == list(_iter_syt_flat(shape))
+        assert [offset[p] + index[q] for p, q in pairs] == list(range(len(pairs))), (nrows, ncols)
+
+
 def test_memo_step_matches_the_kernel():
-    # every (nrows, ncols) with 2..16 cells, both orientations, and 3x6
-    dims = [(r, c) for r in range(1, 17) for c in range(1, 17) if 2 <= r * c <= 16] + [(3, 6)]
-    for nrows, ncols in dims:
+    for nrows, ncols in HALF_STEP_DIMS:
         total = nrows * ncols
         half = total // 2
-        step_p, step_q, fill = _half_steps(nrows, ncols)
-        for p, tails in _syt_halves(Partition((ncols,) * nrows)):
+        halves, _, index = _ranked_halves(Partition((ncols,) * nrows))
+        tails_of = {q: tails for _, tails in halves for q in tails}
+        step_p, step_q, fill = _half_steps(nrows, ncols, index)
+        for p, tails in halves:
             for q in tails:
                 try:
                     a, c = step_p[p]
-                    b, e = step_q[c, q]
+                    b, e, j = step_q[c, q]
                 except KeyError:
-                    a, c, b, e = fill(p, q)
+                    a, c, b, e, j = fill(p, q)
                 promoted = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
                 assert (a + b).to_bytes(total, "big") == promoted
                 lower = int.from_bytes(bytes(v if v <= half else 0 for v in promoted), "big")
                 upper = int.from_bytes(bytes(v if v > half else 0 for v in promoted), "big")
                 assert (a + e, b - e) == (lower, upper), (nrows, ncols, p, q)
+                assert tails_of[b - e][j] == b - e, (nrows, ncols, p, q)
 
 
 # -- orbit tables -----------------------------------------------------------------
@@ -289,7 +325,8 @@ def test_orbit_table_2x2():
     assert table.total == 2
     assert table.counts == {1: 0, 2: 2, 4: 2}
     assert len(table.orbits) == 1 and table.orbits[0][1] == 2
-    assert sorted(table.fixed_rows(2)) == sorted(r for r, _ in [(t, 0) for t in table.fixed_rows(2)])
+    assert table.fixed_rows(2) == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
+    assert table.fixed_rows(1) == []
 
 
 def test_orbit_table_invariants():
@@ -340,6 +377,18 @@ def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
     assert len(calls) == 2_618
 
 
+def test_orbit_table_peak_memory_at_3x6():
+    # one flag byte per tableau: a set of the 87,516 visited ints takes about 12 MB
+    tracemalloc.start()
+    try:
+        table = orbit_table(Rectangle(3, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.total == 87_516
+    assert peak < 4_000_000, peak
+
+
 def test_orbit_table_minimal_count_is_factorial():
     for n, m in [(2, 2), (2, 3), (3, 3), (3, 4)]:
         table = orbit_table(Rectangle(n, m))
@@ -356,6 +405,13 @@ def test_q_hook_polynomial_small():
     assert poly(1) == 462
     assert all(c >= 0 for c in poly.coeffs)
     assert poly.degree == sum(range(1, 13)) - sum(hook_lengths(parse_partition("444")))
+
+
+def test_q_hook_polynomial_matches_dense_division():
+    # every rectangle of at most 30 cells; its transpose has the same hooks
+    dims = [(r, c) for r in range(1, 31) for c in range(r, 31) if r * c <= 30]
+    for nrows, ncols in dims:
+        assert q_hook_polynomial(Rectangle(nrows, ncols)).coeffs == q_hook_by_dense_division(nrows, ncols), (nrows, ncols)
 
 
 def test_poly_helpers():
@@ -682,6 +738,33 @@ def test_bijection_suite_reports_when_the_construction_raises(monkeypatch):
     }
     statuses = {c.name: c.status for c in report.cases}
     assert statuses["minimal-orbit-count-2!"] == statuses["non-minimal-rejected"] == "pass"
+
+
+def test_a_table_build_that_raises_fails_the_cases_that_read_it(monkeypatch):
+    import taquin.verify as verify
+
+    def broken(flat, nrows, ncols):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "_promote_flat", broken)
+    raised = "raised RuntimeError('boom')"
+    failed = {}
+    for suite in ("bijection", "csp", "haiman"):
+        report = run_suite(Rectangle(2, 3), suite)
+        failed[suite] = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
+    assert failed == {
+        "bijection": {
+            "minimal-orbit-count-2!": raised,
+            "image-equals-minimal-orbits": raised,
+            "non-minimal-rejected": raised,
+        },
+        "csp": {"polynomial-at-one": raised, **{f"sieving-r={r}": raised for r in divisors(6)}},
+        "haiman": {
+            "orbit-sizes-divide-cell-count": raised,
+            "full-cycle-spot-check": raised,
+            "no-orbits-below-n": raised,
+        },
+    }
 
 
 def test_caps_reach_every_enumeration():
