@@ -12,7 +12,8 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, zip_longest
+from operator import le, lt
 from typing import Iterator, NamedTuple
 
 
@@ -45,12 +46,12 @@ class Partition:
     rows: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(map(int, self.rows))
         while rows and rows[-1] == 0:
             rows = rows[:-1]
-        if any(r < 0 for r in rows):
+        if rows and min(rows) < 0:
             raise ValueError(f"negative row length in {rows!r}")
-        if any(a < b for a, b in zip(rows, rows[1:])):
+        if any(map(lt, rows, rows[1:])):
             raise ValueError(f"row lengths must weakly decrease: {rows!r}")
         object.__setattr__(self, "rows", rows)
 
@@ -110,7 +111,7 @@ def format_partition(p: Partition) -> str:
 
 def contains(inner: Partition, outer: Partition) -> bool:
     """True iff inner fits inside outer cellwise."""
-    return all(inner.row_len(i) <= outer.row_len(i) for i in range(1, inner.nrows + 1))
+    return inner.nrows <= outer.nrows and all(map(le, inner.rows, outer.rows))
 
 
 def transpose(p: Partition) -> Partition:
@@ -199,8 +200,9 @@ class SkewShape:
         return self.outer.size - self.inner.size
 
     def cells(self) -> Iterator[Box]:
-        for i in range(1, self.outer.nrows + 1):
-            for j in range(self.inner.row_len(i) + 1, self.outer.row_len(i) + 1):
+        rows = zip_longest(self.inner.rows, self.outer.rows, fillvalue=0)
+        for i, (start, end) in enumerate(rows, start=1):
+            for j in range(start + 1, end + 1):
                 yield Box(i, j)
 
     def __contains__(self, box) -> bool:
@@ -293,18 +295,28 @@ def enumerate_diagonals(rect: Rectangle) -> list[Diagonal]:
 
     A diagonal has min(nrows, ncols) boxes, one per row when rows are the
     short side (one per column otherwise), read bottom-left to top-right.
+    The shapes are built from the chosen lines: with one box per row, at
+    the end of its row, lambda_plus has the boxes' columns as its rows and
+    lambda_minus is one shorter in every row; with one box per column, at
+    the foot of its column, the same holds for their conjugates.
     """
     n = min(rect.nrows, rect.ncols)
     out = []
     if rect.nrows <= rect.ncols:
         for cols in combinations(range(1, rect.ncols + 1), n):
-            boxes = tuple(Box(n + 1 - i, cols[i - 1]) for i in range(1, n + 1))
-            out.append(diagonal_from_boxes(boxes))
+            boxes = tuple(map(Box, range(n, 0, -1), cols))
+            plus = cols[::-1]
+            out.append(Diagonal(Partition(plus), Partition(tuple(c - 1 for c in plus)), boxes))
     else:
         for rows in combinations(range(1, rect.nrows + 1), n):
-            desc = tuple(sorted(rows, reverse=True))
-            boxes = tuple(Box(desc[i - 1], i) for i in range(1, n + 1))
-            out.append(diagonal_from_boxes(boxes))
+            boxes = tuple(map(Box, rows[::-1], range(1, n + 1)))
+            # rows top+1..bottom of lambda_plus have length n - k, and the
+            # last of them ends in the box of column n - k
+            plus, minus = [], []
+            for k, (top, bottom) in enumerate(zip((0, *rows), rows)):
+                plus += [n - k] * (bottom - top)
+                minus += [n - k] * (bottom - top - 1) + [n - k - 1]
+            out.append(Diagonal(Partition(tuple(plus)), Partition(tuple(minus)), boxes))
     return out
 
 

@@ -10,16 +10,18 @@ translate table and walks only the slide path.  The orbit sweep promotes
 on the same split: the entries 1..N//2 of T fill a partition mu, and the
 slide path stays in mu, comparing only those entries, until it leaves mu
 at a corner c; from there it meets only the upper entries.  So promotion
-is A(p) + B(c, q) for the halves p and q of T, and the sweep steps each
-tableau by two memo lookups, running the flat kernel only when a half is
-new.  It flags visited tableaux by enumeration rank, one byte each: a
-first pass over the halves records how many tableaux come before each
-prefix and the position of each suffix in its list, and the memo also
-holds the position of the promoted suffix, so a step yields the promoted
-tableau's rank without hashing it.  The test suite checks the
+is A(p) + B(c, q) for the halves p and q of T, and a memo of the two
+halves' steps runs the flat kernel only when a half is new.  The sweep
+numbers tableaux by enumeration rank and turns promotion into a
+permutation of the ranks, one array of successor ranks: for a partition
+mu and corner c the steps of every suffix of mu form one column, shared
+by every prefix that exits mu at c, so the array is written a prefix at a
+time by C-level maps over columns.  The orbits are the cycles of that
+array, walked over one visited byte per rank.  The test suite checks the
 enumeration against a recursive enumerator, the ranks against the
 enumeration order, the flat promotion against the object-level
-promotion, and the memo step and orbit table against the flat kernel.
+promotion, and the memo step, the successor array and the orbit table
+against the flat kernel.
 The q-hook polynomial is built as a quotient of products of 1 - q^k in
 place, and the tests compare it with dense long division.  Root of
 unity values are always computed by two independent methods (cyclotomic
@@ -36,10 +38,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import accumulate, combinations
 from math import factorial, gcd, prod
-from operator import sub
+from operator import add, sub
 
 from .shapes import (
     Box,
@@ -287,18 +289,25 @@ def _half_steps(nrows: int, ncols: int, index: dict[int, int]):
     offset[p'] + j.
 
     fill(p, q) runs `_promote_flat` on T, so the dicts hold kernel results
-    only; it stores both entries and returns (A, c, B, E, j)."""
+    only; it stores both entries and returns (A, c, B, E, j).  The sweep
+    (`_successor_ranks`) fills the memo in two passes: first one call per
+    prefix, for its (A, c); then only the (c, q) entries of the columns it
+    reads that are still missing."""
     total = nrows * ncols
     half = total // 2
     below_half = bytes(v if v < half else 0 for v in range(256))
+    nonzero = bytes(v > 0 for v in range(256))
     step_p: dict[int, tuple[int, int]] = {}
     step_q: dict[tuple[int, int], tuple[int, int, int]] = {}
 
     def fill(p: int, q: int) -> tuple[int, int, int, int, int]:
         out = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
         low = out.translate(below_half)
-        # c is the one cell of mu that now holds an entry of q
-        c = next(i for i, (v, w) in enumerate(zip(p.to_bytes(total, "big"), low)) if v and not w)
+        # the cells of mu, less those that still hold an entry of p, leave
+        # one byte set: c, which now holds an entry of q
+        mask = int.from_bytes(p.to_bytes(total, "big").translate(nonzero), "big")
+        mask -= int.from_bytes(low.translate(nonzero), "big")
+        c = total - 1 - (mask.bit_length() - 1) // 8
         a = int.from_bytes(low, "big")
         b = int.from_bytes(out, "big") - a
         e = half << 8 * (total - 1 - out.index(half))
@@ -310,52 +319,87 @@ def _half_steps(nrows: int, ncols: int, index: dict[int, int]):
     return step_p, step_q, fill
 
 
-def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_000) -> OrbitTable:
-    """Full orbit decomposition under promotion, streaming the enumeration.
+def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], index: dict[int, int]):
+    """Promotion as a permutation of enumeration ranks, from the first pass
+    of `_ranked_halves`: an `array("I")` nxt, nxt[r] being the rank of the
+    promotion of the tableau of rank r.
 
-    Tableaux are the (prefix, suffix) int pairs (p, q) of `_syt_halves`,
-    and the first unseen tableau of each orbit walks it by int steps.  The
-    slide path stays in the prefix's partition mu until its exit corner
-    c, so promotion is A(p) + B(c, q): each step looks up (A, c) and then
-    (B, E, j) in the memo dicts of `_half_steps`, which are local to this
-    call and run the flat kernel only on a miss.  Visited tableaux are
-    flagged in a bytearray by enumeration rank: a first pass
-    (`_ranked_halves`) records the rank offset of each prefix and the
-    position of each suffix in its tails list, so the promoted tableau's
-    rank is offset[A + E] + j, and the sweep jumps to the next unflagged
-    rank of each prefix with `bytearray.find`.  Representatives are the
+    By `_half_steps`, the promotion of p + q has rank offset[A + E] + j,
+    with (A, c) decided by the prefix p alone and (E, j) by (c, q).  For a
+    partition mu and a corner c, the pairs (E, j) over the tails of mu form
+    one list, a column, shared by every prefix ending on mu that exits at
+    c, so a prefix's segment of the array is offset[A + E] + j over its
+    column.  E is the term of a cell that can be added to mu minus c, so a
+    column holds only a few distinct E: each prefix looks up offset[A + E]
+    once for each and writes its segment with C-level `map`.
+
+    The memo is filled in two passes: one kernel call per prefix, for its
+    (A, c), the prefixes of a partition taking its suffixes in turn so that
+    these calls also fill different column entries; then, when a column is
+    first needed, only its entries still missing."""
+    # imported here: loading the extension module adds about 0.3 MB to the
+    # RSS of every process that imports the package, and only the sweep
+    # needs it
+    from array import array
+
+    step_p, step_q, fill = _half_steps(nrows, ncols, index)
+    turns: dict[int, int] = {}
+    for p, tails in halves:
+        turn = turns.get(tails[0], 0)  # tails[0] stands for the partition
+        fill(p, tails[turn % len(tails)])
+        turns[tails[0]] = turn + 1
+    columns = {}
+    nxt = array("I")
+    for p, tails in halves:
+        a, c = step_p[p]
+        column = columns.get((c, tails[0]))
+        if column is None:
+            entries = [step_q.get((c, q)) or fill(p, q)[2:] for q in tails]
+            es = list(dict.fromkeys(e for _, e, _ in entries))
+            column = columns[c, tails[0]] = es, [es.index(e) for _, e, _ in entries], [j for _, _, j in entries]
+        es, picks, js = column
+        starts = [offset[a + e] for e in es]
+        nxt.extend(map(add, map(starts.__getitem__, picks), js))
+    return nxt
+
+
+def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_000) -> OrbitTable:
+    """Full orbit decomposition under promotion.
+
+    Tableaux are numbered by enumeration rank, and promotion becomes a
+    permutation of the ranks, stored as an array of successor ranks
+    (`_successor_ranks`) that is built a prefix at a time from the
+    half-step memo of `_half_steps`; the flat kernel runs only on a memo
+    miss.  The orbits are the cycles of that array: the sweep jumps to the
+    next unvisited rank of each prefix with `bytearray.find` and walks its
+    cycle, flagging each rank in a bytearray.  Representatives are the
     first tableau of each orbit in enumeration order."""
     shape = rect.as_partition()
     _check_caps(shape, max_cells, max_count)
     total = rect.ncells
     if total == 1:
         return OrbitTable(rect, [(((1,),), 1)], {1: 1}, 1)
+    ncols = rect.ncols
     halves, offset, index = _ranked_halves(shape)
-    step_p, step_q, fill = _half_steps(rect.nrows, rect.ncols, index)
-    seen = bytearray(sum(len(tails) for _, tails in halves))
+    nxt = _successor_ranks(rect.nrows, ncols, halves, offset, index)
+    cuts = [slice(k, k + ncols) for k in range(0, total, ncols)]
+    seen = bytearray(len(nxt))
     orbits: list[tuple[tuple, int]] = []
     for p, tails in halves:
         first = offset[p]
         end = first + len(tails)
         start = seen.find(0, first, end)
         while start >= 0:
-            q = tails[start - first]
-            size, rank, lo, hi = 0, start, p, q
-            while True:
+            size, rank = 0, start
+            while not seen[rank]:
                 seen[rank] = 1
+                rank = nxt[rank]
                 size += 1
-                try:
-                    a, c = step_p[lo]
-                    b, e, j = step_q[c, hi]
-                except KeyError:
-                    a, c, b, e, j = fill(lo, hi)
-                lo, hi = a + e, b - e
-                rank = offset[lo] + j
-                if rank == start:
-                    break
-            orbits.append((_flat_rows((p + q).to_bytes(total, "big"), shape), size))
+            flat = (p + tails[start - first]).to_bytes(total, "big")
+            orbits.append((tuple(map(tuple, map(flat.__getitem__, cuts))), size))
             start = seen.find(0, start + 1, end)
-    counts = {r: sum(s for _, s in orbits if r % s == 0) for r in divisors(total)}
+    sizes = Counter(s for _, s in orbits)
+    counts = {r: sum(s * k for s, k in sizes.items() if r % s == 0) for r in divisors(total)}
     return OrbitTable(rect, orbits, counts, len(seen))
 
 
@@ -590,6 +634,26 @@ def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
     return order
 
 
+def _once(build):
+    """A reader that calls `build()` on its first read only.  Later reads
+    get the same result, or the same exception raised again, so a build
+    that fails is not retried by every check that reads it."""
+    outcome = []
+
+    def read():
+        if not outcome:
+            try:
+                outcome.append((build(), None))
+            except Exception as exc:
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return read
+
+
 # Every suite takes (rect, seed, all_choices, all_diagonals, caps) and
 # returns its cases in a fixed order.  Each case is a check that returns its
 # first counterexample, or None when it passes, and `_case` runs it; checks
@@ -601,16 +665,14 @@ def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
 
 def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     n = rect.n
-    table = cache(partial(orbit_table, rect, **caps))
+    table = _once(partial(orbit_table, rect, **caps))
     # one promotion step subtracts 1 mod n from every diagonal residue,
     # i.e. it carries the tableau of w to the tableau of c o w
     c = promotion_cycle(n)
 
-    @cache
-    def image():
-        # built by the first check that needs it, so a construction that
-        # raises fails those checks instead of aborting the suite
-        return {w: minimal_orbit_tableau(w, rect) for w in all_permutations(n)}
+    # built by the first check that needs it, so a construction that raises
+    # fails those checks instead of aborting the suite
+    image = _once(lambda: {w: minimal_orbit_tableau(w, rect) for w in all_permutations(n)})
 
     def image_is_minimal():
         image_rows = {t.row_tuples() for t in image().values()}
@@ -708,7 +770,7 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
 
 
 def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
-    table = cache(partial(orbit_table, rect, **caps))
+    table = _once(partial(orbit_table, rect, **caps))
 
     def at_one_is_total():
         total = table().total
@@ -733,7 +795,7 @@ def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: boo
 
 def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     total_cells = rect.ncells
-    table = cache(partial(orbit_table, rect, **caps))
+    table = _once(partial(orbit_table, rect, **caps))
 
     def sizes_divide():
         for rows, size in table().orbits:

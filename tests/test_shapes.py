@@ -220,6 +220,20 @@ def test_enumerate_diagonals_against_chain_dfs():
             assert {d.boxes for d in diags} == set(chains)
 
 
+def test_enumerate_diagonals_matches_the_diagonal_from_boxes_route():
+    from itertools import combinations
+
+    for nrows in range(1, 25):
+        for ncols in range(1, 24 // nrows + 1):
+            rect = Rectangle(nrows, ncols)
+            n = min(nrows, ncols)
+            if nrows <= ncols:
+                lines = [tuple(zip(range(n, 0, -1), cols)) for cols in combinations(range(1, ncols + 1), n)]
+            else:
+                lines = [tuple(zip(rows[::-1], range(1, n + 1))) for rows in combinations(range(1, nrows + 1), n)]
+            assert enumerate_diagonals(rect) == [diagonal_from_boxes(boxes) for boxes in lines], rect
+
+
 def test_diagonal_invariants():
     for rect in [Rectangle(3, 5), Rectangle(4, 4), Rectangle(2, 6)]:
         for d in enumerate_diagonals(rect):

@@ -20,6 +20,7 @@ from taquin.verify import (
     _poly_divmod,
     _promote_flat,
     _ranked_halves,
+    _successor_ranks,
     count_standard_tableaux,
     divisors,
     hook_lengths,
@@ -317,6 +318,15 @@ def test_memo_step_matches_the_kernel():
                 assert tails_of[b - e][j] == b - e, (nrows, ncols, p, q)
 
 
+def test_successor_ranks_are_the_ranks_of_the_promoted_tableaux():
+    for nrows, ncols in HALF_STEP_DIMS:
+        shape = Partition((ncols,) * nrows)
+        flats = list(_iter_syt_flat(shape))
+        rank = {b: r for r, b in enumerate(flats)}
+        nxt = _successor_ranks(nrows, ncols, *_ranked_halves(shape))
+        assert list(nxt) == [rank[_promote_flat(b, nrows, ncols)] for b in flats], (nrows, ncols)
+
+
 # -- orbit tables -----------------------------------------------------------------
 
 
@@ -374,7 +384,7 @@ def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
     monkeypatch.setattr(verify, "_promote_flat", counting)
     table = orbit_table(Rectangle(3, 6))
     assert table.total == 87_516 and len(table.orbits) == 4_896
-    assert len(calls) == 2_618
+    assert len(calls) == 1_894
 
 
 def test_orbit_table_peak_memory_at_3x6():
@@ -765,6 +775,36 @@ def test_a_table_build_that_raises_fails_the_cases_that_read_it(monkeypatch):
             "no-orbits-below-n": raised,
         },
     }
+
+
+def test_a_failed_table_build_runs_once_per_suite(monkeypatch):
+    import taquin.verify as verify
+
+    def broken(flat, nrows, ncols):
+        raise RuntimeError("boom")
+
+    rect = Rectangle(3, 4)
+    clean = {suite: run_suite(rect, suite) for suite in ("bijection", "csp", "haiman")}
+    builds = []
+    real = verify.orbit_table
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_promote_flat", broken)
+    monkeypatch.setattr(verify, "orbit_table", counting)
+    raised = "raised RuntimeError('boom')"
+    # the bijection checks that only construct and invert do not read the table
+    unread = {"promotion-equivariance", "invert-round-trip"}
+    for suite, report in clean.items():
+        builds.clear()
+        got = run_suite(rect, suite)
+        assert len(builds) == 1, suite
+        assert [c.name for c in got.cases] == [c.name for c in report.cases], suite
+        assert {c.name: (c.status, c.counterexample) for c in got.cases} == {
+            c.name: (c.status, c.counterexample) if c.name in unread else ("fail", raised) for c in report.cases
+        }, suite
 
 
 def test_caps_reach_every_enumeration():
