@@ -35,7 +35,6 @@ from .tableaux import (
     TableauFormatError,
     complement_tableau,
     format_grid,
-    forward_slide,
     from_file_dict,
     from_rows,
     inverse_promotion,
@@ -45,7 +44,6 @@ from .tableaux import (
     promotion_order,
     reading_word,
     rectify,
-    reverse_slide,
     to_file_dict,
 )
 from .words import (

@@ -144,6 +144,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_csp(args) -> int:
     rect = Rectangle(args.n, args.m)
+    if rect.m < rect.n:
+        raise ValueError(f"csp needs m >= n, got n={rect.n}, m={rect.m}")
     table = orbit_table(rect, max_cells=args.max_cells, max_count=args.max_count)
     ok = True
     for r in divisors(rect.ncells):

@@ -92,14 +92,17 @@ EMPTY = Partition()
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse "5431" (digit string, parts <= 9) or "[12,10,3]"; "[]" is empty."""
+    """Parse "5431" (digit string, parts <= 9) or "[12,10,3]"; "[]" is
+    empty.  ASCII digits only."""
     text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        parts = [int(p) for p in inner.split(",")] if inner else []
-        return Partition(tuple(parts))
-    if text.isdigit():
-        return Partition(tuple(int(ch) for ch in text))
+    if text.isascii():
+        if text.startswith("[") and text.endswith("]"):
+            inner = text[1:-1].strip()
+            parts = [p.strip() for p in inner.split(",")] if inner else []
+            if all(p.isdigit() for p in parts):
+                return Partition(tuple(map(int, parts)))
+        elif text.isdigit():
+            return Partition(tuple(map(int, text)))
     raise ValueError(f"not a partition: {text!r}")
 
 

@@ -7,6 +7,8 @@ on every construction, which turns a buggy slide into a loud error.
 
 Slides run on a mutable grid instead (`to_grid`, `grid_slide`, `from_grid`),
 so a run of slides is validated once, when its public function returns.
+`grid_slide` is the one slide kernel: the constructions, rectification,
+promotion and the orbit sweep's flat promotion all move entries through it.
 
 Every public operation is a pure function returning new values; callers
 may parallelize freely.
@@ -15,7 +17,6 @@ may parallelize freely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .shapes import (
@@ -31,10 +32,6 @@ from .shapes import (
 
 
 class TableauError(ValueError):
-    pass
-
-
-class SlideError(TableauError):
     pass
 
 
@@ -171,7 +168,7 @@ def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
     return PartialTableau(region, {b: v for b in region.cells() if (v := grid[b.row * width + b.col])})
 
 
-def grid_slide(grid: list[int], width: int, hole: int, forward: bool = True, path: list | None = None) -> tuple[int, int]:
+def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool = True, path: list | None = None) -> tuple[int, int]:
     """Slide the empty cell at index `hole` through `grid` in place.
 
     Forward, the hole swaps with the smaller of its filled right/below
@@ -179,6 +176,13 @@ def grid_slide(grid: list[int], width: int, hole: int, forward: bool = True, pat
     stops when neither is filled.  Returns the terminal index, now empty,
     and the entry that left it (0 for a slide that never moved).  Each
     index the hole moves to is appended to `path` when one is given.
+
+    `grid` is any mutable row-major sequence of ints (a list or a
+    bytearray) with rows `width` apart and 0 for an empty cell.  The slide
+    reads only the two neighbours it may move to, so every such neighbour
+    of a cell it can reach must exist and be 0 outside the region:
+    `to_grid`'s border of empty cells serves both directions, and a forward
+    slide needs only one empty cell after each row and an empty row below.
     """
     g, p, moved = grid, hole, 0
     if forward:
@@ -209,42 +213,6 @@ def grid_slide(grid: list[int], width: int, hole: int, forward: bool = True, pat
                 path.append(p)
     g[p] = 0
     return p, moved
-
-
-@dataclass(frozen=True)
-class SlideResult:
-    tableau: PartialTableau
-    path: tuple[Box, ...]
-    terminal: Box
-
-
-def _slide(t: PartialTableau, hole, forward: bool) -> SlideResult:
-    hole = r, c = Box(*hole)
-    behind = ((r, c - 1), (r - 1, c)) if forward else ((r, c + 1), (r + 1, c))
-    if hole not in t.region or hole in t.entries or any(b in t.entries for b in behind):
-        side = "left of or above" if forward else "right of or below"
-        raise SlideError(f"hole {hole} must be an empty region cell with no filled cell {side} it")
-    grid, width = to_grid(t.region, t.entries)
-    path = [r * width + c]
-    grid_slide(grid, width, path[0], forward, path)
-    boxes = tuple(Box(*divmod(i, width)) for i in path)
-    return SlideResult(from_grid(t.region, grid, width), boxes, boxes[-1])
-
-
-def forward_slide(t: PartialTableau, hole) -> SlideResult:
-    """Slide a hole down/right: repeatedly swap it with the smaller of its
-    filled right/below neighbors, stopping when neither is filled.
-
-    The hole must be an unfilled region cell with no filled cell directly
-    left of or above it.
-    """
-    return _slide(t, hole, True)
-
-
-def reverse_slide(t: PartialTableau, hole) -> SlideResult:
-    """Mirror of forward_slide: swap with the larger of the filled
-    left/above neighbors; the hole travels up/left."""
-    return _slide(t, hole, False)
 
 
 def rectify(t: PartialTableau) -> PartialTableau:
@@ -349,6 +317,7 @@ def from_file_dict(d) -> PartialTableau:
     try:
         outer = Partition(_int_list(d["outer"], "outer"))
         inner = Partition(_int_list(d.get("inner", []), "inner"))
+        SkewShape(outer, inner)  # raises unless inner fits inside outer
         rows = d["rows"]
         if not isinstance(rows, list) or len(rows) != outer.nrows:
             raise TableauFormatError("'rows' must list one row per outer row")

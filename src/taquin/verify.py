@@ -5,23 +5,24 @@ formula with exact evaluation at roots of unity, and named check suites.
 The enumeration lane works on flat row-major byte strings for speed.
 Standard tableaux are enumerated in two halves, the placements of the
 upper half of the entries listed once per partition the lower half ends
-on, and joined by adding ints; flat promotion drops every entry through a
-translate table and walks only the slide path.  The orbit sweep promotes
-on the same split: the entries 1..N//2 of T fill a partition mu, and the
-slide path stays in mu, comparing only those entries, until it leaves mu
-at a corner c; from there it meets only the upper entries.  So promotion
-is A(p) + B(c, q) for the halves p and q of T, and a memo of the two
-halves' steps runs the flat kernel only when a half is new.  The sweep
-numbers tableaux by enumeration rank and turns promotion into a
-permutation of the ranks, one array of successor ranks: for a partition
-mu and corner c the steps of every suffix of mu form one column, shared
-by every prefix that exits mu at c, so the array is written a prefix at a
-time by C-level maps over columns.  The orbits are the cycles of that
-array, walked over one visited byte per rank.  The test suite checks the
-enumeration against a recursive enumerator, the ranks against the
-enumeration order, the flat promotion against the object-level
-promotion, and the memo step, the successor array and the orbit table
-against the flat kernel.
+on, and joined by adding ints.  Flat promotion drops every entry through
+a translate table into a padded byte grid and slides it through
+`tableaux.grid_slide`, the package's one slide kernel.  The orbit sweep
+promotes on the same split: the entries 1..N//2 of T fill a partition
+mu, and the slide path stays in mu, comparing only those entries, until
+it leaves mu at a corner c; from there it meets only the upper entries.
+So promotion is A(p) + B(c, q) for the halves p and q of T, and a memo
+of the two halves' steps runs flat promotion only when a half is new.
+The sweep numbers tableaux by enumeration rank and turns promotion into
+a permutation of the ranks, one array of successor ranks: for a
+partition mu and corner c the steps of every suffix of mu form one
+column, shared by every prefix that exits mu at c, so the array is
+written a prefix at a time by C-level maps over columns.  The orbits are
+the cycles of that array, walked over one visited byte per rank.  The
+test suite checks the enumeration against a recursive enumerator, the
+ranks against the enumeration order, flat promotion against the
+object-level promotion, and the memo step, the successor array and the
+orbit table against flat promotion.
 The q-hook polynomial is built as a quotient of products of 1 - q^k in
 place, and the tests compare it with dense long division.  Root of
 unity values are always computed by two independent methods (cyclotomic
@@ -55,7 +56,7 @@ from .shapes import (
     staircase_diagonal,
     transpose,
 )
-from .tableaux import PartialTableau, from_rows, promotion
+from .tableaux import PartialTableau, from_rows, grid_slide, promotion
 from .orbits import (
     NotMinimalOrbitError,
     augmented_insertion_tableau,
@@ -185,45 +186,27 @@ def standard_tableaux(shape: Partition, *, max_cells: int = 20, max_count: int =
     return (_flat_rows(b, shape) for b in _iter_syt_flat(shape))
 
 
-_DECREMENT = bytes((v - 1) % 256 for v in range(256))
-_SENTINEL = 255  # above every decremented entry (at most 254)
-
-
-@lru_cache(maxsize=None)
-def _slide_steps(nrows: int, ncols: int) -> tuple[tuple[int, int], ...]:
-    """(right, down) neighbour index of each cell of the row-major
-    rectangle; a neighbour off the grid is the sentinel index nrows*ncols."""
-    total = nrows * ncols
-    return tuple(
-        (p + 1 if (p + 1) % ncols else total, p + ncols if p + ncols < total else total)
-        for p in range(total)
-    )
+# entry 1 -> 0, the hole; every other entry v -> v - 1, and padding 0 stays 0
+_TO_GRID = bytes((0, 0, *range(1, 255)))
 
 
 def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
     """Promotion on the flat row-major encoding of a full rectangle.
 
-    All entries drop by one through a translate table, then the hole left
-    by entry 1 slides along its path only: each step takes the smaller of
-    its right and down neighbours, a sentinel byte past the end standing in
-    for any neighbour off the grid.  In a rectangle the slide always ends
-    in the last cell, which takes the largest entry."""
-    a = bytearray(flat.translate(_DECREMENT))
-    a.append(_SENTINEL)
-    steps = _slide_steps(nrows, ncols)
-    last = nrows * ncols - 1
-    p = 0
-    while p != last:
-        right, down = steps[p]
-        if a[right] < a[down]:
-            a[p] = a[right]
-            p = right
-        else:
-            a[p] = a[down]
-            p = down
-    a[p] = last + 1
-    a.pop()
-    return bytes(a)
+    The rows become a forward-slide grid for `grid_slide`, one empty byte
+    after each row and an empty row below, with every entry dropped by one
+    through a translate table, so entry 1 becomes the hole at index 0.  In
+    a rectangle the slide always ends in the last cell, which takes the
+    largest entry; deleting the zero bytes strips the padding."""
+    total = nrows * ncols
+    width = ncols + 1
+    grid = bytearray(flat.translate(_TO_GRID))
+    for row_end in range(total, 0, -ncols):
+        grid.insert(row_end, 0)
+    grid += bytes(width)
+    end, _ = grid_slide(grid, width, 0)
+    grid[end] = total
+    return bytes(grid).translate(None, b"\0")
 
 
 @dataclass
@@ -288,7 +271,7 @@ def _half_steps(nrows: int, ncols: int, index: dict[int, int]):
     p' = A + E and q' = B - E, and the rank of the promoted tableau is
     offset[p'] + j.
 
-    fill(p, q) runs `_promote_flat` on T, so the dicts hold kernel results
+    fill(p, q) runs `_promote_flat` on T, so the dicts hold its results
     only; it stores both entries and returns (A, c, B, E, j).  The sweep
     (`_successor_ranks`) fills the memo in two passes: first one call per
     prefix, for its (A, c); then only the (c, q) entries of the columns it
@@ -333,10 +316,10 @@ def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], ind
     column holds only a few distinct E: each prefix looks up offset[A + E]
     once for each and writes its segment with C-level `map`.
 
-    The memo is filled in two passes: one kernel call per prefix, for its
-    (A, c), the prefixes of a partition taking its suffixes in turn so that
-    these calls also fill different column entries; then, when a column is
-    first needed, only its entries still missing."""
+    The memo is filled in two passes: one `_promote_flat` call per prefix,
+    for its (A, c), the prefixes of a partition taking its suffixes in turn
+    so that these calls also fill different column entries; then, when a
+    column is first needed, only its entries still missing."""
     # imported here: loading the extension module adds about 0.3 MB to the
     # RSS of every process that imports the package, and only the sweep
     # needs it
@@ -369,7 +352,7 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
     Tableaux are numbered by enumeration rank, and promotion becomes a
     permutation of the ranks, stored as an array of successor ranks
     (`_successor_ranks`) that is built a prefix at a time from the
-    half-step memo of `_half_steps`; the flat kernel runs only on a memo
+    half-step memo of `_half_steps`; `_promote_flat` runs only on a memo
     miss.  The orbits are the cycles of that array: the sweep jumps to the
     next unvisited rank of each prefix with `bytearray.find` and walks its
     cycle, flagging each rank in a bytearray.  Representatives are the

@@ -81,12 +81,15 @@ def all_permutations(n: int):
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse "3142" (digits, n <= 9) or "3,1,4,2"."""
+    """Parse "3142" (digits, n <= 9) or "3,1,4,2"; ASCII digits only."""
     text = text.strip()
-    if "," in text:
-        return Permutation(tuple(int(p) for p in text.split(",")))
-    if text.isdigit():
-        return Permutation(tuple(int(ch) for ch in text))
+    if text.isascii():
+        if "," in text:
+            parts = [p.strip() for p in text.split(",")]
+            if all(p.isdigit() for p in parts):
+                return Permutation(tuple(map(int, parts)))
+        elif text.isdigit():
+            return Permutation(tuple(map(int, text)))
     raise ValueError(f"not a permutation: {text!r}")
 
 

@@ -59,7 +59,7 @@ def test_construct_diagonal_and_via_flags(tmp_path):
     assert no_n[0] == 0 and no_n[1] == base
 
 
-def test_construct_usage_errors():
+def test_construct_usage_errors(capsys):
     code, _, err = run_cli("construct", "--n", "3", "--m", "4", "--w", "3142")
     assert code == 2 and "letters" in err
     code, _, _ = run_cli("construct", "--n", "4", "--m", "6", "--w", "3142", "--diagonal", "531")
@@ -68,6 +68,15 @@ def test_construct_usage_errors():
     assert code == 2
     code, _, _ = run_cli("construct", "--m", "6")  # argparse: missing --w
     assert code == 2
+    # only ASCII digits parse: Arabic-Indic and superscript digits, and an
+    # empty part, are malformed text, never a permutation or a partition
+    for w in ("\u0663\u0661\u0662", "\u00b312", "3,,1,2"):
+        assert main(["construct", "--m", "4", "--w", w]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"not a permutation: {w!r}" in err
+    assert main(["construct", "--m", "4", "--w", "312", "--diagonal", "\u0663\u0662\u0661"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "not a partition: '\u0663\u0662\u0661'" in err
 
 
 def test_construct_refuses_m_below_n(capsys):
@@ -156,6 +165,15 @@ def test_promote_malformed_input():
     assert code == 4
 
 
+def test_tableau_file_inner_must_fit_inside_outer():
+    # the containment check comes before the per-row cell counts
+    text = '{"outer": [2, 2], "inner": [3], "rows": [[1], [2, 3]]}'
+    for command in ("promote", "invert"):
+        code, out, err = run_cli(command, stdin=text)
+        assert code == 4 and out == ""
+        assert "inner 3 not contained in outer 22" in err
+
+
 def test_invert_rejects_non_minimal():
     table = orbit_table(Rectangle(3, 4))
     rows = next(rows for rows, size in table.orbits if size == 12)
@@ -178,6 +196,12 @@ def test_csp_table():
     assert "3 6 6" in out.splitlines()
     code, out, _ = run_cli("csp", "--n", "1", "--m", "1")
     assert code == 0 and out.strip() == "1 1 1"
+
+
+def test_csp_refuses_m_below_n(capsys):
+    assert main(["csp", "--n", "3", "--m", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "m >= n" in err
 
 
 def test_verify_suites():

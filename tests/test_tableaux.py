@@ -7,15 +7,15 @@ import pytest
 from taquin.shapes import Box, Partition, Rectangle, SkewShape, parse_partition, removable_corners
 from taquin.tableaux import (
     PartialTableau,
-    SlideError,
     TableauError,
     TableauFormatError,
     complement_tableau,
     dumps,
     format_grid,
-    forward_slide,
     from_file_dict,
+    from_grid,
     from_rows,
+    grid_slide,
     inverse_promotion,
     is_standard_normalized,
     loads,
@@ -23,8 +23,8 @@ from taquin.tableaux import (
     promotion_order,
     reading_word,
     rectify,
-    reverse_slide,
     to_file_dict,
+    to_grid,
 )
 from taquin.verify import standard_tableaux
 from taquin.words import insertion_tableau
@@ -133,51 +133,48 @@ def worked_start():
     return PartialTableau(region, {(4, 1): 3, (3, 3): 1, (2, 4): 4, (1, 5): 2})
 
 
+def slide(t, hole, forward=True):
+    """One slide of the empty cell `hole` through `grid_slide`: the slid
+    tableau and the path of boxes the hole visits, `hole` first."""
+    grid, width = to_grid(t.region, t.entries)
+    path = [hole[0] * width + hole[1]]
+    grid_slide(grid, width, path[0], forward, path)
+    return from_grid(t.region, grid, width), tuple(Box(*divmod(i, width)) for i in path)
+
+
 def test_forward_slide_first_worked_step():
-    res = forward_slide(worked_start(), (2, 3))
-    assert res.terminal == Box(3, 3)
-    assert res.tableau[(2, 3)] == 1
-    assert not res.tableau.is_filled((3, 3))
-    assert res.path == (Box(2, 3), Box(3, 3))
+    slid, path = slide(worked_start(), (2, 3))
+    assert path[-1] == Box(3, 3)
+    assert slid[(2, 3)] == 1
+    assert not slid.is_filled((3, 3))
+    assert path == (Box(2, 3), Box(3, 3))
 
 
 def test_forward_slide_trivial():
     t = worked_start()
-    res = forward_slide(t, (1, 1))
-    assert res.path == (Box(1, 1),)
-    assert res.tableau == t
+    slid, path = slide(t, (1, 1))
+    assert path == (Box(1, 1),)
+    assert slid == t
 
 
 def test_forward_slide_2x2_against_recursive_oracle():
     region = SkewShape(parse_partition("22"))
     t = PartialTableau(region, {(1, 2): 1, (2, 1): 2, (2, 2): 3})
-    res = forward_slide(t, (1, 1))
+    slid, path = slide(t, (1, 1))
     oracle_entries, oracle_terminal = slide_recursive(dict(t.entries), region, (1, 1))
-    assert res.terminal == Box(*oracle_terminal)
-    assert dict(res.tableau.entries) == {Box(*b): v for b, v in oracle_entries.items()}
-    assert res.terminal == Box(2, 2)
-    assert res.tableau.row_tuples() == ((1, 3), (2, None))
-
-
-def test_slide_preconditions():
-    t = worked_start()
-    with pytest.raises(SlideError):
-        forward_slide(t, (3, 3))  # filled
-    with pytest.raises(SlideError):
-        forward_slide(t, (3, 4))  # outside region
-    with pytest.raises(SlideError):
-        forward_slide(t, (2, 5))  # not in region (row 1 has 5 cols, row 2 has 4)
-    with pytest.raises(SlideError):
-        reverse_slide(t, (2, 3))  # filled below/right? (3,3) below is filled
+    assert path[-1] == Box(*oracle_terminal)
+    assert dict(slid.entries) == {Box(*b): v for b, v in oracle_entries.items()}
+    assert path[-1] == Box(2, 2)
+    assert slid.row_tuples() == ((1, 3), (2, None))
 
 
 def test_reverse_slide_first_worked_step():
     region = SkewShape(Partition((6,) * 4), parse_partition("432"))
     t = PartialTableau(region, {(4, 1): 23, (3, 3): 21, (2, 4): 24, (1, 5): 22})
-    res = reverse_slide(t, (3, 4))
-    assert res.terminal == Box(2, 4)
-    assert res.tableau[(3, 4)] == 24
-    assert not res.tableau.is_filled((2, 4))
+    slid, path = slide(t, (3, 4), forward=False)
+    assert path[-1] == Box(2, 4)
+    assert slid[(3, 4)] == 24
+    assert not slid.is_filled((2, 4))
 
 
 def test_slide_duality_exhaustive_small_regions():
@@ -186,15 +183,14 @@ def test_slide_duality_exhaustive_small_regions():
     for outer, inner in configs:
         for t in partial_tableaux_of(outer, inner):
             for hole in t.region.cells():
-                if t.is_filled(hole):
+                r, c = hole
+                # a forward slide starts at an empty cell with nothing filled left of or above it
+                if t.is_filled(hole) or t.is_filled((r, c - 1)) or t.is_filled((r - 1, c)):
                     continue
-                try:
-                    res = forward_slide(t, hole)
-                except SlideError:
-                    continue
-                back = reverse_slide(res.tableau, res.terminal)
-                assert back.tableau == t
-                assert back.path == tuple(reversed(res.path))
+                slid, path = slide(t, hole)
+                back, back_path = slide(slid, path[-1], forward=False)
+                assert back == t
+                assert back_path == tuple(reversed(path))
                 checked += 1
     assert checked > 500
 
@@ -202,9 +198,9 @@ def test_slide_duality_exhaustive_small_regions():
 def test_reverse_then_forward_duality():
     region = SkewShape(parse_partition("5431"))
     t = PartialTableau(region, {(3, 2): 4, (3, 3): 9, (2, 3): 1, (2, 4): 8})
-    res = reverse_slide(t, (1, 5))
-    back = forward_slide(res.tableau, res.terminal)
-    assert back.tableau == t
+    slid, path = slide(t, (1, 5), forward=False)
+    back, _ = slide(slid, path[-1])
+    assert back == t
 
 
 # -- promotion ----------------------------------------------------------------
@@ -332,7 +328,7 @@ def test_rectify_order_independent_small():
         inner_rows = list(inner.rows)
         while any(inner_rows):
             corner = rng.choice(removable_corners(Partition(tuple(inner_rows))))
-            cur = forward_slide(cur, corner).tableau
+            cur, _ = slide(cur, corner)
             inner_rows[corner.row - 1] -= 1
         shape = tuple(
             sum(1 for c in range(1, outer.row_len(r) + 1) if cur.is_filled((r, c)))

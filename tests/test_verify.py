@@ -371,20 +371,30 @@ def test_orbit_table_matches_the_visited_bytes_walk():
 
 
 def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
-    # a lost memo shows as more kernel calls, whatever the host's speed
+    # a lost memo shows as more kernel calls, whatever the host's speed;
+    # and the sweep slides only through `grid_slide`, once per kernel call,
+    # so a slide loop of its own shows as fewer slides than kernel calls
     import taquin.verify as verify
 
     calls = []
+    slides = []
     real = verify._promote_flat
+    real_slide = verify.grid_slide
 
     def counting(flat, nrows, ncols):
         calls.append(flat)
         return real(flat, nrows, ncols)
 
+    def counting_slide(*args, **kwargs):
+        slides.append(args)
+        return real_slide(*args, **kwargs)
+
     monkeypatch.setattr(verify, "_promote_flat", counting)
+    monkeypatch.setattr(verify, "grid_slide", counting_slide)
     table = orbit_table(Rectangle(3, 6))
     assert table.total == 87_516 and len(table.orbits) == 4_896
     assert len(calls) == 1_894
+    assert len(slides) == 1_894
 
 
 def test_orbit_table_peak_memory_at_3x6():
