@@ -327,9 +327,10 @@ def minimal_orbit_tableau(
     carries the result to the tableau of (promotion cycle) o w, so its
     promotion order divides n.
 
-    Needs m >= n, where the diagonal exists; raises ValueError otherwise,
-    before any construction work.  A tall rectangle is built with its
-    short side as n (Rectangle(n, m, n_is_rows=False)).
+    Needs m >= n, where the diagonal exists, and takes `choice` on the
+    slides route only; raises ValueError otherwise, before any
+    construction work.  A tall rectangle is built with its short side as
+    n (Rectangle(n, m, n_is_rows=False)).
     """
     n = w.n
     if rect.n != n:
@@ -338,6 +339,8 @@ def minimal_orbit_tableau(
         raise ValueError(f"the construction needs m >= n, got n={n}, m={rect.m}")
     if via not in ("slides", "insertion"):
         raise ValueError(f"unknown route {via!r}")
+    if choice is not None and via == "insertion":
+        raise ValueError("a choice tableau fixes the slide order; the insertion route makes no slides")
     diag = diag if diag is not None else staircase_diagonal(rect)
     if diag.n != n:
         raise ValueError(f"diagonal size {diag.n} does not match permutation size {n}")

@@ -288,13 +288,6 @@ def complement_tableau(t: PartialTableau, rect: Rectangle) -> PartialTableau:
     return PartialTableau(region, entries)
 
 
-def reading_word(t: PartialTableau) -> tuple[int, ...]:
-    """Row reading word: bottom row first, left-to-right within rows."""
-    if not is_filled(t):
-        raise TableauError("reading word needs a fully filled region")
-    return tuple(v for row in reversed(t.row_lists()) for v in row)
-
-
 def to_file_dict(t: PartialTableau) -> dict:
     d = {"outer": list(t.region.outer.rows)}
     if t.region.inner.rows:

@@ -5,24 +5,25 @@ formula with exact evaluation at roots of unity, and named check suites.
 The enumeration lane works on flat row-major byte strings for speed.
 Standard tableaux are enumerated in two halves, the placements of the
 upper half of the entries listed once per partition the lower half ends
-on, and joined by adding ints.  Flat promotion drops every entry through
-a translate table into a padded byte grid and slides it through
+on, and joined by adding ints.  Flat slides drop every entry through a
+translate table into a padded byte grid and slide it through
 `tableaux.grid_slide`, the package's one slide kernel.  The orbit sweep
 promotes on the same split: the entries 1..N//2 of T fill a partition
 mu, and the slide path stays in mu, comparing only those entries, until
 it leaves mu at a corner c; from there it meets only the upper entries.
-So promotion is A(p) + B(c, q) for the halves p and q of T, and a memo
-of the two halves' steps runs flat promotion only when a half is new.
-The sweep numbers tableaux by enumeration rank and turns promotion into
-a permutation of the ranks, one array of successor ranks: for a
-partition mu and corner c the steps of every suffix of mu form one
-column, shared by every prefix that exits mu at c, so the array is
-written a prefix at a time by C-level maps over columns.  The orbits are
-the cycles of that array, walked over one visited byte per rank.  The
-test suite checks the enumeration against a recursive enumerator, the
-ranks against the enumeration order, flat promotion against the
-object-level promotion, and the memo step, the successor array and the
-orbit table against flat promotion.
+So promotion is A(p) + B(c, q) for the halves p and q of T: A slides
+the lower half alone, once per prefix, and B the upper half alone from
+c, once per suffix of mu and corner c.  The sweep numbers tableaux by
+enumeration rank and turns promotion into a permutation of the ranks,
+one array of successor ranks: for a partition mu and corner c the steps
+of every suffix of mu form one column, shared by every prefix that
+exits mu at c, so the array is written a prefix at a time by C-level
+maps over columns.  The orbits are the cycles of that array, walked
+over one visited byte per rank.  The test suite checks the enumeration
+against a recursive enumerator, the ranks against the enumeration order,
+flat promotion against the object-level promotion, the half slides
+against flat promotion, and the successor array and the orbit table
+against flat promotion.
 The q-hook polynomial is built as a quotient of products of 1 - q^k in
 place, and the tests compare it with dense long division.  Root of
 unity values are always computed by two independent methods (cyclotomic
@@ -190,23 +191,33 @@ def standard_tableaux(shape: Partition, *, max_cells: int = 20, max_count: int =
 _TO_GRID = bytes((0, 0, *range(1, 255)))
 
 
-def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
-    """Promotion on the flat row-major encoding of a full rectangle.
+def _slide_flat(flat: bytes, ncols: int, start: int) -> tuple[bytearray, int]:
+    """One forward slide on a flat row-major filling of full rows, 0 for an
+    empty cell: returns the slid filling and the cell the slide ended in.
 
     The rows become a forward-slide grid for `grid_slide`, one empty byte
     after each row and an empty row below, with every entry dropped by one
-    through a translate table, so entry 1 becomes the hole at index 0.  In
-    a rectangle the slide always ends in the last cell, which takes the
-    largest entry; deleting the zero bytes strips the padding."""
-    total = nrows * ncols
+    through a translate table, so entry 1, if present, becomes a hole.  The
+    slide starts from cell `start`, which must be empty after the drop.
+    The padding is cut by position, not by value, because a half of a
+    tableau has empty cells of its own."""
     width = ncols + 1
     grid = bytearray(flat.translate(_TO_GRID))
-    for row_end in range(total, 0, -ncols):
+    for row_end in range(len(flat), 0, -ncols):
         grid.insert(row_end, 0)
     grid += bytes(width)
-    end, _ = grid_slide(grid, width, 0)
-    grid[end] = total
-    return bytes(grid).translate(None, b"\0")
+    end, _ = grid_slide(grid, width, start + start // ncols)
+    del grid[-width:], grid[ncols::width]
+    return grid, end - end // width
+
+
+def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
+    """Promotion on the flat row-major encoding of a full rectangle: the
+    slide from the cell of entry 1 always ends in the last cell, which
+    takes the largest entry."""
+    grid, end = _slide_flat(flat, ncols, 0)
+    grid[end] = nrows * ncols
+    return bytes(grid)
 
 
 @dataclass
@@ -254,92 +265,52 @@ def _ranked_halves(shape: Partition):
     return halves, offset, index
 
 
-def _half_steps(nrows: int, ncols: int, index: dict[int, int]):
-    """Memo of promotion on the (prefix, suffix) split of `_syt_halves`,
-    for a rectangle of N >= 2 cells whose suffixes `_ranked_halves`
-    indexed: returns (step_p, step_q, fill).
+def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], index: dict[int, int]):
+    """Promotion as a permutation of enumeration ranks, from the first pass
+    of `_ranked_halves`: an `array("I")` nxt, nxt[r] being the rank of the
+    promotion of the tableau of rank r, for a rectangle of N >= 2 cells.
 
     Let T = p + q, p holding the entries 1..half on a partition mu.  Every
     entry of p is below every entry of q, so at a cell with a right or
     down neighbour in mu the slide takes a neighbour in mu: the path stays
     in mu, decided by p alone, until it reaches a corner c of mu, and from
-    c on it runs only through entries of q.  Promotion thus splits as
-    A(p) + B(c, q), with A the result on mu minus c (entries 2..half
-    dropped to 1..half-1) and B the rest, and step_p[p] = (A, c),
-    step_q[c, q] = (B, E, j), where E is the term of the one cell of B
-    that now holds half and j = index[B - E].  The promoted halves are
-    p' = A + E and q' = B - E, and the rank of the promoted tableau is
-    offset[p'] + j.
+    c on it runs only through entries of q.  So promotion is A + B, A the
+    slide of p alone from cell 0, which ends at c (entries 2..half dropped
+    to 1..half-1), and B the slide of q alone from c, its terminal set to
+    N.  With E the term of the one cell of B that now holds half, the
+    promoted halves are A + E and B - E, and the promoted tableau has rank
+    offset[A + E] + j, j = index[B - E].
 
-    fill(p, q) runs `_promote_flat` on T, so the dicts hold its results
-    only; it stores both entries and returns (A, c, B, E, j).  The sweep
-    (`_successor_ranks`) fills the memo in two passes: first one call per
-    prefix, for its (A, c); then only the (c, q) entries of the columns it
-    reads that are still missing."""
-    total = nrows * ncols
-    half = total // 2
-    below_half = bytes(v if v < half else 0 for v in range(256))
-    nonzero = bytes(v > 0 for v in range(256))
-    step_p: dict[int, tuple[int, int]] = {}
-    step_q: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-    def fill(p: int, q: int) -> tuple[int, int, int, int, int]:
-        out = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
-        low = out.translate(below_half)
-        # the cells of mu, less those that still hold an entry of p, leave
-        # one byte set: c, which now holds an entry of q
-        mask = int.from_bytes(p.to_bytes(total, "big").translate(nonzero), "big")
-        mask -= int.from_bytes(low.translate(nonzero), "big")
-        c = total - 1 - (mask.bit_length() - 1) // 8
-        a = int.from_bytes(low, "big")
-        b = int.from_bytes(out, "big") - a
-        e = half << 8 * (total - 1 - out.index(half))
-        j = index[b - e]
-        step_p[p] = a, c
-        step_q[c, q] = b, e, j
-        return a, c, b, e, j
-
-    return step_p, step_q, fill
-
-
-def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], index: dict[int, int]):
-    """Promotion as a permutation of enumeration ranks, from the first pass
-    of `_ranked_halves`: an `array("I")` nxt, nxt[r] being the rank of the
-    promotion of the tableau of rank r.
-
-    By `_half_steps`, the promotion of p + q has rank offset[A + E] + j,
-    with (A, c) decided by the prefix p alone and (E, j) by (c, q).  For a
-    partition mu and a corner c, the pairs (E, j) over the tails of mu form
-    one list, a column, shared by every prefix ending on mu that exits at
-    c, so a prefix's segment of the array is offset[A + E] + j over its
-    column.  E is the term of a cell that can be added to mu minus c, so a
-    column holds only a few distinct E: each prefix looks up offset[A + E]
-    once for each and writes its segment with C-level `map`.
-
-    The memo is filled in two passes: one `_promote_flat` call per prefix,
-    for its (A, c), the prefixes of a partition taking its suffixes in turn
-    so that these calls also fill different column entries; then, when a
-    column is first needed, only its entries still missing."""
+    For a partition mu and a corner c, the pairs (E, j) over the tails of
+    mu form one list, a column, shared by every prefix ending on mu that
+    exits at c, so a prefix's segment of the array is offset[A + E] + j
+    over its column.  E is the term of a cell that can be added to mu
+    minus c, so a column holds only a few distinct E: each prefix looks up
+    offset[A + E] once for each and writes its segment with C-level `map`.
+    Each prefix is slid once, and each column entry once, when the column
+    is first needed."""
     # imported here: loading the extension module adds about 0.3 MB to the
     # RSS of every process that imports the package, and only the sweep
     # needs it
     from array import array
 
-    step_p, step_q, fill = _half_steps(nrows, ncols, index)
-    turns: dict[int, int] = {}
-    for p, tails in halves:
-        turn = turns.get(tails[0], 0)  # tails[0] stands for the partition
-        fill(p, tails[turn % len(tails)])
-        turns[tails[0]] = turn + 1
+    total = nrows * ncols
+    half = total // 2
     columns = {}
     nxt = array("I")
     for p, tails in halves:
-        a, c = step_p[p]
-        column = columns.get((c, tails[0]))
+        low, c = _slide_flat(p.to_bytes(total, "big"), ncols, 0)
+        a = int.from_bytes(low, "big")
+        column = columns.get((c, tails[0]))  # tails[0] stands for mu
         if column is None:
-            entries = [step_q.get((c, q)) or fill(p, q)[2:] for q in tails]
-            es = list(dict.fromkeys(e for _, e, _ in entries))
-            column = columns[c, tails[0]] = es, [es.index(e) for _, e, _ in entries], [j for _, _, j in entries]
+            entries = []
+            for q in tails:
+                high, end = _slide_flat(q.to_bytes(total, "big"), ncols, c)
+                high[end] = total
+                e = half << 8 * (total - 1 - high.index(half))
+                entries.append((e, index[int.from_bytes(high, "big") - e]))
+            es = list(dict.fromkeys(e for e, _ in entries))
+            column = columns[c, tails[0]] = es, [es.index(e) for e, _ in entries], [j for _, j in entries]
         es, picks, js = column
         starts = [offset[a + e] for e in es]
         nxt.extend(map(add, map(starts.__getitem__, picks), js))
@@ -351,12 +322,12 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
 
     Tableaux are numbered by enumeration rank, and promotion becomes a
     permutation of the ranks, stored as an array of successor ranks
-    (`_successor_ranks`) that is built a prefix at a time from the
-    half-step memo of `_half_steps`; `_promote_flat` runs only on a memo
-    miss.  The orbits are the cycles of that array: the sweep jumps to the
-    next unvisited rank of each prefix with `bytearray.find` and walks its
-    cycle, flagging each rank in a bytearray.  Representatives are the
-    first tableau of each orbit in enumeration order."""
+    (`_successor_ranks`) that is built a prefix at a time from slides of
+    each half of a tableau on its own.  The orbits are the cycles of that
+    array: the sweep jumps to the next unvisited rank of each prefix with
+    `bytearray.find` and walks its cycle, flagging each rank in a
+    bytearray.  Representatives are the first tableau of each orbit in
+    enumeration order."""
     shape = rect.as_partition()
     _check_caps(shape, max_cells, max_count)
     total = rect.ncells

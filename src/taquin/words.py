@@ -47,11 +47,6 @@ def identity(n: int) -> Permutation:
     return Permutation(tuple(range(1, n + 1)))
 
 
-def reversal(n: int) -> Permutation:
-    """The longest element n, n-1, ..., 1."""
-    return Permutation(tuple(range(n, 0, -1)))
-
-
 def promotion_cycle(n: int) -> Permutation:
     """The n-cycle sending 1 to n and k to k-1.
 
@@ -102,10 +97,6 @@ def format_permutation(w: Permutation) -> str:
 def descents(w: Permutation) -> set[int]:
     """{i : w(i) > w(i+1)}."""
     return {i for i in range(1, w.n) if w(i) > w(i + 1)}
-
-
-def major_index(w: Permutation) -> int:
-    return sum(descents(w))
 
 
 @dataclass(frozen=True)

