@@ -11,7 +11,7 @@ from taquin.verify import divisors
 for n, m in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]:
     rect = Rectangle(n, m)
     table = orbit_table(rect)
-    sizes = sorted(size for _, size in table.orbits)
+    sizes = sorted(table.sizes)
     print(f"{n}x{m}: {table.total} tableaux, orbit sizes {sizes}")
     for r in divisors(n * m):
         fixed = table.counts[r]

@@ -19,11 +19,13 @@ one array of successor ranks: for a partition mu and corner c the steps
 of every suffix of mu form one column, shared by every prefix that
 exits mu at c, so the array is written a prefix at a time by C-level
 maps over columns.  The orbits are the cycles of that array, walked
-over one visited byte per rank.  The test suite checks the enumeration
-against a recursive enumerator, the ranks against the enumeration order,
-flat promotion against the object-level promotion, the half slides
-against flat promotion, and the successor array and the orbit table
-against flat promotion.
+over one visited byte per rank, and the table keeps each orbit as its
+size and its first tableau as flat bytes; rows are made on demand for
+the orbits a check reports or promotes.  The test suite checks the
+enumeration against a recursive enumerator, the ranks against the
+enumeration order, flat promotion against the object-level promotion,
+the half slides against flat promotion, and the successor array and the
+orbit table against flat promotion.
 The q-hook polynomial is built as a quotient of products of 1 - q^k in
 place, and the tests compare it with dense long division.  Root of
 unity values are always computed by two independent methods (cyclotomic
@@ -222,22 +224,34 @@ def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
 
 @dataclass
 class OrbitTable:
-    """Promotion orbit decomposition of the standard tableaux of rect."""
+    """Promotion orbit decomposition of the standard tableaux of rect.
+
+    Each orbit is kept as its representative, the first of its tableaux in
+    enumeration order, flat (row-major bytes, as `_iter_syt_flat` yields
+    it), and its size; `reps` and `sizes` list the orbits in enumeration
+    order of their representatives.  `orbits` pairs each representative's
+    rows with its size, built anew on each read."""
 
     rect: Rectangle
-    orbits: list[tuple[tuple, int]]  # (representative rows, orbit size)
+    reps: list[bytes]
+    sizes: list[int]
     counts: dict[int, int]  # divisor r of the cell count -> #{T : r-fold promotion fixes T}
     total: int
+
+    @property
+    def orbits(self) -> list[tuple[tuple, int]]:
+        """(representative rows, orbit size) for every orbit."""
+        shape = self.rect.as_partition()
+        return [(_flat_rows(flat, shape), size) for flat, size in zip(self.reps, self.sizes)]
 
     def fixed_rows(self, r: int) -> list[tuple]:
         """All tableaux fixed by r-fold promotion, as row tuples."""
         nrows, ncols = self.rect.nrows, self.rect.ncols
         shape = self.rect.as_partition()
         out = []
-        for rows, size in self.orbits:
+        for cur, size in zip(self.reps, self.sizes):
             if r % size:
                 continue
-            cur = bytes(v for row in rows for v in row)
             for _ in range(size):
                 out.append(_flat_rows(cur, shape))
                 cur = _promote_flat(cur, nrows, ncols)
@@ -326,19 +340,19 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
     each half of a tableau on its own.  The orbits are the cycles of that
     array: the sweep jumps to the next unvisited rank of each prefix with
     `bytearray.find` and walks its cycle, flagging each rank in a
-    bytearray.  Representatives are the first tableau of each orbit in
-    enumeration order."""
+    bytearray.  Each orbit is kept as its size and its representative,
+    the first of its tableaux in enumeration order, as flat bytes; no rows
+    are built."""
     shape = rect.as_partition()
     _check_caps(shape, max_cells, max_count)
     total = rect.ncells
     if total == 1:
-        return OrbitTable(rect, [(((1,),), 1)], {1: 1}, 1)
-    ncols = rect.ncols
+        return OrbitTable(rect, [b"\x01"], [1], {1: 1}, 1)
     halves, offset, index = _ranked_halves(shape)
-    nxt = _successor_ranks(rect.nrows, ncols, halves, offset, index)
-    cuts = [slice(k, k + ncols) for k in range(0, total, ncols)]
+    nxt = _successor_ranks(rect.nrows, rect.ncols, halves, offset, index)
     seen = bytearray(len(nxt))
-    orbits: list[tuple[tuple, int]] = []
+    reps: list[bytes] = []
+    sizes: list[int] = []
     for p, tails in halves:
         first = offset[p]
         end = first + len(tails)
@@ -349,12 +363,12 @@ def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_
                 seen[rank] = 1
                 rank = nxt[rank]
                 size += 1
-            flat = (p + tails[start - first]).to_bytes(total, "big")
-            orbits.append((tuple(map(tuple, map(flat.__getitem__, cuts))), size))
+            reps.append((p + tails[start - first]).to_bytes(total, "big"))
+            sizes.append(size)
             start = seen.find(0, start + 1, end)
-    sizes = Counter(s for _, s in orbits)
-    counts = {r: sum(s * k for s, k in sizes.items() if r % s == 0) for r in divisors(total)}
-    return OrbitTable(rect, orbits, counts, len(seen))
+    histogram = Counter(sizes)
+    counts = {r: sum(s * k for s, k in histogram.items() if r % s == 0) for r in divisors(total)}
+    return OrbitTable(rect, reps, sizes, counts, len(seen))
 
 
 # -- exact integer polynomial arithmetic (coefficients ascending) --------
@@ -655,7 +669,9 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
             return f"counts[{n}] = {counts[n]} != {factorial(n)}"
 
     def non_minimal():
-        return next((rows for rows, size in table().orbits if n % size), None)
+        t = table()
+        flat = next((flat for flat, size in zip(t.reps, t.sizes) if n % size), None)
+        return None if flat is None else _flat_rows(flat, rect.as_partition())
 
     def rejected():
         rows = non_minimal()
@@ -750,14 +766,17 @@ def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: boo
 def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
     total_cells = rect.ncells
     table = _once(partial(orbit_table, rect, **caps))
+    shape = rect.as_partition()
 
     def sizes_divide():
-        for rows, size in table().orbits:
+        t = table()
+        for flat, size in zip(t.reps, t.sizes):
             if total_cells % size:
-                return f"orbit of size {size} does not divide {total_cells}: {rows}"
+                return f"orbit of size {size} does not divide {total_cells}: {_flat_rows(flat, shape)}"
 
     def full_cycle():
-        for rows, _ in table().orbits[:3]:
+        for flat in table().reps[:3]:
+            rows = _flat_rows(flat, shape)
             t = cur = from_rows(rows)
             for _ in range(total_cells):
                 cur = promotion(cur)
@@ -846,13 +865,13 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
         if len(diags) < 2:
             return None
         steps = n * (max(d.lambda_minus.size for d in diags) + 1)
+        inside = [frozenset(d.lambda_plus.cells()) for d in diags]
         for w in perms:
-            runs = [box_sequence(descent_sequence(w), d, steps=steps) for d in diags]
+            runs = [box_sequence(descent_sequence(w), d, steps=steps).boxes for d in diags]
             for a, b in combinations(range(len(diags)), 2):
-                for k in range(steps):
-                    ba, bb = runs[a].boxes[k], runs[b].boxes[k]
-                    if bb in diags[a].lambda_plus and ba in diags[b].lambda_plus and ba != bb:
-                        return f"w={w}, diagonals {a},{b}, step {k + 1}: {ba} vs {bb}"
+                for k, (ba, bb) in enumerate(zip(runs[a], runs[b]), start=1):
+                    if ba != bb and bb in inside[a] and ba in inside[b]:
+                        return f"w={w}, diagonals {a},{b}, step {k}: {ba} vs {bb}"
 
     def peeling():
         for _ in range(10):

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +12,18 @@ from taquin.tableaux import dumps, format_grid, from_rows, loads, promotion
 from taquin.verify import orbit_table
 from taquin.shapes import Rectangle
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(*args, stdin=None):
+    # pyproject.toml's pythonpath reaches only this process; the child needs
+    # src on its own path to import the package from a plain checkout
     proc = subprocess.run(
         [sys.executable, "-m", "taquin.cli", *args],
         input=stdin,
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

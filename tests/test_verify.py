@@ -12,6 +12,7 @@ from taquin.orbits import NotMinimalOrbitError
 from taquin.words import Permutation
 from taquin.verify import (
     EnumerationCapError,
+    OrbitTable,
     _cyclotomic,
     _flat_rows,
     _iter_syt_flat,
@@ -406,6 +407,19 @@ def test_orbit_table_peak_memory_at_3x6():
     assert peak < 4_000_000, peak
 
 
+def test_orbit_table_keeps_no_rows_at_3x6():
+    # one flat representative and one size per orbit stay alive: a tuple
+    # of row tuples per orbit kept about 1.8 MB
+    tracemalloc.start()
+    try:
+        table = orbit_table(Rectangle(3, 6))
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 600_000, current
+    assert table.total == 87_516
+
+
 def test_orbit_table_minimal_count_is_factorial():
     for n, m in [(2, 2), (2, 3), (3, 3), (3, 4)]:
         table = orbit_table(Rectangle(n, m))
@@ -684,6 +698,56 @@ def test_fixed_rows_are_the_tableaux_fixed_by_promotion():
                 fixed.add(t.row_tuples())
         got = table.fixed_rows(r)
         assert len(got) == len(set(got)) and set(got) == fixed
+
+
+def test_suites_read_no_rows(monkeypatch):
+    rects = [Rectangle(3, 4), Rectangle(2, 2), Rectangle(1, 1)]
+    expected = [run_suite(rect, "all").to_json_dict() for rect in rects]
+
+    def rows_read(table):
+        raise AssertionError("a suite read OrbitTable.orbits")
+
+    monkeypatch.setattr(OrbitTable, "orbits", property(rows_read))
+    assert [run_suite(rect, "all").to_json_dict() for rect in rects] == expected
+
+
+def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
+    import taquin.verify as verify
+
+    # a hand-made 2x3 table: size 3 does not divide n = 2, size 4 does not
+    # divide N = 6
+    rect = Rectangle(2, 3)
+    rows = [((1, 3, 5), (2, 4, 6)), ((1, 2, 4), (3, 5, 6))]
+    reps = [bytes(v for row in t for v in row) for t in rows]
+    table = OrbitTable(rect, reps, [3, 4], {1: 0, 2: 0, 3: 3, 6: 3}, 7)
+    monkeypatch.setattr(verify, "orbit_table", lambda rect, **caps: table)
+    inverted = []
+
+    def accept(t):
+        inverted.append(t.row_tuples())
+        return Permutation((2, 1))
+
+    monkeypatch.setattr(verify, "invert", accept)
+    other = from_rows([[1, 2, 3], [4, 5, 6]])
+    monkeypatch.setattr(verify, "promotion", lambda t: other)
+    caps = {"max_cells": 20, "max_count": 1_000_000}
+
+    def failed(suite):
+        return {c.name: c.counterexample for c in suite(rect, 0, False, False, caps) if c.status == "fail"}
+
+    assert failed(verify._suite_haiman) == {
+        "orbit-sizes-divide-cell-count": "orbit of size 4 does not divide 6: ((1, 2, 4), (3, 5, 6))",
+        "full-cycle-spot-check": "full-cycle promotion moved ((1, 3, 5), (2, 4, 6))",
+    }
+    assert failed(verify._suite_bijection) == {
+        "minimal-orbit-count-2!": "counts[2] = 0 != 2",
+        "image-equals-minimal-orbits": "image has 2 tableaux, enumeration gives 0; symmetric difference size 2",
+        "promotion-equivariance": "promotion(T_12) != T_21",
+        "invert-round-trip": "invert round trip failed: 12 -> 21",
+        "non-minimal-rejected": "invert accepted a non-minimal tableau as 21",
+    }
+    # the round trip stops at T_12; the rejection case inverts the orbit of size 3
+    assert inverted == [((1, 2, 4), (3, 5, 6)), rows[0]]
 
 
 def test_non_minimal_rejected_accepts_only_the_documented_error(monkeypatch):
