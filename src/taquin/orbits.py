@@ -3,6 +3,12 @@ diagonal, box sequences with their displacement counts, closed forms for
 descent-driven runs, the combined minimal-orbit tableau of a permutation,
 and its inverse.
 
+Constructions reuse per-shape plans: what a forward or reverse
+construction needs of its shapes alone (the grid layout, the diagonal's
+seed and target cells, the superstandard slide order) is built once per
+diagonal and rectangle and kept in a bounded cache.  A given choice
+tableau still has its slide order derived and checked on every call.
+
 Orientation notes: the slide-based constructions work in either
 orientation of the rectangle.  `column_sequence` and `delta_closed_form`
 assume the permutation size n is the number of *columns*, while
@@ -13,6 +19,8 @@ check their assumption instead of transposing silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .shapes import (
     Box,
@@ -29,6 +37,7 @@ from .tableaux import (
     complement_tableau,
     from_grid,
     from_rows,
+    grid_boxes,
     grid_slide,
     is_standard_normalized,
     standard_rectangle_dims,
@@ -83,7 +92,51 @@ def _pop_corner(mu: list[int], b: Box) -> None:
     mu[row - 1] -= 1
 
 
-def _refill_slide(grid: list[int], width: int, hole: int, forward: bool, targets: set, shift: int) -> None:
+def _slide_starts(choice: PartialTableau | None, shape: Partition, width: int, far: int) -> tuple[int, ...]:
+    """Grid indices of the slides, in the choice tableau's slide order:
+    each cell of `shape` itself when far is 0, otherwise its 180-degree
+    rotation far - i.  Each cell must be a corner of what is left unslid."""
+    mu = list(shape.rows)
+    starts = []
+    for b in _slide_order(_choice_entries(choice, shape)):
+        _pop_corner(mu, b)
+        i = b.row * width + b.col
+        starts.append(far - i if far else i)
+    return tuple(starts)
+
+
+class _SlidePlan(NamedTuple):
+    """What a construction along a diagonal needs of its shapes alone."""
+
+    region: SkewShape
+    shape: Partition  # the slid cells, on which a choice tableau lives
+    width: int
+    size: int  # grid length
+    seeds: tuple[int, ...]  # grid index of the i-th diagonal box
+    targets: frozenset[int]  # grid indices of the diagonal boxes
+    starts: tuple[int, ...]  # slide starts in the superstandard order
+    far: int  # 0 forward; reverse, the rotation maps index i to far - i
+
+
+@lru_cache(maxsize=1024)
+def _slide_plan(diag: Diagonal, rect: Rectangle | None) -> _SlidePlan:
+    """The plan of the forward construction along `diag` when rect is
+    None, otherwise of the reverse one in rect."""
+    if rect is None:
+        region, shape = SkewShape(diag.lambda_plus), diag.lambda_minus
+    else:
+        full = rect.as_partition()
+        if not contains(diag.lambda_plus, full):
+            raise ValueError("diagonal does not fit in the rectangle")
+        region, shape = SkewShape(full, diag.lambda_minus), complement_shape(diag.lambda_plus, rect)
+    width = region.outer.ncols + 2
+    far = 0 if rect is None else (rect.nrows + 1) * width + rect.ncols + 1
+    seeds = tuple(r * width + c for r, c in diag.boxes)
+    size = (region.outer.nrows + 2) * width
+    return _SlidePlan(region, shape, width, size, seeds, frozenset(seeds), _slide_starts(None, shape, width, far), far)
+
+
+def _refill_slide(grid: list[int], width: int, hole: int, forward: bool, targets: frozenset, shift: int) -> None:
     """Slide from grid index `hole`; the path must end on a diagonal box,
     which gets the entry that left it plus `shift`."""
     end, moved = grid_slide(grid, width, hole, forward)
@@ -92,26 +145,27 @@ def _refill_slide(grid: list[int], width: int, hole: int, forward: bool, targets
     grid[end] = moved + shift
 
 
-def _construct(w: Permutation, diag: Diagonal, region: SkewShape, shift: int, shape: Partition, choice: PartialTableau | None, rect: Rectangle | None, trace: bool):
-    """Seed w(i) + shift at the i-th diagonal box of `region`, then slide
-    from each cell of `shape` in the choice tableau's slide order: forward
-    from the cell itself when rect is None, otherwise in reverse from its
-    180-degree rotation in rect.  Each path must end on the diagonal, whose
-    box takes the entry that left it plus n (forward) or minus n."""
+def _construct(w: Permutation, diag: Diagonal, rect: Rectangle | None, choice: PartialTableau | None, trace: bool):
+    """Seed w(i) at the i-th diagonal box, plus (m-1)n in reverse, then
+    slide from each cell of the plan's shape in the choice tableau's slide
+    order: forward from the cell itself when rect is None, otherwise in
+    reverse from its 180-degree rotation in rect.  Each path must end on
+    the diagonal, whose box takes the entry that left it plus n (forward)
+    or minus n."""
     n = diag.n
     if w.n != n:
         raise ValueError(f"permutation size {w.n} != diagonal size {n}")
-    order = _slide_order(_choice_entries(choice, shape))
-    grid, width = to_grid(region, {b: w(i) + shift for i, b in enumerate(diag.boxes, start=1)})
-    frames = [from_grid(region, grid, width)] if trace else None
-    targets = {r * width + c for r, c in diag.boxes}
+    region, shape, width, size, seeds, targets, starts, far = _slide_plan(diag, rect)
+    if choice is not None:
+        starts = _slide_starts(choice, shape, width, far)
     forward = rect is None
-    far = 0 if forward else (rect.nrows + 1) * width + rect.ncols + 1  # rotation maps index i to far - i
-    mu = list(shape.rows)
-    for b in order:
-        _pop_corner(mu, b)
-        i = b.row * width + b.col
-        _refill_slide(grid, width, i if forward else far - i, forward, targets, n if forward else -n)
+    shift = 0 if forward else rect.ncells - n
+    grid = [0] * size
+    for i, v in zip(seeds, w.oneline):
+        grid[i] = v + shift
+    frames = [from_grid(region, grid, width)] if trace else None
+    for hole in starts:
+        _refill_slide(grid, width, hole, forward, targets, n if forward else -n)
         if trace:
             frames.append(from_grid(region, grid, width))
     t = frames[-1] if trace else from_grid(region, grid, width)
@@ -128,7 +182,7 @@ def forward_tableau(w: Permutation, diag: Diagonal, choice: PartialTableau | Non
     entries <= n form the insertion tableau of w's one-line word.  With
     trace=True returns (tableau, frames) including the initial seeding.
     """
-    return _construct(w, diag, SkewShape(diag.lambda_plus), 0, diag.lambda_minus, choice, None, trace)
+    return _construct(w, diag, None, choice, trace)
 
 
 def reverse_tableau(w: Permutation, diag: Diagonal, rect: Rectangle, choice: PartialTableau | None = None, trace: bool = False):
@@ -139,11 +193,7 @@ def reverse_tableau(w: Permutation, diag: Diagonal, rect: Rectangle, choice: Par
     The choice tableau lives on the complement of lambda_plus (a straight
     shape); its cells are rotated into the rectangle.
     """
-    full = rect.as_partition()
-    if not contains(diag.lambda_plus, full):
-        raise ValueError("diagonal does not fit in the rectangle")
-    nu = complement_shape(diag.lambda_plus, rect)
-    return _construct(w, diag, SkewShape(full, diag.lambda_minus), rect.ncells - diag.n, nu, choice, rect, trace)
+    return _construct(w, diag, rect, choice, trace)
 
 
 def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> PartialTableau:
@@ -161,18 +211,18 @@ def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> 
     n = diag.n
     if w.n != n:
         raise ValueError(f"permutation size {w.n} != diagonal size {n}")
-    region = SkewShape(diag.lambda_plus)
+    plan = _slide_plan(diag, None)
+    width = plan.width
     seed = {b: i for i, b in enumerate(diag.boxes, start=1)}
-    grid, width = to_grid(region, {})
-    targets = {r * width + c for r, c in diag.boxes}
+    grid = [0] * plan.size
     mu = [ncols] * nrows
     for b in order:
         _pop_corner(mu, b)
         if b in seed:
             grid[b.row * width + b.col] = w(seed[b])
         elif b in diag.lambda_minus:
-            _refill_slide(grid, width, b.row * width + b.col, True, targets, n)
-    t = from_grid(region, grid, width)
+            _refill_slide(grid, width, b.row * width + b.col, True, plan.targets, n)
+    t = from_grid(plan.region, grid, width)
     assert t.size == diag.lambda_plus.size
     return t
 
@@ -206,27 +256,28 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     sig = prefix_terms(sigma, steps)
     if any(not 1 <= s <= n for s in sig):
         raise ValueError(f"sequence terms must lie in 1..{n}")
-    region = SkewShape(diag.lambda_plus)
-    grid, width = to_grid(region, entries)
+    plan = _slide_plan(diag, None)
+    region, width, seeds = plan.region, plan.width, plan.seeds
+    cells = grid_boxes(region, width)
+    grid, _ = to_grid(region, entries)
     frames = [from_grid(region, grid, width)] if trace else None
-    boxes = []
+    ends = []
     for s in sig:
-        hole = diag.box(s)
-        p = hole.row * width + hole.col
+        p = seeds[s - 1]
         if grid[p]:
-            raise RuntimeError(f"diagonal box {hole} occupied before its slide")
+            raise RuntimeError(f"diagonal box {cells[p]} occupied before its slide")
         end, _ = grid_slide(grid, width, p, False)
-        boxes.append(Box(*divmod(end, width)))
+        ends.append(end)
         grid[p] = 0
         if trace:
             frames.append(from_grid(region, grid, width))
     if auto and any(grid):
         raise RuntimeError("stabilization bound too small: entries remain")
     delta = {i: 0 for i in range(1, n + 1)}
-    for s, b in zip(sig, boxes):
-        if b != diag.box(s):
+    for s, end in zip(sig, ends):
+        if end != seeds[s - 1]:
             delta[s] += 1
-    return BoxSequenceRun(tuple(sig), tuple(boxes), delta, tuple(frames) if trace else None)
+    return BoxSequenceRun(tuple(sig), tuple(map(cells.__getitem__, ends)), delta, tuple(frames) if trace else None)
 
 
 def tableau_from_box_sequence(run: BoxSequenceRun, diag: Diagonal) -> PartialTableau:
@@ -293,8 +344,8 @@ def augmented_insertion_tableau(w: Permutation, m: int, shape: Partition | None 
     return from_rows([row[:length] for row, length in zip(rows, shape.rows)])
 
 
-def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, lam_plus: Partition, lam_minus: Partition) -> PartialTableau:
-    for cell in SkewShape(lam_plus, lam_minus).cells():
+def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: Diagonal) -> PartialTableau:
+    for cell in diag.boxes:
         if plus[cell] != minus[cell]:
             raise DiagonalMismatchError(
                 f"constructions disagree at {cell}: {plus[cell]} vs {minus[cell]}"
@@ -305,14 +356,14 @@ def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, lam_pl
     return t
 
 
-def _minimal_orbit_tableau_insertion(w: Permutation, rect: Rectangle, lam_plus: Partition, lam_minus: Partition) -> PartialTableau:
+def _minimal_orbit_tableau_insertion(w: Permutation, rect: Rectangle, diag: Diagonal) -> PartialTableau:
     m = rect.ncells // w.n
-    plus = augmented_insertion_tableau(w, m, lam_plus)
+    plus = augmented_insertion_tableau(w, m, diag.lambda_plus)
     minus = complement_tableau(
-        augmented_insertion_tableau(conjugate_by_reversal(w), m, complement_shape(lam_minus, rect)),
+        augmented_insertion_tableau(conjugate_by_reversal(w), m, complement_shape(diag.lambda_minus, rect)),
         rect,
     )
-    return _splice(plus, minus, rect, lam_plus, lam_minus)
+    return _splice(plus, minus, rect, diag)
 
 
 def minimal_orbit_tableau(
@@ -347,10 +398,10 @@ def minimal_orbit_tableau(
     if via == "insertion":
         if not rect.n_is_rows:
             raise ValueError("insertion route needs n as the row count")
-        return _minimal_orbit_tableau_insertion(w, rect, diag.lambda_plus, diag.lambda_minus)
+        return _minimal_orbit_tableau_insertion(w, rect, diag)
     plus = forward_tableau(w, diag, choice)
     minus = reverse_tableau(w, diag, rect)
-    return _splice(plus, minus, rect, diag.lambda_plus, diag.lambda_minus)
+    return _splice(plus, minus, rect, diag)
 
 
 def invert(t: PartialTableau, diag: Diagonal | None = None) -> Permutation:

@@ -12,6 +12,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, zip_longest
 from operator import le, lt
 from typing import Iterator, NamedTuple
@@ -282,11 +283,13 @@ def diagonal_from_lambda_plus(lam_plus: Partition) -> Diagonal:
     return diagonal_from_boxes(tuple(reversed(corners)))
 
 
+@lru_cache(maxsize=256)
 def staircase_diagonal(rect: Rectangle) -> Diagonal:
     """The default diagonal hugging the bottom-left corner of rect.
 
     Its boxes sit on the anti-diagonal row+col = nrows+1, which every
-    promotion sliding path crosses exactly once.
+    promotion sliding path crosses exactly once.  Built once per
+    rectangle; a Diagonal is immutable, so callers share it.
     """
     n = min(rect.nrows, rect.ncols)
     boxes = tuple(Box(rect.nrows + 1 - i, i) for i in range(1, n + 1))

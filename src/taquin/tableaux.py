@@ -17,6 +17,7 @@ may parallelize freely.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .shapes import (
@@ -163,9 +164,16 @@ def to_grid(region: SkewShape, entries: Mapping) -> tuple[list[int], int]:
     return grid, width
 
 
+@lru_cache(maxsize=1024)
+def grid_boxes(region: SkewShape, width: int) -> dict[int, Box]:
+    """The cells of `region` keyed by their index in a grid of `width`, in
+    row-major order; shared between callers, so never mutate it."""
+    return {b.row * width + b.col: b for b in region.cells()}
+
+
 def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
     """The validated tableau of the filled region cells of a grid."""
-    return PartialTableau(region, {b: v for b in region.cells() if (v := grid[b.row * width + b.col])})
+    return PartialTableau(region, {b: v for i, b in grid_boxes(region, width).items() if (v := grid[i])})
 
 
 def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool = True, path: list | None = None) -> tuple[int, int]:

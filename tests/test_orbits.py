@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin.orbits import (
+    DiagonalMismatchError,
     NotMinimalOrbitError,
     augmented_insertion_tableau,
     box_sequence,
@@ -25,6 +26,7 @@ from taquin.shapes import (
     Rectangle,
     SkewShape,
     complement_diagonal,
+    complement_shape,
     diagonal_from_boxes,
     diagonal_from_lambda_plus,
     enumerate_diagonals,
@@ -258,6 +260,67 @@ def test_combined_validations():
     choice = superstandard_choice(DIAG_5431.lambda_minus)
     with pytest.raises(ValueError, match="choice tableau"):
         minimal_orbit_tableau(W3142, Rectangle(4, 6), DIAG_5431, via="insertion", choice=choice)
+
+
+def test_constructions_are_called_once_through_the_module(monkeypatch):
+    # the benchmark counts slides by wrapping these two module attributes,
+    # so the combined tableau and invert must call each exactly once
+    import taquin.orbits as orbits
+
+    calls = []
+
+    def counting(name):
+        real = getattr(orbits, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("forward_tableau", "reverse_tableau"):
+        monkeypatch.setattr(orbits, name, counting(name))
+    for rect in (Rectangle(4, 6), Rectangle(3, 5, n_is_rows=False)):
+        w = Permutation(tuple(range(rect.n, 0, -1)))
+        calls.clear()
+        t = minimal_orbit_tableau(w, rect)
+        assert sorted(calls) == ["forward_tableau", "reverse_tableau"]
+        calls.clear()
+        assert invert(t) == w
+        assert sorted(calls) == ["forward_tableau", "reverse_tableau"]
+
+
+def test_splice_checks_the_diagonal_boxes(monkeypatch):
+    import taquin.orbits as orbits
+
+    real = orbits.reverse_tableau
+    rect = Rectangle(3, 4)
+    monkeypatch.setattr(orbits, "reverse_tableau", lambda w, d, r: real(promotion_cycle(3), d, r))
+    with pytest.raises(DiagonalMismatchError, match="constructions disagree at"):
+        minimal_orbit_tableau(identity(3), rect)
+
+
+def _small_rectangles():
+    for n in range(1, 5):
+        for m in range(n, 16 // n + 1):
+            yield Rectangle(n, m)
+            yield Rectangle(n, m, n_is_rows=False)
+
+
+def test_cached_plans_match_an_explicit_choice_and_the_trace():
+    # with no choice the slide order comes from a cached per-shape plan;
+    # an explicit superstandard choice and trace=True take the per-call path
+    for rect in _small_rectangles():
+        for d in enumerate_diagonals(rect):
+            forward_choice = superstandard_choice(d.lambda_minus)
+            reverse_choice = superstandard_choice(complement_shape(d.lambda_plus, rect))
+            for w in all_permutations(rect.n):
+                plus = forward_tableau(w, d)
+                assert plus == forward_tableau(w, d, forward_choice)
+                assert plus == forward_tableau(w, d, trace=True)[1][-1]
+                minus = reverse_tableau(w, d, rect)
+                assert minus == reverse_tableau(w, d, rect, reverse_choice)
+                assert minus == reverse_tableau(w, d, rect, trace=True)[1][-1]
 
 
 @lru_cache(maxsize=None)

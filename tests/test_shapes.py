@@ -267,6 +267,8 @@ def test_staircase_diagonal_both_orientations():
     dt = staircase_diagonal(Rectangle(4, 6, n_is_rows=False))
     assert dt.boxes == (Box(6, 1), Box(5, 2), Box(4, 3), Box(3, 4))
     assert dt.lambda_plus == parse_partition("444321")
+    # built once per rectangle and shared
+    assert staircase_diagonal(Rectangle(4, 6)) is d
 
 
 def test_complement_diagonal():
