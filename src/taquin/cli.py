@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (including
-a rectangle with m < n), 4 tableau parse error, 5 domain error (tableau
-outside the minimal orbit set).  Code 3 is retired and unused.  These are
-stable so shell harnesses need no output parsing.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad
+arguments, including a rectangle with m < n, a diagonal or choice tableau
+that does not suit the rectangle, or a cap exceeded), 4 tableau parse
+error (a tableau file that cannot be read, is not a tableau, or is not one
+the command takes), 5 domain error (tableau outside the minimal orbit
+set).  Code 3 is retired and unused.  These are stable so shell harnesses
+need no output parsing.  `main` maps exceptions to them in one place; the
+input rules live in the library, m >= n in `shapes.Rectangle`.
 """
 
 from __future__ import annotations
@@ -41,16 +45,20 @@ EXIT_PARSE = 4
 EXIT_DOMAIN = 5
 
 
-def _read_tableau(path: str):
+def _read_tableau(path: str, what: str = ""):
+    """The tableau in file `path`, "-" for stdin; any failure to read or
+    parse it is a TableauFormatError whose message starts with `what`."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, encoding="utf-8") as f:
                 text = f.read()
+        return loads(text)
     except UnicodeDecodeError as exc:
-        raise TableauFormatError(f"not UTF-8 text: {exc}") from exc
-    return loads(text)
+        raise TableauFormatError(f"{what}not UTF-8 text: {exc}") from exc
+    except (OSError, TableauFormatError) as exc:
+        raise TableauFormatError(f"{what}{exc}") from exc
 
 
 def _print_tableau(t, fmt: str) -> None:
@@ -64,42 +72,18 @@ def _cmd_construct(args) -> int:
     w = parse_permutation(args.w)
     n = args.n if args.n is not None else w.n
     if w.n != n:
-        print(f"error: --w has {w.n} letters but --n is {n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--w has {w.n} letters but --n is {n}")
     rect = Rectangle(n, args.m)
-    diag = None
-    if args.diagonal is not None:
-        lam_plus = parse_partition(args.diagonal)
-        if lam_plus.nrows > rect.nrows or lam_plus.ncols > rect.ncols:
-            print(f"error: diagonal shape {lam_plus} does not fit in {rect.nrows}x{rect.ncols}", file=sys.stderr)
-            return EXIT_USAGE
-        diag = diagonal_from_lambda_plus(lam_plus)
-        if diag.n != n:
-            print(f"error: shape {lam_plus} has {diag.n} corners, need {n}", file=sys.stderr)
-            return EXIT_USAGE
-    choice = None
-    if args.choice_tableau is not None:
-        try:
-            choice = _read_tableau(args.choice_tableau)
-        except (OSError, TableauFormatError, TableauError) as exc:
-            print(f"error: bad choice tableau: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+    diag = None if args.diagonal is None else diagonal_from_lambda_plus(parse_partition(args.diagonal))
+    choice = None if args.choice_tableau is None else _read_tableau(args.choice_tableau, "bad choice tableau: ")
     t = minimal_orbit_tableau(w, rect, diag, via=args.via, choice=choice)
     _print_tableau(t, args.format)
     return EXIT_OK
 
 
 def _cmd_promote(args) -> int:
-    try:
-        t = _read_tableau(args.tableau)
-    except (OSError, TableauFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        nrows, ncols = standard_rectangle_dims(t, "promote")
-    except TableauError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    t = _read_tableau(args.tableau)
+    nrows, ncols = standard_rectangle_dims(t, "promote")
     # promotion^(nrows*ncols) is the identity, so only the residue matters
     step = promotion if args.steps >= 0 else inverse_promotion
     for _ in range(abs(args.steps) % (nrows * ncols)):
@@ -109,20 +93,7 @@ def _cmd_promote(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    try:
-        t = _read_tableau(args.tableau)
-    except (OSError, TableauFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        w = invert(t)
-    except NotMinimalOrbitError as exc:
-        print(f"not in O_n: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    print(format_permutation(w))
+    print(format_permutation(invert(_read_tableau(args.tableau))))
     return EXIT_OK
 
 
@@ -144,8 +115,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_csp(args) -> int:
     rect = Rectangle(args.n, args.m)
-    if rect.m < rect.n:
-        raise ValueError(f"csp needs m >= n, got n={rect.n}, m={rect.m}")
     table = orbit_table(rect, max_cells=args.max_cells, max_count=args.max_count)
     ok = True
     for r in divisors(rect.ncells):
@@ -215,12 +184,15 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except NotMinimalOrbitError as exc:
+        print(f"not in O_n: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     except EnumerationCapError as exc:
         print(f"error: {exc} (see --max-cells/--max-count)", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_PARSE if isinstance(exc, (TableauFormatError, TableauError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

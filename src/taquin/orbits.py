@@ -44,6 +44,7 @@ from .tableaux import (
     to_grid,
 )
 from .words import (
+    DescentSequence,
     Permutation,
     augmented_word,
     conjugate_by_reversal,
@@ -125,10 +126,8 @@ def _slide_plan(diag: Diagonal, rect: Rectangle | None) -> _SlidePlan:
     if rect is None:
         region, shape = SkewShape(diag.lambda_plus), diag.lambda_minus
     else:
-        full = rect.as_partition()
-        if not contains(diag.lambda_plus, full):
-            raise ValueError("diagonal does not fit in the rectangle")
-        region, shape = SkewShape(full, diag.lambda_minus), complement_shape(diag.lambda_plus, rect)
+        shape = complement_shape(diag.lambda_plus, rect)  # raises unless the diagonal fits
+        region = SkewShape(rect.as_partition(), diag.lambda_minus)
     width = region.outer.ncols + 2
     far = 0 if rect is None else (rect.nrows + 1) * width + rect.ncols + 1
     seeds = tuple(r * width + c for r, c in diag.boxes)
@@ -296,11 +295,7 @@ def column_sequence(descent_list, n: int, count: int) -> tuple[int, ...]:
     """Concatenated blocks (1, ..., n-d_j); with sigma the descent-driven
     sequence, the k-th reverse-slide terminal lands in this column.
     Assumes n is the number of columns of the rectangle."""
-    d = tuple(descent_list)
-    if any(not 1 <= x <= n - 1 for x in d):
-        raise ValueError(f"descents must lie in 1..{n - 1}")
-    if any(a <= b for a, b in zip(d, d[1:])):
-        raise ValueError("descents must strictly decrease")
+    d = DescentSequence(tuple(descent_list), n).descents  # validates them
     out = []
     j = 0
     while len(out) < count:
@@ -378,23 +373,24 @@ def minimal_orbit_tableau(
     carries the result to the tableau of (promotion cycle) o w, so its
     promotion order divides n.
 
-    Needs m >= n, where the diagonal exists, and takes `choice` on the
-    slides route only; raises ValueError otherwise, before any
-    construction work.  A tall rectangle is built with its short side as
-    n (Rectangle(n, m, n_is_rows=False)).
+    The diagonal must have n corners and fit in rect, and `choice` is
+    taken on the slides route only; raises ValueError otherwise, before
+    any construction work.  m >= n holds for every `Rectangle`; a tall
+    rectangle is built with its short side as n
+    (Rectangle(n, m, n_is_rows=False)).
     """
     n = w.n
     if rect.n != n:
         raise ValueError(f"rectangle n={rect.n} does not match permutation size {n}")
-    if rect.m < n:
-        raise ValueError(f"the construction needs m >= n, got n={n}, m={rect.m}")
     if via not in ("slides", "insertion"):
         raise ValueError(f"unknown route {via!r}")
     if choice is not None and via == "insertion":
         raise ValueError("a choice tableau fixes the slide order; the insertion route makes no slides")
     diag = diag if diag is not None else staircase_diagonal(rect)
     if diag.n != n:
-        raise ValueError(f"diagonal size {diag.n} does not match permutation size {n}")
+        raise ValueError(f"diagonal shape {diag.lambda_plus} has {diag.n} corners, need {n}")
+    if diag.lambda_plus.nrows > rect.nrows or diag.lambda_plus.ncols > rect.ncols:
+        raise ValueError(f"diagonal shape {diag.lambda_plus} does not fit in {rect.nrows}x{rect.ncols}")
     if via == "insertion":
         if not rect.n_is_rows:
             raise ValueError("insertion route needs n as the row count")

@@ -47,7 +47,9 @@ class Partition:
     rows: tuple[int, ...] = ()
 
     def __post_init__(self):
-        rows = tuple(map(int, self.rows))
+        rows = tuple(self.rows)
+        if any(type(r) is not int for r in rows):  # a bool, float or str is never coerced
+            raise ValueError(f"row lengths must be integers: {rows!r}")
         while rows and rows[-1] == 0:
             rows = rows[:-1]
         if rows and min(rows) < 0:
@@ -134,12 +136,13 @@ def removable_corners(p: Partition) -> list[Box]:
 
 @dataclass(frozen=True)
 class Rectangle:
-    """An n-by-m rectangle; `n_is_rows` says which dimension counts rows.
+    """An n-by-m rectangle with m >= n; `n_is_rows` says which dimension
+    counts rows.
 
-    The bijection needs m >= n.  Rectangles with m < n can be built, but
-    the construction (`minimal_orbit_tableau`) and the verification suites
-    refuse them; a tall rectangle takes its short side as n, with
-    n_is_rows=False.
+    The bijection needs m >= n, and this class is where that rule lives:
+    building a rectangle with m < n raises ValueError, so the construction,
+    the verification suites and the command line never see one.  A tall
+    rectangle takes its short side as n, with n_is_rows=False.
     """
 
     n: int
@@ -147,8 +150,12 @@ class Rectangle:
     n_is_rows: bool = True
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.m) is not int:
+            raise ValueError(f"rectangle sides must be integers: n={self.n!r}, m={self.m!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError("rectangle dimensions must be positive")
+        if self.m < self.n:
+            raise ValueError(f"a rectangle needs m >= n, got n={self.n}, m={self.m}; take the short side as n with n_is_rows=False")
 
     @property
     def nrows(self) -> int:
@@ -291,8 +298,7 @@ def staircase_diagonal(rect: Rectangle) -> Diagonal:
     promotion sliding path crosses exactly once.  Built once per
     rectangle; a Diagonal is immutable, so callers share it.
     """
-    n = min(rect.nrows, rect.ncols)
-    boxes = tuple(Box(rect.nrows + 1 - i, i) for i in range(1, n + 1))
+    boxes = tuple(Box(rect.nrows + 1 - i, i) for i in range(1, rect.n + 1))
     return diagonal_from_boxes(boxes)
 
 

@@ -176,14 +176,13 @@ def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
     return PartialTableau(region, {b: v for i, b in grid_boxes(region, width).items() if (v := grid[i])})
 
 
-def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool = True, path: list | None = None) -> tuple[int, int]:
+def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool = True) -> tuple[int, int]:
     """Slide the empty cell at index `hole` through `grid` in place.
 
     Forward, the hole swaps with the smaller of its filled right/below
     neighbours; reverse, with the larger of its filled left/above ones.  It
     stops when neither is filled.  Returns the terminal index, now empty,
-    and the entry that left it (0 for a slide that never moved).  Each
-    index the hole moves to is appended to `path` when one is given.
+    and the entry that left it (0 for a slide that never moved).
 
     `grid` is any mutable row-major sequence of ints (a list or a
     bytearray) with rows `width` apart and 0 for an empty cell.  The slide
@@ -204,8 +203,6 @@ def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool
                 p += width
             else:
                 break
-            if path is not None:
-                path.append(p)
     else:
         while True:
             left, above = g[p - 1], g[p - width]
@@ -217,8 +214,6 @@ def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool
                 p -= width
             else:
                 break
-            if path is not None:
-                path.append(p)
     g[p] = 0
     return p, moved
 
@@ -340,7 +335,7 @@ def dumps(t: PartialTableau) -> str:
 def loads(text: str) -> PartialTableau:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise TableauFormatError(f"invalid JSON: {exc}") from exc
     return from_file_dict(obj)
 

@@ -21,7 +21,9 @@ class Permutation:
     oneline: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.oneline)
+        w = tuple(self.oneline)
+        if any(type(v) is not int for v in w):  # a bool, float or str is never coerced
+            raise ValueError(f"permutation values must be integers: {w!r}")
         object.__setattr__(self, "oneline", w)
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation of 1..{len(w)}: {w}")

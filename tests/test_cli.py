@@ -158,6 +158,16 @@ def test_tableau_file_not_utf8_is_a_parse_error(tmp_path):
         assert code == 4 and "UTF-8" in err
 
 
+def test_deeply_nested_json_is_a_parse_error(monkeypatch, capsys):
+    # the JSON decoder recurses once per bracket; a deep enough nest must not
+    # escape as a RecursionError traceback
+    for command in ("promote", "invert"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("[" * 200_000))
+        assert main([command]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: invalid JSON")
+
+
 def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
     import taquin.verify as verify
 
@@ -283,3 +293,51 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_suite", fake_run_suite)
     assert cli.main(["verify", "--n", "2", "--m", "2", "--suite", "csp"]) == 1
     assert "FAIL doomed" in capsys.readouterr().out
+
+
+# One row per command and bad input: (argv, stdin, exit code, stderr prefix,
+# words stderr must contain).  "@name" in argv is a file in a temporary
+# directory holding BAD_FILES[name]; a name missing from BAD_FILES is a file
+# that does not exist.
+BAD_FILES = {
+    "malformed.json": "{bad json",
+    "nonstandard.json": dumps(from_rows([[1, 3, 6, 7], [2, 4, 10], [5, 8]])),
+    "wrongshape.json": dumps(from_rows([[1, 2, 3], [4, 5, 6]])),
+}
+CONSTRUCT_4X6 = ["construct", "--n", "4", "--m", "6", "--w", "3142"]
+BAD_INPUT_ROWS = [
+    (["construct", "--n", "3", "--m", "4", "--w", "3142"], "", 2, "error: ", ["--w has 4 letters", "--n is 3"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "531"], "", 2, "error: ", ["531", "3 corners"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "7531"], "", 2, "error: ", ["7531", "does not fit", "4x6"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "55431"], "", 2, "error: ", ["55431", "does not fit", "4x6"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "7531", "--via", "insertion"], "", 2, "error: ", ["7531", "does not fit", "4x6"]),
+    (["construct", "--n", "3", "--m", "2", "--w", "132"], "", 2, "error: ", ["m >= n"]),
+    (["construct", "--n", "3", "--m", "2", "--w", "132", "--via", "insertion"], "", 2, "error: ", ["m >= n"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@malformed.json"], "", 4, "error: bad choice tableau: ", ["invalid JSON"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@nonstandard.json"], "", 2, "error: ", ["standard", "1..N"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@wrongshape.json"], "", 2, "error: ", ["must live on 432"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@missing.json"], "", 4, "error: bad choice tableau: ", ["No such file", "missing.json"]),
+    (["promote"], "{bad json", 4, "error: ", ["invalid JSON"]),
+    (["promote"], '{"outer": [2, 1], "rows": [[1, 3], [2]]}', 4, "error: ", ["promote", "rectangle"]),
+    (["invert"], dumps(from_rows([[1, 2, 3], [4, 5, 6]])), 5, "not in O_n: ", ["residues (2, 2) collide"]),
+    (["invert", "--tableau", "@missing.json"], "", 4, "error: ", ["No such file", "missing.json"]),
+    (["verify", "--n", "3", "--m", "2"], "", 2, "error: ", ["m >= n"]),
+    (["verify", "--n", "4", "--m", "6"], "", 2, "error: ", ["24 cells", "20-cell cap", "(see --max-cells/--max-count)"]),
+    (["verify", "--n", "4", "--m", "5"], "", 2, "error: ", ["1000000", "(see --max-cells/--max-count)"]),
+    (["csp", "--n", "3", "--m", "2"], "", 2, "error: ", ["m >= n"]),
+    (["csp", "--n", "4", "--m", "6"], "", 2, "error: ", ["24 cells", "20-cell cap", "(see --max-cells/--max-count)"]),
+    (["csp", "--n", "4", "--m", "5"], "", 2, "error: ", ["1000000", "(see --max-cells/--max-count)"]),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, prefix, words", BAD_INPUT_ROWS)
+def test_bad_input_exit_codes(argv, stdin, code, prefix, words, tmp_path, monkeypatch, capsys):
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(prefix), err
+    for word in words:
+        assert word in err, (word, err)

@@ -134,6 +134,27 @@ def test_rectangle_orientation():
         Rectangle(0, 3)
 
 
+def test_rectangle_refuses_m_below_n_and_points_to_the_tall_orientation():
+    with pytest.raises(ValueError, match="m >= n.*n_is_rows=False"):
+        Rectangle(3, 2)
+    with pytest.raises(ValueError, match="m >= n"):
+        Rectangle(3, 2, n_is_rows=False)
+    tall = Rectangle(2, 3, n_is_rows=False)
+    assert (tall.nrows, tall.ncols) == (3, 2)
+
+
+def test_shapes_accept_only_int_values():
+    assert Partition([3, 1]).rows == (3, 1)
+    for rows in [(2.7, 1), (2.0, 1), ("2", 1), (True, 1), (2, False)]:
+        with pytest.raises(ValueError, match="integers") as exc:
+            Partition(rows)
+        assert repr(rows[0] if type(rows[0]) is not int else rows[1]) in str(exc.value)
+    for n, m in [(2.5, 3), (2.0, 3), (2, 3.0), ("2", 3), (True, 3), (1, True)]:
+        with pytest.raises(ValueError, match="integers") as exc:
+            Rectangle(n, m)
+        assert repr(n if type(n) is not int else m) in str(exc.value)
+
+
 def test_complement_shape_by_direct_formula():
     rect = Rectangle(4, 6)
     p = parse_partition("432")
@@ -212,8 +233,9 @@ def test_enumerate_diagonals_against_chain_dfs():
 
     for nrows in range(1, 7):
         for ncols in range(1, 7):
-            rect = Rectangle(nrows, ncols, n_is_rows=True)
             n = min(nrows, ncols)
+            rect = Rectangle(n, max(nrows, ncols), n_is_rows=nrows <= ncols)
+            assert (rect.nrows, rect.ncols) == (nrows, ncols)
             diags = enumerate_diagonals(rect)
             chains = chains_by_dfs(nrows, ncols, n)
             assert len(diags) == len(chains) == math.comb(max(nrows, ncols), n)
@@ -225,8 +247,9 @@ def test_enumerate_diagonals_matches_the_diagonal_from_boxes_route():
 
     for nrows in range(1, 25):
         for ncols in range(1, 24 // nrows + 1):
-            rect = Rectangle(nrows, ncols)
             n = min(nrows, ncols)
+            rect = Rectangle(n, max(nrows, ncols), n_is_rows=nrows <= ncols)
+            assert (rect.nrows, rect.ncols) == (nrows, ncols)
             if nrows <= ncols:
                 lines = [tuple(zip(range(n, 0, -1), cols)) for cols in combinations(range(1, ncols + 1), n)]
             else:

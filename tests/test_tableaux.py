@@ -134,10 +134,17 @@ def worked_start():
 
 def slide(t, hole, forward=True):
     """One slide of the empty cell `hole` through `grid_slide`: the slid
-    tableau and the path of boxes the hole visits, `hole` first."""
+    tableau and the path of boxes the hole visits, `hole` first.  The path
+    is read off the cells whose values changed: a forward path only moves
+    to larger grid indices and a reverse one to smaller, and a slide that
+    never moves changes nothing."""
     grid, width = to_grid(t.region, t.entries)
-    path = [hole[0] * width + hole[1]]
-    grid_slide(grid, width, path[0], forward, path)
+    start = hole[0] * width + hole[1]
+    before = grid[:]
+    grid_slide(grid, width, start, forward)
+    changed = sorted((i for i, (a, b) in enumerate(zip(before, grid)) if a != b), reverse=not forward)
+    path = changed or [start]
+    assert path[0] == start
     return from_grid(t.region, grid, width), tuple(Box(*divmod(i, width)) for i in path)
 
 

@@ -58,6 +58,14 @@ def test_permutation_basics():
         Permutation((2, 3))
 
 
+def test_permutation_accepts_only_int_values():
+    assert Permutation([2, 1]).oneline == (2, 1)
+    for oneline in [("2", "1"), (True, 2), (2.0, 1.0), (1, 2.5)]:
+        with pytest.raises(ValueError, match="integers") as exc:
+            Permutation(oneline)
+        assert repr(next(v for v in oneline if type(v) is not int)) in str(exc.value)
+
+
 def test_parse_format():
     assert parse_permutation("3142").oneline == (3, 1, 4, 2)
     assert parse_permutation("3,1,4,2").oneline == (3, 1, 4, 2)
