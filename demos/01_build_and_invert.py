@@ -4,8 +4,8 @@ the reverse construction, then promote and read the permutation back off.
 """
 
 from taquin import (
+    Diagonal,
     Rectangle,
-    diagonal_from_lambda_plus,
     format_grid,
     forward_tableau,
     from_rows,
@@ -21,7 +21,7 @@ from taquin import (
 
 w = parse_permutation("3142")
 rect = Rectangle(4, 6)
-diag = diagonal_from_lambda_plus(parse_partition("5431"))
+diag = Diagonal(parse_partition("5431"))  # the diagonal given by its outer shape
 
 print("diagonal boxes, bottom-left to top-right:", diag.boxes)
 print("region below/left of the diagonal:", diag.lambda_minus)

@@ -4,13 +4,13 @@ compare the displacement counts with their descent closed form.
 """
 
 from taquin import (
+    Diagonal,
     Rectangle,
     box_sequence,
     column_sequence,
     delta_closed_form,
     descent_sequence,
     descents,
-    diagonal_from_lambda_plus,
     format_grid,
     forward_tableau,
     inverse_word_sequence,
@@ -21,7 +21,7 @@ from taquin import (
 )
 
 w = parse_permutation("3142")
-diag = diagonal_from_lambda_plus(parse_partition("5431"))
+diag = Diagonal(parse_partition("5431"))  # the diagonal given by its outer shape
 
 run = box_sequence(inverse_word_sequence(w), diag)
 print("driving sequence (repeated inverse word):", run.sigma_prefix[:12], "...")

@@ -12,8 +12,8 @@ the package's exceptions; everything else is imported from its module.
 """
 
 from .shapes import (
+    Diagonal,
     Rectangle,
-    diagonal_from_lambda_plus,
     parse_partition,
     staircase_diagonal,
 )

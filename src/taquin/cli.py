@@ -17,7 +17,7 @@ import json
 import sys
 
 from .orbits import NotMinimalOrbitError, invert, minimal_orbit_tableau
-from .shapes import Rectangle, diagonal_from_lambda_plus, parse_partition
+from .shapes import Diagonal, Rectangle, parse_partition
 from .tableaux import (
     TableauError,
     TableauFormatError,
@@ -74,7 +74,7 @@ def _cmd_construct(args) -> int:
     if w.n != n:
         raise ValueError(f"--w has {w.n} letters but --n is {n}")
     rect = Rectangle(n, args.m)
-    diag = None if args.diagonal is None else diagonal_from_lambda_plus(parse_partition(args.diagonal))
+    diag = None if args.diagonal is None else Diagonal(parse_partition(args.diagonal))
     choice = None if args.choice_tableau is None else _read_tableau(args.choice_tableau, "bad choice tableau: ")
     t = minimal_orbit_tableau(w, rect, diag, via=args.via, choice=choice)
     _print_tableau(t, args.format)

@@ -11,7 +11,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from operator import le, lt
@@ -142,7 +142,8 @@ class Rectangle:
     The bijection needs m >= n, and this class is where that rule lives:
     building a rectangle with m < n raises ValueError, so the construction,
     the verification suites and the command line never see one.  A tall
-    rectangle takes its short side as n, with n_is_rows=False.
+    rectangle takes its short side as n, with n_is_rows=False.  A square
+    has one spelling: its n_is_rows is always True.
     """
 
     n: int
@@ -156,6 +157,8 @@ class Rectangle:
             raise ValueError("rectangle dimensions must be positive")
         if self.m < self.n:
             raise ValueError(f"a rectangle needs m >= n, got n={self.n}, m={self.m}; take the short side as n with n_is_rows=False")
+        if self.n == self.m:
+            object.__setattr__(self, "n_is_rows", True)
 
     @property
     def nrows(self) -> int:
@@ -220,74 +223,52 @@ class SkewShape:
         row, col = box
         return box in self.outer and col > self.inner.row_len(row)
 
+    def __str__(self) -> str:
+        return f"{self.outer}/{self.inner}" if self.inner.rows else str(self.outer)
+
 
 @dataclass(frozen=True)
 class Diagonal:
-    """n marked boxes, each strictly above and strictly right of the last.
+    """n marked boxes, each strictly above and strictly right of the last,
+    given by the smallest partition lambda_plus containing them.
 
-    `boxes` lists them bottom-left to top-right; they are exactly the cells
-    of lambda_plus/lambda_minus, and lambda_plus is the smallest partition
-    containing them (equivalently, the boxes are its removable corners).
+    The boxes are its removable corners, so every nonempty partition is
+    the outer shape of one diagonal.  `boxes` (bottom-left to top-right)
+    and `lambda_minus` (lambda_plus without them) are derived here.
     """
 
     lambda_plus: Partition
-    lambda_minus: Partition
-    boxes: tuple[Box, ...]
+    boxes: tuple[Box, ...] = field(init=False, compare=False, repr=False)
+    lambda_minus: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        boxes = tuple(Box(*b) for b in self.boxes)
-        object.__setattr__(self, "boxes", boxes)
-        if not boxes:
-            raise ValueError("a diagonal needs at least one box")
-        for a, b in zip(boxes, boxes[1:]):
-            if not (b.row < a.row and b.col > a.col):
-                raise ValueError(f"{b} is not strictly above and right of {a}")
-        skew = set(SkewShape(self.lambda_plus, self.lambda_minus).cells())
-        if set(boxes) != skew:
-            raise ValueError("boxes do not match lambda_plus/lambda_minus")
-        # each box of this chain-shaped skew shape is a removable corner of
-        # lambda_plus, which is the smallest partition around the boxes
-        # exactly when it has no other corner: one per distinct row length
-        if len(set(self.lambda_plus.rows)) != len(boxes):
-            raise ValueError(f"{self.lambda_plus} is not the smallest partition containing the boxes")
+        corners = removable_corners(self.lambda_plus)
+        if not corners:
+            raise ValueError("empty shape has no diagonal")
+        rows = self.lambda_plus.rows
+        object.__setattr__(self, "boxes", tuple(reversed(corners)))
+        object.__setattr__(self, "lambda_minus", Partition(tuple(r - (r > below) for r, below in zip(rows, rows[1:] + (0,)))))
 
     @property
     def n(self) -> int:
         return len(self.boxes)
 
-    def box(self, i: int) -> Box:
-        """The i-th marked box, 1-based from the bottom-left."""
-        return self.boxes[i - 1]
-
 
 def _shape_around(boxes) -> Partition:
-    """Smallest partition containing the given boxes."""
-    nrows = max(b.row for b in boxes)
-    rows = []
-    for r in range(1, nrows + 1):
-        rows.append(max(b.col for b in boxes if b.row >= r))
-    return Partition(tuple(rows))
+    """Smallest partition containing the given boxes; empty for none."""
+    nrows = max((b.row for b in boxes), default=0)
+    return Partition(tuple(max(b.col for b in boxes if b.row >= r) for r in range(1, nrows + 1)))
 
 
 def diagonal_from_boxes(boxes) -> Diagonal:
+    """The diagonal with the given boxes, listed bottom-left to top-right;
+    raises ValueError unless they are the corners of the smallest shape
+    around them in that order."""
     boxes = tuple(Box(*b) for b in boxes)
-    lam_plus = _shape_around(boxes)
-    corner_rows = {b.row for b in boxes}
-    lam_minus = Partition(
-        tuple(
-            lam_plus.rows[r - 1] - (1 if r in corner_rows else 0)
-            for r in range(1, lam_plus.nrows + 1)
-        )
-    )
-    return Diagonal(lam_plus, lam_minus, boxes)
-
-
-def diagonal_from_lambda_plus(lam_plus: Partition) -> Diagonal:
-    """The diagonal whose boxes are the removable corners of lam_plus."""
-    corners = removable_corners(lam_plus)
-    if not corners:
-        raise ValueError("empty shape has no diagonal")
-    return diagonal_from_boxes(tuple(reversed(corners)))
+    d = Diagonal(_shape_around(boxes))
+    if d.boxes != boxes:
+        raise ValueError(f"{boxes} is not a diagonal: each box must be strictly above and right of the last")
+    return d
 
 
 @lru_cache(maxsize=256)
@@ -298,45 +279,24 @@ def staircase_diagonal(rect: Rectangle) -> Diagonal:
     promotion sliding path crosses exactly once.  Built once per
     rectangle; a Diagonal is immutable, so callers share it.
     """
-    boxes = tuple(Box(rect.nrows + 1 - i, i) for i in range(1, rect.n + 1))
-    return diagonal_from_boxes(boxes)
+    n = rect.n
+    return Diagonal(Partition((n,) * (rect.nrows - n) + tuple(range(n, 0, -1))))
 
 
 def enumerate_diagonals(rect: Rectangle) -> list[Diagonal]:
     """All diagonals of rect, in lexicographic order of their column sets.
 
-    A diagonal has min(nrows, ncols) boxes, one per row when rows are the
-    short side (one per column otherwise), read bottom-left to top-right.
-    The shapes are built from the chosen lines: with one box per row, at
-    the end of its row, lambda_plus has the boxes' columns as its rows and
-    lambda_minus is one shorter in every row; with one box per column, at
-    the foot of its column, the same holds for their conjugates.
+    With rows as the short side, a diagonal has one box per row, at the end
+    of its row, so lambda_plus is the chosen columns read top to bottom.  A
+    tall rectangle's diagonals are the transposes of its transpose's.
     """
-    n = min(rect.nrows, rect.ncols)
-    out = []
-    if rect.nrows <= rect.ncols:
-        for cols in combinations(range(1, rect.ncols + 1), n):
-            boxes = tuple(map(Box, range(n, 0, -1), cols))
-            plus = cols[::-1]
-            out.append(Diagonal(Partition(plus), Partition(tuple(c - 1 for c in plus)), boxes))
-    else:
-        for rows in combinations(range(1, rect.nrows + 1), n):
-            boxes = tuple(map(Box, rows[::-1], range(1, n + 1)))
-            # rows top+1..bottom of lambda_plus have length n - k, and the
-            # last of them ends in the box of column n - k
-            plus, minus = [], []
-            for k, (top, bottom) in enumerate(zip((0, *rows), rows)):
-                plus += [n - k] * (bottom - top)
-                minus += [n - k] * (bottom - top - 1) + [n - k - 1]
-            out.append(Diagonal(Partition(tuple(plus)), Partition(tuple(minus)), boxes))
-    return out
+    if not rect.n_is_rows:
+        return [Diagonal(transpose(d.lambda_plus)) for d in enumerate_diagonals(rect.transposed())]
+    return [Diagonal(Partition(cols[::-1])) for cols in combinations(range(1, rect.m + 1), rect.n)]
 
 
 def complement_diagonal(d: Diagonal, rect: Rectangle) -> Diagonal:
-    """The image of a diagonal under the 180-degree complement."""
-    boxes = tuple(complement_box(b, rect) for b in reversed(d.boxes))
-    return Diagonal(
-        complement_shape(d.lambda_minus, rect),
-        complement_shape(d.lambda_plus, rect),
-        boxes,
-    )
+    """The image of a diagonal under the 180-degree complement: its boxes
+    rotated in rect.  For a diagonal of rect, its shapes are the complements
+    of d's, inner and outer swapped."""
+    return diagonal_from_boxes(complement_box(b, rect) for b in reversed(d.boxes))

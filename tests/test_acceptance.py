@@ -21,9 +21,9 @@ from taquin.orbits import (
     tableau_from_box_sequence,
 )
 from taquin.shapes import (
+    Diagonal,
     Rectangle,
     box_less,
-    diagonal_from_lambda_plus,
     enumerate_diagonals,
     parse_partition,
     staircase_diagonal,
@@ -50,7 +50,7 @@ from taquin.words import (
 )
 
 W3142 = parse_permutation("3142")
-DIAG_5431 = diagonal_from_lambda_plus(parse_partition("5431"))
+DIAG_5431 = Diagonal(parse_partition("5431"))
 CHOICE_4x6 = from_rows([[1, 3, 6, 7], [2, 4, 9], [5, 8]])
 
 FORWARD_FRAMES = [
@@ -234,7 +234,7 @@ def test_criterion_10_descent_run_battery():
             assert tuple(b.col for b in run.boxes) == cols, (w, d.lambda_plus)
             delta = {i: 0 for i in range(1, n + 1)}
             for s, b in zip(run.sigma_prefix, run.boxes):
-                if b != d.box(s):
+                if b != d.boxes[s - 1]:
                     delta[s] += 1
             assert delta == delta_closed_form(w, d.lambda_plus, n), (w, d.lambda_plus)
     for w in all_permutations(n):

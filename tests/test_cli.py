@@ -315,7 +315,7 @@ BAD_INPUT_ROWS = [
     (["construct", "--n", "3", "--m", "2", "--w", "132", "--via", "insertion"], "", 2, "error: ", ["m >= n"]),
     (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@malformed.json"], "", 4, "error: bad choice tableau: ", ["invalid JSON"]),
     (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@nonstandard.json"], "", 2, "error: ", ["standard", "1..N"]),
-    (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@wrongshape.json"], "", 2, "error: ", ["must live on 432"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@wrongshape.json"], "", 2, "error: ", ["must live on 432", "got 33"]),
     (CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", "@missing.json"], "", 4, "error: bad choice tableau: ", ["No such file", "missing.json"]),
     (["promote"], "{bad json", 4, "error: ", ["invalid JSON"]),
     (["promote"], '{"outer": [2, 1], "rows": [[1, 3], [2]]}', 4, "error: ", ["promote", "rectangle"]),
@@ -327,6 +327,7 @@ BAD_INPUT_ROWS = [
     (["csp", "--n", "3", "--m", "2"], "", 2, "error: ", ["m >= n"]),
     (["csp", "--n", "4", "--m", "6"], "", 2, "error: ", ["24 cells", "20-cell cap", "(see --max-cells/--max-count)"]),
     (["csp", "--n", "4", "--m", "5"], "", 2, "error: ", ["1000000", "(see --max-cells/--max-count)"]),
+    (CONSTRUCT_4X6 + ["--diagonal", "[]"], "", 2, "error: ", ["empty shape has no diagonal"]),
 ]
 
 

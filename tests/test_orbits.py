@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin.orbits import (
+    _slide_plan,
     DiagonalMismatchError,
     NotMinimalOrbitError,
     augmented_insertion_tableau,
@@ -22,13 +23,13 @@ from taquin.orbits import (
 )
 from taquin.shapes import (
     Box,
+    Diagonal,
     Partition,
     Rectangle,
     SkewShape,
     complement_diagonal,
     complement_shape,
     diagonal_from_boxes,
-    diagonal_from_lambda_plus,
     enumerate_diagonals,
     parse_partition,
     staircase_diagonal,
@@ -56,7 +57,7 @@ from taquin.words import (
 )
 
 W3142 = parse_permutation("3142")
-DIAG_5431 = diagonal_from_lambda_plus(parse_partition("5431"))
+DIAG_5431 = Diagonal(parse_partition("5431"))
 CHOICE_4x6 = from_rows([[1, 3, 6, 7], [2, 4, 9], [5, 8]])
 
 FORWARD_FRAMES = [
@@ -120,7 +121,7 @@ def test_forward_tableau_entries_at_most_n_form_insertion_tableau():
 
 
 def test_forward_tableau_single_box():
-    d = diagonal_from_lambda_plus(Partition((1,)))
+    d = Diagonal(Partition((1,)))
     t = forward_tableau(Permutation((1,)), d)
     assert t.entries == {Box(1, 1): 1}
 
@@ -229,7 +230,7 @@ def test_combined_diagonal_entries_separate_permutations():
         for w2 in perms:
             for i in range(1, 4):
                 if w1(i) != w2(i):
-                    assert tabs[w1][d.box(i)] != tabs[w2][d.box(i)]
+                    assert tabs[w1][d.boxes[i - 1]] != tabs[w2][d.boxes[i - 1]]
 
 
 def test_promotion_equivariance_small():
@@ -404,11 +405,11 @@ def test_box_sequence_diagonal_entries_formula():
         run = box_sequence(inverse_word_sequence(w), DIAG_5431)
         t = forward_tableau(w, DIAG_5431)
         for i in range(1, 5):
-            assert t[DIAG_5431.box(i)] == w(i) + 4 * run.delta[i]
+            assert t[DIAG_5431.boxes[i - 1]] == w(i) + 4 * run.delta[i]
 
 
 def test_box_sequence_single_box_diagonal():
-    d = diagonal_from_lambda_plus(Partition((1,)))
+    d = Diagonal(Partition((1,)))
     run = box_sequence([1, 1, 1], d, steps=3)
     assert run.boxes == (Box(1, 1),) * 3
     assert run.delta == {1: 0}
@@ -493,7 +494,7 @@ def test_delta_closed_form_matches_runs():
 
 
 def test_peeling_single_cell():
-    d = diagonal_from_lambda_plus(Partition((1,)))
+    d = Diagonal(Partition((1,)))
     t = forward_tableau_by_peeling(Permutation((1,)), d, [Box(1, 1)])
     assert t.entries == {Box(1, 1): 1}
 
@@ -552,6 +553,13 @@ def test_insertion_route_equals_slides_route():
         rect = Rectangle(n, m)
         for w in all_permutations(n):
             assert minimal_orbit_tableau(w, rect, via="insertion") == minimal_orbit_tableau(w, rect)
+    # a square spelled with n_is_rows=False is the same rectangle, so the
+    # insertion route takes it and the plan cache keeps one entry for it
+    square = Rectangle(3, 3, n_is_rows=False)
+    d = staircase_diagonal(square)
+    for w in all_permutations(3):
+        assert minimal_orbit_tableau(w, square, via="insertion") == minimal_orbit_tableau(w, Rectangle(3, 3))
+    assert _slide_plan(d, square) is _slide_plan(d, Rectangle(3, 3))
 
 
 def test_tall_rectangle_is_refused_on_both_routes():

@@ -15,7 +15,6 @@ from taquin.shapes import (
     complement_shape,
     contains,
     diagonal_from_boxes,
-    diagonal_from_lambda_plus,
     enumerate_diagonals,
     format_partition,
     parse_partition,
@@ -132,6 +131,10 @@ def test_rectangle_orientation():
     assert r.as_partition().rows == (6, 6, 6, 6)
     with pytest.raises(ValueError):
         Rectangle(0, 3)
+    # a square has one spelling
+    assert Rectangle(3, 3, n_is_rows=False) == Rectangle(3, 3)
+    assert Rectangle(3, 3, n_is_rows=False).n_is_rows is True
+    assert Rectangle(3, 3).transposed() == Rectangle(3, 3)
 
 
 def test_rectangle_refuses_m_below_n_and_points_to_the_tall_orientation():
@@ -205,6 +208,8 @@ def test_skew_shape_cells():
     assert Box(2, 4) in s and Box(2, 3) not in s
     with pytest.raises(ValueError):
         SkewShape(parse_partition("32"), parse_partition("4"))
+    assert str(s) == "5431/432"
+    assert str(SkewShape(parse_partition("33"))) == "33"
 
 
 def test_worked_diagonal_of_4x6():
@@ -266,21 +271,36 @@ def test_diagonal_invariants():
             assert set(SkewShape(d.lambda_plus, d.lambda_minus).cells()) == set(d.boxes)
             # boxes are exactly the removable corners of lambda_plus
             assert sorted(d.boxes) == sorted(removable_corners(d.lambda_plus))
-    with pytest.raises(ValueError):
-        Diagonal(parse_partition("21"), parse_partition("1"), (Box(1, 2), Box(2, 1)))
+    # the same boxes listed top-right first are refused
+    with pytest.raises(ValueError, match="strictly above and right"):
+        diagonal_from_boxes((Box(1, 2), Box(2, 1)))
+    assert diagonal_from_boxes((Box(2, 1), Box(1, 2))) == Diagonal(parse_partition("21"))
+    with pytest.raises(ValueError, match="empty shape has no diagonal"):
+        Diagonal(Partition())
 
 
 def test_diagonal_outer_shape_is_the_smallest_around_its_boxes():
-    # (1, 2) is the skew cell of 21/11, but the smallest shape around it is 2
-    with pytest.raises(ValueError, match="smallest partition"):
-        Diagonal(Partition((2, 1)), Partition((1, 1)), (Box(1, 2),))
-    assert Diagonal(Partition((2,)), Partition((1,)), (Box(1, 2),)).lambda_plus == Partition((2,))
+    # the smallest shape around (2, 1) and (2, 2) is 22, whose one corner is
+    # (2, 2): two boxes in one row are not a diagonal
+    with pytest.raises(ValueError, match="strictly above and right"):
+        diagonal_from_boxes(((2, 1), (2, 2)))
+    d = diagonal_from_boxes(((1, 2),))
+    assert (d.lambda_plus, d.lambda_minus) == (Partition((2,)), Partition((1,)))
 
 
-def test_diagonal_from_lambda_plus_round_trip():
-    for rect in [Rectangle(3, 5), Rectangle(4, 6)]:
-        for d in enumerate_diagonals(rect):
-            assert diagonal_from_lambda_plus(d.lambda_plus) == d
+def test_every_nonempty_shape_in_4x6_is_the_outer_shape_of_one_diagonal():
+    from itertools import combinations_with_replacement
+
+    # four row lengths in 0..6, weakly decreasing: the C(10, 4) shapes inside 4x6
+    shapes = [Partition(rows[::-1]) for rows in combinations_with_replacement(range(7), 4)]
+    assert len(shapes) == 210 and shapes[0] == Partition()
+    for p in shapes[1:]:
+        d = Diagonal(p)
+        assert d.lambda_plus == p
+        for a, b in zip(d.boxes, d.boxes[1:]):
+            assert b.row < a.row and b.col > a.col, p
+        assert d.boxes == tuple(sorted(SkewShape(d.lambda_plus, d.lambda_minus).cells(), reverse=True)), p
+        assert diagonal_from_boxes(d.boxes) == d
 
 
 def test_staircase_diagonal_both_orientations():
@@ -292,11 +312,12 @@ def test_staircase_diagonal_both_orientations():
     assert dt.lambda_plus == parse_partition("444321")
     # built once per rectangle and shared
     assert staircase_diagonal(Rectangle(4, 6)) is d
+    assert staircase_diagonal(Rectangle(3, 3, n_is_rows=False)) is staircase_diagonal(Rectangle(3, 3))
 
 
 def test_complement_diagonal():
     rect = Rectangle(4, 6)
-    d = diagonal_from_lambda_plus(parse_partition("5431"))
+    d = Diagonal(parse_partition("5431"))
     dd = complement_diagonal(d, rect)
     assert dd.lambda_plus == complement_shape(d.lambda_minus, rect)
     assert dd.lambda_minus == complement_shape(d.lambda_plus, rect)

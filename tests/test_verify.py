@@ -297,7 +297,7 @@ def test_rank_tables_number_the_tableaux_in_enumeration_order():
         assert [offset[p] + index[q] for p, q in pairs] == list(range(len(pairs))), (nrows, ncols)
 
 
-def test_memo_step_matches_the_kernel():
+def test_half_slides_merge_into_the_promotion():
     # the lower half slides alone from cell 0 to a corner c, the upper half
     # alone from c; merged, they are the promotion of the whole tableau
     for nrows, ncols in HALF_STEP_DIMS:
