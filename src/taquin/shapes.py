@@ -153,6 +153,8 @@ class Rectangle:
     def __post_init__(self):
         if type(self.n) is not int or type(self.m) is not int:
             raise ValueError(f"rectangle sides must be integers: n={self.n!r}, m={self.m!r}")
+        if type(self.n_is_rows) is not bool:
+            raise ValueError(f"n_is_rows must be True or False: {self.n_is_rows!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError("rectangle dimensions must be positive")
         if self.m < self.n:
@@ -206,6 +208,9 @@ class SkewShape:
     inner: Partition = EMPTY
 
     def __post_init__(self):
+        for name, p in (("outer", self.outer), ("inner", self.inner)):
+            if not isinstance(p, Partition):  # a tuple of row lengths is never coerced
+                raise ValueError(f"skew shape {name} must be a Partition: {p!r}")
         if not contains(self.inner, self.outer):
             raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
 
@@ -242,6 +247,8 @@ class Diagonal:
     lambda_minus: Partition = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.lambda_plus, Partition):
+            raise ValueError(f"a diagonal's lambda_plus must be a Partition: {self.lambda_plus!r}")
         corners = removable_corners(self.lambda_plus)
         if not corners:
             raise ValueError("empty shape has no diagonal")

@@ -46,6 +46,7 @@ from functools import lru_cache, partial
 from itertools import accumulate, combinations
 from math import factorial, gcd, prod
 from operator import add, sub
+from typing import Callable
 
 from .shapes import (
     Box,
@@ -622,18 +623,17 @@ def _once(build):
     return read
 
 
-# Every suite takes (rect, seed, all_choices, all_diagonals, caps) and
+# Every suite takes (rect, seed, all_choices, all_diagonals, caps, table) and
 # returns its cases in a fixed order.  Each case is a check that returns its
 # first counterexample, or None when it passes, and `_case` runs it; checks
 # that draw from the suite's rng run in case order, so reports are
-# deterministic per seed.  A suite's orbit table is built, once, by the
-# first check that reads it (`table()`), so a build that raises fails the
-# checks that read the table instead of aborting the suite.
+# deterministic per seed.  `table()` reads the run's one orbit table, built
+# on the first read by any suite, so a build that raises runs once and fails
+# every check that reads the table instead of aborting the run.
 
 
-def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
+def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     n = rect.n
-    table = _once(partial(orbit_table, rect, **caps))
     # one promotion step subtracts 1 mod n from every diagonal residue,
     # i.e. it carries the tableau of w to the tableau of c o w
     c = promotion_cycle(n)
@@ -699,7 +699,7 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
     return cases
 
 
-def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
+def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     perms = _perm_sample(rect.n, seed)
     diagonals = enumerate_diagonals(rect) if all_diagonals else [staircase_diagonal(rect)]
 
@@ -739,9 +739,7 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
     ]
 
 
-def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
-    table = _once(partial(orbit_table, rect, **caps))
-
+def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     def at_one_is_total():
         total = table().total
         at_one = q_hook_polynomial(rect)(1)
@@ -763,9 +761,8 @@ def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: boo
     ]
 
 
-def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
+def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     total_cells = rect.ncells
-    table = _once(partial(orbit_table, rect, **caps))
     shape = rect.as_partition()
 
     def sizes_divide():
@@ -796,7 +793,7 @@ def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: 
     ]
 
 
-def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict) -> list[CaseResult]:
+def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     n = rect.n
     length = 3 * n
     rng = random.Random(seed)
@@ -874,10 +871,11 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
                         return f"w={w}, diagonals {a},{b}, step {k}: {ba} vs {bb}"
 
     def peeling():
+        expected = {w: forward_tableau(w, stair) for w in perms[:6]}
         for _ in range(10):
             order = random_corner_peeling(rect.nrows, rect.ncols, rng)
-            for w in perms[:6]:
-                if forward_tableau_by_peeling(w, stair, order) != forward_tableau(w, stair):
+            for w, t in expected.items():
+                if forward_tableau_by_peeling(w, stair, order) != t:
                     return f"peeling order {order} differs for w={w}"
 
     def insertion_route():
@@ -966,17 +964,18 @@ def run_suite(
     found; a failing check becomes a report entry, never an exception, and
     a check that raises fails with `raised <repr>`.  The caps bound every
     enumeration a suite makes; exceeding one raises `EnumerationCapError`.
-    Reports are deterministic for a fixed seed.
+    Reports are deterministic for a fixed seed; a run's suites share one orbit table.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(SUITES + ('all',))}")
     caps = {"max_cells": max_cells, "max_count": max_count}
+    table = _once(partial(orbit_table, rect, **caps))
     cases: list[CaseResult] = []
     for name in SUITES if suite == "all" else (suite,):
         prefix = f"{name}." if suite == "all" else ""
-        # looked up by name at call time, so a replaced module attribute
-        # (a tracing wrapper, say) is the one that runs
+        # looked up at call time, like `orbit_table` above, so a replaced
+        # module attribute (a tracing wrapper, say) is the one that runs
         check = globals()[f"_suite_{name}"]
-        for c in check(rect, seed, all_choices, all_diagonals, caps):
+        for c in check(rect, seed, all_choices, all_diagonals, caps, table):
             cases.append(CaseResult(prefix + c.name, c.status, c.counterexample))
     return SuiteReport(suite, rect, cases)

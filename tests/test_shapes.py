@@ -156,6 +156,12 @@ def test_shapes_accept_only_int_values():
         with pytest.raises(ValueError, match="integers") as exc:
             Rectangle(n, m)
         assert repr(n if type(n) is not int else m) in str(exc.value)
+    # an orientation flag is a bool, never read by truthiness
+    for flag in ["no", 0, 1]:
+        for n, m in [(4, 6), (3, 3)]:
+            with pytest.raises(ValueError, match="n_is_rows") as exc:
+                Rectangle(n, m, n_is_rows=flag)
+            assert repr(flag) in str(exc.value)
 
 
 def test_complement_shape_by_direct_formula():
@@ -210,6 +216,11 @@ def test_skew_shape_cells():
         SkewShape(parse_partition("32"), parse_partition("4"))
     assert str(s) == "5431/432"
     assert str(SkewShape(parse_partition("33"))) == "33"
+    # row-length tuples are refused, not coerced
+    for outer, inner in [((3, 3), Partition()), (parse_partition("33"), (1,))]:
+        with pytest.raises(ValueError, match="must be a Partition") as exc:
+            SkewShape(outer, inner)
+        assert repr(outer if type(outer) is tuple else inner) in str(exc.value)
 
 
 def test_worked_diagonal_of_4x6():
@@ -277,6 +288,10 @@ def test_diagonal_invariants():
     assert diagonal_from_boxes((Box(2, 1), Box(1, 2))) == Diagonal(parse_partition("21"))
     with pytest.raises(ValueError, match="empty shape has no diagonal"):
         Diagonal(Partition())
+    for rows in [(5, 4, 3, 1), [2, 1], "21"]:
+        with pytest.raises(ValueError, match="must be a Partition") as exc:
+            Diagonal(rows)
+        assert repr(rows) in str(exc.value)
 
 
 def test_diagonal_outer_shape_is_the_smallest_around_its_boxes():

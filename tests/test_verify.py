@@ -11,6 +11,8 @@ from taquin.tableaux import from_rows, promotion
 from taquin.orbits import NotMinimalOrbitError
 from taquin.words import Permutation
 from taquin.verify import (
+    SUITES,
+    CaseResult,
     EnumerationCapError,
     OrbitTable,
     _cyclotomic,
@@ -720,7 +722,6 @@ def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
     rows = [((1, 3, 5), (2, 4, 6)), ((1, 2, 4), (3, 5, 6))]
     reps = [bytes(v for row in t for v in row) for t in rows]
     table = OrbitTable(rect, reps, [3, 4], {1: 0, 2: 0, 3: 3, 6: 3}, 7)
-    monkeypatch.setattr(verify, "orbit_table", lambda rect, **caps: table)
     inverted = []
 
     def accept(t):
@@ -733,7 +734,7 @@ def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
     caps = {"max_cells": 20, "max_count": 1_000_000}
 
     def failed(suite):
-        return {c.name: c.counterexample for c in suite(rect, 0, False, False, caps) if c.status == "fail"}
+        return {c.name: c.counterexample for c in suite(rect, 0, False, False, caps, lambda: table) if c.status == "fail"}
 
     assert failed(verify._suite_haiman) == {
         "orbit-sizes-divide-cell-count": "orbit of size 4 does not divide 6: ((1, 2, 4), (3, 5, 6))",
@@ -876,6 +877,51 @@ def test_a_failed_table_build_runs_once_per_suite(monkeypatch):
         assert {c.name: (c.status, c.counterexample) for c in got.cases} == {
             c.name: (c.status, c.counterexample) if c.name in unread else ("fail", raised) for c in report.cases
         }, suite
+
+
+def test_a_run_builds_one_table_for_every_suite(monkeypatch):
+    import taquin.verify as verify
+
+    def broken(flat, ncols, start):
+        raise RuntimeError("boom")
+
+    rect = Rectangle(3, 4)
+    builds = []
+    real = verify.orbit_table
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "orbit_table", counting)
+    clean = run_suite(rect, "all")
+    assert builds == [(rect,)] and clean.passed
+    builds.clear()
+    monkeypatch.setattr(verify, "_slide_flat", broken)
+    got = run_suite(rect, "all")
+    # the one failed build fails every case that reads the table, in all
+    # three suites, with the same exception
+    assert builds == [(rect,)]
+    raised = "raised RuntimeError('boom')"
+    unread = {"bijection.promotion-equivariance", "bijection.invert-round-trip"}
+    reads = {c.name for c in clean.cases if c.name.startswith(("bijection.", "csp.", "haiman.")) and c.name not in unread}
+    assert len(reads) == 13
+    assert [c.name for c in got.cases] == [c.name for c in clean.cases]
+    assert {c.name: (c.status, c.counterexample) for c in got.cases} == {
+        c.name: ("fail", raised) if c.name in reads else (c.status, c.counterexample) for c in clean.cases
+    }
+
+
+@pytest.mark.parametrize("rect", [Rectangle(2, 3), Rectangle(3, 4), Rectangle(3, 6)], ids=lambda r: f"{r.n}x{r.m}")
+def test_all_is_the_single_suites_in_order(rect):
+    report = run_suite(rect, "all", all_diagonals=True)
+    singles = [
+        CaseResult(f"{suite}.{c.name}", c.status, c.counterexample)
+        for suite in SUITES
+        for c in run_suite(rect, suite, all_diagonals=True).cases
+    ]
+    assert report.cases == singles
+    assert report.passed
 
 
 def test_caps_reach_every_enumeration():
