@@ -7,7 +7,9 @@ error (a tableau file that cannot be read, is not a tableau, or is not one
 the command takes), 5 domain error (tableau outside the minimal orbit
 set).  Code 3 is retired and unused.  These are stable so shell harnesses
 need no output parsing.  `main` maps exceptions to them in one place; the
-input rules live in the library, m >= n in `shapes.Rectangle`.
+input rules live in the library, m >= n in `shapes.Rectangle`.  `main`
+builds only the parser of the command it is given, and builds all five for
+help and for errors at the top level; either way it prints the same bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from .orbits import NotMinimalOrbitError, invert, minimal_orbit_tableau
 from .shapes import Diagonal, Rectangle, parse_partition
@@ -128,14 +131,7 @@ def _cmd_csp(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="taquin",
-        description="Minimal promotion orbits of rectangular standard Young tableaux.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build the tableau attached to a permutation")
+def _construct_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="permutation size (defaults to the length of --w)")
     p.add_argument("--m", type=int, required=True, help="other side of the rectangle (columns)")
     p.add_argument("--w", required=True, help='permutation, e.g. "3142" or "3,1,4,2"')
@@ -143,19 +139,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--choice-tableau", default=None, help="JSON tableau file fixing the slide order")
     p.add_argument("--via", choices=("slides", "insertion"), default="slides")
     p.add_argument("--format", choices=("json", "grid"), default="json")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("promote", help="apply promotion steps to a tableau file")
+
+def _promote_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tableau", default="-", help='JSON tableau file, or "-" for stdin')
     p.add_argument("--steps", type=int, default=1, help="negative values apply inverse promotion; taken mod the cell count")
     p.add_argument("--format", choices=("json", "grid"), default="json")
-    p.set_defaults(func=_cmd_promote)
 
-    p = sub.add_parser("invert", help="read the permutation back off a tableau")
+
+def _invert_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tableau", default="-", help='JSON tableau file, or "-" for stdin')
-    p.set_defaults(func=_cmd_invert)
 
-    p = sub.add_parser("verify", help="run a named check suite")
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
@@ -165,25 +161,59 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="also print a JSON report")
     p.add_argument("--max-cells", type=int, default=20)
     p.add_argument("--max-count", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("csp", help="print r, fixed-tableau count, polynomial value per divisor r")
+
+def _csp_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--max-cells", type=int, default=20)
     p.add_argument("--max-count", type=int, default=1_000_000)
-    p.set_defaults(func=_cmd_csp)
+
+
+class Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+# One entry per subcommand, in the order help lists them.
+COMMANDS = {
+    "construct": Command("build the tableau attached to a permutation", _construct_arguments, _cmd_construct),
+    "promote": Command("apply promotion steps to a tableau file", _promote_arguments, _cmd_promote),
+    "invert": Command("read the permutation back off a tableau", _invert_arguments, _cmd_invert),
+    "verify": Command("run a named check suite", _verify_arguments, _cmd_verify),
+    "csp": Command("print r, fixed-tableau count, polynomial value per divisor r", _csp_arguments, _cmd_csp),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.  Either way the
+    usage line names every command, so an error prints the same text."""
+    parser = argparse.ArgumentParser(
+        prog="taquin",
+        description="Minimal promotion orbits of rectangular standard Young tableaux.",
+    )
+    # The metavar is what argparse would derive from all five choices.  It
+    # is set only for one command, since setting it also renames the action
+    # in the full parser's "required" and "invalid choice" errors.
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        entry = COMMANDS[name]
+        entry.add_arguments(sub.add_parser(name, help=entry.help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only help and errors at the top level need every command's parser.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        return COMMANDS[args.command].run(args)
     except NotMinimalOrbitError as exc:
         print(f"not in O_n: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

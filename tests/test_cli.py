@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from taquin.cli import main
+from taquin.cli import COMMANDS, build_parser, main
 from taquin.tableaux import dumps, format_grid, from_rows, loads, promotion
 from taquin.verify import orbit_table
 from taquin.shapes import Rectangle
@@ -342,3 +343,87 @@ def test_bad_input_exit_codes(argv, stdin, code, prefix, words, tmp_path, monkey
     assert out == "" and err.startswith(prefix), err
     for word in words:
         assert word in err, (word, err)
+
+
+# argparse's own errors, pinned byte for byte at 80 columns: usage line,
+# message, empty stdout and exit code.  (argv, exit code, stderr)
+TOP_USAGE = "usage: taquin [-h] {construct,promote,invert,verify,csp} ...\n"
+CONSTRUCT_USAGE = (
+    "usage: taquin construct [-h] [--n N] --m M --w W [--diagonal DIAGONAL]\n"
+    "                        [--choice-tableau CHOICE_TABLEAU]\n"
+    "                        [--via {slides,insertion}] [--format {json,grid}]\n"
+)
+VERIFY_USAGE = (
+    "usage: taquin verify [-h] --n N --m M\n"
+    "                     [--suite {bijection,independence,csp,haiman,propositions,all}]\n"
+    "                     [--all-choices] [--all-diagonals] [--seed SEED] [--json]\n"
+    "                     [--max-cells MAX_CELLS] [--max-count MAX_COUNT]\n"
+)
+ARGPARSE_ERROR_ROWS = [
+    ([], 2, TOP_USAGE + "taquin: error: the following arguments are required: command\n"),
+    (["bogus"], 2, TOP_USAGE + "taquin: error: argument command: invalid choice: 'bogus' "
+     "(choose from 'construct', 'promote', 'invert', 'verify', 'csp')\n"),
+    (["construct", "--m", "4", "--w", "213", "extra"], 2, TOP_USAGE + "taquin: error: unrecognized arguments: extra\n"),
+    (["construct", "--m", "4", "--w", "213", "--bogus"], 2, TOP_USAGE + "taquin: error: unrecognized arguments: --bogus\n"),
+    (["construct", "--m", "x", "--w", "12"], 2, CONSTRUCT_USAGE + "taquin construct: error: argument --m: invalid int value: 'x'\n"),
+    (["construct", "--w", "21"], 2, CONSTRUCT_USAGE + "taquin construct: error: the following arguments are required: --m\n"),
+    (["verify", "--n", "2", "--m", "3", "--suite", "nope"], 2, VERIFY_USAGE + "taquin verify: error: argument --suite: "
+     "invalid choice: 'nope' (choose from 'bijection', 'independence', 'csp', 'haiman', 'propositions', 'all')\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr", ARGPARSE_ERROR_ROWS, ids=[" ".join(row[0]) or "no-command" for row in ARGPARSE_ERROR_ROWS]
+)
+def test_argparse_errors_are_pinned(argv, code, stderr, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", stderr)
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_help_matches_the_full_parser(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: taquin {command} [-h]") and err == ""
+    # main built this command's parser alone; the parser of all five prints the same
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, "--help"])
+    assert exc.value.code == 0 and capsys.readouterr() == (out, "")
+
+
+def test_top_level_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(TOP_USAGE)
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ") and not line[4].isspace()]
+    assert listed == ["construct", "promote", "invert", "verify", "csp"]
+
+
+def test_main_builds_only_the_named_command(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting_add_parser(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    assert main(["construct", "--n", "2", "--m", "2", "--w", "21"]) == 0
+    assert built == ["construct"]
+    # help and errors at the top level build all five
+    for argv in ([], ["bogus"], ["--help"], ["-h", "construct"], ["--bogus", "construct"]):
+        built.clear()
+        main(argv)
+        assert built == list(COMMANDS), argv
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    assert main(["construct", "--n", "4", "--m", "5", "--w", "3142"]) == 0
+    tw = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["taquin", "invert"])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(tw))
+    assert main() == 0
+    assert capsys.readouterr() == ("3142\n", "")
