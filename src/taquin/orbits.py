@@ -73,7 +73,7 @@ def _choice_entries(choice: PartialTableau | None, shape: Partition) -> dict:
     when choice is None."""
     if choice is None:
         return {b: k for k, b in enumerate(shape.cells(), start=1)}
-    if choice.region != SkewShape(shape):
+    if choice.region.inner.rows or choice.region.outer != shape:
         raise ValueError(f"choice tableau must live on {shape}, got {choice.region}")
     if not is_standard_normalized(choice):
         raise ValueError("choice tableau must be standard with entries 1..N")
@@ -96,14 +96,10 @@ def _pop_corner(mu: list[int], b: Box) -> None:
 def _slide_starts(choice: PartialTableau | None, shape: Partition, width: int, far: int) -> tuple[int, ...]:
     """Grid indices of the slides, in the choice tableau's slide order:
     each cell of `shape` itself when far is 0, otherwise its 180-degree
-    rotation far - i.  Each cell must be a corner of what is left unslid."""
-    mu = list(shape.rows)
-    starts = []
-    for b in _slide_order(_choice_entries(choice, shape)):
-        _pop_corner(mu, b)
-        i = b.row * width + b.col
-        starts.append(far - i if far else i)
-    return tuple(starts)
+    rotation far - i.  The largest entry of a standard filling sits at a
+    corner of its shape, so each cell is a corner of what is left unslid."""
+    starts = [b.row * width + b.col for b in _slide_order(_choice_entries(choice, shape))]
+    return tuple(far - i for i in starts) if far else tuple(starts)
 
 
 class _SlidePlan(NamedTuple):
@@ -340,12 +336,18 @@ def augmented_insertion_tableau(w: Permutation, m: int, shape: Partition | None 
 
 
 def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: Diagonal) -> PartialTableau:
+    """The rectangle filled by the two halves, which overlap on the
+    diagonal boxes only: those must agree, and then the whole rectangle is
+    put on one grid and checked once, by `from_grid`."""
+    plus_at, minus_at = plus.entries, minus.entries
     for cell in diag.boxes:
-        if plus[cell] != minus[cell]:
+        if plus_at[cell] != minus_at[cell]:
             raise DiagonalMismatchError(
-                f"constructions disagree at {cell}: {plus[cell]} vs {minus[cell]}"
+                f"constructions disagree at {cell}: {plus_at[cell]} vs {minus_at[cell]}"
             )
-    t = PartialTableau(SkewShape(rect.as_partition()), {**minus.entries, **plus.entries})
+    region = SkewShape(rect.as_partition())
+    grid, width = to_grid(region, {**minus_at, **plus_at})
+    t = from_grid(region, grid, width)
     if not is_standard_normalized(t):
         raise DiagonalMismatchError("combined tableau is not standard")
     return t

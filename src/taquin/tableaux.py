@@ -2,11 +2,17 @@
 
 A PartialTableau keeps a sparse box -> entry map over a skew region, since
 the constructions in `orbits` interleave filled and unfilled cells in
-irregular patterns.  Strictness is enforced between adjacent filled cells
-on every construction, which turns a buggy slide into a loud error.
+irregular patterns.  Every PartialTableau holds distinct positive ints,
+strictly increasing between adjacent filled cells, which turns a buggy
+slide into a loud error.  The constructor's dict validator checks this for
+every tableau built from outside input, and it is the only code that
+raises a TableauError about a tableau's contents.
 
 Slides run on a mutable grid instead (`to_grid`, `grid_slide`, `from_grid`),
-so a run of slides is validated once, when its public function returns.
+so a run of slides is checked once, when its public function returns:
+`from_grid` screens a filled grid with a few C-level passes over a cached
+per-region layout, and sends anything the screen does not pass (a partial
+filling, say) to the dict validator.
 `grid_slide` is the one slide kernel: the constructions, rectification,
 promotion and the orbit sweep's flat promotion all move entries through it.
 
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Iterable, Mapping
+from operator import itemgetter, lt
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .shapes import (
     EMPTY,
@@ -134,8 +141,11 @@ def is_filled(t: PartialTableau) -> bool:
 
 
 def is_standard_normalized(t: PartialTableau) -> bool:
-    """Straight or skew region, all cells filled, entries exactly 1..N."""
-    return is_filled(t) and sorted(t.entries.values()) == list(range(1, t.size + 1))
+    """Straight or skew region, all cells filled, entries exactly 1..N.
+
+    The entries of every PartialTableau are distinct positive ints, so
+    N of them are exactly 1..N when the largest is N."""
+    return is_filled(t) and max(t.entries.values(), default=0) == t.size
 
 
 def standard_rectangle_dims(t: PartialTableau, what: str) -> tuple[int, int]:
@@ -171,9 +181,52 @@ def grid_boxes(region: SkewShape, width: int) -> dict[int, Box]:
     return {b.row * width + b.col: b for b in region.cells()}
 
 
+def _reader(index: tuple[int, ...]) -> Callable:
+    """A C-level reader of the tuple (grid[i] for i in index)."""
+    return itemgetter(*index) if len(index) > 1 else lambda grid: tuple(grid[i] for i in index)
+
+
+class _GridLayout(NamedTuple):
+    """What `from_grid` reads of a region in a grid of some width."""
+
+    boxes: tuple[Box, ...]  # the region's cells, row-major
+    read: Callable  # grid -> the entries of those cells
+    lo: Callable  # grid -> per pair of adjacent region cells, the left or upper entry
+    hi: Callable  # grid -> per pair, the right or lower entry
+
+
+@lru_cache(maxsize=1024)
+def _grid_layout(region: SkewShape, width: int) -> _GridLayout:
+    cells = grid_boxes(region, width)
+    pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
+    lo, hi = zip(*pairs) if pairs else ((), ())
+    return _GridLayout(tuple(cells.values()), _reader(tuple(cells)), _reader(lo), _reader(hi))
+
+
+_INT = frozenset({int})
+
+
 def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
-    """The validated tableau of the filled region cells of a grid."""
-    return PartialTableau(region, {b: v for i, b in grid_boxes(region, width).items() if (v := grid[i])})
+    """The validated tableau of the filled region cells of a grid.
+
+    A grid whose region cells all hold distinct ints >= 1, increasing to
+    the right and downwards, passes a screen of C-level passes over a
+    cached layout and is built without the dict validator; anything else,
+    such as a partial filling, goes to `PartialTableau` as it is.  Both
+    give the same tableau, entries in row-major order, and only the
+    validator raises."""
+    boxes, read, lo, hi = _grid_layout(region, width)
+    values = read(grid)
+    if (
+        set(map(type, values)) == _INT
+        and min(values) >= 1
+        and len(set(values)) == len(values)
+        and all(map(lt, lo(grid), hi(grid)))
+    ):
+        t = PartialTableau.__new__(PartialTableau)
+        t.region, t.entries = region, dict(zip(boxes, values))
+        return t
+    return PartialTableau(region, {b: v for b, v in zip(boxes, values) if v})
 
 
 def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool = True) -> tuple[int, int]:
@@ -250,22 +303,23 @@ def promotion(t: PartialTableau) -> PartialTableau:
     corner.
     """
     nrows, ncols = standard_rectangle_dims(t, "promotion")
-    grid, width = to_grid(t.region, t.entries)
-    grid[width + 1] = 0  # entry 1 always sits at (1,1)
+    # decrement first: entry 1, always at (1,1), becomes the empty cell
+    grid, width = to_grid(t.region, {b: v - 1 for b, v in t.entries.items()})
     end, _ = grid_slide(grid, width, width + 1)
     assert end == nrows * width + ncols
-    grid[end] = nrows * ncols + 1
-    return PartialTableau(t.region, {b: grid[b.row * width + b.col] - 1 for b in t.entries})
+    grid[end] = nrows * ncols
+    return from_grid(t.region, grid, width)
 
 
 def inverse_promotion(t: PartialTableau) -> PartialTableau:
     nrows, ncols = standard_rectangle_dims(t, "inverse promotion")
-    grid, width = to_grid(t.region, t.entries)
+    grid, width = to_grid(t.region, {b: v + 1 for b, v in t.entries.items()})
     corner = nrows * width + ncols
     grid[corner] = 0  # entry N always sits at the bottom-right corner
     end, _ = grid_slide(grid, width, corner, False)
     assert end == width + 1
-    return PartialTableau(t.region, {b: grid[b.row * width + b.col] + 1 for b in t.entries})
+    grid[end] = 1
+    return from_grid(t.region, grid, width)
 
 
 def promotion_order(t: PartialTableau) -> int:

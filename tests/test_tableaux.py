@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from taquin.shapes import Box, Partition, Rectangle, SkewShape, parse_partition, removable_corners
+from taquin.orbits import box_sequence, forward_tableau, minimal_orbit_tableau, reverse_tableau
+from taquin.shapes import Box, Partition, Rectangle, SkewShape, enumerate_diagonals, parse_partition, removable_corners
 from taquin.tableaux import (
     PartialTableau,
     TableauError,
@@ -15,6 +16,7 @@ from taquin.tableaux import (
     from_file_dict,
     from_grid,
     from_rows,
+    grid_boxes,
     grid_slide,
     inverse_promotion,
     is_standard_normalized,
@@ -26,7 +28,7 @@ from taquin.tableaux import (
     to_grid,
 )
 from taquin.verify import standard_tableaux
-from taquin.words import insertion_tableau, reading_word_of_rows
+from taquin.words import Permutation, all_permutations, insertion_tableau, inverse_word_sequence, reading_word_of_rows
 
 
 # -- independent oracles ---------------------------------------------------
@@ -122,6 +124,95 @@ def test_row_round_trip():
 def test_standard_from_rows():
     assert is_standard_normalized(from_rows([[1, 2], [3, 4]]))
     assert not is_standard_normalized(from_rows([[1, 3], [2, 5]]))
+
+
+def _partitions(total, largest=None):
+    largest = total if largest is None else largest
+    if total == 0:
+        yield ()
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first, *rest)
+
+
+def _assert_screen_agrees(region, grid, width):
+    """`from_grid` returns what the dict validator makes of the grid's
+    filled region cells, entries in the same order, or raises its error."""
+    entries = {b: v for i, b in grid_boxes(region, width).items() if (v := grid[i])}
+    try:
+        want = PartialTableau(region, entries)
+    except TableauError as exc:
+        with pytest.raises(TableauError) as got:
+            from_grid(region, grid, width)
+        assert str(got.value) == str(exc)
+        return
+    got = from_grid(region, grid, width)
+    assert got == want
+    assert list(got.entries.items()) == list(want.entries.items())
+
+
+def _assert_screen_agrees_on_mutations(t, rng):
+    """The grid of t as it is, and with two adjacent entries swapped, a
+    cell set to 0 or -1, an entry duplicated, and True or 2.0 in a cell."""
+    grid, width = to_grid(t.region, t.entries)
+    cells = list(grid_boxes(t.region, width))
+    pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
+    _assert_screen_agrees(t.region, grid, width)
+    mutations = []
+    if cells:
+        i = rng.choice(cells)
+        mutations += [(i, v) for v in (0, -1, True, 2.0)]
+    if len(cells) > 1:
+        i, j = rng.sample(cells, 2)
+        mutations.append((i, grid[j]))
+    if pairs:
+        i, j = rng.choice(pairs)
+        mutations.append(((i, j), None))
+    for where, v in mutations:
+        g = grid[:]
+        if v is None:
+            i, j = where
+            g[i], g[j] = g[j], g[i]
+        else:
+            g[where] = v
+        _assert_screen_agrees(t.region, g, width)
+
+
+def test_grid_screen_agrees_with_the_validator():
+    rng = random.Random(17)
+    for total in range(11):
+        for rows in _partitions(total):
+            for syt in standard_tableaux(Partition(rows)):
+                _assert_screen_agrees_on_mutations(from_rows(syt), rng)
+    for rect in (Rectangle(3, 4), Rectangle(4, 4)):
+        for d in enumerate_diagonals(rect):
+            for w in all_permutations(rect.n):
+                plus, frames = forward_tableau(w, d, trace=True)
+                minus, back = reverse_tableau(w, d, rect, trace=True)
+                run = box_sequence(inverse_word_sequence(w), d, trace=True)
+                for t in (plus, minus, *frames, *back, *run.trace):
+                    _assert_screen_agrees_on_mutations(t, rng)
+
+
+def test_built_tableaux_skip_the_validator(monkeypatch):
+    rect = Rectangle(6, 10)
+    t = minimal_orbit_tableau(Permutation((3, 1, 6, 2, 5, 4)), rect)
+    text = dumps(t)
+    inits = []
+    validate = PartialTableau.__init__
+
+    def counted(self, *args):
+        inits.append(1)
+        validate(self, *args)
+
+    monkeypatch.setattr(PartialTableau, "__init__", counted)
+    for w in all_permutations(6):
+        minimal_orbit_tableau(w, rect)
+    assert promotion(inverse_promotion(t)) == t
+    assert len(inits) == 0
+    # outside input keeps the dict validator
+    assert loads(text) == t
+    assert len(inits) == 1
 
 
 # -- slides ------------------------------------------------------------------
