@@ -6,7 +6,7 @@ the q-analogue of the hook length formula at roots of unity.
 from math import factorial
 
 from taquin import Rectangle, orbit_table, q_hook_at_root, q_hook_polynomial
-from taquin.verify import divisors
+from taquin.sieving import divisors
 
 for n, m in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]:
     rect = Rectangle(n, m)

@@ -47,12 +47,8 @@ from .orbits import (
     reverse_tableau,
     tableau_from_box_sequence,
 )
-from .verify import (
-    EnumerationCapError,
-    orbit_table,
-    q_hook_at_root,
-    q_hook_polynomial,
-    run_suite,
-)
+from .sieving import q_hook_at_root, q_hook_polynomial
+from .sweep import EnumerationCapError, orbit_table
+from .verify import run_suite
 
 __version__ = "0.1.0"

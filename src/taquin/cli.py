@@ -31,14 +31,9 @@ from .tableaux import (
     promotion,
     standard_rectangle_dims,
 )
-from .verify import (
-    SUITES,
-    EnumerationCapError,
-    divisors,
-    orbit_table,
-    q_hook_at_root,
-    run_suite,
-)
+from .sieving import divisors, q_hook_at_root
+from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, orbit_table
+from .verify import SUITES, run_suite
 from .words import format_permutation, parse_permutation
 
 EXIT_OK = 0
@@ -159,15 +154,15 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--all-diagonals", action="store_true", help="sweep every diagonal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="also print a JSON report")
-    p.add_argument("--max-cells", type=int, default=20)
-    p.add_argument("--max-count", type=int, default=1_000_000)
+    p.add_argument("--max-cells", type=int, default=MAX_CELLS)
+    p.add_argument("--max-count", type=int, default=MAX_COUNT)
 
 
 def _csp_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-cells", type=int, default=20)
-    p.add_argument("--max-count", type=int, default=1_000_000)
+    p.add_argument("--max-cells", type=int, default=MAX_CELLS)
+    p.add_argument("--max-count", type=int, default=MAX_COUNT)
 
 
 class Command(NamedTuple):

@@ -244,7 +244,7 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     slides are trivial.
     """
     n = diag.n
-    entries = _choice_entries(choice, diag.lambda_minus)
+    entries = None if choice is None else _choice_entries(choice, diag.lambda_minus)
     auto = steps is None
     if auto:
         steps = n * (diag.lambda_minus.size + 1)
@@ -254,7 +254,13 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     plan = _slide_plan(diag, None)
     region, width, seeds = plan.region, plan.width, plan.seeds
     cells = grid_boxes(region, width)
-    grid, _ = to_grid(region, entries)
+    if choice is None:
+        # the superstandard filling: entry k sits at the k-th last slide start
+        grid = [0] * plan.size
+        for k, i in enumerate(reversed(plan.starts), start=1):
+            grid[i] = k
+    else:
+        grid, _ = to_grid(region, entries)
     frames = [from_grid(region, grid, width)] if trace else None
     ends = []
     for s in sig:

@@ -1,35 +1,6 @@
-"""Brute-force verification layer: standard-tableau enumeration, promotion
-orbit tables, hook-length counting, the q-analogue of the hook length
-formula with exact evaluation at roots of unity, and named check suites.
-
-The enumeration lane works on flat row-major byte strings for speed.
-Standard tableaux are enumerated in two halves, the placements of the
-upper half of the entries listed once per partition the lower half ends
-on, and joined by adding ints.  Flat slides drop every entry through a
-translate table into a padded byte grid and slide it through
-`tableaux.grid_slide`, the package's one slide kernel.  The orbit sweep
-promotes on the same split: the entries 1..N//2 of T fill a partition
-mu, and the slide path stays in mu, comparing only those entries, until
-it leaves mu at a corner c; from there it meets only the upper entries.
-So promotion is A(p) + B(c, q) for the halves p and q of T: A slides
-the lower half alone, once per prefix, and B the upper half alone from
-c, once per suffix of mu and corner c.  The sweep numbers tableaux by
-enumeration rank and turns promotion into a permutation of the ranks,
-one array of successor ranks: for a partition mu and corner c the steps
-of every suffix of mu form one column, shared by every prefix that
-exits mu at c, so the array is written a prefix at a time by C-level
-maps over columns.  The orbits are the cycles of that array, walked
-over one visited byte per rank, and the table keeps each orbit as its
-size and its first tableau as flat bytes; rows are made on demand for
-the orbits a check reports or promotes.  The test suite checks the
-enumeration against a recursive enumerator, the ranks against the
-enumeration order, flat promotion against the object-level promotion,
-the half slides against flat promotion, and the successor array and the
-orbit table against flat promotion.
-The q-hook polynomial is built as a quotient of products of 1 - q^k in
-place, and the tests compare it with dense long division.  Root of
-unity values are always computed by two independent methods (cyclotomic
-reduction and residue pairing) and must agree, loudly.
+"""Brute-force verification: named check suites over the constructions,
+the promotion orbit sweep (`sweep`) and the cyclic sieving counts
+(`sieving`).
 
 The check suites are listed in `SUITES`.  Each is a list of named cases;
 a case is a check that returns its first counterexample (None when it
@@ -40,12 +11,10 @@ check that raises fails with the exception as its counterexample.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import accumulate, combinations
-from math import factorial, gcd, prod
-from operator import add, sub
+from functools import partial
+from itertools import combinations
+from math import factorial
 from typing import Callable
 
 from .shapes import (
@@ -58,9 +27,8 @@ from .shapes import (
     enumerate_diagonals,
     removable_corners,
     staircase_diagonal,
-    transpose,
 )
-from .tableaux import PartialTableau, from_rows, grid_slide, promotion
+from .tableaux import PartialTableau, from_rows, promotion
 from .orbits import (
     NotMinimalOrbitError,
     augmented_insertion_tableau,
@@ -89,421 +57,8 @@ from .words import (
     right_multiply,
     strict_knuth,
 )
-
-
-class EnumerationCapError(RuntimeError):
-    """A sweep exceeded the configured cell or count cap."""
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def hook_lengths(shape: Partition) -> list[int]:
-    conj = transpose(shape)
-    out = []
-    for i, length in enumerate(shape.rows, start=1):
-        for j in range(1, length + 1):
-            out.append((length - j) + (conj.rows[j - 1] - i) + 1)
-    return out
-
-
-def count_standard_tableaux(shape: Partition) -> int:
-    """Hook length formula; must match the enumeration count."""
-    denom = prod(hook_lengths(shape)) if shape.size else 1
-    num = factorial(shape.size)
-    assert num % denom == 0
-    return num // denom
-
-
-def _placements(rows, weights, heights: list[int], first: int, last: int, code: int = 0):
-    """Yield (code, heights) for every way to place entries first..last on
-    top of the partition `heights`, topmost feasible row tried first.  The
-    code sums each entry times the weight of its cell; `heights` is
-    restored on exit."""
-    if first > last:
-        yield code, tuple(heights)
-        return
-    for i, h in enumerate(heights):
-        if h < rows[i] and (i == 0 or heights[i - 1] > h):
-            heights[i] = h + 1
-            yield from _placements(rows, weights, heights, first + 1, last, code + first * weights[i][h])
-            heights[i] = h
-
-
-def _syt_halves(shape: Partition):
-    """Yield (p, tails) for every placement p of the entries 1..half =
-    N // 2, in lexicographic placement order (topmost feasible row first).
-
-    Each half is the big-endian int of its N-byte row-major filling (zeros
-    in the other half's cells), so the standard fillings of `shape` are
-    the sums p + q for q in tails, in lexicographic placement order.  A
-    prefix ends on a partition mu, and `tails` lists the placements of
-    half+1..N on top of mu; it is built once per distinct mu and shared by
-    every prefix ending on it."""
-    rows = shape.rows
-    total = shape.size
-    if total > 255:
-        raise EnumerationCapError("flat encoding limited to 255 cells")
-    # weights[i][j] is the value of byte (i, j) in the big-endian int
-    starts = accumulate(rows, initial=0)
-    weights = [[256 ** (total - 1 - k) for k in range(start, start + length)] for start, length in zip(starts, rows)]
-    half = total // 2
-    suffixes: dict[tuple, list[int]] = {}
-    for p, mu in _placements(rows, weights, [0] * len(rows), 1, half):
-        tails = suffixes.get(mu)
-        if tails is None:
-            tails = suffixes[mu] = [q for q, _ in _placements(rows, weights, list(mu), half + 1, total)]
-        yield p, tails
-
-
-def _iter_syt_flat(shape: Partition):
-    """Yield every standard filling as bytes, entries placed 1..N with the
-    topmost feasible row tried first (lexicographic placement)."""
-    total = shape.size
-    for p, tails in _syt_halves(shape):
-        for q in tails:
-            yield (p + q).to_bytes(total, "big")
-
-
-def _flat_rows(flat: bytes, shape: Partition) -> tuple:
-    starts = [0, *accumulate(shape.rows)]
-    return tuple(tuple(flat[a:b]) for a, b in zip(starts, starts[1:]))
-
-
-def _check_caps(shape: Partition, max_cells: int, max_count: int) -> None:
-    if shape.size > max_cells:
-        raise EnumerationCapError(f"{shape.size} cells exceeds the {max_cells}-cell cap")
-    count = count_standard_tableaux(shape)
-    if count > max_count:
-        raise EnumerationCapError(f"{count} tableaux exceed the {max_count} cap; raise max_count to sweep")
-
-
-def standard_tableaux(shape: Partition, *, max_cells: int = 20, max_count: int = 1_000_000):
-    """Iterate lazily over every standard tableau of `shape` exactly once,
-    as a tuple of row tuples, in deterministic placement order.
-
-    Caps guard accidental huge sweeps and are checked by the call, from the
-    hook length count; pass larger values explicitly to go beyond them.
-    """
-    _check_caps(shape, max_cells, max_count)
-    return (_flat_rows(b, shape) for b in _iter_syt_flat(shape))
-
-
-# entry 1 -> 0, the hole; every other entry v -> v - 1, and padding 0 stays 0
-_TO_GRID = bytes((0, 0, *range(1, 255)))
-
-
-def _slide_flat(flat: bytes, ncols: int, start: int) -> tuple[bytearray, int]:
-    """One forward slide on a flat row-major filling of full rows, 0 for an
-    empty cell: returns the slid filling and the cell the slide ended in.
-
-    The rows become a forward-slide grid for `grid_slide`, one empty byte
-    after each row and an empty row below, with every entry dropped by one
-    through a translate table, so entry 1, if present, becomes a hole.  The
-    slide starts from cell `start`, which must be empty after the drop.
-    The padding is cut by position, not by value, because a half of a
-    tableau has empty cells of its own."""
-    width = ncols + 1
-    grid = bytearray(flat.translate(_TO_GRID))
-    for row_end in range(len(flat), 0, -ncols):
-        grid.insert(row_end, 0)
-    grid += bytes(width)
-    end, _ = grid_slide(grid, width, start + start // ncols)
-    del grid[-width:], grid[ncols::width]
-    return grid, end - end // width
-
-
-def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
-    """Promotion on the flat row-major encoding of a full rectangle: the
-    slide from the cell of entry 1 always ends in the last cell, which
-    takes the largest entry."""
-    grid, end = _slide_flat(flat, ncols, 0)
-    grid[end] = nrows * ncols
-    return bytes(grid)
-
-
-@dataclass
-class OrbitTable:
-    """Promotion orbit decomposition of the standard tableaux of rect.
-
-    Each orbit is kept as its representative, the first of its tableaux in
-    enumeration order, flat (row-major bytes, as `_iter_syt_flat` yields
-    it), and its size; `reps` and `sizes` list the orbits in enumeration
-    order of their representatives.  `orbits` pairs each representative's
-    rows with its size, built anew on each read."""
-
-    rect: Rectangle
-    reps: list[bytes]
-    sizes: list[int]
-    counts: dict[int, int]  # divisor r of the cell count -> #{T : r-fold promotion fixes T}
-    total: int
-
-    @property
-    def orbits(self) -> list[tuple[tuple, int]]:
-        """(representative rows, orbit size) for every orbit."""
-        shape = self.rect.as_partition()
-        return [(_flat_rows(flat, shape), size) for flat, size in zip(self.reps, self.sizes)]
-
-    def fixed_rows(self, r: int) -> list[tuple]:
-        """All tableaux fixed by r-fold promotion, as row tuples."""
-        nrows, ncols = self.rect.nrows, self.rect.ncols
-        shape = self.rect.as_partition()
-        out = []
-        for cur, size in zip(self.reps, self.sizes):
-            if r % size:
-                continue
-            for _ in range(size):
-                out.append(_flat_rows(cur, shape))
-                cur = _promote_flat(cur, nrows, ncols)
-        return out
-
-
-def _ranked_halves(shape: Partition):
-    """The first pass of the orbit sweep: returns (halves, offset, index).
-
-    `halves` lists the (p, tails) pairs of `_syt_halves`, so the tableau
-    p + tails[k] has enumeration rank offset[p] + k, offset[p] being the
-    number of tableaux before prefix p.  index[q] is the position of the
-    suffix q in its tails list; the tails of different partitions fill
-    different cells, so they are distinct ints and one dict holds them
-    all."""
-    halves = list(_syt_halves(shape))
-    offset: dict[int, int] = {}
-    index: dict[int, int] = {}
-    count = 0
-    for p, tails in halves:
-        offset[p] = count
-        count += len(tails)
-        if tails[0] not in index:  # first prefix ending on this partition
-            index.update(zip(tails, range(len(tails))))
-    return halves, offset, index
-
-
-def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], index: dict[int, int]):
-    """Promotion as a permutation of enumeration ranks, from the first pass
-    of `_ranked_halves`: an `array("I")` nxt, nxt[r] being the rank of the
-    promotion of the tableau of rank r, for a rectangle of N >= 2 cells.
-
-    Let T = p + q, p holding the entries 1..half on a partition mu.  Every
-    entry of p is below every entry of q, so at a cell with a right or
-    down neighbour in mu the slide takes a neighbour in mu: the path stays
-    in mu, decided by p alone, until it reaches a corner c of mu, and from
-    c on it runs only through entries of q.  So promotion is A + B, A the
-    slide of p alone from cell 0, which ends at c (entries 2..half dropped
-    to 1..half-1), and B the slide of q alone from c, its terminal set to
-    N.  With E the term of the one cell of B that now holds half, the
-    promoted halves are A + E and B - E, and the promoted tableau has rank
-    offset[A + E] + j, j = index[B - E].
-
-    For a partition mu and a corner c, the pairs (E, j) over the tails of
-    mu form one list, a column, shared by every prefix ending on mu that
-    exits at c, so a prefix's segment of the array is offset[A + E] + j
-    over its column.  E is the term of a cell that can be added to mu
-    minus c, so a column holds only a few distinct E: each prefix looks up
-    offset[A + E] once for each and writes its segment with C-level `map`.
-    Each prefix is slid once, and each column entry once, when the column
-    is first needed."""
-    # imported here: loading the extension module adds about 0.3 MB to the
-    # RSS of every process that imports the package, and only the sweep
-    # needs it
-    from array import array
-
-    total = nrows * ncols
-    half = total // 2
-    columns = {}
-    nxt = array("I")
-    for p, tails in halves:
-        low, c = _slide_flat(p.to_bytes(total, "big"), ncols, 0)
-        a = int.from_bytes(low, "big")
-        column = columns.get((c, tails[0]))  # tails[0] stands for mu
-        if column is None:
-            entries = []
-            for q in tails:
-                high, end = _slide_flat(q.to_bytes(total, "big"), ncols, c)
-                high[end] = total
-                e = half << 8 * (total - 1 - high.index(half))
-                entries.append((e, index[int.from_bytes(high, "big") - e]))
-            es = list(dict.fromkeys(e for e, _ in entries))
-            column = columns[c, tails[0]] = es, [es.index(e) for e, _ in entries], [j for _, j in entries]
-        es, picks, js = column
-        starts = [offset[a + e] for e in es]
-        nxt.extend(map(add, map(starts.__getitem__, picks), js))
-    return nxt
-
-
-def orbit_table(rect: Rectangle, *, max_cells: int = 20, max_count: int = 1_000_000) -> OrbitTable:
-    """Full orbit decomposition under promotion.
-
-    Tableaux are numbered by enumeration rank, and promotion becomes a
-    permutation of the ranks, stored as an array of successor ranks
-    (`_successor_ranks`) that is built a prefix at a time from slides of
-    each half of a tableau on its own.  The orbits are the cycles of that
-    array: the sweep jumps to the next unvisited rank of each prefix with
-    `bytearray.find` and walks its cycle, flagging each rank in a
-    bytearray.  Each orbit is kept as its size and its representative,
-    the first of its tableaux in enumeration order, as flat bytes; no rows
-    are built."""
-    shape = rect.as_partition()
-    _check_caps(shape, max_cells, max_count)
-    total = rect.ncells
-    if total == 1:
-        return OrbitTable(rect, [b"\x01"], [1], {1: 1}, 1)
-    halves, offset, index = _ranked_halves(shape)
-    nxt = _successor_ranks(rect.nrows, rect.ncols, halves, offset, index)
-    seen = bytearray(len(nxt))
-    reps: list[bytes] = []
-    sizes: list[int] = []
-    for p, tails in halves:
-        first = offset[p]
-        end = first + len(tails)
-        start = seen.find(0, first, end)
-        while start >= 0:
-            size, rank = 0, start
-            while not seen[rank]:
-                seen[rank] = 1
-                rank = nxt[rank]
-                size += 1
-            reps.append((p + tails[start - first]).to_bytes(total, "big"))
-            sizes.append(size)
-            start = seen.find(0, start + 1, end)
-    histogram = Counter(sizes)
-    counts = {r: sum(s * k for s, k in histogram.items() if r % s == 0) for r in divisors(total)}
-    return OrbitTable(rect, reps, sizes, counts, len(seen))
-
-
-# -- exact integer polynomial arithmetic (coefficients ascending) --------
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division by a monic-leading divisor; exact over the integers
-    whenever the division is exact."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    if den[-1] == 0:
-        raise ValueError("divisor has zero leading coefficient")
-    if dn < dd:
-        return [0], num
-    quot = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        coeff, rem = divmod(num[i + dd], den[-1])
-        if rem:
-            raise ArithmeticError("non-exact leading division")
-        quot[i] = coeff
-        if coeff:
-            for j, y in enumerate(den):
-                num[i + j] -= coeff * y
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return quot, num
-
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    quot, rem = _poly_divmod(num, den)
-    if any(rem):
-        raise ArithmeticError("polynomial division left a remainder")
-    return quot
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(e: int) -> tuple[int, ...]:
-    poly = [-1] + [0] * (e - 1) + [1]  # q^e - 1
-    for d in divisors(e)[:-1]:
-        poly = _poly_div_exact(poly, list(_cyclotomic(d)))
-    return tuple(poly)
-
-
-@dataclass(frozen=True)
-class QPolynomial:
-    """Integer coefficients, ascending degree."""
-
-    coeffs: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        val = 0
-        for c in reversed(self.coeffs):
-            val = val * x + c
-        return val
-
-
-def q_hook_polynomial(rect: Rectangle) -> QPolynomial:
-    """[N]_q! divided by the product of [hook]_q over the boxes, computed
-    with exact integer arithmetic."""
-    return _q_hook_polynomial_cached(rect.nrows, rect.ncols)
-
-
-@lru_cache(maxsize=None)
-def _q_hook_polynomial_cached(nrows: int, ncols: int) -> QPolynomial:
-    """F = prod_k (1 - q^k) / prod_h (1 - q^h) over k = 1..N and the hooks
-    h: [k]_q = (1 - q^k) / (1 - q), and there are N of each, so the
-    factors 1 - q cancel.  Equal exponents cancel first; the rest act in
-    place on the power series truncated past deg F, which is exact because
-    F is a polynomial.  Times 1 - q^k is c_i -= c_{i-k} from the old
-    values; over 1 - q^h is c_i += c_{i-h} bottom-up, a running sum along
-    each residue class mod h."""
-    shape = Partition((ncols,) * nrows)
-    numerator = Counter(range(1, shape.size + 1))
-    hooks = Counter(hook_lengths(shape))
-    numerator, hooks = numerator - hooks, hooks - numerator
-    poly = [1] + [0] * (sum(numerator.elements()) - sum(hooks.elements()))
-    for k in numerator.elements():
-        if k < len(poly):
-            poly[k:] = map(sub, poly[k:], poly[: len(poly) - k])
-    for h in hooks.elements():
-        for r in range(min(h, len(poly))):
-            poly[r::h] = accumulate(poly[r::h])
-    # a wrong factor list would show in one of these
-    assert all(c >= 0 for c in poly) and poly == poly[::-1]
-    assert sum(poly) == count_standard_tableaux(shape)
-    return QPolynomial(tuple(poly))
-
-
-def _root_value_by_reduction(rect: Rectangle, e: int) -> int:
-    coeffs = list(q_hook_polynomial(rect).coeffs)
-    _, rem = _poly_divmod(coeffs, list(_cyclotomic(e)))
-    if len(rem) > 1:
-        raise RuntimeError(f"reduction mod the {e}-th cyclotomic is not constant: {rem}")
-    return rem[0]
-
-
-def _root_value_by_pairing(total: int, hooks: list[int], e: int) -> int:
-    """Pair numerator factors [1..total] with hook factors congruent mod e;
-    pairs of multiples of e contribute their plain ratio, anything
-    unmatched is either a forced zero or a bug."""
-    num_mult = [k for k in range(1, total + 1) if k % e == 0]
-    den_mult = [h for h in hooks if h % e == 0]
-    if len(num_mult) > len(den_mult):
-        return 0
-    if len(num_mult) < len(den_mult):
-        raise RuntimeError("more hook multiples than numerator multiples (pole)")
-    num_res = Counter(k % e for k in range(1, total + 1) if k % e)
-    den_res = Counter(h % e for h in hooks if h % e)
-    if num_res != den_res:
-        raise RuntimeError("residue classes of numerator and hooks do not pair up")
-    p, q = prod(num_mult, start=1), prod(den_mult, start=1)
-    if p % q:
-        raise RuntimeError("paired multiples do not divide exactly")
-    return p // q
-
-
-def q_hook_at_root(rect: Rectangle, r: int) -> int:
-    """Exact value of the q-hook polynomial at zeta^r, zeta a primitive
-    (ncells)-th root of unity.  Both evaluation routes must agree."""
-    total = rect.ncells
-    if not 1 <= r <= total:
-        raise ValueError(f"r must lie in 1..{total}")
-    e = total // gcd(r, total)
-    by_reduction = _root_value_by_reduction(rect, e)
-    by_pairing = _root_value_by_pairing(total, hook_lengths(rect.as_partition()), e)
-    if by_reduction != by_pairing:
-        raise RuntimeError(
-            f"root-of-unity evaluations disagree at r={r}: {by_reduction} vs {by_pairing}"
-        )
-    return by_reduction
+from .sieving import divisors, q_hook_at_root, q_hook_polynomial
+from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, OrbitTable, orbit_table, standard_tableaux
 
 
 # -- named check suites ---------------------------------------------------
@@ -670,8 +225,8 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
 
     def non_minimal():
         t = table()
-        flat = next((flat for flat, size in zip(t.reps, t.sizes) if n % size), None)
-        return None if flat is None else _flat_rows(flat, rect.as_partition())
+        k = next((k for k, size in enumerate(t.sizes) if n % size), None)
+        return None if k is None else t.rep_rows(k)
 
     def rejected():
         rows = non_minimal()
@@ -763,21 +318,21 @@ def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: boo
 
 def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     total_cells = rect.ncells
-    shape = rect.as_partition()
 
     def sizes_divide():
         t = table()
-        for flat, size in zip(t.reps, t.sizes):
+        for k, size in enumerate(t.sizes):
             if total_cells % size:
-                return f"orbit of size {size} does not divide {total_cells}: {_flat_rows(flat, shape)}"
+                return f"orbit of size {size} does not divide {total_cells}: {t.rep_rows(k)}"
 
     def full_cycle():
-        for flat in table().reps[:3]:
-            rows = _flat_rows(flat, shape)
-            t = cur = from_rows(rows)
+        t = table()
+        for k in range(min(3, len(t.sizes))):
+            rows = t.rep_rows(k)
+            first = cur = from_rows(rows)
             for _ in range(total_cells):
                 cur = promotion(cur)
-            if cur != t:
+            if cur != first:
                 return f"full-cycle promotion moved {rows}"
 
     def none_below_n():
@@ -954,8 +509,8 @@ def run_suite(
     seed: int = 0,
     all_choices: bool = False,
     all_diagonals: bool = False,
-    max_cells: int = 20,
-    max_count: int = 1_000_000,
+    max_cells: int = MAX_CELLS,
+    max_count: int = MAX_COUNT,
 ) -> SuiteReport:
     """Run one suite of `SUITES`, or all of them in that order for "all"
     (case names then carry a "<suite>." prefix).

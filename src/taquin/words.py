@@ -238,7 +238,7 @@ class EquivalenceVerdict:
     explored: int = 0
 
 
-def bounded_equivalence(a, b, n: int, budget: int = 100_000, slack: int = 4, less=None) -> EquivalenceVerdict:
+def bounded_equivalence(a, b, n: int, budget: int = 100_000, slack: int = 4) -> EquivalenceVerdict:
     """Search for strict Knuth moves carrying a prefix of `a` onto the
     n-term prefix of `b`.
 
@@ -264,7 +264,7 @@ def bounded_equivalence(a, b, n: int, budget: int = 100_000, slack: int = 4, les
         cur = queue.popleft()
         explored += 1
         for k in range(1, length - 1):
-            nxt = strict_knuth(cur, k, less)
+            nxt = strict_knuth(cur, k)
             if nxt is None or nxt in seen:
                 continue
             seen[nxt] = (cur, k)

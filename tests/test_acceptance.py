@@ -29,15 +29,14 @@ from taquin.shapes import (
     staircase_diagonal,
 )
 from taquin.tableaux import from_rows, is_standard_normalized, promotion, promotion_order
-from taquin.verify import (
+from taquin.sieving import (
     _root_value_by_pairing,
     _root_value_by_reduction,
     divisors,
     hook_lengths,
-    orbit_table,
     q_hook_at_root,
-    standard_tableaux,
 )
+from taquin.sweep import orbit_table, standard_tableaux
 from taquin.words import (
     all_permutations,
     descent_sequence,

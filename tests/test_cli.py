@@ -10,7 +10,7 @@ import pytest
 
 from taquin.cli import COMMANDS, build_parser, main
 from taquin.tableaux import dumps, format_grid, from_rows, loads, promotion
-from taquin.verify import orbit_table
+from taquin.sweep import orbit_table
 from taquin.shapes import Rectangle
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -170,12 +170,12 @@ def test_deeply_nested_json_is_a_parse_error(monkeypatch, capsys):
 
 
 def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
-    import taquin.verify as verify
+    import taquin.sweep as sweep
 
     def never(*args, **kwargs):
         raise AssertionError("enumeration started despite the count cap")
 
-    monkeypatch.setattr(verify, "_syt_halves", never)
+    monkeypatch.setattr(sweep, "_syt_halves", never)
     assert main(["verify", "--n", "4", "--m", "5"]) == 2
     assert main(["csp", "--n", "4", "--m", "5"]) == 2
     assert "max-count" in capsys.readouterr().err

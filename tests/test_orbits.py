@@ -42,7 +42,8 @@ from taquin.tableaux import (
     promotion,
     promotion_order,
 )
-from taquin.verify import orbit_table, random_corner_peeling, standard_tableaux
+from taquin.sweep import orbit_table, standard_tableaux
+from taquin.verify import random_corner_peeling
 from taquin.words import (
     Permutation,
     all_permutations,
@@ -440,6 +441,19 @@ def test_box_sequence_intermediate_states():
     u2 = {(1, 3): 1, (1, 4): 3, (2, 1): 2, (2, 2): 4, (2, 3): 6, (3, 1): 5, (3, 2): 8}
     assert run.trace[1].entries == {Box(*b): v for b, v in u1.items()}
     assert run.trace[2].entries == {Box(*b): v for b, v in u2.items()}
+
+
+def test_box_sequence_default_filling_is_the_superstandard_choice():
+    # with no choice the filling is seeded from the cached plan's slide
+    # starts; runs and frames must match an explicit superstandard choice
+    for rect in (Rectangle(3, 4), Rectangle(3, 5), Rectangle(4, 4)):
+        for d in enumerate_diagonals(rect):
+            choice = superstandard_choice(d.lambda_minus)
+            for w in all_permutations(rect.n):
+                for sigma in (inverse_word_sequence(w), descent_sequence(w)):
+                    run = box_sequence(sigma, d, trace=True)
+                    assert run == box_sequence(sigma, d, choice, trace=True), (rect, d.lambda_plus, w)
+                    assert run.trace[0].entries == choice.entries
 
 
 # -- descent-sequence closed forms ---------------------------------------------

@@ -27,7 +27,7 @@ from taquin.tableaux import (
     to_file_dict,
     to_grid,
 )
-from taquin.verify import standard_tableaux
+from taquin.sweep import standard_tableaux
 from taquin.words import Permutation, all_permutations, insertion_tableau, inverse_word_sequence, reading_word_of_rows
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -10,29 +12,33 @@ from taquin.shapes import Partition, Rectangle, parse_partition
 from taquin.tableaux import from_rows, promotion
 from taquin.orbits import NotMinimalOrbitError
 from taquin.words import Permutation
-from taquin.verify import (
-    SUITES,
-    CaseResult,
-    EnumerationCapError,
-    OrbitTable,
+from taquin.sieving import (
     _cyclotomic,
-    _flat_rows,
-    _iter_syt_flat,
     _poly_div_exact,
     _poly_divmod,
+    count_standard_tableaux,
+    divisors,
+    hook_lengths,
+    q_hook_at_root,
+    q_hook_polynomial,
+)
+from taquin.sweep import (
+    EnumerationCapError,
+    OrbitTable,
+    _flat_rows,
+    _iter_syt_flat,
     _promote_flat,
     _ranked_halves,
     _slide_flat,
     _successor_ranks,
-    count_standard_tableaux,
-    divisors,
-    hook_lengths,
     orbit_table,
-    q_hook_at_root,
-    q_hook_polynomial,
+    standard_tableaux,
+)
+from taquin.verify import (
+    SUITES,
+    CaseResult,
     random_corner_peeling,
     run_suite,
-    standard_tableaux,
 )
 
 
@@ -249,19 +255,19 @@ def test_enumeration_caps():
 
 
 def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
-    import taquin.verify as verify
+    import taquin.sweep as sweep
 
     with pytest.raises(EnumerationCapError):
         standard_tableaux(parse_partition("5555"))  # raised by the call, nothing iterated
     pulled = []
-    real = verify._iter_syt_flat
+    real = sweep._iter_syt_flat
 
     def counting(shape):
         for b in real(shape):
             pulled.append(b)
             yield b
 
-    monkeypatch.setattr(verify, "_iter_syt_flat", counting)
+    monkeypatch.setattr(sweep, "_iter_syt_flat", counting)
     it = standard_tableaux(parse_partition("5555"), max_count=2_000_000)
     assert next(it) == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (11, 12, 13, 14, 15), (16, 17, 18, 19, 20))
     assert len(pulled) == 1
@@ -374,12 +380,12 @@ def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
     # each prefix is slid once and each column entry once, whatever the
     # host's speed: a lost column memo would take 88,287 slides; and the
     # sweep slides only through `grid_slide`, once per flat slide
-    import taquin.verify as verify
+    import taquin.sweep as sweep
 
     calls = []
     slides = []
-    real = verify._slide_flat
-    real_slide = verify.grid_slide
+    real = sweep._slide_flat
+    real_slide = sweep.grid_slide
 
     def counting(*args):
         calls.append(args)
@@ -389,8 +395,8 @@ def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
         slides.append(args)
         return real_slide(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_slide_flat", counting)
-    monkeypatch.setattr(verify, "grid_slide", counting_slide)
+    monkeypatch.setattr(sweep, "_slide_flat", counting)
+    monkeypatch.setattr(sweep, "grid_slide", counting_slide)
     table = orbit_table(Rectangle(3, 6))
     assert table.total == 87_516 and len(table.orbits) == 4_896
     assert len(calls) == 2_643
@@ -650,6 +656,20 @@ def test_suite_cases_report_their_first_counterexample(monkeypatch, name, broken
     assert len(report.cases) == 29 and not report.passed
 
 
+def test_suite_reports_are_pinned_byte_for_byte():
+    # every suite's report in 28 configurations, hashed as JSON: a change
+    # to any case name, verdict or counterexample text shows here
+    reports = [
+        run_suite(Rectangle(n, m), "all", seed=seed, all_choices=on, all_diagonals=on).to_json_dict()
+        for n, m in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (3, 4), (2, 5)]
+        for on in (False, True)
+        for seed in (0, 7)
+    ]
+    assert sum(len(report["cases"]) for report in reports) == 724
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "48dec4022c8c3fea70bd2a54d888f600e79eb2f2426dbaeafc5959c422a84021"
+
+
 def test_suite_case_names_in_order():
     report = run_suite(Rectangle(3, 4), "all", all_choices=True, all_diagonals=True)
     assert [c.name for c in report.cases] == [
@@ -823,12 +843,12 @@ def test_bijection_suite_reports_when_the_construction_raises(monkeypatch):
 
 
 def test_a_table_build_that_raises_fails_the_cases_that_read_it(monkeypatch):
-    import taquin.verify as verify
+    import taquin.sweep as sweep
 
     def broken(flat, ncols, start):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(verify, "_slide_flat", broken)
+    monkeypatch.setattr(sweep, "_slide_flat", broken)
     raised = "raised RuntimeError('boom')"
     failed = {}
     for suite in ("bijection", "csp", "haiman"):
@@ -850,6 +870,7 @@ def test_a_table_build_that_raises_fails_the_cases_that_read_it(monkeypatch):
 
 
 def test_a_failed_table_build_runs_once_per_suite(monkeypatch):
+    import taquin.sweep as sweep
     import taquin.verify as verify
 
     def broken(flat, ncols, start):
@@ -864,7 +885,7 @@ def test_a_failed_table_build_runs_once_per_suite(monkeypatch):
         builds.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "_slide_flat", broken)
+    monkeypatch.setattr(sweep, "_slide_flat", broken)
     monkeypatch.setattr(verify, "orbit_table", counting)
     raised = "raised RuntimeError('boom')"
     # the bijection checks that only construct and invert do not read the table
@@ -880,6 +901,7 @@ def test_a_failed_table_build_runs_once_per_suite(monkeypatch):
 
 
 def test_a_run_builds_one_table_for_every_suite(monkeypatch):
+    import taquin.sweep as sweep
     import taquin.verify as verify
 
     def broken(flat, ncols, start):
@@ -897,7 +919,7 @@ def test_a_run_builds_one_table_for_every_suite(monkeypatch):
     clean = run_suite(rect, "all")
     assert builds == [(rect,)] and clean.passed
     builds.clear()
-    monkeypatch.setattr(verify, "_slide_flat", broken)
+    monkeypatch.setattr(sweep, "_slide_flat", broken)
     got = run_suite(rect, "all")
     # the one failed build fails every case that reads the table, in all
     # three suites, with the same exception
