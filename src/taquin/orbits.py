@@ -244,23 +244,20 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     slides are trivial.
     """
     n = diag.n
-    entries = None if choice is None else _choice_entries(choice, diag.lambda_minus)
+    plan = _slide_plan(diag, None)
+    region, width, seeds = plan.region, plan.width, plan.seeds
+    starts = plan.starts if choice is None else _slide_starts(choice, plan.shape, width, 0)
     auto = steps is None
     if auto:
         steps = n * (diag.lambda_minus.size + 1)
     sig = prefix_terms(sigma, steps)
     if any(not 1 <= s <= n for s in sig):
         raise ValueError(f"sequence terms must lie in 1..{n}")
-    plan = _slide_plan(diag, None)
-    region, width, seeds = plan.region, plan.width, plan.seeds
     cells = grid_boxes(region, width)
-    if choice is None:
-        # the superstandard filling: entry k sits at the k-th last slide start
-        grid = [0] * plan.size
-        for k, i in enumerate(reversed(plan.starts), start=1):
-            grid[i] = k
-    else:
-        grid, _ = to_grid(region, entries)
+    # slides go in decreasing entry order, so entry k sits at the k-th last start
+    grid = [0] * plan.size
+    for k, i in enumerate(reversed(starts), start=1):
+        grid[i] = k
     frames = [from_grid(region, grid, width)] if trace else None
     ends = []
     for s in sig:

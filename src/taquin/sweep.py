@@ -41,6 +41,7 @@ from .sieving import count_standard_tableaux, divisors
 class EnumerationCapError(RuntimeError):
     """A sweep exceeded the configured cell or count cap."""
 
+
 def _placements(rows, weights, heights: list[int], first: int, last: int, code: int = 0):
     """Yield (code, heights) for every way to place entries first..last on
     top of the partition `heights`, topmost feasible row tried first.  The
