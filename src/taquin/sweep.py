@@ -1,37 +1,44 @@
 """Standard-tableau enumeration and the promotion orbit sweep.
 
-The enumeration lane works on flat row-major byte strings for speed.
-Standard tableaux are enumerated in two halves, the placements of the
-upper half of the entries listed once per partition the lower half ends
-on, and joined by adding ints.  Flat slides drop every entry through a
-translate table into a padded byte grid and slide it through
-`tableaux.grid_slide`, the package's one slide kernel.  The orbit sweep
-promotes on the same split: the entries 1..N//2 of T fill a partition
-mu, and the slide path stays in mu, comparing only those entries, until
-it leaves mu at a corner c; from there it meets only the upper entries.
-So promotion is A(p) + B(c, q) for the halves p and q of T: A slides
-the lower half alone, once per prefix, and B the upper half alone from
-c, once per suffix of mu and corner c.  The sweep numbers tableaux by
-enumeration rank and turns promotion into a permutation of the ranks,
-one array of successor ranks: for a partition mu and corner c the steps
-of every suffix of mu form one column, shared by every prefix that
-exits mu at c, so the array is written a prefix at a time by C-level
-maps over columns.  The orbits are the cycles of that array, walked
-over one visited byte per rank, and the table keeps each orbit as its
-size and its first tableau as flat bytes; rows are made on demand for
-the orbits a check reports or promotes.  The test suite checks the
-enumeration against a recursive enumerator, the ranks against the
-enumeration order, flat promotion against the object-level promotion,
-the half slides against flat promotion, and the successor array and the
-orbit table against flat promotion.
+The enumeration lane works on flat byte strings for speed, laid out as
+the padded slide grid of the shape: rows of stride ncols + 1, the last
+byte of each row empty, and one empty row below.  Standard tableaux are
+enumerated in two halves, the placements of the upper half of the
+entries listed once per partition the lower half ends on, and joined by
+adding the halves' big-endian ints over that grid; a tableau's row-major
+bytes are its grid bytes with the empty (zero) bytes deleted.  Flat
+slides drop every entry through a translate table and slide the grid in
+place through `tableaux.grid_slide`, the package's one slide kernel; the
+padding is already the empty border a forward slide needs.  The orbit
+sweep promotes on the same split: the entries 1..N//2 of T fill a
+partition mu, and the slide path stays in mu, comparing only those
+entries, until it leaves mu at a corner c; from there it meets only the
+upper entries.  So promotion is A(p) + B(c, q) for the halves p and q of
+T: A slides the lower half alone, once per prefix, and B the upper half
+alone from c, once per suffix of mu and corner c.  The sweep numbers
+tableaux by enumeration rank and turns promotion into a permutation of
+the ranks, one array of successor ranks: for a partition mu and corner c
+the steps of every suffix of mu form one column, shared by every prefix
+that exits mu at c, so the array is written a prefix at a time, each
+segment one big-int sum over the column's lanes (one lane of
+`array("I").itemsize` bytes per rank; `orbit_table` refuses a tableau
+count a lane cannot hold before it enumerates).  The orbits are the
+cycles of that array, walked over one visited byte per rank, and the
+table keeps each orbit as its size and its first tableau as row-major
+bytes; rows are made on demand for the orbits a check reports or
+promotes.  The test suite checks the enumeration against a recursive
+enumerator, the ranks against the enumeration order, flat promotion
+against the object-level promotion, the half slides against flat
+promotion, and the successor array and the orbit table against flat
+promotion.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import add
 
 from .shapes import Partition, Rectangle
 from .tableaux import grid_slide
@@ -42,18 +49,27 @@ class EnumerationCapError(RuntimeError):
     """A sweep exceeded the configured cell or count cap."""
 
 
-def _placements(rows, weights, heights: list[int], first: int, last: int, code: int = 0):
-    """Yield (code, heights) for every way to place entries first..last on
-    top of the partition `heights`, topmost feasible row tried first.  The
-    code sums each entry times the weight of its cell; `heights` is
-    restored on exit."""
+def _grid_size(shape: Partition) -> int:
+    """Bytes of the padded slide grid of `shape`: rows of stride ncols + 1
+    and one empty row below."""
+    rows = shape.rows
+    return ((rows[0] if rows else 0) + 1) * (len(rows) + 1)
+
+
+def _placements(rows, weights, heights: list[int], first: int, last: int, code: int, out: list) -> None:
+    """Append (code, heights) to `out` for every way to place entries
+    first..last on top of the partition `heights`, topmost feasible row
+    tried first.  Each code is `code` plus each placed entry times the
+    weight of its cell; `heights` is restored on return.  A module-level function
+    that appends, not a generator chain or a closure: each level costs one
+    call, and a build leaves no reference cycle behind."""
     if first > last:
-        yield code, tuple(heights)
+        out.append((code, tuple(heights)))
         return
     for i, h in enumerate(heights):
         if h < rows[i] and (i == 0 or heights[i - 1] > h):
             heights[i] = h + 1
-            yield from _placements(rows, weights, heights, first + 1, last, code + first * weights[i][h])
+            _placements(rows, weights, heights, first + 1, last, code + first * weights[i][h], out)
             heights[i] = h
 
 
@@ -61,35 +77,40 @@ def _syt_halves(shape: Partition):
     """Yield (p, tails) for every placement p of the entries 1..half =
     N // 2, in lexicographic placement order (topmost feasible row first).
 
-    Each half is the big-endian int of its N-byte row-major filling (zeros
-    in the other half's cells), so the standard fillings of `shape` are
-    the sums p + q for q in tails, in lexicographic placement order.  A
-    prefix ends on a partition mu, and `tails` lists the placements of
-    half+1..N on top of mu; it is built once per distinct mu and shared by
-    every prefix ending on it."""
+    Each half is the big-endian int of its filling of the padded slide grid
+    (`_grid_size` bytes; zeros in the padding and in the other half's
+    cells), so the standard fillings of `shape` are the sums p + q for q in
+    tails, in lexicographic placement order.  A prefix ends on a partition
+    mu, and `tails` lists the placements of half+1..N on top of mu; it is
+    built once per distinct mu and shared by every prefix ending on it."""
     rows = shape.rows
     total = shape.size
     if total > 255:
         raise EnumerationCapError("flat encoding limited to 255 cells")
-    # weights[i][j] is the value of byte (i, j) in the big-endian int
-    starts = accumulate(rows, initial=0)
-    weights = [[256 ** (total - 1 - k) for k in range(start, start + length)] for start, length in zip(starts, rows)]
+    # weights[i][j] is the value of grid byte (i, j) in the big-endian int
+    nbytes = _grid_size(shape)
+    width = nbytes // (len(rows) + 1)
+    weights = [[256 ** (nbytes - 1 - i * width - j) for j in range(length)] for i, length in enumerate(rows)]
     half = total // 2
+    prefixes: list = []
+    _placements(rows, weights, [0] * len(rows), 1, half, 0, prefixes)
     suffixes: dict[tuple, list[int]] = {}
-    for p, mu in _placements(rows, weights, [0] * len(rows), 1, half):
+    for p, mu in prefixes:
         tails = suffixes.get(mu)
         if tails is None:
-            tails = suffixes[mu] = [q for q, _ in _placements(rows, weights, list(mu), half + 1, total)]
+            placed: list = []
+            _placements(rows, weights, list(mu), half + 1, total, 0, placed)
+            tails = suffixes[mu] = [q for q, _ in placed]
         yield p, tails
 
 
 def _iter_syt_flat(shape: Partition):
-    """Yield every standard filling as bytes, entries placed 1..N with the
-    topmost feasible row tried first (lexicographic placement)."""
-    total = shape.size
+    """Yield every standard filling as row-major bytes, entries placed 1..N
+    with the topmost feasible row tried first (lexicographic placement)."""
+    nbytes = _grid_size(shape)
     for p, tails in _syt_halves(shape):
         for q in tails:
-            yield (p + q).to_bytes(total, "big")
+            yield (p + q).to_bytes(nbytes, "big").translate(None, b"\0")
 
 
 def _flat_rows(flat: bytes, shape: Partition) -> tuple:
@@ -102,12 +123,14 @@ MAX_CELLS = 20
 MAX_COUNT = 1_000_000
 
 
-def _check_caps(shape: Partition, max_cells: int, max_count: int) -> None:
+def _check_caps(shape: Partition, max_cells: int, max_count: int) -> int:
+    """Raise unless `shape` is within the caps; returns its tableau count."""
     if shape.size > max_cells:
         raise EnumerationCapError(f"{shape.size} cells exceeds the {max_cells}-cell cap")
     count = count_standard_tableaux(shape)
     if count > max_count:
         raise EnumerationCapError(f"{count} tableaux exceed the {max_count} cap; raise max_count to sweep")
+    return count
 
 
 def standard_tableaux(shape: Partition, *, max_cells: int = MAX_CELLS, max_count: int = MAX_COUNT):
@@ -126,32 +149,34 @@ _TO_GRID = bytes((0, 0, *range(1, 255)))
 
 
 def _slide_flat(flat: bytes, ncols: int, start: int) -> tuple[bytearray, int]:
-    """One forward slide on a flat row-major filling of full rows, 0 for an
-    empty cell: returns the slid filling and the cell the slide ended in.
+    """One forward slide on a filling of the padded slide grid of full rows
+    of `ncols` cells (row stride ncols + 1, the last byte of each row and
+    one row below empty), 0 for an empty cell: returns the slid grid and
+    the grid index the slide ended at.
 
-    The rows become a forward-slide grid for `grid_slide`, one empty byte
-    after each row and an empty row below, with every entry dropped by one
-    through a translate table, so entry 1, if present, becomes a hole.  The
-    slide starts from cell `start`, which must be empty after the drop.
-    The padding is cut by position, not by value, because a half of a
-    tableau has empty cells of its own."""
-    width = ncols + 1
+    Every entry drops by one through a translate table, so entry 1, if
+    present, becomes a hole, and the grid goes to `grid_slide` as it is:
+    the padding is the empty border a forward slide reads.  The slide
+    starts from grid index `start`, which must be empty after the drop.
+    A half of a tableau has empty cells of its own, which the slide also
+    treats as outside."""
     grid = bytearray(flat.translate(_TO_GRID))
-    for row_end in range(len(flat), 0, -ncols):
-        grid.insert(row_end, 0)
-    grid += bytes(width)
-    end, _ = grid_slide(grid, width, start + start // ncols)
-    del grid[-width:], grid[ncols::width]
-    return grid, end - end // width
+    end, _ = grid_slide(grid, ncols + 1, start)
+    return grid, end
+
+
+def _pad(flat: bytes, ncols: int) -> bytes:
+    """The padded slide grid of a row-major filling of full rows."""
+    return b"".join(flat[k : k + ncols] + b"\0" for k in range(0, len(flat), ncols)) + bytes(ncols + 1)
 
 
 def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
-    """Promotion on the flat row-major encoding of a full rectangle: the
-    slide from the cell of entry 1 always ends in the last cell, which
-    takes the largest entry."""
-    grid, end = _slide_flat(flat, ncols, 0)
+    """Promotion on the row-major bytes of a full rectangle: the slide from
+    the cell of entry 1 always ends in the last cell, which takes the
+    largest entry."""
+    grid, end = _slide_flat(_pad(flat, ncols), ncols, 0)
     grid[end] = nrows * ncols
-    return bytes(grid)
+    return bytes(grid).translate(None, b"\0")
 
 
 @dataclass
@@ -219,7 +244,8 @@ def _ranked_halves(shape: Partition):
 def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], index: dict[int, int]):
     """Promotion as a permutation of enumeration ranks, from the first pass
     of `_ranked_halves`: an `array("I")` nxt, nxt[r] being the rank of the
-    promotion of the tableau of rank r, for a rectangle of N >= 2 cells.
+    promotion of the tableau of rank r, for a rectangle of N >= 2 cells
+    and fewer than 2 ** (8 * itemsize) tableaux.
 
     Let T = p + q, p holding the entries 1..half on a partition mu.  Every
     entry of p is below every entry of q, so at a cell with a right or
@@ -230,41 +256,52 @@ def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], ind
     to 1..half-1), and B the slide of q alone from c, its terminal set to
     N.  With E the term of the one cell of B that now holds half, the
     promoted halves are A + E and B - E, and the promoted tableau has rank
-    offset[A + E] + j, j = index[B - E].
+    offset[A + E] + j, j = index[B - E].  The halves stay ints over the
+    padded slide grid throughout, so a slide is one translate and one
+    `grid_slide`, with no padding to insert or cut.
 
     For a partition mu and a corner c, the pairs (E, j) over the tails of
     mu form one list, a column, shared by every prefix ending on mu that
     exits at c, so a prefix's segment of the array is offset[A + E] + j
     over its column.  E is the term of a cell that can be added to mu
-    minus c, so a column holds only a few distinct E: each prefix looks up
-    offset[A + E] once for each and writes its segment with C-level `map`.
-    Each prefix is slid once, and each column entry once, when the column
-    is first needed."""
+    minus c, so a column holds only a few distinct E.  A column keeps its
+    j's packed into native-order lanes of `itemsize` bytes, one big int,
+    and one mask per distinct E with 1 in the lanes that pick it; the
+    segment is j's plus offset[A + E] times each mask, one big-int sum
+    whose lanes each receive one offset and so never carry (every rank is
+    below the count, which fits a lane), appended as bytes.  Each prefix
+    is slid once, and each column entry once, when the column is first
+    needed."""
     # imported here: loading the extension module adds about 0.3 MB to the
     # RSS of every process that imports the package, and only the sweep
     # needs it
     from array import array
 
+    def lanes(values) -> int:
+        return int.from_bytes(array("I", values).tobytes(), sys.byteorder)
+
     total = nrows * ncols
     half = total // 2
+    nbytes = (nrows + 1) * (ncols + 1)
+    itemsize = array("I").itemsize
     columns = {}
     nxt = array("I")
     for p, tails in halves:
-        low, c = _slide_flat(p.to_bytes(total, "big"), ncols, 0)
+        low, c = _slide_flat(p.to_bytes(nbytes, "big"), ncols, 0)
         a = int.from_bytes(low, "big")
         column = columns.get((c, tails[0]))  # tails[0] stands for mu
         if column is None:
-            entries = []
+            es, js = [], []
             for q in tails:
-                high, end = _slide_flat(q.to_bytes(total, "big"), ncols, c)
+                high, end = _slide_flat(q.to_bytes(nbytes, "big"), ncols, c)
                 high[end] = total
-                e = half << 8 * (total - 1 - high.index(half))
-                entries.append((e, index[int.from_bytes(high, "big") - e]))
-            es = list(dict.fromkeys(e for e, _ in entries))
-            column = columns[c, tails[0]] = es, [es.index(e) for e, _ in entries], [j for _, j in entries]
-        es, picks, js = column
-        starts = [offset[a + e] for e in es]
-        nxt.extend(map(add, map(starts.__getitem__, picks), js))
+                e = half << 8 * (nbytes - 1 - high.index(half))
+                es.append(e)
+                js.append(index[int.from_bytes(high, "big") - e])
+            masks = [(e, lanes(map(e.__eq__, es))) for e in dict.fromkeys(es)]
+            column = columns[c, tails[0]] = lanes(js), masks, len(js) * itemsize
+        js, masks, length = column
+        nxt.frombytes(sum([offset[a + e] * mask for e, mask in masks], js).to_bytes(length, sys.byteorder))
     return nxt
 
 
@@ -274,19 +311,27 @@ def orbit_table(rect: Rectangle, *, max_cells: int = MAX_CELLS, max_count: int =
     Tableaux are numbered by enumeration rank, and promotion becomes a
     permutation of the ranks, stored as an array of successor ranks
     (`_successor_ranks`) that is built a prefix at a time from slides of
-    each half of a tableau on its own.  The orbits are the cycles of that
-    array: the sweep jumps to the next unvisited rank of each prefix with
-    `bytearray.find` and walks its cycle, flagging each rank in a
-    bytearray.  Each orbit is kept as its size and its representative,
-    the first of its tableaux in enumeration order, as flat bytes; no rows
-    are built."""
+    each half of a tableau on its own.  A count of tableaux that one
+    `array("I")` lane cannot hold is refused, like the caps, before any
+    enumeration.  The orbits are the cycles of that array: the sweep jumps
+    to the next unvisited rank of each prefix with `bytearray.find` and
+    walks its cycle, flagging each rank in a bytearray.  Each orbit is kept
+    as its size and its representative, the first of its tableaux in
+    enumeration order, as row-major bytes: its padded grid bytes with the
+    zero bytes deleted; no rows are built."""
+    from array import array
+
     shape = rect.as_partition()
-    _check_caps(shape, max_cells, max_count)
+    count = _check_caps(shape, max_cells, max_count)
+    bits = 8 * array("I").itemsize
+    if count >> bits:
+        raise EnumerationCapError(f"{count} tableaux exceed the {bits}-bit ranks of the sweep")
     total = rect.ncells
     if total == 1:
         return OrbitTable(rect, [b"\x01"], [1], {1: 1}, 1)
     halves, offset, index = _ranked_halves(shape)
     nxt = _successor_ranks(rect.nrows, rect.ncols, halves, offset, index)
+    nbytes = _grid_size(shape)
     seen = bytearray(len(nxt))
     reps: list[bytes] = []
     sizes: list[int] = []
@@ -300,10 +345,9 @@ def orbit_table(rect: Rectangle, *, max_cells: int = MAX_CELLS, max_count: int =
                 seen[rank] = 1
                 rank = nxt[rank]
                 size += 1
-            reps.append((p + tails[start - first]).to_bytes(total, "big"))
+            reps.append((p + tails[start - first]).to_bytes(nbytes, "big").translate(None, b"\0"))
             sizes.append(size)
             start = seen.find(0, start + 1, end)
     histogram = Counter(sizes)
     counts = {r: sum(s * k for s, k in histogram.items() if r % s == 0) for r in divisors(total)}
     return OrbitTable(rect, reps, sizes, counts, len(seen))
-

@@ -11,6 +11,7 @@ check that raises fails with the exception as its counterexample.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -492,10 +493,22 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
 
 
 def _prefixes_row_strict(word) -> bool:
-    for k in range(1, len(word) + 1):
-        for row in insertion_tableau(word[:k]):
-            if any(a >= b for a, b in zip(row, row[1:])):
+    """Whether the insertion tableau of every prefix of `word` has strictly
+    increasing rows, from one row insertion of the word by the rule of
+    `insertion_tableau`.  The rows are strict before each letter, so a row
+    turns weak exactly when a letter lands next to an equal entry."""
+    rows: list[list[int]] = []
+    for x in word:
+        for row in rows:
+            pos = bisect_right(row, x)
+            if pos and row[pos - 1] == x:
                 return False
+            if pos == len(row):
+                row.append(x)
+                break
+            row[pos], x = x, row[pos]
+        else:
+            rows.append([x])
     return True
 
 

@@ -181,6 +181,19 @@ def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
     assert "max-count" in capsys.readouterr().err
 
 
+def test_rank_lane_limit_is_checked_before_enumerating(monkeypatch, capsys):
+    # 4x7 passes raised caps, but its 13,672,405,890 tableaux do not fit the
+    # sweep's 4-byte successor ranks
+    import taquin.sweep as sweep
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumeration started beyond the rank lanes")
+
+    monkeypatch.setattr(sweep, "_syt_halves", never)
+    assert main(["csp", "--n", "4", "--m", "7", "--max-cells", "28", "--max-count", "20000000000"]) == 2
+    assert "13672405890 tableaux exceed the 32-bit ranks" in capsys.readouterr().err
+
+
 def test_promote_malformed_input():
     code, _, _ = run_cli("promote", stdin="{bad json")
     assert code == 4
@@ -329,6 +342,7 @@ BAD_INPUT_ROWS = [
     (["csp", "--n", "4", "--m", "6"], "", 2, "error: ", ["24 cells", "20-cell cap", "(see --max-cells/--max-count)"]),
     (["csp", "--n", "4", "--m", "5"], "", 2, "error: ", ["1000000", "(see --max-cells/--max-count)"]),
     (CONSTRUCT_4X6 + ["--diagonal", "[]"], "", 2, "error: ", ["empty shape has no diagonal"]),
+    (["csp", "--n", "4", "--m", "7", "--max-cells", "28", "--max-count", "20000000000"], "", 2, "error: ", ["13672405890", "32-bit ranks"]),
 ]
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -11,7 +12,7 @@ import pytest
 from taquin.shapes import Partition, Rectangle, parse_partition
 from taquin.tableaux import from_rows, promotion
 from taquin.orbits import NotMinimalOrbitError
-from taquin.words import Permutation
+from taquin.words import Permutation, insertion_tableau
 from taquin.sieving import (
     _cyclotomic,
     _poly_div_exact,
@@ -27,6 +28,7 @@ from taquin.sweep import (
     OrbitTable,
     _flat_rows,
     _iter_syt_flat,
+    _pad,
     _promote_flat,
     _ranked_halves,
     _slide_flat,
@@ -37,6 +39,7 @@ from taquin.sweep import (
 from taquin.verify import (
     SUITES,
     CaseResult,
+    _prefixes_row_strict,
     random_corner_peeling,
     run_suite,
 )
@@ -298,30 +301,34 @@ HALF_STEP_DIMS = [(r, c) for r in range(1, 17) for c in range(1, 17) if 2 <= r *
 def test_rank_tables_number_the_tableaux_in_enumeration_order():
     for nrows, ncols in HALF_STEP_DIMS:
         shape = Partition((ncols,) * nrows)
-        total = shape.size
+        nbytes = (nrows + 1) * (ncols + 1)
         halves, offset, index = _ranked_halves(shape)
         pairs = [(p, q) for p, tails in halves for q in tails]
-        assert [(p + q).to_bytes(total, "big") for p, q in pairs] == list(_iter_syt_flat(shape))
+        # the halves fill the padded slide grid of the row-major tableaux
+        assert [(p + q).to_bytes(nbytes, "big") for p, q in pairs] == [_pad(b, ncols) for b in _iter_syt_flat(shape)]
         assert [offset[p] + index[q] for p, q in pairs] == list(range(len(pairs))), (nrows, ncols)
 
 
 def test_half_slides_merge_into_the_promotion():
     # the lower half slides alone from cell 0 to a corner c, the upper half
-    # alone from c; merged, they are the promotion of the whole tableau
+    # alone from c; merged on the padded grid, they are the promotion of
+    # the whole tableau
     for nrows, ncols in HALF_STEP_DIMS:
         total = nrows * ncols
         half = total // 2
+        nbytes = (nrows + 1) * (ncols + 1)
         halves, _, _ = _ranked_halves(Partition((ncols,) * nrows))
         for p, tails in halves:
-            low, c = _slide_flat(p.to_bytes(total, "big"), ncols, 0)
+            low, c = _slide_flat(p.to_bytes(nbytes, "big"), ncols, 0)
             assert low[c] == 0 and set(low) <= set(range(half)), (nrows, ncols, p)
             for q in tails:
-                high, end = _slide_flat(q.to_bytes(total, "big"), ncols, c)
+                high, end = _slide_flat(q.to_bytes(nbytes, "big"), ncols, c)
                 high[end] = total
                 assert set(high) - {0} <= set(range(half, total + 1)), (nrows, ncols, p, q)
                 assert not any(map(min, low, high)), (nrows, ncols, p, q)
-                promoted = _promote_flat((p + q).to_bytes(total, "big"), nrows, ncols)
-                assert bytes(map(max, low, high)) == promoted, (nrows, ncols, p, q)
+                flat = (p + q).to_bytes(nbytes, "big").translate(None, b"\0")
+                promoted = _promote_flat(flat, nrows, ncols)
+                assert bytes(map(max, low, high)) == _pad(promoted, ncols), (nrows, ncols, p, q)
 
 
 def test_successor_ranks_are_the_ranks_of_the_promoted_tableaux():
@@ -401,6 +408,19 @@ def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
     assert table.total == 87_516 and len(table.orbits) == 4_896
     assert len(calls) == 2_643
     assert len(slides) == 2_643
+
+
+def test_orbit_table_leaves_no_cyclic_garbage():
+    # garbage in reference cycles waits for a full collection, so it would
+    # show in the peak RSS of every process that builds a table
+    gc.collect()
+    gc.disable()
+    try:
+        table = orbit_table(Rectangle(3, 6))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert table.total == 87_516
 
 
 def test_orbit_table_peak_memory_at_3x6():
@@ -542,6 +562,18 @@ def test_random_corner_peeling_is_valid():
             assert remaining[b.row - 1] == b.col
             assert b.row == 3 or remaining[b.row] < b.col
             remaining[b.row - 1] -= 1
+
+
+def test_row_strict_prefixes_in_one_pass_match_the_per_prefix_definition():
+    def per_prefix(word):
+        tableaux = (insertion_tableau(word[:k]) for k in range(1, len(word) + 1))
+        return all(a < b for rows in tableaux for row in rows for a, b in zip(row, row[1:]))
+
+    words = [w for length in range(8) for w in itertools.product((1, 2, 3), repeat=length)]
+    assert len(words) == 3_280
+    expected = [per_prefix(w) for w in words]
+    assert [_prefixes_row_strict(w) for w in words] == expected
+    assert 0 < sum(expected) < len(words)
 
 
 # -- suite cases can fail --------------------------------------------------------
