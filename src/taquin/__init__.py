@@ -48,7 +48,7 @@ from .orbits import (
     tableau_from_box_sequence,
 )
 from .sieving import q_hook_at_root, q_hook_polynomial
-from .sweep import EnumerationCapError, orbit_table
+from .sweep import EnumerationCapError, RankLaneError, orbit_table
 from .verify import run_suite
 
 __version__ = "0.1.0"

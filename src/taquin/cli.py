@@ -32,7 +32,7 @@ from .tableaux import (
     standard_rectangle_dims,
 )
 from .sieving import divisors, q_hook_at_root
-from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, orbit_table
+from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, RankLaneError, orbit_table
 from .verify import SUITES, run_suite
 from .words import format_permutation, parse_permutation
 
@@ -213,7 +213,8 @@ def main(argv=None) -> int:
         print(f"not in O_n: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except EnumerationCapError as exc:
-        print(f"error: {exc} (see --max-cells/--max-count)", file=sys.stderr)
+        hint = "" if isinstance(exc, RankLaneError) else " (see --max-cells/--max-count)"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

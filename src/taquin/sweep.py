@@ -22,11 +22,11 @@ the steps of every suffix of mu form one column, shared by every prefix
 that exits mu at c, so the array is written a prefix at a time, each
 segment one big-int sum over the column's lanes (one lane of
 `array("I").itemsize` bytes per rank; `orbit_table` refuses a tableau
-count a lane cannot hold before it enumerates).  The orbits are the
-cycles of that array, walked over one visited byte per rank, and the
-table keeps each orbit as its size and its first tableau as row-major
-bytes; rows are made on demand for the orbits a check reports or
-promotes.  The test suite checks the enumeration against a recursive
+count a lane cannot hold, with `RankLaneError`, before it enumerates).
+The orbits are the cycles of that array, walked over one visited byte
+per rank, and the table keeps each orbit as its size and its first
+tableau as row-major bytes; rows are made on demand for the orbits a
+check reports or promotes.  The test suite checks the enumeration against a recursive
 enumerator, the ranks against the enumeration order, flat promotion
 against the object-level promotion, the half slides against flat
 promotion, and the successor array and the orbit table against flat
@@ -47,6 +47,11 @@ from .sieving import count_standard_tableaux, divisors
 
 class EnumerationCapError(RuntimeError):
     """A sweep exceeded the configured cell or count cap."""
+
+
+class RankLaneError(EnumerationCapError):
+    """A tableau count that the sweep's successor-rank lanes cannot hold;
+    unlike a cap, no setting lifts this limit."""
 
 
 def _grid_size(shape: Partition) -> int:
@@ -312,20 +317,20 @@ def orbit_table(rect: Rectangle, *, max_cells: int = MAX_CELLS, max_count: int =
     permutation of the ranks, stored as an array of successor ranks
     (`_successor_ranks`) that is built a prefix at a time from slides of
     each half of a tableau on its own.  A count of tableaux that one
-    `array("I")` lane cannot hold is refused, like the caps, before any
-    enumeration.  The orbits are the cycles of that array: the sweep jumps
-    to the next unvisited rank of each prefix with `bytearray.find` and
-    walks its cycle, flagging each rank in a bytearray.  Each orbit is kept
-    as its size and its representative, the first of its tableaux in
-    enumeration order, as row-major bytes: its padded grid bytes with the
-    zero bytes deleted; no rows are built."""
+    `array("I")` lane cannot hold is refused with `RankLaneError`, like
+    the caps, before any enumeration.  The orbits are the cycles of that
+    array: the sweep jumps to the next unvisited rank of each prefix with
+    `bytearray.find` and walks its cycle, flagging each rank in a
+    bytearray.  Each orbit is kept as its size and its representative, the
+    first of its tableaux in enumeration order, as row-major bytes: its
+    padded grid bytes with the zero bytes deleted; no rows are built."""
     from array import array
 
     shape = rect.as_partition()
     count = _check_caps(shape, max_cells, max_count)
     bits = 8 * array("I").itemsize
     if count >> bits:
-        raise EnumerationCapError(f"{count} tableaux exceed the {bits}-bit ranks of the sweep")
+        raise RankLaneError(f"{count} tableaux exceed the {bits}-bit ranks of the sweep")
     total = rect.ncells
     if total == 1:
         return OrbitTable(rect, [b"\x01"], [1], {1: 1}, 1)

@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import chain, compress, islice
 from math import factorial
 from typing import Callable
 
@@ -365,8 +365,9 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 return f"box-sequence reconstruction differs for w={w}"
 
     def box_order():
+        letters = _randints(rng, n)
         for _ in range(50):
-            sigma = tuple(rng.randint(1, n) for _ in range(length))
+            sigma = tuple(islice(letters, length))
             run = box_sequence(sigma, stair, steps=length)
             for k in range(length - 1):
                 if sigma[k] < sigma[k + 1] and not box_less(run.boxes[k], run.boxes[k + 1]):
@@ -377,14 +378,17 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
     def equivariance(instances=200):
         # random strict-Knuth moves on the driving sequence must transport to
         # the box sequence and leave the displacement counts alone
+        # strict moves need 3 distinct letters: n < 3 has none to check, and
+        # at n >= 3 too few defined moves is a failure
+        if n < 3:
+            return None
         choices = [from_rows(rows) for rows in standard_tableaux(stair.lambda_minus, **caps)]
+        letters, positions = _randints(rng, n), _randints(rng, length - 2)
         done = attempts = 0
-        # strict moves need 3 distinct letters: n < 3 has none, so the search
-        # gives up and passes; at n >= 3 too few defined moves is a failure
         while done < instances and attempts < 50 * instances:
             attempts += 1
-            sigma = tuple(rng.randint(1, n) for _ in range(length))
-            k = rng.randint(1, length - 2)
+            sigma = tuple(islice(letters, length))
+            k = next(positions)
             moved = strict_knuth(sigma, k)
             if moved is None:
                 continue
@@ -399,7 +403,7 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 return f"sigma={sigma}, k={k}: box sequences differ"
             if run_a.delta != run_b.delta:
                 return f"sigma={sigma}, k={k}: delta changed"
-        if n >= 3 and done < instances:
+        if done < instances:
             return f"only {done} of {instances} strict-Knuth moves were defined"
 
     def descent_runs():
@@ -418,13 +422,13 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
         if len(diags) < 2:
             return None
         steps = n * (max(d.lambda_minus.size for d in diags) + 1)
-        inside = [frozenset(d.lambda_plus.cells()) for d in diags]
+        holds = _holders([d.lambda_plus for d in diags])
         for w in perms:
             runs = [box_sequence(descent_sequence(w), d, steps=steps).boxes for d in diags]
-            for a, b in combinations(range(len(diags)), 2):
-                for k, (ba, bb) in enumerate(zip(runs[a], runs[b]), start=1):
-                    if ba != bb and bb in inside[a] and ba in inside[b]:
-                        return f"w={w}, diagonals {a},{b}, step {k}: {ba} vs {bb}"
+            conflict = _first_cross_conflict(runs, holds)
+            if conflict is not None:
+                a, b, k = conflict
+                return f"w={w}, diagonals {a},{b}, step {k}: {runs[a][k - 1]} vs {runs[b][k - 1]}"
 
     def peeling():
         expected = {w: forward_tableau(w, stair) for w in perms[:6]}
@@ -462,9 +466,10 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
 
     def row_strict_moves():
         words_checked = 0
+        letters = _randints(rng, 3)
         for word_length in (4, 5):
             for _ in range(200):
-                word = tuple(rng.randint(1, 3) for _ in range(word_length))
+                word = tuple(islice(letters, word_length))
                 if not _prefixes_row_strict(word):
                     continue
                 words_checked += 1
@@ -490,6 +495,59 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
         _case("descent-sequence-equivalence", descent_words),
         _case("row-strict-insertion-moves", row_strict_moves),
     ]
+
+
+def _randints(rng: random.Random, top: int):
+    """An endless stream of `rng.randint(1, top)` draws, drawn lazily.
+
+    `randint` draws top.bit_length() bits until they fall below top; the
+    stream makes exactly those `getrandbits` calls, in C-level iterators,
+    so a check reading it sees the numbers `randint` would have given, and
+    streams of several widths on one rng may be read in any interleaving."""
+    return map((1).__add__, filter(top.__gt__, iter(partial(rng.getrandbits, top.bit_length()), None)))
+
+
+def _holders(shapes: list[Partition]) -> dict[Box, int]:
+    """Map each box of the shapes to the bit mask of the shapes holding it."""
+    holds: dict[Box, int] = {}
+    for i, shape in enumerate(shapes):
+        for box in shape.cells():
+            holds[box] = holds.get(box, 0) | 1 << i
+    return holds
+
+
+def _first_cross_conflict(runs: list[tuple[Box, ...]], holds: dict[Box, int]) -> tuple[int, int, int] | None:
+    """The lexicographically first (a, b, k), a < b, where runs a and b (all
+    of one length) sit at different boxes at step k (from 1) and each box
+    lies in the other run's shape (bit a of `holds[box]`), or None.
+
+    At step k the runs fall into groups by box, and two runs of one group
+    never conflict.  Runs a in group x and b in group y conflict exactly
+    when a holds y and b holds x, so the first pair between the two groups
+    is formed by the first run of x that holds y and the first run of y
+    that holds x, in either order."""
+    bits = [1 << i for i in range(len(runs))]
+    steps = len(runs[0]) if runs else 0
+    # a step's boxes are a slice of the runs laid end to end: `zip(*runs)`
+    # would make a tuple per step, and CPython 3.11 parks every freed tuple
+    # of 20 items (the run count at 3x6) on a free list it never reuses
+    flat = list(chain.from_iterable(runs))
+    first = None
+    for k in range(1, steps + 1):
+        boxes = flat[k - 1 :: steps]
+        distinct = dict.fromkeys(boxes)
+        if len(distinct) < 2:
+            continue
+        # per box: the runs at it and the runs whose shape holds it
+        groups = [(sum(compress(bits, map(x.__eq__, boxes))), holds.get(x, 0)) for x in distinct]
+        for i, (in_x, holds_x) in enumerate(groups):
+            for in_y, holds_y in groups[i + 1 :]:
+                a, b = in_x & holds_y, in_y & holds_x
+                if a and b:
+                    a, b = sorted(((a & -a).bit_length() - 1, (b & -b).bit_length() - 1))
+                    if first is None or (a, b, k) < first:
+                        first = a, b, k
+    return first
 
 
 def _prefixes_row_strict(word) -> bool:

@@ -11,7 +11,7 @@ import operator
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,11 @@ class DescentSequence:
             raise ValueError("descents must strictly decrease")
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        out = []
-        j = 0
-        while len(out) < n:
-            d = self.descents[j] if j < len(self.descents) else 0
-            out.extend(range(d + 1, self.n + 1))
-            j += 1
-        return tuple(out[:n])
+        head = tuple(chain.from_iterable(range(d + 1, self.n + 1) for d in self.descents))
+        short = n - len(head)
+        if short <= 0:
+            return head[:n]
+        return head + (tuple(range(1, self.n + 1)) * -(-short // self.n))[:short]
 
 
 def prefix_terms(seq, n: int) -> tuple:

@@ -108,6 +108,25 @@ def test_inverse_word_prefix():
     assert inverse_word_sequence(w).prefix(0) == ()
 
 
+def _descent_prefix_by_blocks(seq, n):
+    # the reference: blocks (d_j+1, ..., n) extended one at a time
+    out, j = [], 0
+    while len(out) < n:
+        d = seq.descents[j] if j < len(seq.descents) else 0
+        out.extend(range(d + 1, seq.n + 1))
+        j += 1
+    return tuple(out[:n])
+
+
+def test_descent_sequence_prefix_matches_the_block_by_block_definition():
+    for n in range(1, 7):
+        for size in range(n):
+            for chosen in itertools.combinations(range(n - 1, 0, -1), size):
+                seq = DescentSequence(chosen, n)
+                for length in range(41):
+                    assert seq.prefix(length) == _descent_prefix_by_blocks(seq, length), (chosen, n, length)
+
+
 def test_descent_sequence_prefix():
     assert descent_sequence(parse_permutation("3142")).prefix(9) == (4, 2, 3, 4, 1, 2, 3, 4, 1)
     n = 4
