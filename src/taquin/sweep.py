@@ -1,16 +1,17 @@
 """Standard-tableau enumeration and the promotion orbit sweep.
 
-The enumeration lane works on flat byte strings for speed, laid out as
-the padded slide grid of the shape: rows of stride ncols + 1, the last
-byte of each row empty, and one empty row below.  Standard tableaux are
-enumerated in two halves, the placements of the upper half of the
-entries listed once per partition the lower half ends on, and joined by
-adding the halves' big-endian ints over that grid; a tableau's row-major
-bytes are its grid bytes with the empty (zero) bytes deleted.  Flat
-slides drop every entry through a translate table and slide the grid in
-place through `tableaux.grid_slide`, the package's one slide kernel; the
-padding is already the empty border a forward slide needs.  The orbit
-sweep promotes on the same split: the entries 1..N//2 of T fill a
+The sweep has one encoding of a tableau, from enumeration to report: the
+big-endian int of its filling of the padded slide grid of the shape, one
+byte per cell (0 for an empty one), rows of stride ncols + 1, the last
+byte of each row empty, and one empty row below.  A byte numbers at most
+255 entries, so the caps check refuses larger shapes.  Standard tableaux
+are enumerated in two halves, the placements of the upper half of the
+entries listed once per partition the lower half ends on, and a tableau
+is the sum of its halves' ints.  Flat slides drop every entry of the
+grid bytes through a translate table and slide them in place through
+`tableaux.grid_slide`, the package's one slide kernel; the padding is
+already the empty border a forward slide needs.  The orbit sweep
+promotes on the same split: the entries 1..N//2 of T fill a
 partition mu, and the slide path stays in mu, comparing only those
 entries, until it leaves mu at a corner c; from there it meets only the
 upper entries.  So promotion is A(p) + B(c, q) for the halves p and q of
@@ -24,13 +25,13 @@ segment one big-int sum over the column's lanes (one lane of
 `array("I").itemsize` bytes per rank; `orbit_table` refuses a tableau
 count a lane cannot hold, with `RankLaneError`, before it enumerates).
 The orbits are the cycles of that array, walked over one visited byte
-per rank, and the table keeps each orbit as its size and its first
-tableau as row-major bytes; rows are made on demand for the orbits a
-check reports or promotes.  The test suite checks the enumeration against a recursive
-enumerator, the ranks against the enumeration order, flat promotion
-against the object-level promotion, the half slides against flat
-promotion, and the successor array and the orbit table against flat
-promotion.
+per rank, and the table keeps each orbit as its size and the int of its
+first tableau; rows are read off the int on demand, for the orbits a
+check reports or promotes.  The test suite checks the enumeration
+against a recursive enumerator, the ranks against the enumeration order,
+flat promotion against the object-level promotion, the half slides
+against flat promotion, and the successor array and the orbit table
+against flat promotion.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .shapes import Partition, Rectangle
 from .tableaux import grid_slide
@@ -50,8 +50,9 @@ class EnumerationCapError(RuntimeError):
 
 
 class RankLaneError(EnumerationCapError):
-    """A tableau count that the sweep's successor-rank lanes cannot hold;
-    unlike a cap, no setting lifts this limit."""
+    """A shape past the sweep's fixed limits: more than the 255 cells its
+    grid bytes can number, or more tableaux than its successor-rank lanes
+    can hold.  Unlike a cap, no setting lifts these limits."""
 
 
 def _grid_size(shape: Partition) -> int:
@@ -90,8 +91,6 @@ def _syt_halves(shape: Partition):
     built once per distinct mu and shared by every prefix ending on it."""
     rows = shape.rows
     total = shape.size
-    if total > 255:
-        raise EnumerationCapError("flat encoding limited to 255 cells")
     # weights[i][j] is the value of grid byte (i, j) in the big-endian int
     nbytes = _grid_size(shape)
     width = nbytes // (len(rows) + 1)
@@ -109,18 +108,11 @@ def _syt_halves(shape: Partition):
         yield p, tails
 
 
-def _iter_syt_flat(shape: Partition):
-    """Yield every standard filling as row-major bytes, entries placed 1..N
-    with the topmost feasible row tried first (lexicographic placement)."""
-    nbytes = _grid_size(shape)
-    for p, tails in _syt_halves(shape):
-        for q in tails:
-            yield (p + q).to_bytes(nbytes, "big").translate(None, b"\0")
-
-
-def _flat_rows(flat: bytes, shape: Partition) -> tuple:
-    starts = [0, *accumulate(shape.rows)]
-    return tuple(tuple(flat[a:b]) for a, b in zip(starts, starts[1:]))
+def _flat_rows(code: int, shape: Partition) -> tuple:
+    """The rows of the tableau of `shape` whose padded-grid int is `code`."""
+    grid = code.to_bytes(_grid_size(shape), "big")
+    width = len(grid) // (len(shape.rows) + 1)
+    return tuple(tuple(grid[k : k + length]) for k, length in zip(range(0, len(grid), width), shape.rows))
 
 
 # default caps of every sweep: cells of the shape, and standard tableaux
@@ -129,7 +121,11 @@ MAX_COUNT = 1_000_000
 
 
 def _check_caps(shape: Partition, max_cells: int, max_count: int) -> int:
-    """Raise unless `shape` is within the caps; returns its tableau count."""
+    """Raise unless `shape` is within the grid bytes and the caps; returns
+    its tableau count.  The byte limit is checked first, on the cell count
+    alone, since no cap lifts it."""
+    if shape.size > 255:
+        raise RankLaneError(f"{shape.size} cells exceed the 255-cell limit of the sweep's grid bytes")
     if shape.size > max_cells:
         raise EnumerationCapError(f"{shape.size} cells exceeds the {max_cells}-cell cap")
     count = count_standard_tableaux(shape)
@@ -144,9 +140,10 @@ def standard_tableaux(shape: Partition, *, max_cells: int = MAX_CELLS, max_count
 
     Caps guard accidental huge sweeps and are checked by the call, from the
     hook length count; pass larger values explicitly to go beyond them.
+    More than 255 cells raises `RankLaneError`, whatever the caps.
     """
     _check_caps(shape, max_cells, max_count)
-    return (_flat_rows(b, shape) for b in _iter_syt_flat(shape))
+    return (_flat_rows(p + q, shape) for p, tails in _syt_halves(shape) for q in tails)
 
 
 # entry 1 -> 0, the hole; every other entry v -> v - 1, and padding 0 stays 0
@@ -170,18 +167,13 @@ def _slide_flat(flat: bytes, ncols: int, start: int) -> tuple[bytearray, int]:
     return grid, end
 
 
-def _pad(flat: bytes, ncols: int) -> bytes:
-    """The padded slide grid of a row-major filling of full rows."""
-    return b"".join(flat[k : k + ncols] + b"\0" for k in range(0, len(flat), ncols)) + bytes(ncols + 1)
-
-
-def _promote_flat(flat: bytes, nrows: int, ncols: int) -> bytes:
-    """Promotion on the row-major bytes of a full rectangle: the slide from
+def _promote_flat(code: int, nrows: int, ncols: int) -> int:
+    """Promotion on the padded-grid int of a full rectangle: the slide from
     the cell of entry 1 always ends in the last cell, which takes the
     largest entry."""
-    grid, end = _slide_flat(_pad(flat, ncols), ncols, 0)
+    grid, end = _slide_flat(code.to_bytes((nrows + 1) * (ncols + 1), "big"), ncols, 0)
     grid[end] = nrows * ncols
-    return bytes(grid).translate(None, b"\0")
+    return int.from_bytes(grid, "big")
 
 
 @dataclass
@@ -189,14 +181,15 @@ class OrbitTable:
     """Promotion orbit decomposition of the standard tableaux of rect.
 
     Each orbit is kept as its representative, the first of its tableaux in
-    enumeration order, flat (row-major bytes, as `_iter_syt_flat` yields
-    it), and its size; `reps` and `sizes` list the orbits in enumeration
-    order of their representatives.  `rep_rows(k)` gives the rows of the
-    k-th representative, and `orbits` pairs each representative's rows with
-    its size, built anew on each read."""
+    enumeration order, as the int of its padded slide grid (the sum p + q
+    of its halves that the sweep walks), and its size; `reps` and `sizes`
+    list the orbits in enumeration order of their representatives.
+    `rep_rows(k)` gives the rows of the k-th representative, and `orbits`
+    pairs each representative's rows with its size, built anew on each
+    read."""
 
     rect: Rectangle
-    reps: list[bytes]
+    reps: list[int]
     sizes: list[int]
     counts: dict[int, int]  # divisor r of the cell count -> #{T : r-fold promotion fixes T}
     total: int
@@ -205,7 +198,7 @@ class OrbitTable:
     def orbits(self) -> list[tuple[tuple, int]]:
         """(representative rows, orbit size) for every orbit."""
         shape = self.rect.as_partition()
-        return [(_flat_rows(flat, shape), size) for flat, size in zip(self.reps, self.sizes)]
+        return [(_flat_rows(code, shape), size) for code, size in zip(self.reps, self.sizes)]
 
     def rep_rows(self, k: int) -> tuple:
         """The rows of the representative of the k-th orbit."""
@@ -249,8 +242,8 @@ def _ranked_halves(shape: Partition):
 def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], index: dict[int, int]):
     """Promotion as a permutation of enumeration ranks, from the first pass
     of `_ranked_halves`: an `array("I")` nxt, nxt[r] being the rank of the
-    promotion of the tableau of rank r, for a rectangle of N >= 2 cells
-    and fewer than 2 ** (8 * itemsize) tableaux.
+    promotion of the tableau of rank r, for a rectangle of fewer than
+    2 ** (8 * itemsize) tableaux.
 
     Let T = p + q, p holding the entries 1..half on a partition mu.  Every
     entry of p is below every entry of q, so at a cell with a right or
@@ -259,11 +252,12 @@ def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], ind
     c on it runs only through entries of q.  So promotion is A + B, A the
     slide of p alone from cell 0, which ends at c (entries 2..half dropped
     to 1..half-1), and B the slide of q alone from c, its terminal set to
-    N.  With E the term of the one cell of B that now holds half, the
-    promoted halves are A + E and B - E, and the promoted tableau has rank
-    offset[A + E] + j, j = index[B - E].  The halves stay ints over the
-    padded slide grid throughout, so a slide is one translate and one
-    `grid_slide`, with no padding to insert or cut.
+    N.  With E the term of the one cell of B that now holds half (E = 0
+    when half = 0, at N = 1, where p is empty and the walk leaves the one
+    tableau fixed), the promoted halves are A + E and B - E, and the
+    promoted tableau has rank offset[A + E] + j, j = index[B - E].  The
+    halves stay ints over the padded slide grid throughout, so a slide is
+    one translate and one `grid_slide`, with no padding to insert or cut.
 
     For a partition mu and a corner c, the pairs (E, j) over the tails of
     mu form one list, a column, shared by every prefix ending on mu that
@@ -322,8 +316,8 @@ def orbit_table(rect: Rectangle, *, max_cells: int = MAX_CELLS, max_count: int =
     array: the sweep jumps to the next unvisited rank of each prefix with
     `bytearray.find` and walks its cycle, flagging each rank in a
     bytearray.  Each orbit is kept as its size and its representative, the
-    first of its tableaux in enumeration order, as row-major bytes: its
-    padded grid bytes with the zero bytes deleted; no rows are built."""
+    first of its tableaux in enumeration order, as the int p + q the walk
+    holds; no rows are built."""
     from array import array
 
     shape = rect.as_partition()
@@ -331,14 +325,10 @@ def orbit_table(rect: Rectangle, *, max_cells: int = MAX_CELLS, max_count: int =
     bits = 8 * array("I").itemsize
     if count >> bits:
         raise RankLaneError(f"{count} tableaux exceed the {bits}-bit ranks of the sweep")
-    total = rect.ncells
-    if total == 1:
-        return OrbitTable(rect, [b"\x01"], [1], {1: 1}, 1)
     halves, offset, index = _ranked_halves(shape)
     nxt = _successor_ranks(rect.nrows, rect.ncols, halves, offset, index)
-    nbytes = _grid_size(shape)
     seen = bytearray(len(nxt))
-    reps: list[bytes] = []
+    reps: list[int] = []
     sizes: list[int] = []
     for p, tails in halves:
         first = offset[p]
@@ -350,9 +340,9 @@ def orbit_table(rect: Rectangle, *, max_cells: int = MAX_CELLS, max_count: int =
                 seen[rank] = 1
                 rank = nxt[rank]
                 size += 1
-            reps.append((p + tails[start - first]).to_bytes(nbytes, "big").translate(None, b"\0"))
+            reps.append(p + tails[start - first])
             sizes.append(size)
             start = seen.find(0, start + 1, end)
     histogram = Counter(sizes)
-    counts = {r: sum(s * k for s, k in histogram.items() if r % s == 0) for r in divisors(total)}
+    counts = {r: sum(s * k for s, k in histogram.items() if r % s == 0) for r in divisors(rect.ncells)}
     return OrbitTable(rect, reps, sizes, counts, len(seen))

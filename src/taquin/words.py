@@ -127,6 +127,8 @@ class DescentSequence:
 
     def __post_init__(self):
         d = self.descents
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if any(not 1 <= x <= self.n - 1 for x in d):
             raise ValueError(f"descents must lie in 1..{self.n - 1}")
         if any(a <= b for a, b in zip(d, d[1:])):

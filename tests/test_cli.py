@@ -346,6 +346,14 @@ BAD_INPUT_ROWS = [
     # the message ends the line: no cap lifts the lane limit, so no caps hint
     (["csp", "--n", "4", "--m", "7", "--max-cells", "28", "--max-count", "20000000000"], "", 2, "error: ",
      ["13672405890 tableaux exceed the 32-bit ranks of the sweep\n"]),
+    # one grid byte per entry: refused on the cell count alone, before the
+    # cell cap and the hook length count, with no caps hint
+    (["csp", "--n", "1", "--m", "300", "--max-cells", "400"], "", 2, "error: ",
+     ["300 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
+    (["csp", "--n", "1", "--m", "300"], "", 2, "error: ",
+     ["300 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
+    (["csp", "--n", "300", "--m", "300", "--max-cells", "100000"], "", 2, "error: ",
+     ["90000 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
 ]
 
 

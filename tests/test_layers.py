@@ -1,8 +1,9 @@
-"""The layering of the verification code, read from the module sources, and
-the one owner of the sweep caps."""
+"""The layering of the verification code, read from the module sources,
+the one owner of the sweep caps, and what the package namespace holds."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import taquin
@@ -11,6 +12,7 @@ from taquin.sweep import MAX_CELLS, MAX_COUNT, orbit_table, standard_tableaux
 from taquin.verify import run_suite
 
 PACKAGE = Path(taquin.__file__).parent
+ROOT = PACKAGE.parent.parent
 
 
 def _package_imports(module: str) -> list[tuple[str, str]]:
@@ -52,3 +54,16 @@ def test_sweep_caps_have_one_owner():
     for fn in (standard_tableaux, orbit_table, run_suite):
         params = inspect.signature(fn).parameters
         assert (params["max_cells"].default, params["max_count"].default) == (MAX_CELLS, MAX_COUNT), fn.__name__
+
+
+def test_package_namespace_holds_readme_and_demo_names_and_exceptions():
+    # the rule of the package docstring: a public name is an exception, or
+    # the README's code (blocks and inline spans) or a demo uses it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    code += [demo.read_text(encoding="utf-8") for demo in sorted((ROOT / "demos").glob("*.py"))]
+    used = set(re.findall(r"\w+", "\n".join(code)))
+    public = {name: value for name, value in vars(taquin).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert "run_suite" in public and "EnumerationCapError" in public
+    exceptions = {name for name, value in public.items() if isinstance(value, type) and issubclass(value, Exception)}
+    assert sorted(public.keys() - exceptions - used) == []

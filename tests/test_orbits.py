@@ -468,6 +468,12 @@ def test_column_sequence_examples():
         column_sequence((4,), 4, 5)
 
 
+def test_column_sequence_refuses_n_below_1():
+    # at n = 0 every block 1..n - d_j is empty, so no count is ever reached
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        column_sequence((), 0, 3)
+
+
 def cols_orientation_cases():
     rect = Rectangle(4, 6, n_is_rows=False)  # 6 rows, 4 columns
     return rect, enumerate_diagonals(rect)

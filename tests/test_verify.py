@@ -27,13 +27,12 @@ from taquin.sieving import (
 from taquin.sweep import (
     EnumerationCapError,
     OrbitTable,
-    _flat_rows,
-    _iter_syt_flat,
-    _pad,
+    RankLaneError,
     _promote_flat,
     _ranked_halves,
     _slide_flat,
     _successor_ranks,
+    _syt_halves,
     orbit_table,
     standard_tableaux,
 )
@@ -99,14 +98,25 @@ def all_partitions_in_box(nrows, ncols):
     return [Partition(p) for p in rec([], nrows)]
 
 
+def grid_code(rows):
+    """The big-endian int of a tableau's padded slide grid: its rows, each
+    followed by empty bytes up to the first row's length + 1, and one
+    empty row below."""
+    width = len(rows[0]) + 1 if rows else 1
+    return int.from_bytes(b"".join(bytes(row).ljust(width, b"\0") for row in rows) + bytes(width), "big")
+
+
 def syt_flats_by_recursion(shape):
-    """Every standard filling as row-major bytes: entries placed 1..N, the
-    topmost feasible row tried first.  Entries 1..N//3 are placed one
-    recursive call per entry; the placements of the rest on top of each
-    partition are listed once, as sums of per-entry byte terms, and reused
-    by every prefix that reaches it."""
+    """Every standard filling as the int of its padded slide grid (see
+    `grid_code`): entries placed 1..N, the topmost feasible row tried
+    first.  Entries 1..N//3 are placed one recursive call per entry; the
+    placements of the rest on top of each partition are listed once, as
+    sums of per-entry byte terms, and reused by every prefix that reaches
+    it."""
     rows, total = shape.rows, shape.size
-    starts = [sum(rows[:i]) for i in range(len(rows))]
+    width = (rows[0] if rows else 0) + 1
+    nbytes = width * (len(rows) + 1)
+    starts = [i * width for i in range(len(rows))]
     memo = {}
     out = []
 
@@ -117,7 +127,7 @@ def syt_flats_by_recursion(shape):
                 yield starts[i] + h, heights[:i] + (h + 1,) + heights[i + 1 :]
 
     def term(k, cell):
-        return k << 8 * (total - 1 - cell)
+        return k << 8 * (nbytes - 1 - cell)
 
     def completions(heights):
         k = sum(heights) + 1
@@ -137,7 +147,7 @@ def syt_flats_by_recursion(shape):
             place(up, k + 1, code + term(k, cell))
 
     place((0,) * len(rows), 1, 0)
-    return [code.to_bytes(total, "big") for code in out]
+    return out
 
 
 def _poly_mul(a, b):
@@ -162,29 +172,29 @@ def q_hook_by_dense_division(nrows, ncols):
 
 
 def orbit_table_by_visited_bytes(rect):
-    """The orbit sweep on whole tableaux: walk each unvisited enumerated
-    tableau around its orbit with the flat kernel, remembering every
-    tableau seen as bytes.  Returns the orbits, counts and total an
-    `OrbitTable` holds, and for each divisor r the flat tableaux fixed by
-    r-fold promotion, listed orbit by orbit from the representative."""
-    shape = rect.as_partition()
+    """The orbit sweep on whole tableaux: walk each tableau of the
+    recursive enumerator, unvisited, around its orbit with the flat
+    kernel, remembering every tableau seen as its grid int.  Returns the
+    (representative, size) pairs, counts and total an `OrbitTable` holds,
+    and for each divisor r the tableaux fixed by r-fold promotion, listed
+    orbit by orbit from the representative."""
     visited = set()
     members = []
     count = 0
-    for b in _iter_syt_flat(shape):
+    for code in syt_flats_by_recursion(rect.as_partition()):
         count += 1
-        if b in visited:
+        if code in visited:
             continue
-        orbit = [b]
-        cur = _promote_flat(b, rect.nrows, rect.ncols)
-        while cur != b:
+        orbit = [code]
+        cur = _promote_flat(code, rect.nrows, rect.ncols)
+        while cur != code:
             orbit.append(cur)
             cur = _promote_flat(cur, rect.nrows, rect.ncols)
         visited.update(orbit)
         members.append(orbit)
-    orbits = [(_flat_rows(orbit[0], shape), len(orbit)) for orbit in members]
+    orbits = [(orbit[0], len(orbit)) for orbit in members]
     counts = {r: sum(s for _, s in orbits if r % s == 0) for r in divisors(rect.ncells)}
-    fixed = {r: [b for orbit in members if r % len(orbit) == 0 for b in orbit] for r in counts}
+    fixed = {r: [code for orbit in members if r % len(orbit) == 0 for code in orbit] for r in counts}
     return orbits, counts, count, fixed
 
 
@@ -202,20 +212,23 @@ def test_enumeration_count_agrees_with_hooks_up_to_16_cells():
     for shape in all_partitions_in_box(4, 6):
         if shape.size > 16:
             continue
-        assert sum(1 for _ in _iter_syt_flat(shape)) == count_standard_tableaux(shape)
+        assert sum(len(tails) for _, tails in _syt_halves(shape)) == count_standard_tableaux(shape)
 
 
 def test_split_enumeration_matches_a_recursive_enumerator():
     shapes = [s for s in all_partitions_in_box(4, 6) if s.size <= 16] + [Partition((6, 6, 6))]
     for shape in shapes:
-        assert list(_iter_syt_flat(shape)) == syt_flats_by_recursion(shape), shape
+        assert [p + q for p, tails in _syt_halves(shape) for q in tails] == syt_flats_by_recursion(shape), shape
 
 
 def test_enumeration_rows_agree_with_hooks_small():
     for shape in all_partitions_in_box(3, 4):
         if shape.size > 10:
             continue
-        assert sum(1 for _ in standard_tableaux(shape)) == count_standard_tableaux(shape)
+        tableaux = list(standard_tableaux(shape))
+        assert len(tableaux) == count_standard_tableaux(shape)
+        # the rows read off the grid ints are the recursive enumerator's tableaux
+        assert [grid_code(rows) for rows in tableaux] == syt_flats_by_recursion(shape), shape
 
 
 def test_count_examples():
@@ -267,15 +280,18 @@ def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
 
     with pytest.raises(EnumerationCapError):
         standard_tableaux(parse_partition("5555"))  # raised by the call, nothing iterated
+    # a grid byte numbers at most 255 entries, and no cap lifts that limit
+    with pytest.raises(RankLaneError, match="300 cells exceed the 255-cell limit"):
+        standard_tableaux(Partition((300,)), max_cells=400)
     pulled = []
-    real = sweep._iter_syt_flat
+    real = sweep._syt_halves
 
     def counting(shape):
-        for b in real(shape):
-            pulled.append(b)
-            yield b
+        for half in real(shape):
+            pulled.append(half)
+            yield half
 
-    monkeypatch.setattr(sweep, "_iter_syt_flat", counting)
+    monkeypatch.setattr(sweep, "_syt_halves", counting)
     it = standard_tableaux(parse_partition("5555"), max_count=2_000_000)
     assert next(it) == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (11, 12, 13, 14, 15), (16, 17, 18, 19, 20))
     assert len(pulled) == 1
@@ -293,10 +309,8 @@ def test_flat_promotion_matches_object_promotion():
     for nrows, ncols in [(1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (3, 4), (3, 2), (4, 2), (4, 3), (5, 1), (1, 6), (2, 5)]:
         shape = Partition((ncols,) * nrows)
         for rows in standard_tableaux(shape):
-            flat = bytes(v for row in rows for v in row)
-            got = _promote_flat(flat, nrows, ncols)
-            expected = promotion(from_rows(rows))
-            assert got == bytes(v for row in expected.row_tuples() for v in row)
+            got = _promote_flat(grid_code(rows), nrows, ncols)
+            assert got == grid_code(promotion(from_rows(rows)).row_tuples()), rows
 
 
 # every (nrows, ncols) with 2..16 cells, both orientations, and 3x6
@@ -306,11 +320,10 @@ HALF_STEP_DIMS = [(r, c) for r in range(1, 17) for c in range(1, 17) if 2 <= r *
 def test_rank_tables_number_the_tableaux_in_enumeration_order():
     for nrows, ncols in HALF_STEP_DIMS:
         shape = Partition((ncols,) * nrows)
-        nbytes = (nrows + 1) * (ncols + 1)
         halves, offset, index = _ranked_halves(shape)
         pairs = [(p, q) for p, tails in halves for q in tails]
-        # the halves fill the padded slide grid of the row-major tableaux
-        assert [(p + q).to_bytes(nbytes, "big") for p, q in pairs] == [_pad(b, ncols) for b in _iter_syt_flat(shape)]
+        # the halves add up to the grid ints of the tableaux, in enumeration order
+        assert [p + q for p, q in pairs] == syt_flats_by_recursion(shape), (nrows, ncols)
         assert [offset[p] + index[q] for p, q in pairs] == list(range(len(pairs))), (nrows, ncols)
 
 
@@ -331,18 +344,17 @@ def test_half_slides_merge_into_the_promotion():
                 high[end] = total
                 assert set(high) - {0} <= set(range(half, total + 1)), (nrows, ncols, p, q)
                 assert not any(map(min, low, high)), (nrows, ncols, p, q)
-                flat = (p + q).to_bytes(nbytes, "big").translate(None, b"\0")
-                promoted = _promote_flat(flat, nrows, ncols)
-                assert bytes(map(max, low, high)) == _pad(promoted, ncols), (nrows, ncols, p, q)
+                promoted = _promote_flat(p + q, nrows, ncols)
+                assert int.from_bytes(bytes(map(max, low, high)), "big") == promoted, (nrows, ncols, p, q)
 
 
 def test_successor_ranks_are_the_ranks_of_the_promoted_tableaux():
     for nrows, ncols in HALF_STEP_DIMS:
         shape = Partition((ncols,) * nrows)
-        flats = list(_iter_syt_flat(shape))
-        rank = {b: r for r, b in enumerate(flats)}
+        codes = syt_flats_by_recursion(shape)
+        rank = {code: r for r, code in enumerate(codes)}
         nxt = _successor_ranks(nrows, ncols, *_ranked_halves(shape))
-        assert list(nxt) == [rank[_promote_flat(b, nrows, ncols)] for b in flats], (nrows, ncols)
+        assert list(nxt) == [rank[_promote_flat(code, nrows, ncols)] for code in codes], (nrows, ncols)
 
 
 # -- orbit tables -----------------------------------------------------------------
@@ -383,9 +395,10 @@ def test_orbit_table_matches_the_visited_bytes_walk():
     for rect in rects:
         table = orbit_table(rect)
         orbits, counts, total, fixed = orbit_table_by_visited_bytes(rect)
-        assert (table.orbits, table.counts, table.total) == (orbits, counts, total), rect
+        assert (list(zip(table.reps, table.sizes)), table.counts, table.total) == (orbits, counts, total), rect
+        assert [(grid_code(rows), size) for rows, size in table.orbits] == orbits, rect
         for r in divisors(rect.ncells):
-            assert [b"".join(map(bytes, rows)) for rows in table.fixed_rows(r)] == fixed[r], (rect, r)
+            assert [grid_code(rows) for rows in table.fixed_rows(r)] == fixed[r], (rect, r)
 
 
 def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
@@ -441,8 +454,8 @@ def test_orbit_table_peak_memory_at_3x6():
 
 
 def test_orbit_table_keeps_no_rows_at_3x6():
-    # one flat representative and one size per orbit stay alive: a tuple
-    # of row tuples per orbit kept about 1.8 MB
+    # one representative grid int and one size per orbit stay alive: a
+    # tuple of row tuples per orbit kept about 1.8 MB
     tracemalloc.start()
     try:
         table = orbit_table(Rectangle(3, 6))
@@ -873,7 +886,7 @@ def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
     # divide N = 6
     rect = Rectangle(2, 3)
     rows = [((1, 3, 5), (2, 4, 6)), ((1, 2, 4), (3, 5, 6))]
-    reps = [bytes(v for row in t for v in row) for t in rows]
+    reps = [grid_code(t) for t in rows]
     table = OrbitTable(rect, reps, [3, 4], {1: 0, 2: 0, 3: 3, 6: 3}, 7)
     inverted = []
 

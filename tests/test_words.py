@@ -138,6 +138,15 @@ def test_descent_sequence_prefix():
         DescentSequence((4,), 4)  # out of range
 
 
+def test_descent_sequence_refuses_n_below_1():
+    # the tail 1..n is empty at n = 0, as an empty generator is for a
+    # periodic sequence, and both are refused when built
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        descent_sequence(Permutation(())).prefix(2)
+    with pytest.raises(ValueError, match="empty generator"):
+        PeriodicSequence(())
+
+
 def test_prefix_terms():
     assert prefix_terms(PeriodicSequence((2, 1)), 5) == (2, 1, 2, 1, 2)
     assert prefix_terms([5, 6, 7], 2) == (5, 6)
