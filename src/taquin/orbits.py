@@ -34,6 +34,7 @@ from .shapes import (
 )
 from .tableaux import (
     PartialTableau,
+    _fill,
     complement_tableau,
     from_grid,
     from_rows,
@@ -340,8 +341,11 @@ def augmented_insertion_tableau(w: Permutation, m: int, shape: Partition | None 
 
 def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: Diagonal) -> PartialTableau:
     """The rectangle filled by the two halves, which overlap on the
-    diagonal boxes only: those must agree, and then the whole rectangle is
-    put on one grid and checked once, by `from_grid`."""
+    diagonal boxes only: those must agree, and then both halves are
+    written into one grid of the rectangle and checked once, by
+    `from_grid`.  A filling that passes its screen increases along rows
+    and columns, so its largest entry sits at the bottom-right corner, and
+    it is 1..N when that entry is N."""
     plus_at, minus_at = plus.entries, minus.entries
     for cell in diag.boxes:
         if plus_at[cell] != minus_at[cell]:
@@ -349,9 +353,11 @@ def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: 
                 f"constructions disagree at {cell}: {plus_at[cell]} vs {minus_at[cell]}"
             )
     region = SkewShape(rect.as_partition())
-    grid, width = to_grid(region, {**minus_at, **plus_at})
+    grid, width = to_grid(region, {})
+    _fill(grid, width, minus)
+    _fill(grid, width, plus)
     t = from_grid(region, grid, width)
-    if not is_standard_normalized(t):
+    if t.size != rect.ncells or grid[rect.nrows * width + rect.ncols] != rect.ncells:
         raise DiagonalMismatchError("combined tableau is not standard")
     return t
 
@@ -416,7 +422,8 @@ def invert(t: PartialTableau, diag: Diagonal | None = None) -> Permutation:
     n, m = min(nrows, ncols), max(nrows, ncols)
     rect = Rectangle(n, m, n_is_rows=(nrows == n))
     diag = diag if diag is not None else staircase_diagonal(rect)
-    residues = tuple((t[b] - 1) % n + 1 for b in diag.boxes)
+    entries = t.entries
+    residues = tuple((entries[b] - 1) % n + 1 for b in diag.boxes)
     if sorted(residues) != list(range(1, n + 1)):
         raise NotMinimalOrbitError(f"diagonal residues {residues} collide; not in the minimal orbit set")
     w = Permutation(residues)

@@ -5,14 +5,17 @@ the constructions in `orbits` interleave filled and unfilled cells in
 irregular patterns.  Every PartialTableau holds distinct positive ints,
 strictly increasing between adjacent filled cells, which turns a buggy
 slide into a loud error.  The constructor's dict validator checks this for
-every tableau built from outside input, and it is the only code that
-raises a TableauError about a tableau's contents.
+a tableau built from a dict, and it is the only code that raises a
+TableauError about a tableau's contents.
 
 Slides run on a mutable grid instead (`to_grid`, `grid_slide`, `from_grid`),
 so a run of slides is checked once, when its public function returns:
 `from_grid` screens a filled grid with a few C-level passes over a cached
 per-region layout, and sends anything the screen does not pass (a partial
-filling, say) to the dict validator.
+filling, say) to the dict validator.  Parsed rows (`from_rows`, and so
+`loads`) take the same screen when every entry is an int >= 1, and go to
+the validator otherwise.  `row_lists` (and so `dumps`), `promotion` and
+`inverse_promotion` read entries through the same cached layout.
 `grid_slide` is the one slide kernel: the constructions, rectification,
 promotion and the orbit sweep's flat promotion all move entries through it.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import chain
 from operator import itemgetter, lt
 from typing import Callable, Iterable, Mapping, NamedTuple
 
@@ -106,13 +110,10 @@ class PartialTableau:
     def row_lists(self) -> list[list]:
         """One list per region row, covering inner+1..outer columns;
         None marks an unfilled cell."""
-        out = []
-        outer, inner = self.region.outer, self.region.inner
-        for r in range(1, outer.nrows + 1):
-            out.append(
-                [self.entries.get(Box(r, c)) for c in range(inner.row_len(r) + 1, outer.row_len(r) + 1)]
-            )
-        return out
+        # the layout of to_grid's width, which from_grid has cached too
+        layout = _grid_layout(self.region, self.region.outer.ncols + 2)
+        values = _cell_values(self, layout)
+        return [list(values[at]) for _, at in layout.rows]
 
     def row_tuples(self) -> tuple:
         return tuple(tuple(row) for row in self.row_lists())
@@ -124,16 +125,27 @@ class PartialTableau:
 def from_rows(rows, inner=EMPTY) -> PartialTableau:
     """Build a tableau from per-row entry lists (None = unfilled cell).
 
-    rows[i] covers the cells of row i+1 right of the inner shape.
+    rows[i] covers the cells of row i+1 right of the inner shape.  When
+    every entry is an int >= 1 the rows are written into a slide grid and
+    screened there by `from_grid`; anything else (an unfilled cell, a 0, a
+    bool, a float) goes to the dict validator, so a parsed 0 is never
+    taken for an empty grid cell.
     """
     inner = inner if isinstance(inner, Partition) else Partition(tuple(inner))
     outer = Partition(tuple(inner.row_len(i + 1) + len(row) for i, row in enumerate(rows)))
+    region = SkewShape(outer, inner)
+    values = list(chain.from_iterable(rows))
+    if set(map(type, values)) == _INT and min(values) >= 1:
+        grid, width = to_grid(region, {})
+        for cells, at in _grid_layout(region, width).rows:
+            grid[cells] = values[at]
+        return from_grid(region, grid, width)
     entries = {}
     for i, row in enumerate(rows, start=1):
         for j, v in enumerate(row, start=inner.row_len(i) + 1):
             if v is not None:
                 entries[Box(i, j)] = v
-    return PartialTableau(SkewShape(outer, inner), entries)
+    return PartialTableau(region, entries)
 
 
 def is_filled(t: PartialTableau) -> bool:
@@ -187,9 +199,10 @@ def _reader(index: tuple[int, ...]) -> Callable:
 
 
 class _GridLayout(NamedTuple):
-    """What `from_grid` reads of a region in a grid of some width."""
+    """Where a region's cells sit in a grid of some width."""
 
     boxes: tuple[Box, ...]  # the region's cells, row-major
+    rows: tuple[tuple[slice, slice], ...]  # per region row, its cells as slices of the grid and of boxes
     read: Callable  # grid -> the entries of those cells
     lo: Callable  # grid -> per pair of adjacent region cells, the left or upper entry
     hi: Callable  # grid -> per pair, the right or lower entry
@@ -200,7 +213,31 @@ def _grid_layout(region: SkewShape, width: int) -> _GridLayout:
     cells = grid_boxes(region, width)
     pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
     lo, hi = zip(*pairs) if pairs else ((), ())
-    return _GridLayout(tuple(cells.values()), _reader(tuple(cells)), _reader(lo), _reader(hi))
+    rows, done = [], 0
+    for r, end in enumerate(region.outer.rows, start=1):
+        start = region.inner.row_len(r)
+        rows.append((slice(r * width + start + 1, r * width + end + 1), slice(done, done + end - start)))
+        done += end - start
+    return _GridLayout(tuple(cells.values()), tuple(rows), _reader(tuple(cells)), _reader(lo), _reader(hi))
+
+
+def _cell_values(t: PartialTableau, layout: _GridLayout) -> tuple:
+    """The entries of the layout's cells of t's region in row-major order,
+    None for an unfilled cell.  `from_grid` leaves the entries in that
+    order, and then they are read straight off the dict."""
+    entries = t.entries
+    if tuple(entries) == layout.boxes:
+        return tuple(entries.values())
+    return tuple(map(entries.get, layout.boxes))
+
+
+def _fill(grid: list[int], width: int, t: PartialTableau, shift: int = 0) -> None:
+    """Write the entries of the filled tableau `t`, each plus `shift`, into
+    the cells of its region in `grid`, one row slice at a time."""
+    layout = _grid_layout(t.region, width)
+    values = [v + shift for v in _cell_values(t, layout)]
+    for cells, at in layout.rows:
+        grid[cells] = values[at]
 
 
 _INT = frozenset({int})
@@ -215,7 +252,7 @@ def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
     such as a partial filling, goes to `PartialTableau` as it is.  Both
     give the same tableau, entries in row-major order, and only the
     validator raises."""
-    boxes, read, lo, hi = _grid_layout(region, width)
+    boxes, _, read, lo, hi = _grid_layout(region, width)
     values = read(grid)
     if (
         set(map(type, values)) == _INT
@@ -304,7 +341,8 @@ def promotion(t: PartialTableau) -> PartialTableau:
     """
     nrows, ncols = standard_rectangle_dims(t, "promotion")
     # decrement first: entry 1, always at (1,1), becomes the empty cell
-    grid, width = to_grid(t.region, {b: v - 1 for b, v in t.entries.items()})
+    grid, width = to_grid(t.region, {})
+    _fill(grid, width, t, -1)
     end, _ = grid_slide(grid, width, width + 1)
     assert end == nrows * width + ncols
     grid[end] = nrows * ncols
@@ -313,7 +351,8 @@ def promotion(t: PartialTableau) -> PartialTableau:
 
 def inverse_promotion(t: PartialTableau) -> PartialTableau:
     nrows, ncols = standard_rectangle_dims(t, "inverse promotion")
-    grid, width = to_grid(t.region, {b: v + 1 for b, v in t.entries.items()})
+    grid, width = to_grid(t.region, {})
+    _fill(grid, width, t, 1)
     corner = nrows * width + ncols
     grid[corner] = 0  # entry N always sits at the bottom-right corner
     end, _ = grid_slide(grid, width, corner, False)

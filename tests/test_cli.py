@@ -354,6 +354,22 @@ BAD_INPUT_ROWS = [
      ["300 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
     (["csp", "--n", "300", "--m", "300", "--max-cells", "100000"], "", 2, "error: ",
      ["90000 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
+    # parsed 2x2 entries that are not a standard filling: the validator's
+    # message, whole; a 0 is an entry, never an empty cell
+    *(
+        ([command], '{"outer": [2, 2], "rows": ' + rows + "}", 4, "error: " + message + "\n", [])
+        for command, rows, message in (
+            ("promote", "[[1, true], [3, 4]]", "entry True at (1, 2) is not an integer"),
+            ("promote", "[[1, 2.0], [3, 4]]", "entry 2.0 at (1, 2) is not an integer"),
+            ("invert", '[[1, "2"], [3, 4]]', "entry '2' at (1, 2) is not an integer"),
+            ("invert", "[[0, 2], [3, 4]]", "non-positive entry 0 at (1, 1)"),
+            ("promote", "[[1, 0], [3, 4]]", "row not increasing at (1, 1): 1 !< 0"),
+            ("invert", "[[-3, 2], [3, 4]]", "non-positive entry -3 at (1, 1)"),
+            ("promote", "[[1, 2], [2, 4]]", "duplicate entries"),
+            ("invert", "[[1, 4], [3, 2]]", "column not increasing at (1, 2): 4 !< 2"),
+            ("promote", "[[1, null], [3, 4]]", "promote needs a standard tableau with entries 1..N"),
+        )
+    ),
 ]
 
 

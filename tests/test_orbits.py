@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from taquin.orbits import (
     _slide_plan,
+    _splice,
     DiagonalMismatchError,
     NotMinimalOrbitError,
     augmented_insertion_tableau,
@@ -300,6 +301,23 @@ def test_splice_checks_the_diagonal_boxes(monkeypatch):
     monkeypatch.setattr(orbits, "reverse_tableau", lambda w, d, r: real(promotion_cycle(3), d, r))
     with pytest.raises(DiagonalMismatchError, match="constructions disagree at"):
         minimal_orbit_tableau(identity(3), rect)
+
+
+def test_splice_refuses_a_filling_that_is_not_standard():
+    # halves that agree on the diagonal and together increase along rows
+    # and columns, but hold 2, 4, ..., 2N
+    rect = Rectangle(3, 5)
+    d = staircase_diagonal(rect)
+    w = Permutation((2, 3, 1))
+    plus, minus = forward_tableau(w, d), reverse_tableau(w, d, rect)
+    assert is_standard_normalized(_splice(plus, minus, rect, d))
+
+    def mapped(t, f):
+        return PartialTableau(t.region, {b: f(v) for b, v in t.entries.items()})
+
+    doubled = (mapped(plus, lambda v: 2 * v), mapped(minus, lambda v: 2 * v))
+    with pytest.raises(DiagonalMismatchError, match="combined tableau is not standard"):
+        _splice(*doubled, rect, d)
 
 
 def _small_rectangles():

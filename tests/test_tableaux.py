@@ -194,24 +194,133 @@ def test_grid_screen_agrees_with_the_validator():
                     _assert_screen_agrees_on_mutations(t, rng)
 
 
+def _assert_rows_agree(rows, inner):
+    """`from_rows` returns what the dict validator makes of the rows'
+    non-None entries, in the same order, or raises its error; a tableau it
+    returns goes back to the same rows and to the JSON of those rows."""
+    inner = Partition(tuple(inner))
+    starts = [inner.row_len(i) for i in range(1, len(rows) + 1)]
+    region = SkewShape(Partition(tuple(s + len(row) for s, row in zip(starts, rows))), inner)
+    entries = {
+        Box(i, s + j): v
+        for i, (s, row) in enumerate(zip(starts, rows), start=1)
+        for j, v in enumerate(row, start=1)
+        if v is not None
+    }
+    try:
+        want = PartialTableau(region, entries)
+    except TableauError as exc:
+        with pytest.raises(TableauError) as got:
+            from_rows(rows, inner)
+        assert str(got.value) == str(exc)
+        return
+    got = from_rows(rows, inner)
+    assert got == want
+    assert list(got.entries.items()) == list(want.entries.items())
+    assert got.row_lists() == [list(row) for row in rows]
+    assert from_rows(got.row_lists(), inner) == got
+    d = {"outer": list(region.outer.rows)}
+    if inner.rows:
+        d["inner"] = list(inner.rows)
+    d["rows"] = [list(row) for row in rows]
+    assert dumps(got) == json.dumps(d)
+
+
+def _row_mutations(t, rng):
+    """The rows of t with a cell set to 0, -1, True, 2.0, "3" or None, an
+    entry duplicated, and two adjacent cells swapped."""
+    rows = t.row_lists()
+    # cell (r, c) sits at rows[r - 1][c - inner row length - 1]
+    at = {b: (b.row - 1, b.col - t.region.inner.row_len(b.row) - 1) for b in t.region.cells()}
+    cells = list(at)
+    pairs = [(b, n) for b in cells for n in (Box(b.row, b.col + 1), Box(b.row + 1, b.col)) if n in at]
+    mutations = []
+    if cells:
+        b = rng.choice(cells)
+        mutations += [((b, v),) for v in (0, -1, True, 2.0, "3", None)]
+    if len(cells) > 1:
+        b, c = rng.sample(cells, 2)
+        mutations.append(((b, t.get(c)),))
+    if pairs:
+        b, c = rng.choice(pairs)
+        mutations.append(((b, t.get(c)), (c, t.get(b))))
+    out = []
+    for changes in mutations:
+        new = [list(row) for row in rows]
+        for b, v in changes:
+            i, j = at[b]
+            new[i][j] = v
+        out.append(new)
+    return out
+
+
+def test_rows_screen_agrees_with_the_validator():
+    rng = random.Random(23)
+    # every SYT of up to 10 cells, each with one of its mutations in turn
+    k = 0
+    for total in range(11):
+        for rows in _partitions(total):
+            for syt in standard_tableaux(Partition(rows)):
+                _assert_rows_agree(syt, ())
+                if total:
+                    mutations = _row_mutations(from_rows(syt), rng)
+                    _assert_rows_agree(mutations[k % len(mutations)], ())
+                    k += 1
+    # skew regions, one with a row of no cells, and partial fillings, each
+    # with every mutation
+    tableaux = [t for shapes in (("332", "21"), ("22", "21"), ("431", "2")) for t in partial_tableaux_of(*shapes)]
+    rect = Rectangle(3, 4)
+    for d in enumerate_diagonals(rect):
+        for w in all_permutations(rect.n):
+            plus, frames = forward_tableau(w, d, trace=True)
+            minus, back = reverse_tableau(w, d, rect, trace=True)
+            tableaux += [plus, minus, *frames, *back]
+    for t in tableaux:
+        _assert_rows_agree(t.row_lists(), t.region.inner.rows)
+        for rows in _row_mutations(t, rng):
+            _assert_rows_agree(rows, t.region.inner.rows)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, also from the module's own code."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_built_tableaux_skip_the_validator(monkeypatch):
+    import taquin.orbits as orbits
+    import taquin.tableaux as tableaux
+
     rect = Rectangle(6, 10)
     t = minimal_orbit_tableau(Permutation((3, 1, 6, 2, 5, 4)), rect)
     text = dumps(t)
-    inits = []
-    validate = PartialTableau.__init__
-
-    def counted(self, *args):
-        inits.append(1)
-        validate(self, *args)
-
-    monkeypatch.setattr(PartialTableau, "__init__", counted)
+    inits = _count_calls(monkeypatch, PartialTableau, "__init__")
+    # orbits binds from_grid at import, so both bindings are counted
+    screens = _count_calls(monkeypatch, tableaux, "from_grid")
+    screens_orbits = _count_calls(monkeypatch, orbits, "from_grid")
     for w in all_permutations(6):
         minimal_orbit_tableau(w, rect)
+    assert len(screens) + len(screens_orbits) == 3 * 720  # two halves and the splice
     assert promotion(inverse_promotion(t)) == t
+    assert len(screens) + len(screens_orbits) == 3 * 720 + 2  # one per promotion step
     assert len(inits) == 0
-    # outside input keeps the dict validator
+    # parsed input is screened on the grid: one from_grid call, no validator
+    screens.clear()
     assert loads(text) == t
+    assert len(screens) == 1
+    assert len(inits) == 0
+    # an invalid parsed tableau reaches the validator exactly once
+    bad = json.loads(text)
+    bad["rows"][0][0], bad["rows"][0][1] = bad["rows"][0][1], bad["rows"][0][0]
+    with pytest.raises(TableauFormatError, match=r"^row not increasing at \(1, 1\): 2 !< 1$"):
+        loads(json.dumps(bad))
     assert len(inits) == 1
 
 
