@@ -8,8 +8,9 @@ the command takes), 5 domain error (tableau outside the minimal orbit
 set).  Code 3 is retired and unused.  These are stable so shell harnesses
 need no output parsing.  `main` maps exceptions to them in one place; the
 input rules live in the library, m >= n in `shapes.Rectangle`.  `main`
-builds only the parser of the command it is given, and builds all five for
-help and for errors at the top level; either way it prints the same bytes.
+parses a named command with that command's parser alone, and builds the
+parser of all five for help, top-level errors and leftover arguments;
+either way it prints the same bytes.
 """
 
 from __future__ import annotations
@@ -181,30 +182,29 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone.  Either way the
-    usage line names every command, so an error prints the same text."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for help, top-level errors and leftovers."""
     parser = argparse.ArgumentParser(
         prog="taquin",
         description="Minimal promotion orbits of rectangular standard Young tableaux.",
     )
-    # The metavar is what argparse would derive from all five choices.  It
-    # is set only for one command, since setting it also renames the action
-    # in the full parser's "required" and "invalid choice" errors.
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        entry = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, entry in COMMANDS.items():
         entry.add_arguments(sub.add_parser(name, help=entry.help))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Only help and errors at the top level need every command's parser.
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    name = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        if name is not None:  # the subparser that the full parser would hand argv[1:] to
+            parser = argparse.ArgumentParser(prog=f"taquin {name}")
+            COMMANDS[name].add_arguments(parser)
+            args, extras = parser.parse_known_args(argv[1:])
+            args.command = name
+        if name is None or extras:  # top-level help and errors, leftover arguments
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -339,6 +339,12 @@ def augmented_insertion_tableau(w: Permutation, m: int, shape: Partition | None 
     return from_rows([row[:length] for row, length in zip(rows, shape.rows)])
 
 
+@lru_cache(maxsize=64)
+def _rect_region(rect: Rectangle) -> SkewShape:
+    """The whole rectangle as a region, built once per rectangle."""
+    return SkewShape(rect.as_partition())
+
+
 def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: Diagonal) -> PartialTableau:
     """The rectangle filled by the two halves, which overlap on the
     diagonal boxes only: those must agree, and then both halves are
@@ -352,7 +358,7 @@ def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: 
             raise DiagonalMismatchError(
                 f"constructions disagree at {cell}: {plus_at[cell]} vs {minus_at[cell]}"
             )
-    region = SkewShape(rect.as_partition())
+    region = _rect_region(rect)
     grid, width = to_grid(region, {})
     _fill(grid, width, minus)
     _fill(grid, width, plus)

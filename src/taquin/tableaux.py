@@ -133,7 +133,11 @@ def from_rows(rows, inner=EMPTY) -> PartialTableau:
     """
     inner = inner if isinstance(inner, Partition) else Partition(tuple(inner))
     outer = Partition(tuple(inner.row_len(i + 1) + len(row) for i, row in enumerate(rows)))
-    region = SkewShape(outer, inner)
+    return _fill_rows(SkewShape(outer, inner), rows)
+
+
+def _fill_rows(region: SkewShape, rows) -> PartialTableau:
+    """`from_rows` on a region whose row lengths the rows already match."""
     values = list(chain.from_iterable(rows))
     if set(map(type, values)) == _INT and min(values) >= 1:
         grid, width = to_grid(region, {})
@@ -142,7 +146,7 @@ def from_rows(rows, inner=EMPTY) -> PartialTableau:
         return from_grid(region, grid, width)
     entries = {}
     for i, row in enumerate(rows, start=1):
-        for j, v in enumerate(row, start=inner.row_len(i) + 1):
+        for j, v in enumerate(row, start=region.inner.row_len(i) + 1):
             if v is not None:
                 entries[Box(i, j)] = v
     return PartialTableau(region, entries)
@@ -406,7 +410,7 @@ def from_file_dict(d) -> PartialTableau:
     try:
         outer = Partition(_int_list(d["outer"], "outer"))
         inner = Partition(_int_list(d.get("inner", []), "inner"))
-        SkewShape(outer, inner)  # raises unless inner fits inside outer
+        region = SkewShape(outer, inner)  # raises unless inner fits inside outer
         rows = d["rows"]
         if not isinstance(rows, list) or len(rows) != outer.nrows:
             raise TableauFormatError("'rows' must list one row per outer row")
@@ -414,7 +418,7 @@ def from_file_dict(d) -> PartialTableau:
             cells = outer.row_len(i) - inner.row_len(i)
             if not isinstance(row, list) or len(row) != cells:
                 raise TableauFormatError(f"row {i} must be a list of {cells} cells")
-        return from_rows(rows, inner)
+        return _fill_rows(region, rows)
     except TableauFormatError:
         raise
     except (TypeError, ValueError) as exc:

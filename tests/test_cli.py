@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from taquin.cli import COMMANDS, build_parser, main
+from taquin.orbits import minimal_orbit_tableau
 from taquin.tableaux import dumps, format_grid, from_rows, loads, promotion
 from taquin.sweep import orbit_table
 from taquin.shapes import Rectangle
+from taquin.words import parse_permutation
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -422,6 +424,51 @@ def test_argparse_errors_are_pinned(argv, code, stderr, monkeypatch, capsys):
     assert capsys.readouterr() == ("", stderr)
 
 
+# main must give each argv here the exit code, stdout and stderr that the
+# parser of all five commands and the command give, although it parses a
+# named command with that command's parser and hands only leftovers on.
+DIFFERENTIAL_ARGV = [
+    ["construct", "--m", "4", "--w", "213", "--", "--n", "3"],
+    ["construct", "--", "--m", "4", "--w", "213"],
+    ["invert", "--"],
+    ["construct", "--m", "4", "--w", "213", "--for", "grid"],
+    ["csp", "--n", "2", "--m", "3", "--max-c", "5"],
+    ["construct", "--m=4", "--w", "213"],
+    ["construct", "--m", "4", "--w", "213", "--m", "5", "--format", "grid"],
+    ["promote", "--steps", "-1", "--steps", "2"],
+    ["verify", "-h", "extra", "--bogus"],
+    ["construct", "--bogus", "--help"],
+    ["construct", "--m", "4", "--w"],
+    ["promote", "--steps"],
+    ["construct", "--m", "4", "--w", "213", "--nope"],
+    ["construct", "--m", "4", "--w", "213", "construct"],
+    ["promote", "--steps", "2", "--nope", "1"],
+    ["invert", "--tableau", "-", "--nope"],
+    ["verify", "--n", "2", "--m", "3", "--nope"],
+    ["csp", "--n", "2", "--m", "3", "--nope"],
+]
+
+
+def _via_full_parser(argv) -> int:
+    """The exit code of the parser of all five commands, then the command."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    return COMMANDS[args.command].run(args)
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    stdin = dumps(minimal_orbit_tableau(parse_permutation("213"), Rectangle(3, 4)))
+    outcomes = []
+    for run in (main, _via_full_parser):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        outcomes.append((run(argv), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_one_command_help_matches_the_full_parser(command, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
@@ -444,18 +491,24 @@ def test_top_level_help_lists_every_command(monkeypatch, capsys):
 
 
 def test_main_builds_only_the_named_command(monkeypatch):
-    built = []
+    built, parsers = [], []
     add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
     def counting_add_parser(self, name, **kwargs):
         built.append(name)
         return add_parser(self, name, **kwargs)
 
+    def counting_init(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting_add_parser)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["construct", "--n", "2", "--m", "2", "--w", "21"]) == 0
-    assert built == ["construct"]
-    # help and errors at the top level build all five
-    for argv in ([], ["bogus"], ["--help"], ["-h", "construct"], ["--bogus", "construct"]):
+    assert (built, parsers) == ([], ["taquin construct"])
+    # help and errors at the top level, and leftover arguments, build all five
+    for argv in ([], ["bogus"], ["--help"], ["-h", "construct"], ["--bogus", "construct"], ["invert", "--bogus"]):
         built.clear()
         main(argv)
         assert built == list(COMMANDS), argv

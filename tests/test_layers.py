@@ -49,7 +49,7 @@ def test_verify_imports_no_private_name_of_the_sweep_or_the_counts():
 def test_sweep_caps_have_one_owner():
     assert (MAX_CELLS, MAX_COUNT) == (20, 1_000_000)
     for command in ("verify", "csp"):
-        args = build_parser(command).parse_args([command, "--n", "2", "--m", "3"])
+        args = build_parser().parse_args([command, "--n", "2", "--m", "3"])
         assert (args.max_cells, args.max_count) == (MAX_CELLS, MAX_COUNT), command
     for fn in (standard_tableaux, orbit_table, run_suite):
         params = inspect.signature(fn).parameters
