@@ -44,4 +44,4 @@ cols = column_sequence(sorted(descents(w), reverse=True), 4, len(run.boxes))
 print("descent-driven terminals land in columns", cols[:10], "...")
 assert tuple(b.col for b in run.boxes) == cols
 print("displacement counts from the run:   ", run.delta)
-print("displacement counts in closed form: ", delta_closed_form(w, diag_cols.lambda_plus, 4))
+print("displacement counts in closed form: ", delta_closed_form(w, diag_cols.lambda_plus))

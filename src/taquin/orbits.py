@@ -35,10 +35,10 @@ from .shapes import (
 from .tableaux import (
     PartialTableau,
     _fill,
+    _grid_layout,
     complement_tableau,
     from_grid,
     from_rows,
-    grid_boxes,
     grid_slide,
     is_standard_normalized,
     standard_rectangle_dims,
@@ -159,12 +159,12 @@ def _construct(w: Permutation, diag: Diagonal, rect: Rectangle | None, choice: P
     grid = [0] * size
     for i, v in zip(seeds, w.oneline):
         grid[i] = v + shift
-    frames = [from_grid(region, grid, width)] if trace else None
+    frames = [from_grid(region, grid)] if trace else None
     for hole in starts:
         _refill_slide(grid, width, hole, forward, targets, n if forward else -n)
         if trace:
-            frames.append(from_grid(region, grid, width))
-    t = frames[-1] if trace else from_grid(region, grid, width)
+            frames.append(from_grid(region, grid))
+    t = frames[-1] if trace else from_grid(region, grid)
     assert t.size == region.size, "construction did not fill its region"
     return (t, frames) if trace else t
 
@@ -218,7 +218,7 @@ def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> 
             grid[b.row * width + b.col] = w(seed[b])
         elif b in diag.lambda_minus:
             _refill_slide(grid, width, b.row * width + b.col, True, plan.targets, n)
-    t = from_grid(plan.region, grid, width)
+    t = from_grid(plan.region, grid)
     assert t.size == diag.lambda_plus.size
     return t
 
@@ -254,12 +254,12 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     sig = prefix_terms(sigma, steps)
     if any(not 1 <= s <= n for s in sig):
         raise ValueError(f"sequence terms must lie in 1..{n}")
-    cells = grid_boxes(region, width)
+    cells = _grid_layout(region, width).cells
     # slides go in decreasing entry order, so entry k sits at the k-th last start
     grid = [0] * plan.size
     for k, i in enumerate(reversed(starts), start=1):
         grid[i] = k
-    frames = [from_grid(region, grid, width)] if trace else None
+    frames = [from_grid(region, grid)] if trace else None
     ends = []
     for s in sig:
         p = seeds[s - 1]
@@ -269,7 +269,7 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
         ends.append(end)
         grid[p] = 0
         if trace:
-            frames.append(from_grid(region, grid, width))
+            frames.append(from_grid(region, grid))
     if auto and any(grid):
         raise RuntimeError("stabilization bound too small: entries remain")
     delta = {i: 0 for i in range(1, n + 1)}
@@ -305,14 +305,12 @@ def column_sequence(descent_list, n: int, count: int) -> tuple[int, ...]:
     return tuple(out[:count])
 
 
-def delta_closed_form(w: Permutation, lambda_plus: Partition, n: int | None = None) -> dict[int, int]:
+def delta_closed_form(w: Permutation, lambda_plus: Partition) -> dict[int, int]:
     """Displacement counts for the descent-driven sequence, directly from
     the descent set: delta(i) = C_i - #{j : d_j >= i} + #{j : d_j >= n+1-i} - 1
-    with C_i the i-th column length of lambda_plus.  Assumes n is the
-    number of columns of the rectangle."""
-    n = n if n is not None else w.n
-    if w.n != n:
-        raise ValueError("permutation size must equal n")
+    with C_i the i-th column length of lambda_plus.  Assumes n = w.n is
+    the number of columns of the rectangle."""
+    n = w.n
     if lambda_plus.ncols != n:
         raise ValueError("lambda_plus must have exactly n columns (n-columns orientation)")
     d = sorted(descents(w), reverse=True)
@@ -362,7 +360,7 @@ def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: 
     grid, width = to_grid(region, {})
     _fill(grid, width, minus)
     _fill(grid, width, plus)
-    t = from_grid(region, grid, width)
+    t = from_grid(region, grid)
     if t.size != rect.ncells or grid[rect.nrows * width + rect.ncols] != rect.ncells:
         raise DiagonalMismatchError("combined tableau is not standard")
     return t

@@ -14,8 +14,8 @@ so a run of slides is checked once, when its public function returns:
 per-region layout, and sends anything the screen does not pass (a partial
 filling, say) to the dict validator.  Parsed rows (`from_rows`, and so
 `loads`) take the same screen when every entry is an int >= 1, and go to
-the validator otherwise.  `row_lists` (and so `dumps`), `promotion` and
-`inverse_promotion` read entries through the same cached layout.
+the validator otherwise.  `row_lists` (and so `dumps` and `format_grid`)
+and `promotion` and its inverse read entries through the same layout.
 `grid_slide` is the one slide kernel: the constructions, rectification,
 promotion and the orbit sweep's flat promotion all move entries through it.
 
@@ -143,7 +143,7 @@ def _fill_rows(region: SkewShape, rows) -> PartialTableau:
         grid, width = to_grid(region, {})
         for cells, at in _grid_layout(region, width).rows:
             grid[cells] = values[at]
-        return from_grid(region, grid, width)
+        return from_grid(region, grid)
     entries = {}
     for i, row in enumerate(rows, start=1):
         for j, v in enumerate(row, start=region.inner.row_len(i) + 1):
@@ -190,22 +190,16 @@ def to_grid(region: SkewShape, entries: Mapping) -> tuple[list[int], int]:
     return grid, width
 
 
-@lru_cache(maxsize=1024)
-def grid_boxes(region: SkewShape, width: int) -> dict[int, Box]:
-    """The cells of `region` keyed by their index in a grid of `width`, in
-    row-major order; shared between callers, so never mutate it."""
-    return {b.row * width + b.col: b for b in region.cells()}
-
-
 def _reader(index: tuple[int, ...]) -> Callable:
     """A C-level reader of the tuple (grid[i] for i in index)."""
     return itemgetter(*index) if len(index) > 1 else lambda grid: tuple(grid[i] for i in index)
 
 
 class _GridLayout(NamedTuple):
-    """Where a region's cells sit in a grid of some width."""
+    """Where a region's cells sit in a grid of some width; shared, so never mutate it."""
 
-    boxes: tuple[Box, ...]  # the region's cells, row-major
+    cells: dict[int, Box]  # the region's cells keyed by grid index, row-major
+    boxes: tuple[Box, ...]  # the same cells, as a tuple
     rows: tuple[tuple[slice, slice], ...]  # per region row, its cells as slices of the grid and of boxes
     read: Callable  # grid -> the entries of those cells
     lo: Callable  # grid -> per pair of adjacent region cells, the left or upper entry
@@ -214,7 +208,7 @@ class _GridLayout(NamedTuple):
 
 @lru_cache(maxsize=1024)
 def _grid_layout(region: SkewShape, width: int) -> _GridLayout:
-    cells = grid_boxes(region, width)
+    cells = {b.row * width + b.col: b for b in region.cells()}
     pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
     lo, hi = zip(*pairs) if pairs else ((), ())
     rows, done = [], 0
@@ -222,7 +216,7 @@ def _grid_layout(region: SkewShape, width: int) -> _GridLayout:
         start = region.inner.row_len(r)
         rows.append((slice(r * width + start + 1, r * width + end + 1), slice(done, done + end - start)))
         done += end - start
-    return _GridLayout(tuple(cells.values()), tuple(rows), _reader(tuple(cells)), _reader(lo), _reader(hi))
+    return _GridLayout(cells, tuple(cells.values()), tuple(rows), _reader(tuple(cells)), _reader(lo), _reader(hi))
 
 
 def _cell_values(t: PartialTableau, layout: _GridLayout) -> tuple:
@@ -247,8 +241,8 @@ def _fill(grid: list[int], width: int, t: PartialTableau, shift: int = 0) -> Non
 _INT = frozenset({int})
 
 
-def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
-    """The validated tableau of the filled region cells of a grid.
+def from_grid(region: SkewShape, grid: list[int]) -> PartialTableau:
+    """The validated tableau of the filled region cells of a grid laid out by `to_grid`.
 
     A grid whose region cells all hold distinct ints >= 1, increasing to
     the right and downwards, passes a screen of C-level passes over a
@@ -256,7 +250,7 @@ def from_grid(region: SkewShape, grid: list[int], width: int) -> PartialTableau:
     such as a partial filling, goes to `PartialTableau` as it is.  Both
     give the same tableau, entries in row-major order, and only the
     validator raises."""
-    boxes, _, read, lo, hi = _grid_layout(region, width)
+    _, boxes, _, read, lo, hi = _grid_layout(region, region.outer.ncols + 2)
     values = read(grid)
     if (
         set(map(type, values)) == _INT
@@ -327,13 +321,29 @@ def rectify(t: PartialTableau) -> PartialTableau:
         r, c = removable_corners(Partition(tuple(inner_rows)))[-1]
         grid_slide(grid, width, r * width + c)
         inner_rows[r - 1] -= 1
-    shape = []
+    rows = []
     for r in range(1, outer.nrows + 1):
         row = grid[r * width + 1 : r * width + outer.row_len(r) + 1]
         filled = sum(1 for v in row if v)
         assert all(row[:filled]), "rectified entries are not left-justified"
-        shape.append(filled)
-    return from_grid(SkewShape(Partition(tuple(shape))), grid, width)
+        rows.append(row[:filled])
+    return from_rows(rows)
+
+
+def _promotion_step(t: PartialTableau, forward: bool) -> PartialTableau:
+    """Promotion, or its inverse: shift every entry by -1 (+1), so that
+    entry 1 (N), always at the top-left (bottom-right) corner, leaves an
+    empty cell, slide it to the opposite corner, and put N (1) there."""
+    nrows, ncols = standard_rectangle_dims(t, "promotion" if forward else "inverse promotion")
+    grid, width = to_grid(t.region, {})
+    _fill(grid, width, t, -1 if forward else 1)
+    corners = (width + 1, nrows * width + ncols)
+    start, stop = corners if forward else corners[::-1]
+    grid[start] = 0
+    end, _ = grid_slide(grid, width, start, forward)
+    assert end == stop
+    grid[end] = nrows * ncols if forward else 1
+    return from_grid(t.region, grid)
 
 
 def promotion(t: PartialTableau) -> PartialTableau:
@@ -343,26 +353,11 @@ def promotion(t: PartialTableau) -> PartialTableau:
     slide from (1,1), whose path necessarily ends at the bottom-right
     corner.
     """
-    nrows, ncols = standard_rectangle_dims(t, "promotion")
-    # decrement first: entry 1, always at (1,1), becomes the empty cell
-    grid, width = to_grid(t.region, {})
-    _fill(grid, width, t, -1)
-    end, _ = grid_slide(grid, width, width + 1)
-    assert end == nrows * width + ncols
-    grid[end] = nrows * ncols
-    return from_grid(t.region, grid, width)
+    return _promotion_step(t, True)
 
 
 def inverse_promotion(t: PartialTableau) -> PartialTableau:
-    nrows, ncols = standard_rectangle_dims(t, "inverse promotion")
-    grid, width = to_grid(t.region, {})
-    _fill(grid, width, t, 1)
-    corner = nrows * width + ncols
-    grid[corner] = 0  # entry N always sits at the bottom-right corner
-    end, _ = grid_slide(grid, width, corner, False)
-    assert end == width + 1
-    grid[end] = 1
-    return from_grid(t.region, grid, width)
+    return _promotion_step(t, False)
 
 
 def promotion_order(t: PartialTableau) -> int:
@@ -439,16 +434,9 @@ def loads(text: str) -> PartialTableau:
 
 def format_grid(t: PartialTableau) -> str:
     """Aligned text grid; '.' marks unfilled region cells."""
-    outer, inner = t.region.outer, t.region.inner
     width = max((len(str(v)) for v in t.entries.values()), default=1)
     lines = []
-    for r in range(1, outer.nrows + 1):
-        cells = []
-        for c in range(1, outer.row_len(r) + 1):
-            if c <= inner.row_len(r):
-                cells.append(" " * width)
-            else:
-                v = t.entries.get(Box(r, c))
-                cells.append(("." if v is None else str(v)).rjust(width))
+    for r, row in enumerate(t.row_lists(), start=1):
+        cells = [" " * width] * t.region.inner.row_len(r) + [("." if v is None else str(v)).rjust(width) for v in row]
         lines.append(" ".join(cells).rstrip())
     return "\n".join(lines)

@@ -414,7 +414,7 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 bad = next((k for k in range(len(run.boxes)) if run.boxes[k].col != cols[k]), None)
                 if bad is not None:
                     return f"w={w}: box {bad + 1} lands in column {run.boxes[bad].col}, expected {cols[bad]}"
-                delta = delta_closed_form(w, d.lambda_plus, n)
+                delta = delta_closed_form(w, d.lambda_plus)
                 if run.delta != delta:
                     return f"w={w}: delta {run.delta} != closed form {delta}"
 

@@ -101,6 +101,11 @@ def descents(w: Permutation) -> set[int]:
     return {i for i in range(1, w.n) if w(i) > w(i + 1)}
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"prefix length must be nonnegative, got {n}")
+
+
 @dataclass(frozen=True)
 class PeriodicSequence:
     """A finite generator repeated forever."""
@@ -112,6 +117,7 @@ class PeriodicSequence:
             raise ValueError("empty generator")
 
     def prefix(self, n: int) -> tuple[int, ...]:
+        _check_length(n)
         g = self.generator
         reps = -(-n // len(g))
         return (g * reps)[:n]
@@ -135,6 +141,7 @@ class DescentSequence:
             raise ValueError("descents must strictly decrease")
 
     def prefix(self, n: int) -> tuple[int, ...]:
+        _check_length(n)
         head = tuple(chain.from_iterable(range(d + 1, self.n + 1) for d in self.descents))
         short = n - len(head)
         if short <= 0:
@@ -145,6 +152,7 @@ class DescentSequence:
 def prefix_terms(seq, n: int) -> tuple:
     """First n terms of a sequence-like: anything with .prefix, a finite
     sequence of length >= n, or an iterable."""
+    _check_length(n)
     if hasattr(seq, "prefix"):
         return tuple(seq.prefix(n))
     if isinstance(seq, (list, tuple)):
@@ -180,10 +188,10 @@ def augmented_word(w: Permutation, m: int) -> tuple[int, ...]:
 
 def insertion_tableau(word) -> tuple[tuple[int, ...], ...]:
     """Row insertion; each letter bumps the smallest strictly larger entry
-    of its row.  Repeats are allowed (rows come out weakly increasing)."""
+    of its row.  Repeats are allowed (rows come out weakly increasing), and
+    letters are taken as they are: any totally ordered values will do."""
     rows: list[list[int]] = []
-    for letter in word:
-        x = int(letter)
+    for x in word:
         i = 0
         while True:
             if i == len(rows):
@@ -248,8 +256,8 @@ def bounded_equivalence(a, b, n: int, budget: int = 100_000, slack: int = 4) -> 
     could in principle pull letters in from beyond any finite prefix, so
     this refutes only at the chosen horizon); otherwise "inconclusive".
     """
-    if n < 0 or budget < 0:
-        raise ValueError("n and budget must be nonnegative")
+    if n < 0 or budget < 0 or slack < 0:
+        raise ValueError("n, budget and slack must be nonnegative")
     target = prefix_terms(b, n)
     length = n + slack
     start = prefix_terms(a, length)
@@ -290,8 +298,7 @@ def insertion_knuth_positions(word) -> list[int]:
     """
     rows: list[list[int]] = []
     moves = []
-    for letter in word:
-        carry = int(letter)
+    for carry in word:
         i = 0
         while True:
             if i == len(rows):

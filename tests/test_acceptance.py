@@ -235,7 +235,7 @@ def test_criterion_10_descent_run_battery():
             for s, b in zip(run.sigma_prefix, run.boxes):
                 if b != d.boxes[s - 1]:
                     delta[s] += 1
-            assert delta == delta_closed_form(w, d.lambda_plus, n), (w, d.lambda_plus)
+            assert delta == delta_closed_form(w, d.lambda_plus), (w, d.lambda_plus)
     for w in all_permutations(n):
         for i, da in enumerate(diagonals):
             for db in diagonals[i + 1 :]:

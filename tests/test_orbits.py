@@ -441,6 +441,12 @@ def test_box_sequence_validation():
         tableau_from_box_sequence(box_sequence([1], DIAG_5431, steps=1), DIAG_5431)
 
 
+def test_box_sequence_refuses_negative_steps():
+    diag = staircase_diagonal(Rectangle(3, 4))
+    with pytest.raises(ValueError, match="prefix length must be nonnegative, got -1"):
+        box_sequence([1, 2, 3, 1], diag, steps=-1)
+
+
 def test_box_sequence_trace():
     run = box_sequence([2, 4], DIAG_5431, steps=2, trace=True)
     assert run.trace is not None and len(run.trace) == 3
@@ -510,14 +516,14 @@ def test_delta_closed_form_examples():
     rect, diags = cols_orientation_cases()
     lam = diags[0].lambda_plus
     n = 4
-    ident = delta_closed_form(identity(n), lam, n)
+    ident = delta_closed_form(identity(n), lam)
     assert ident == {i: lam.col_len(i) - 1 for i in range(1, n + 1)}
     w0 = Permutation(tuple(range(n, 0, -1)))
-    assert delta_closed_form(w0, lam, n) == {
+    assert delta_closed_form(w0, lam) == {
         i: lam.col_len(i) + 2 * i - n - 2 for i in range(1, n + 1)
     }
     with pytest.raises(ValueError):
-        delta_closed_form(identity(4), parse_partition("321"), 4)
+        delta_closed_form(identity(4), parse_partition("321"))
 
 
 def test_delta_closed_form_matches_runs():
@@ -525,7 +531,7 @@ def test_delta_closed_form_matches_runs():
     for d in diags[:3]:
         for w in all_permutations(4):
             run = box_sequence(descent_sequence(w), d)
-            assert run.delta == delta_closed_form(w, d.lambda_plus, 4)
+            assert run.delta == delta_closed_form(w, d.lambda_plus)
 
 
 # -- corner peeling ---------------------------------------------------------------

@@ -16,7 +16,7 @@ from taquin.tableaux import (
     from_file_dict,
     from_grid,
     from_rows,
-    grid_boxes,
+    _grid_layout,
     grid_slide,
     inverse_promotion,
     is_standard_normalized,
@@ -138,15 +138,15 @@ def _partitions(total, largest=None):
 def _assert_screen_agrees(region, grid, width):
     """`from_grid` returns what the dict validator makes of the grid's
     filled region cells, entries in the same order, or raises its error."""
-    entries = {b: v for i, b in grid_boxes(region, width).items() if (v := grid[i])}
+    entries = {b: v for i, b in _grid_layout(region, width).cells.items() if (v := grid[i])}
     try:
         want = PartialTableau(region, entries)
     except TableauError as exc:
         with pytest.raises(TableauError) as got:
-            from_grid(region, grid, width)
+            from_grid(region, grid)
         assert str(got.value) == str(exc)
         return
-    got = from_grid(region, grid, width)
+    got = from_grid(region, grid)
     assert got == want
     assert list(got.entries.items()) == list(want.entries.items())
 
@@ -155,7 +155,7 @@ def _assert_screen_agrees_on_mutations(t, rng):
     """The grid of t as it is, and with two adjacent entries swapped, a
     cell set to 0 or -1, an entry duplicated, and True or 2.0 in a cell."""
     grid, width = to_grid(t.region, t.entries)
-    cells = list(grid_boxes(t.region, width))
+    cells = list(_grid_layout(t.region, width).cells)
     pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
     _assert_screen_agrees(t.region, grid, width)
     mutations = []
@@ -345,7 +345,7 @@ def slide(t, hole, forward=True):
     changed = sorted((i for i, (a, b) in enumerate(zip(before, grid)) if a != b), reverse=not forward)
     path = changed or [start]
     assert path[0] == start
-    return from_grid(t.region, grid, width), tuple(Box(*divmod(i, width)) for i in path)
+    return from_grid(t.region, grid), tuple(Box(*divmod(i, width)) for i in path)
 
 
 def test_forward_slide_first_worked_step():
@@ -449,6 +449,29 @@ def test_inverse_promotion_random_3x4():
         t = from_rows(rows)
         assert inverse_promotion(promotion(t)) == t
         assert promotion(inverse_promotion(t)) == t
+
+
+def test_inverse_promotion_is_promotion_to_the_n_minus_1():
+    for nrows, ncols in [(2, 3), (2, 5), (3, 3), (3, 4)]:
+        for rows in standard_tableaux(Partition((ncols,) * nrows)):
+            t = from_rows(rows)
+            back = inverse_promotion(t)
+            cur = t
+            for _ in range(nrows * ncols - 1):
+                cur = promotion(cur)
+            assert back == cur
+            assert promotion(back) == t
+            assert inverse_promotion(promotion(t)) == t
+
+
+@pytest.mark.parametrize("step, name", [(promotion, "promotion"), (inverse_promotion, "inverse promotion")])
+def test_promotion_steps_name_themselves_in_errors(step, name):
+    skew = from_rows([[1, 2], [3, 4]], inner=[1])
+    with pytest.raises(TableauError, match=f"^{name} needs a full rectangle region$"):
+        step(skew)
+    partial = from_rows([[1, None], [2, 3]])
+    with pytest.raises(TableauError, match=f"^{name} needs a standard tableau with entries 1..N$"):
+        step(partial)
 
 
 def test_promotion_rejects_bad_input():

@@ -754,7 +754,7 @@ BROKEN_DEPENDENCIES = [
     ),
     (
         "delta_closed_form",
-        lambda real: lambda w, lambda_plus, n: {},
+        lambda real: lambda w, lambda_plus: {},
         {"propositions.descent-run-columns-and-delta": "w=123: delta {1: 3, 2: 2, 3: 1} != closed form {}"},
     ),
     (

@@ -155,6 +155,22 @@ def test_prefix_terms():
         prefix_terms([1], 2)
 
 
+NEGATIVE_LENGTHS = [
+    ("prefix_terms of a list", lambda: prefix_terms([1, 2, 3], -1)),
+    ("prefix_terms of an iterator", lambda: prefix_terms(iter([1, 2, 3]), -1)),
+    ("prefix_terms of a periodic sequence", lambda: prefix_terms(PeriodicSequence((1, 2)), -1)),
+    ("periodic prefix", lambda: PeriodicSequence((1, 2)).prefix(-1)),
+    ("descent prefix", lambda: descent_sequence(parse_permutation("3142")).prefix(-2)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in NEGATIVE_LENGTHS], ids=[i for i, _ in NEGATIVE_LENGTHS])
+def test_negative_prefix_length_is_refused(call):
+    # a negative length is refused, never read as "all but the last terms"
+    with pytest.raises(ValueError, match="prefix length must be nonnegative"):
+        call()
+
+
 def test_augmented_word():
     assert augmented_word(parse_permutation("132"), 2) == (1, 4, 3, 6, 2, 5)
     w = parse_permutation("3142")
@@ -171,6 +187,14 @@ def test_insertion_tableau_examples():
     assert insertion_tableau(range(1, 6)) == ((1, 2, 3, 4, 5),)
     assert insertion_tableau(range(5, 0, -1)) == ((1,), (2,), (3,), (4,), (5,))
     assert insertion_tableau(()) == ()
+
+
+def test_insertion_takes_letters_as_they_are():
+    # row insertion needs only a total order: a float is not truncated
+    assert insertion_tableau((2.5, 1)) == ((1,), (2.5,))
+    assert insertion_tableau((2.7, 1)) == ((1,), (2.7,))
+    word = (1, 4, 3, 6, 2, 5)
+    assert insertion_knuth_positions([x + 0.5 for x in word]) == insertion_knuth_positions(word)
 
 
 def test_insertion_tableau_shape_is_partition():
@@ -274,6 +298,15 @@ def test_bounded_equivalence_trivial_cases():
     assert verdict.status == "refuted-at-N"
     verdict = bounded_equivalence(PeriodicSequence((1, 2, 3)), PeriodicSequence((3, 2, 1)), 3, budget=0)
     assert verdict.status == "inconclusive"
+
+
+@pytest.mark.parametrize("kwargs", [{"n": -1}, {"budget": -1}, {"slack": -1}], ids=["n", "budget", "slack"])
+def test_bounded_equivalence_refuses_negative_lengths(kwargs):
+    # with slack=-1 a sequence was "refuted" against itself: its 3-term
+    # start never equals the 4-term target
+    a = PeriodicSequence((1, 2))
+    with pytest.raises(ValueError, match="n, budget and slack must be nonnegative"):
+        bounded_equivalence(a, a, **{"n": 4, **kwargs})
 
 
 def test_bounded_equivalence_descent_sequence_of_21():
