@@ -83,9 +83,11 @@ def _cmd_construct(args) -> int:
 def _cmd_promote(args) -> int:
     t = _read_tableau(args.tableau)
     nrows, ncols = standard_rectangle_dims(t, "promote")
-    # promotion^(nrows*ncols) is the identity, so only the residue matters
-    step = promotion if args.steps >= 0 else inverse_promotion
-    for _ in range(abs(args.steps) % (nrows * ncols)):
+    # promotion^N is the identity: walk the residue the shorter way round, forward on a tie
+    cells = nrows * ncols
+    steps = args.steps % cells
+    step = promotion if 2 * steps <= cells else inverse_promotion
+    for _ in range(min(steps, cells - steps)):
         t = step(t)
     _print_tableau(t, args.format)
     return EXIT_OK

@@ -39,6 +39,7 @@ from .tableaux import (
     complement_tableau,
     from_grid,
     from_rows,
+    grid_size,
     grid_slide,
     is_standard_normalized,
     standard_rectangle_dims,
@@ -113,7 +114,7 @@ class _SlidePlan(NamedTuple):
     seeds: tuple[int, ...]  # grid index of the i-th diagonal box
     targets: frozenset[int]  # grid indices of the diagonal boxes
     starts: tuple[int, ...]  # slide starts in the superstandard order
-    far: int  # 0 forward; reverse, the rotation maps index i to far - i
+    far: int  # 0 forward; reverse, the grid length: the rotation maps index i to far - i
 
 
 @lru_cache(maxsize=1024)
@@ -125,10 +126,9 @@ def _slide_plan(diag: Diagonal, rect: Rectangle | None) -> _SlidePlan:
     else:
         shape = complement_shape(diag.lambda_plus, rect)  # raises unless the diagonal fits
         region = SkewShape(rect.as_partition(), diag.lambda_minus)
-    width = region.outer.ncols + 2
-    far = 0 if rect is None else (rect.nrows + 1) * width + rect.ncols + 1
+    width, size = grid_size(region.outer.nrows, region.outer.ncols)
+    far = 0 if rect is None else size
     seeds = tuple(r * width + c for r, c in diag.boxes)
-    size = (region.outer.nrows + 2) * width
     return _SlidePlan(region, shape, width, size, seeds, frozenset(seeds), _slide_starts(None, shape, width, far), far)
 
 

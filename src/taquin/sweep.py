@@ -1,16 +1,15 @@
 """Standard-tableau enumeration and the promotion orbit sweep.
 
 The sweep has one encoding of a tableau, from enumeration to report: the
-big-endian int of its filling of the padded slide grid of the shape, one
-byte per cell (0 for an empty one), rows of stride ncols + 1, the last
-byte of each row empty, and one empty row below.  A byte numbers at most
-255 entries, so the caps check refuses larger shapes.  Standard tableaux
-are enumerated in two halves, the placements of the upper half of the
-entries listed once per partition the lower half ends on, and a tableau
-is the sum of its halves' ints.  Flat slides drop every entry of the
-grid bytes through a translate table and slide them in place through
-`tableaux.grid_slide`, the package's one slide kernel; the padding is
-already the empty border a forward slide needs.  The orbit sweep
+big-endian int of the bytes of its `tableaux.to_grid` grid, one byte per
+cell (0 for an empty one), whose leading empty row adds nothing to the
+int.  A byte numbers at most 255 entries, so the caps check refuses
+larger shapes.  Standard tableaux are enumerated in two halves, the
+placements of the upper half of the entries listed once per partition
+the lower half ends on, and a tableau is the sum of its halves' ints.
+Flat slides drop every entry of the grid bytes through a translate table
+and slide them in place through `tableaux.grid_slide`, the package's one
+slide kernel.  The orbit sweep
 promotes on the same split: the entries 1..N//2 of T fill a
 partition mu, and the slide path stays in mu, comparing only those
 entries, until it leaves mu at a corner c; from there it meets only the
@@ -40,8 +39,8 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from .shapes import Partition, Rectangle
-from .tableaux import grid_slide
+from .shapes import Partition, Rectangle, SkewShape
+from .tableaux import _grid_layout, grid_size, grid_slide
 from .sieving import count_standard_tableaux, divisors
 
 
@@ -55,11 +54,10 @@ class RankLaneError(EnumerationCapError):
     can hold.  Unlike a cap, no setting lifts these limits."""
 
 
-def _grid_size(shape: Partition) -> int:
-    """Bytes of the padded slide grid of `shape`: rows of stride ncols + 1
-    and one empty row below."""
-    rows = shape.rows
-    return ((rows[0] if rows else 0) + 1) * (len(rows) + 1)
+def _row_slices(shape: Partition) -> tuple[int, tuple[slice, ...]]:
+    """The slide grid length of `shape`, and the grid slice of each row."""
+    width, length = grid_size(shape.nrows, shape.ncols)
+    return length, tuple(cells for cells, _ in _grid_layout(SkewShape(shape), width).rows)
 
 
 def _placements(rows, weights, heights: list[int], first: int, last: int, code: int, out: list) -> None:
@@ -83,18 +81,17 @@ def _syt_halves(shape: Partition):
     """Yield (p, tails) for every placement p of the entries 1..half =
     N // 2, in lexicographic placement order (topmost feasible row first).
 
-    Each half is the big-endian int of its filling of the padded slide grid
-    (`_grid_size` bytes; zeros in the padding and in the other half's
-    cells), so the standard fillings of `shape` are the sums p + q for q in
-    tails, in lexicographic placement order.  A prefix ends on a partition
+    Each half is the big-endian int of its filling of the slide grid
+    (zeros outside the shape and in the other half's cells), so the
+    standard fillings of `shape` are the sums p + q for q in tails, in
+    lexicographic placement order.  A prefix ends on a partition
     mu, and `tails` lists the placements of half+1..N on top of mu; it is
     built once per distinct mu and shared by every prefix ending on it."""
     rows = shape.rows
     total = shape.size
-    # weights[i][j] is the value of grid byte (i, j) in the big-endian int
-    nbytes = _grid_size(shape)
-    width = nbytes // (len(rows) + 1)
-    weights = [[256 ** (nbytes - 1 - i * width - j) for j in range(length)] for i, length in enumerate(rows)]
+    # weights[i][j] is the value in the big-endian int of the byte of cell (i + 1, j + 1)
+    length, slices = _row_slices(shape)
+    weights = [[256 ** (length - 1 - k) for k in range(cells.start, cells.stop)] for cells in slices]
     half = total // 2
     prefixes: list = []
     _placements(rows, weights, [0] * len(rows), 1, half, 0, prefixes)
@@ -108,11 +105,10 @@ def _syt_halves(shape: Partition):
         yield p, tails
 
 
-def _flat_rows(code: int, shape: Partition) -> tuple:
-    """The rows of the tableau of `shape` whose padded-grid int is `code`."""
-    grid = code.to_bytes(_grid_size(shape), "big")
-    width = len(grid) // (len(shape.rows) + 1)
-    return tuple(tuple(grid[k : k + length]) for k, length in zip(range(0, len(grid), width), shape.rows))
+def _flat_rows(code: int, length: int, slices: tuple[slice, ...]) -> tuple:
+    """The rows of the tableau whose grid int is `code`, by `_row_slices`."""
+    grid = code.to_bytes(length, "big")
+    return tuple(tuple(grid[cells]) for cells in slices)
 
 
 # default caps of every sweep: cells of the shape, and standard tableaux
@@ -143,35 +139,31 @@ def standard_tableaux(shape: Partition, *, max_cells: int = MAX_CELLS, max_count
     More than 255 cells raises `RankLaneError`, whatever the caps.
     """
     _check_caps(shape, max_cells, max_count)
-    return (_flat_rows(p + q, shape) for p, tails in _syt_halves(shape) for q in tails)
+    length, slices = _row_slices(shape)
+    return (_flat_rows(p + q, length, slices) for p, tails in _syt_halves(shape) for q in tails)
 
 
-# entry 1 -> 0, the hole; every other entry v -> v - 1, and padding 0 stays 0
+# entry 1 -> 0, the hole; every other entry v -> v - 1, and an empty 0 stays 0
 _TO_GRID = bytes((0, 0, *range(1, 255)))
 
 
 def _slide_flat(flat: bytes, ncols: int, start: int) -> tuple[bytearray, int]:
-    """One forward slide on a filling of the padded slide grid of full rows
-    of `ncols` cells (row stride ncols + 1, the last byte of each row and
-    one row below empty), 0 for an empty cell: returns the slid grid and
-    the grid index the slide ended at.
-
-    Every entry drops by one through a translate table, so entry 1, if
-    present, becomes a hole, and the grid goes to `grid_slide` as it is:
-    the padding is the empty border a forward slide reads.  The slide
-    starts from grid index `start`, which must be empty after the drop.
-    A half of a tableau has empty cells of its own, which the slide also
-    treats as outside."""
+    """One forward slide from grid index `start` on the bytes of a slide
+    grid of rows of `ncols` cells: returns the slid grid and the index the
+    slide ended at.  Every entry drops by one through a translate table, so
+    entry 1, if present, becomes a hole; `start` must be empty after the
+    drop.  A half of a tableau has empty cells of its own, which the slide
+    also treats as outside."""
     grid = bytearray(flat.translate(_TO_GRID))
-    end, _ = grid_slide(grid, ncols + 1, start)
+    end, _ = grid_slide(grid, grid_size(0, ncols)[0], start)
     return grid, end
 
 
 def _promote_flat(code: int, nrows: int, ncols: int) -> int:
-    """Promotion on the padded-grid int of a full rectangle: the slide from
-    the cell of entry 1 always ends in the last cell, which takes the
-    largest entry."""
-    grid, end = _slide_flat(code.to_bytes((nrows + 1) * (ncols + 1), "big"), ncols, 0)
+    """Promotion on the grid int of a full rectangle: the slide from entry
+    1's cell (1, 1) always ends in the last cell, which takes entry N."""
+    width, length = grid_size(nrows, ncols)
+    grid, end = _slide_flat(code.to_bytes(length, "big"), ncols, width + 1)
     grid[end] = nrows * ncols
     return int.from_bytes(grid, "big")
 
@@ -181,7 +173,7 @@ class OrbitTable:
     """Promotion orbit decomposition of the standard tableaux of rect.
 
     Each orbit is kept as its representative, the first of its tableaux in
-    enumeration order, as the int of its padded slide grid (the sum p + q
+    enumeration order, as the int of its slide grid bytes (the sum p + q
     of its halves that the sweep walks), and its size; `reps` and `sizes`
     list the orbits in enumeration order of their representatives.
     `rep_rows(k)` gives the rows of the k-th representative, and `orbits`
@@ -197,23 +189,23 @@ class OrbitTable:
     @property
     def orbits(self) -> list[tuple[tuple, int]]:
         """(representative rows, orbit size) for every orbit."""
-        shape = self.rect.as_partition()
-        return [(_flat_rows(code, shape), size) for code, size in zip(self.reps, self.sizes)]
+        length, slices = _row_slices(self.rect.as_partition())
+        return [(_flat_rows(code, length, slices), size) for code, size in zip(self.reps, self.sizes)]
 
     def rep_rows(self, k: int) -> tuple:
         """The rows of the representative of the k-th orbit."""
-        return _flat_rows(self.reps[k], self.rect.as_partition())
+        return _flat_rows(self.reps[k], *_row_slices(self.rect.as_partition()))
 
     def fixed_rows(self, r: int) -> list[tuple]:
         """All tableaux fixed by r-fold promotion, as row tuples."""
         nrows, ncols = self.rect.nrows, self.rect.ncols
-        shape = self.rect.as_partition()
+        length, slices = _row_slices(self.rect.as_partition())
         out = []
         for cur, size in zip(self.reps, self.sizes):
             if r % size:
                 continue
             for _ in range(size):
-                out.append(_flat_rows(cur, shape))
+                out.append(_flat_rows(cur, length, slices))
                 cur = _promote_flat(cur, nrows, ncols)
         return out
 
@@ -250,14 +242,14 @@ def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], ind
     down neighbour in mu the slide takes a neighbour in mu: the path stays
     in mu, decided by p alone, until it reaches a corner c of mu, and from
     c on it runs only through entries of q.  So promotion is A + B, A the
-    slide of p alone from cell 0, which ends at c (entries 2..half dropped
-    to 1..half-1), and B the slide of q alone from c, its terminal set to
+    slide of p alone from cell (1, 1), which ends at c (entries 2..half
+    dropped to 1..half-1), and B the slide of q alone from c, its terminal set to
     N.  With E the term of the one cell of B that now holds half (E = 0
     when half = 0, at N = 1, where p is empty and the walk leaves the one
     tableau fixed), the promoted halves are A + E and B - E, and the
     promoted tableau has rank offset[A + E] + j, j = index[B - E].  The
-    halves stay ints over the padded slide grid throughout, so a slide is
-    one translate and one `grid_slide`, with no padding to insert or cut.
+    halves stay ints over the slide grid throughout, so a slide is one
+    translate and one `grid_slide`, with no empty cells to insert or cut.
 
     For a partition mu and a corner c, the pairs (E, j) over the tails of
     mu form one list, a column, shared by every prefix ending on mu that
@@ -281,12 +273,12 @@ def _successor_ranks(nrows: int, ncols: int, halves, offset: dict[int, int], ind
 
     total = nrows * ncols
     half = total // 2
-    nbytes = (nrows + 1) * (ncols + 1)
+    width, nbytes = grid_size(nrows, ncols)
     itemsize = array("I").itemsize
     columns = {}
     nxt = array("I")
     for p, tails in halves:
-        low, c = _slide_flat(p.to_bytes(nbytes, "big"), ncols, 0)
+        low, c = _slide_flat(p.to_bytes(nbytes, "big"), ncols, width + 1)
         a = int.from_bytes(low, "big")
         column = columns.get((c, tails[0]))  # tails[0] stands for mu
         if column is None:

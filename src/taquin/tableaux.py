@@ -17,7 +17,8 @@ filling, say) to the dict validator.  Parsed rows (`from_rows`, and so
 the validator otherwise.  `row_lists` (and so `dumps` and `format_grid`)
 and `promotion` and its inverse read entries through the same layout.
 `grid_slide` is the one slide kernel: the constructions, rectification,
-promotion and the orbit sweep's flat promotion all move entries through it.
+promotion and the orbit sweep's flat promotion all move entries through it,
+on the one layout whose width and length `grid_size` gives.
 
 Every public operation is a pure function returning new values; callers
 may parallelize freely.
@@ -111,7 +112,7 @@ class PartialTableau:
         """One list per region row, covering inner+1..outer columns;
         None marks an unfilled cell."""
         # the layout of to_grid's width, which from_grid has cached too
-        layout = _grid_layout(self.region, self.region.outer.ncols + 2)
+        layout = _grid_layout(self.region, grid_size(self.region.outer.nrows, self.region.outer.ncols)[0])
         values = _cell_values(self, layout)
         return [list(values[at]) for _, at in layout.rows]
 
@@ -175,16 +176,21 @@ def standard_rectangle_dims(t: PartialTableau, what: str) -> tuple[int, int]:
     return outer.nrows, outer.ncols
 
 
-def to_grid(region: SkewShape, entries: Mapping) -> tuple[list[int], int]:
-    """A fresh grid for `region` holding `entries`, and its width.
+def grid_size(nrows: int, ncols: int) -> tuple[int, int]:
+    """(width, length) of the package's one slide grid over an nrows x
+    ncols rectangle: cell (r, c) at index r * width + c, width = ncols + 1,
+    and row 0, row nrows + 1 and column 0 empty.  Column 0 of row r is
+    also the cell right of row r - 1, so a slide either way reads its
+    neighbours without bounds checks."""
+    width = ncols + 1
+    return width, (nrows + 2) * width
 
-    A grid is a flat row-major list over the bounding rectangle of the
-    region plus a border of empty cells: cell (r, c) sits at index
-    r * width + c with width = ncols + 2, and 0 marks an empty cell.  The
-    border lets a slide read all four neighbours without bounds checks.
-    """
-    width = region.outer.ncols + 2
-    grid = [0] * ((region.outer.nrows + 2) * width)
+
+def to_grid(region: SkewShape, entries: Mapping) -> tuple[list[int], int]:
+    """A fresh list grid for `region` holding `entries` (0 marks an empty
+    cell), and its width: the `grid_size` layout of its bounding rectangle."""
+    width, length = grid_size(region.outer.nrows, region.outer.ncols)
+    grid = [0] * length
     for (r, c), v in entries.items():
         grid[r * width + c] = v
     return grid, width
@@ -250,7 +256,7 @@ def from_grid(region: SkewShape, grid: list[int]) -> PartialTableau:
     such as a partial filling, goes to `PartialTableau` as it is.  Both
     give the same tableau, entries in row-major order, and only the
     validator raises."""
-    _, boxes, _, read, lo, hi = _grid_layout(region, region.outer.ncols + 2)
+    _, boxes, _, read, lo, hi = _grid_layout(region, grid_size(region.outer.nrows, region.outer.ncols)[0])
     values = read(grid)
     if (
         set(map(type, values)) == _INT
@@ -275,9 +281,8 @@ def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool
     `grid` is any mutable row-major sequence of ints (a list or a
     bytearray) with rows `width` apart and 0 for an empty cell.  The slide
     reads only the two neighbours it may move to, so every such neighbour
-    of a cell it can reach must exist and be 0 outside the region:
-    `to_grid`'s border of empty cells serves both directions, and a forward
-    slide needs only one empty cell after each row and an empty row below.
+    of a cell it can reach must exist and be 0 outside the region, as the
+    empty rows and column of the `grid_size` layout are.
     """
     g, p, moved = grid, hole, 0
     if forward:

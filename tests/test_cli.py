@@ -139,6 +139,29 @@ def test_promote_huge_step_count_is_reduced_mod_cells():
     assert code == 4 and "rectangle" in err
 
 
+def test_promote_takes_the_short_way_round(monkeypatch, capsys):
+    import taquin.cli as cli
+
+    assert main(["construct", "--m", "10", "--w", "352416"]) == 0
+    tw = capsys.readouterr().out
+    calls = []
+    for name in ("promotion", "inverse_promotion"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda t, real=real, name=name: calls.append(name) or real(t))
+
+    def promote(steps):
+        calls.clear()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(tw))
+        assert main(["promote", "--steps", str(steps)]) == 0
+        return capsys.readouterr().out, list(calls)
+
+    one, back = promote(1), promote(-1)
+    # -59 is 1 mod 60 and 59 is -1; a tie at 30 goes forward
+    assert promote(-59) == (one[0], ["promotion"])
+    assert promote(59) == (back[0], ["inverse_promotion"])
+    assert promote(30)[1] == ["promotion"] * 30
+
+
 @pytest.mark.parametrize(
     "text",
     [

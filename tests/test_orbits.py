@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taquin.orbits import (
+    _refill_slide,
     _slide_plan,
     _splice,
     DiagonalMismatchError,
@@ -42,6 +43,7 @@ from taquin.tableaux import (
     is_standard_normalized,
     promotion,
     promotion_order,
+    to_grid,
 )
 from taquin.sweep import orbit_table, standard_tableaux
 from taquin.verify import random_corner_peeling
@@ -318,6 +320,19 @@ def test_splice_refuses_a_filling_that_is_not_standard():
     doubled = (mapped(plus, lambda v: 2 * v), mapped(minus, lambda v: 2 * v))
     with pytest.raises(DiagonalMismatchError, match="combined tableau is not standard"):
         _splice(*doubled, rect, d)
+
+
+def test_an_off_diagonal_slide_names_its_boxes():
+    # the message decodes grid indices to 1-based boxes, in both directions
+    region = SkewShape(Partition((2, 2)))
+    grid, width = to_grid(region, {Box(1, 2): 1, Box(2, 1): 2, Box(2, 2): 3})
+    with pytest.raises(DiagonalMismatchError) as forward:
+        _refill_slide(grid, width, width + 1, True, frozenset(), 0)
+    assert str(forward.value) == f"slide from {Box(1, 1)} ended at {Box(2, 2)}, off the diagonal"
+    grid, width = to_grid(region, {Box(1, 1): 1, Box(1, 2): 2, Box(2, 1): 3})
+    with pytest.raises(DiagonalMismatchError) as reverse:
+        _refill_slide(grid, width, 2 * width + 2, False, frozenset(), 0)
+    assert str(reverse.value) == f"slide from {Box(2, 2)} ended at {Box(1, 1)}, off the diagonal"
 
 
 def _small_rectangles():

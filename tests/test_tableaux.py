@@ -442,15 +442,6 @@ def test_promotion_is_bijective_on_small_rectangles():
         assert images == set(all_t)
 
 
-def test_inverse_promotion_random_3x4():
-    rng = random.Random(7)
-    pool = list(standard_tableaux(Partition((4, 4, 4))))
-    for rows in rng.sample(pool, min(500, len(pool))):
-        t = from_rows(rows)
-        assert inverse_promotion(promotion(t)) == t
-        assert promotion(inverse_promotion(t)) == t
-
-
 def test_inverse_promotion_is_promotion_to_the_n_minus_1():
     for nrows, ncols in [(2, 3), (2, 5), (3, 3), (3, 4)]:
         for rows in standard_tableaux(Partition((ncols,) * nrows)):

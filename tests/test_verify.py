@@ -1,17 +1,20 @@
 import dataclasses
 import gc
 import hashlib
+import io
 import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
-from taquin.shapes import Box, Partition, Rectangle, enumerate_diagonals, parse_partition
-from taquin.tableaux import from_rows, promotion
+from taquin.cli import main
+from taquin.shapes import Box, Partition, Rectangle, SkewShape, enumerate_diagonals, parse_partition
+from taquin.tableaux import from_rows, grid_size, promotion, to_grid
 from taquin.orbits import NotMinimalOrbitError
 from taquin.words import Permutation, descent_sequence, insertion_tableau
 from taquin.sieving import (
@@ -99,15 +102,16 @@ def all_partitions_in_box(nrows, ncols):
 
 
 def grid_code(rows):
-    """The big-endian int of a tableau's padded slide grid: its rows, each
-    followed by empty bytes up to the first row's length + 1, and one
-    empty row below."""
+    """The big-endian int of a tableau's slide grid: its rows, each led by
+    one empty byte and followed by empty bytes up to the first row's
+    length + 1, and one empty row below; the empty row above them is
+    leading zero bytes, which add nothing to the int."""
     width = len(rows[0]) + 1 if rows else 1
-    return int.from_bytes(b"".join(bytes(row).ljust(width, b"\0") for row in rows) + bytes(width), "big")
+    return int.from_bytes(b"".join(bytes((0, *row)).ljust(width, b"\0") for row in rows) + bytes(width), "big")
 
 
 def syt_flats_by_recursion(shape):
-    """Every standard filling as the int of its padded slide grid (see
+    """Every standard filling as the int of its slide grid (see
     `grid_code`): entries placed 1..N, the topmost feasible row tried
     first.  Entries 1..N//3 are placed one recursive call per entry; the
     placements of the rest on top of each partition are listed once, as
@@ -115,8 +119,8 @@ def syt_flats_by_recursion(shape):
     it."""
     rows, total = shape.rows, shape.size
     width = (rows[0] if rows else 0) + 1
-    nbytes = width * (len(rows) + 1)
-    starts = [i * width for i in range(len(rows))]
+    nbytes = width * (len(rows) + 2)
+    starts = [(i + 1) * width + 1 for i in range(len(rows))]
     memo = {}
     out = []
 
@@ -297,6 +301,18 @@ def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
     assert len(pulled) == 1
 
 
+def test_sweep_ints_are_the_bytes_of_the_tableaux_grid():
+    # the sweep and `to_grid` share one layout: a tableau's int is its grid's bytes
+    for rows in ((2, 2, 2), (4, 4, 4), (5, 5), (3, 1), (4, 2, 1), (2, 2, 1), ()):
+        shape = Partition(rows)
+        _, length = grid_size(shape.nrows, shape.ncols)
+        codes = [p + q for p, tails in _syt_halves(shape) for q in tails]
+        tableaux = list(standard_tableaux(shape))
+        assert len(codes) == len(tableaux) == count_standard_tableaux(shape), rows
+        for code, t in zip(codes, tableaux):
+            assert code.to_bytes(length, "big") == bytes(to_grid(SkewShape(shape), from_rows(t).entries)[0]), t
+
+
 def test_empty_shape():
     assert list(standard_tableaux(Partition())) == [()]
     assert count_standard_tableaux(Partition()) == 1
@@ -328,16 +344,16 @@ def test_rank_tables_number_the_tableaux_in_enumeration_order():
 
 
 def test_half_slides_merge_into_the_promotion():
-    # the lower half slides alone from cell 0 to a corner c, the upper half
-    # alone from c; merged on the padded grid, they are the promotion of
+    # the lower half slides alone from cell (1, 1) to a corner c, the upper
+    # half alone from c; merged on the grid, they are the promotion of
     # the whole tableau
     for nrows, ncols in HALF_STEP_DIMS:
         total = nrows * ncols
         half = total // 2
-        nbytes = (nrows + 1) * (ncols + 1)
+        nbytes = (nrows + 2) * (ncols + 1)
         halves, _, _ = _ranked_halves(Partition((ncols,) * nrows))
         for p, tails in halves:
-            low, c = _slide_flat(p.to_bytes(nbytes, "big"), ncols, 0)
+            low, c = _slide_flat(p.to_bytes(nbytes, "big"), ncols, ncols + 2)
             assert low[c] == 0 and set(low) <= set(range(half)), (nrows, ncols, p)
             for q in tails:
                 high, end = _slide_flat(q.to_bytes(nbytes, "big"), ncols, c)
@@ -814,6 +830,28 @@ def test_suite_reports_are_pinned_byte_for_byte():
     assert sum(len(report["cases"]) for report in reports) == 724
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == "48dec4022c8c3fea70bd2a54d888f600e79eb2f2426dbaeafc5959c422a84021"
+
+
+def test_cli_output_is_pinned_byte_for_byte(monkeypatch, capsys):
+    # `construct --format grid` for every permutation of 123456 at 6x10,
+    # and `promote` by -25..25 steps in both formats of the 4x6 tableau of
+    # every permutation of 1234, hashed: a change to a slide, a grid or
+    # the printing of a tableau shows here
+    construct = hashlib.sha256()
+    for w in itertools.permutations("123456"):
+        assert main(["construct", "--m", "10", "--w", "".join(w), "--format", "grid"]) == 0
+        construct.update(capsys.readouterr().out.encode())
+    promote = hashlib.sha256()
+    for w in itertools.permutations("1234"):
+        assert main(["construct", "--m", "6", "--w", "".join(w)]) == 0
+        tw = capsys.readouterr().out
+        for steps in range(-25, 26):
+            for fmt in ("json", "grid"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(tw))
+                assert main(["promote", "--steps", str(steps), "--format", fmt]) == 0
+                promote.update(capsys.readouterr().out.encode())
+    assert construct.hexdigest() == "0c34c8cbd120798272d510cb527ced1b43d2ae004ba5dbc87221e74067434b9e"
+    assert promote.hexdigest() == "568025bc693434b775aeaf05bf91da9be8941c0ba10502f53bc299a9525e3576"
 
 
 def test_suite_case_names_in_order():
