@@ -9,6 +9,9 @@ q-analogue of the hook length formula.
 
 The package namespace holds the names the README and the demos use, and
 the package's exceptions; everything else is imported from its module.
+The names from the check layers (`sieving`, `sweep`, `verify`) load on
+first use, through `__getattr__`, so that `import taquin` and the
+`construct`, `promote` and `invert` commands compile no check layer.
 """
 
 from .shapes import (
@@ -47,8 +50,24 @@ from .orbits import (
     reverse_tableau,
     tableau_from_box_sequence,
 )
-from .sieving import q_hook_at_root, q_hook_polynomial
-from .sweep import EnumerationCapError, RankLaneError, orbit_table
-from .verify import run_suite
 
 __version__ = "0.1.0"
+
+# name -> the module that owns it, imported on the name's first access
+_LAZY = {
+    "q_hook_at_root": "sieving", "q_hook_polynomial": "sieving",
+    "EnumerationCapError": "sweep", "RankLaneError": "sweep", "orbit_table": "sweep",
+    "run_suite": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    globals()[name] = value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _LAZY.keys())

@@ -10,7 +10,9 @@ need no output parsing.  `main` maps exceptions to them in one place; the
 input rules live in the library, m >= n in `shapes.Rectangle`.  `main`
 parses a named command with that command's parser alone, and builds the
 parser of all five for help, top-level errors and leftover arguments;
-either way it prints the same bytes.
+either way it prints the same bytes.  Each command imports the layers it
+runs: `construct`, `promote` and `invert` never load `sweep`, `sieving` or
+`verify`.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ from .tableaux import (
     promotion,
     standard_rectangle_dims,
 )
-from .sieving import divisors, q_hook_at_root
-from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, RankLaneError, orbit_table
-from .verify import SUITES, run_suite
 from .words import format_permutation, parse_permutation
 
 EXIT_OK = 0
@@ -99,6 +98,7 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
     report = run_suite(
         Rectangle(args.n, args.m),
         args.suite,
@@ -115,6 +115,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_csp(args) -> int:
+    from .sieving import divisors, q_hook_at_root
+    from .sweep import orbit_table
     rect = Rectangle(args.n, args.m)
     table = orbit_table(rect, max_cells=args.max_cells, max_count=args.max_count)
     ok = True
@@ -149,7 +151,25 @@ def _invert_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tableau", default="-", help='JSON tableau file, or "-" for stdin')
 
 
+def _cap(text: str) -> int:
+    """A --max-cells or --max-count value: an int of at least 0."""
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own words for a non-int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be at least 0, got {value}")
+    return value
+
+
+def _cap_arguments(p: argparse.ArgumentParser) -> None:
+    from .sweep import MAX_CELLS, MAX_COUNT
+    p.add_argument("--max-cells", type=_cap, default=MAX_CELLS)
+    p.add_argument("--max-count", type=_cap, default=MAX_COUNT)
+
+
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .verify import SUITES
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
@@ -157,15 +177,13 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--all-diagonals", action="store_true", help="sweep every diagonal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="also print a JSON report")
-    p.add_argument("--max-cells", type=int, default=MAX_CELLS)
-    p.add_argument("--max-count", type=int, default=MAX_COUNT)
+    _cap_arguments(p)
 
 
 def _csp_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-cells", type=int, default=MAX_CELLS)
-    p.add_argument("--max-count", type=int, default=MAX_COUNT)
+    _cap_arguments(p)
 
 
 class Command(NamedTuple):
@@ -214,7 +232,10 @@ def main(argv=None) -> int:
     except NotMinimalOrbitError as exc:
         print(f"not in O_n: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except EnumerationCapError as exc:
+    except RuntimeError as exc:  # the sweep's cap errors; only verify and csp load the sweep
+        from .sweep import EnumerationCapError, RankLaneError
+        if not isinstance(exc, EnumerationCapError):
+            raise
         hint = "" if isinstance(exc, RankLaneError) else " (see --max-cells/--max-count)"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE

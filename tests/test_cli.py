@@ -325,12 +325,14 @@ def test_repeated_main_calls_use_their_own_defaults(monkeypatch, capsys):
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
     import taquin.cli as cli
+    import taquin.verify as verify
     from taquin.verify import CaseResult, SuiteReport
 
     def fake_run_suite(rect, suite, **kwargs):
         return SuiteReport(suite, rect, [CaseResult("doomed", "fail", "made up")])
 
-    monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+    # `verify` imports run_suite from taquin.verify when it runs, so patch it there
+    monkeypatch.setattr(verify, "run_suite", fake_run_suite)
     assert cli.main(["verify", "--n", "2", "--m", "2", "--suite", "csp"]) == 1
     assert "FAIL doomed" in capsys.readouterr().out
 
@@ -395,6 +397,11 @@ BAD_INPUT_ROWS = [
             ("promote", "[[1, null], [3, 4]]", "promote needs a standard tableau with entries 1..N"),
         )
     ),
+    # a negative cap is bad input, refused by argparse naming the option
+    (["csp", "--n", "2", "--m", "2", "--max-cells", "-1"], "", 2, "usage: taquin csp ",
+     ["taquin csp: error: argument --max-cells: a cap must be at least 0, got -1\n"]),
+    (["verify", "--n", "2", "--m", "2", "--max-count", "-1"], "", 2, "usage: taquin verify ",
+     ["taquin verify: error: argument --max-count: a cap must be at least 0, got -1\n"]),
 ]
 
 
@@ -544,3 +551,39 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdin", io.StringIO(tw))
     assert main() == 0
     assert capsys.readouterr() == ("3142\n", "")
+
+
+# A fresh interpreter runs the pipe in-process through main, then verify,
+# and prints the taquin modules loaded after each.
+LOADED_MODULES_SCRIPT = """
+import contextlib, io, sys
+import taquin.cli
+
+def run(argv, text=""):
+    sys.stdin, out = io.StringIO(text), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert taquin.cli.main(argv) == 0, argv
+    return out.getvalue()
+
+def loaded():
+    return " ".join(sorted(key for key in sys.modules if key.partition(".")[0] == "taquin"))
+
+t = run(["construct", "--m", "10", "--w", "351624"])
+assert run(["invert"], run(["promote", "--steps", "3"], t)) == "624351\\n"
+print(loaded())
+run(["verify", "--n", "2", "--m", "2", "--suite", "csp"])
+print(loaded())
+"""
+
+
+def test_the_pipe_loads_no_sweep_counts_or_checks():
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    pipe, after_verify = proc.stdout.splitlines()
+    assert pipe == "taquin taquin.cli taquin.orbits taquin.shapes taquin.tableaux taquin.words"
+    assert {"taquin.verify", "taquin.sweep", "taquin.sieving"} <= set(after_verify.split())

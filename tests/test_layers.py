@@ -3,7 +3,10 @@ the one owner of the sweep caps, and what the package namespace holds."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import taquin
@@ -15,11 +18,16 @@ PACKAGE = Path(taquin.__file__).parent
 ROOT = PACKAGE.parent.parent
 
 
-def _package_imports(module: str) -> list[tuple[str, str]]:
+def _package_imports(module: str, module_level: bool = False) -> list[tuple[str, str]]:
     """(module, name) for every name `module` imports from the package,
-    relative or absolute, at any depth of its source."""
+    relative or absolute, at any depth of its source, or only outside its
+    functions if `module_level`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    in_functions = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
     out = []
-    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
+        if module_level and id(node) in in_functions:
+            continue
         if isinstance(node, ast.ImportFrom):
             source = node.module or ""
             if node.level == 0:
@@ -63,7 +71,55 @@ def test_package_namespace_holds_readme_and_demo_names_and_exceptions():
     code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
     code += [demo.read_text(encoding="utf-8") for demo in sorted((ROOT / "demos").glob("*.py"))]
     used = set(re.findall(r"\w+", "\n".join(code)))
-    public = {name: value for name, value in vars(taquin).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    # dir, not vars: the names of the check layers load on first access
+    values = {name: getattr(taquin, name) for name in dir(taquin)}
+    public = {name: value for name, value in values.items() if not name.startswith("_") and not inspect.ismodule(value)}
     assert "run_suite" in public and "EnumerationCapError" in public
     exceptions = {name for name, value in public.items() if isinstance(value, type) and issubclass(value, Exception)}
     assert sorted(public.keys() - exceptions - used) == []
+
+
+# A fresh interpreter imports the package, then takes each name of the
+# check layers from it; every assert runs in the child.
+LAZY_NAMES_SCRIPT = """
+import importlib, sys
+import taquin
+
+LAZY = {
+    "sieving": ("q_hook_at_root", "q_hook_polynomial"),
+    "sweep": ("EnumerationCapError", "RankLaneError", "orbit_table"),
+    "verify": ("run_suite",),
+}
+assert not {"taquin.sieving", "taquin.sweep", "taquin.verify"} & sys.modules.keys()
+for module, names in LAZY.items():
+    for name in names:
+        assert name in dir(taquin) and name not in vars(taquin), name
+        namespace = {}
+        exec(f"from taquin import {name}", namespace)
+        home = importlib.import_module(f"taquin.{module}")
+        assert namespace[name] is getattr(home, name) is getattr(taquin, name) is vars(taquin)[name], name
+try:
+    taquin.nope
+except AttributeError as exc:
+    assert str(exc) == "module 'taquin' has no attribute 'nope'", exc
+else:
+    raise AssertionError("taquin.nope")
+print("ok")
+"""
+
+
+def test_check_layer_names_load_on_first_use():
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_NAMES_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
+
+
+def test_cli_and_package_import_no_check_layer_at_module_level():
+    for module in ("cli", "__init__"):
+        # `from . import verify` is ("", "verify")
+        imported = {source or name for source, name in _package_imports(module, module_level=True)}
+        assert imported & {"verify", "sweep", "sieving"} == set(), module
