@@ -9,10 +9,13 @@ q-analogue of the hook length formula.
 
 The package namespace holds the names the README and the demos use, and
 the package's exceptions; everything else is imported from its module.
-The names from the check layers (`sieving`, `sweep`, `verify`) load on
-first use, through `__getattr__`, so that `import taquin` and the
-`construct`, `promote` and `invert` commands compile no check layer.
+The check layers (`sieving`, `sweep`, `verify`) enter `sys.modules` unrun
+(`LazyLoader`), and `__getattr__` resolves their names in `_LAZY` on first
+access, so `import taquin` and the pipe commands compile no check layer.
 """
+
+import importlib.util
+import sys
 
 from .shapes import (
     Diagonal,
@@ -53,19 +56,19 @@ from .orbits import (
 
 __version__ = "0.1.0"
 
-# name -> the module that owns it, imported on the name's first access
-_LAZY = {
-    "q_hook_at_root": "sieving", "q_hook_polynomial": "sieving",
-    "EnumerationCapError": "sweep", "RankLaneError": "sweep", "orbit_table": "sweep",
-    "run_suite": "verify",
-}
+_LAZY = {"q_hook_at_root": "sieving", "q_hook_polynomial": "sieving", "run_suite": "verify",
+         "EnumerationCapError": "sweep", "RankLaneError": "sweep", "orbit_table": "sweep"}
+for _layer in ("sieving", "sweep", "verify"):  # each runs on its first attribute access
+    _spec = importlib.util.find_spec(f"{__name__}.{_layer}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    globals()[_layer] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_layer])
 
 
 def __getattr__(name):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-    globals()[name] = value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value = getattr(globals()[_LAZY[name]], name)
     return value
 
 

@@ -11,7 +11,7 @@ input rules live in the library, m >= n in `shapes.Rectangle`.  `main`
 parses a named command with that command's parser alone, and builds the
 parser of all five for help, top-level errors and leftover arguments;
 either way it prints the same bytes.  Each command imports the layers it
-runs: `construct`, `promote` and `invert` never load `sweep`, `sieving` or
+runs: `construct`, `promote` and `invert` never compile `sweep`, `sieving` or
 `verify`.
 """
 
@@ -162,14 +162,8 @@ def _cap(text: str) -> int:
     return value
 
 
-def _cap_arguments(p: argparse.ArgumentParser) -> None:
-    from .sweep import MAX_CELLS, MAX_COUNT
-    p.add_argument("--max-cells", type=_cap, default=MAX_CELLS)
-    p.add_argument("--max-count", type=_cap, default=MAX_COUNT)
-
-
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from .verify import SUITES
+    from .verify import MAX_CELLS, MAX_COUNT, SUITES
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
@@ -177,13 +171,16 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--all-diagonals", action="store_true", help="sweep every diagonal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="also print a JSON report")
-    _cap_arguments(p)
+    p.add_argument("--max-cells", type=_cap, default=MAX_CELLS)
+    p.add_argument("--max-count", type=_cap, default=MAX_COUNT)
 
 
 def _csp_arguments(p: argparse.ArgumentParser) -> None:
+    from .sweep import MAX_CELLS, MAX_COUNT
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _cap_arguments(p)
+    p.add_argument("--max-cells", type=_cap, default=MAX_CELLS)
+    p.add_argument("--max-count", type=_cap, default=MAX_COUNT)
 
 
 class Command(NamedTuple):
@@ -232,10 +229,10 @@ def main(argv=None) -> int:
     except NotMinimalOrbitError as exc:
         print(f"not in O_n: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except RuntimeError as exc:  # the sweep's cap errors; only verify and csp load the sweep
-        from .sweep import EnumerationCapError, RankLaneError
-        if not isinstance(exc, EnumerationCapError):
+    except RuntimeError as exc:  # the sweep's errors are its cap errors; only verify and csp run it
+        if type(exc).__module__ != f"{__package__}.sweep":
             raise
+        from .sweep import RankLaneError
         hint = "" if isinstance(exc, RankLaneError) else " (see --max-cells/--max-count)"
         print(f"error: {exc}{hint}", file=sys.stderr)
         return EXIT_USAGE

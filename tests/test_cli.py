@@ -554,9 +554,14 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 
 
 # A fresh interpreter runs the pipe in-process through main, then verify,
-# and prints the taquin modules loaded after each.
+# and prints after each the taquin modules in sys.modules and those whose
+# code has run (the audit hook sees each module body that `exec` runs).
 LOADED_MODULES_SCRIPT = """
 import contextlib, io, sys
+from pathlib import Path
+
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(getattr(args[0], "co_filename", "")))
 import taquin.cli
 
 def run(argv, text=""):
@@ -566,7 +571,8 @@ def run(argv, text=""):
     return out.getvalue()
 
 def loaded():
-    return " ".join(sorted(key for key in sys.modules if key.partition(".")[0] == "taquin"))
+    modules = sorted(key for key in sys.modules if key.partition(".")[0] == "taquin")
+    return " ".join(modules) + " | " + " ".join(sorted(Path(f).stem for f in ran if Path(f).parent.name == "taquin"))
 
 t = run(["construct", "--m", "10", "--w", "351624"])
 assert run(["invert"], run(["promote", "--steps", "3"], t)) == "624351\\n"
@@ -576,7 +582,7 @@ print(loaded())
 """
 
 
-def test_the_pipe_loads_no_sweep_counts_or_checks():
+def test_the_pipe_runs_no_sweep_counts_or_checks():
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_SCRIPT],
         capture_output=True,
@@ -584,6 +590,9 @@ def test_the_pipe_loads_no_sweep_counts_or_checks():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
-    pipe, after_verify = proc.stdout.splitlines()
-    assert pipe == "taquin taquin.cli taquin.orbits taquin.shapes taquin.tableaux taquin.words"
-    assert {"taquin.verify", "taquin.sweep", "taquin.sieving"} <= set(after_verify.split())
+    everything = "taquin taquin.cli taquin.orbits taquin.shapes taquin.sieving taquin.sweep taquin.tableaux taquin.verify taquin.words"
+    # the check layers sit in sys.modules from `import taquin` on, but only verify and csp run them
+    assert proc.stdout.splitlines() == [
+        f"{everything} | __init__ cli orbits shapes tableaux words",
+        f"{everything} | __init__ cli orbits shapes sieving sweep tableaux verify words",
+    ]

@@ -80,9 +80,14 @@ def test_package_namespace_holds_readme_and_demo_names_and_exceptions():
 
 
 # A fresh interpreter imports the package, then takes each name of the
-# check layers from it; every assert runs in the child.
+# check layers from it; every assert runs in the child, and the audit hook
+# sees each module body that `exec` runs.
 LAZY_NAMES_SCRIPT = """
 import importlib, sys
+from pathlib import Path
+
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(Path(getattr(args[0], "co_filename", "")).stem))
 import taquin
 
 LAZY = {
@@ -90,7 +95,7 @@ LAZY = {
     "sweep": ("EnumerationCapError", "RankLaneError", "orbit_table"),
     "verify": ("run_suite",),
 }
-assert not {"taquin.sieving", "taquin.sweep", "taquin.verify"} & sys.modules.keys()
+assert not {"sieving", "sweep", "verify"} & ran
 for module, names in LAZY.items():
     for name in names:
         assert name in dir(taquin) and name not in vars(taquin), name
@@ -98,6 +103,7 @@ for module, names in LAZY.items():
         exec(f"from taquin import {name}", namespace)
         home = importlib.import_module(f"taquin.{module}")
         assert namespace[name] is getattr(home, name) is getattr(taquin, name) is vars(taquin)[name], name
+        assert module in ran and sys.modules[f"taquin.{module}"] is home is getattr(taquin, module), name
 try:
     taquin.nope
 except AttributeError as exc:
