@@ -27,11 +27,10 @@ from .shapes import Diagonal, Rectangle, parse_partition
 from .tableaux import (
     TableauError,
     TableauFormatError,
+    _promotion_step,
     dumps,
     format_grid,
-    inverse_promotion,
     loads,
-    promotion,
     standard_rectangle_dims,
 )
 from .words import format_permutation, parse_permutation
@@ -82,12 +81,13 @@ def _cmd_construct(args) -> int:
 def _cmd_promote(args) -> int:
     t = _read_tableau(args.tableau)
     nrows, ncols = standard_rectangle_dims(t, "promote")
-    # promotion^N is the identity: walk the residue the shorter way round, forward on a tie
+    # promotion^N is the identity: walk the residue the shorter way round,
+    # forward on a tie; t is checked above, and each step keeps it standard
     cells = nrows * ncols
     steps = args.steps % cells
-    step = promotion if 2 * steps <= cells else inverse_promotion
+    forward = 2 * steps <= cells
     for _ in range(min(steps, cells - steps)):
-        t = step(t)
+        t = _promotion_step(t, forward)
     _print_tableau(t, args.format)
     return EXIT_OK
 
@@ -152,14 +152,16 @@ def _invert_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _cap(text: str) -> int:
-    """A --max-cells or --max-count value: an int of at least 0."""
+    """A --max-cells or --max-count value: an int of at least 0, by the sweep's rule."""
+    from .sweep import check_cap
     try:
         value = int(text)
     except ValueError:  # argparse's own words for a non-int
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"a cap must be at least 0, got {value}")
-    return value
+    try:
+        return check_cap(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:

@@ -56,8 +56,8 @@ class RankLaneError(EnumerationCapError):
 
 def _row_slices(shape: Partition) -> tuple[int, tuple[slice, ...]]:
     """The slide grid length of `shape`, and the grid slice of each row."""
-    width, length = grid_size(shape.nrows, shape.ncols)
-    return length, tuple(cells for cells, _ in _grid_layout(SkewShape(shape), width).rows)
+    _, length = grid_size(shape.nrows, shape.ncols)
+    return length, tuple(cells for cells, _ in _grid_layout(SkewShape(shape)).rows)
 
 
 def _placements(rows, weights, heights: list[int], first: int, last: int, code: int, out: list) -> None:
@@ -116,10 +116,20 @@ MAX_CELLS = 20
 MAX_COUNT = 1_000_000
 
 
+def check_cap(cap: int) -> int:
+    """A cap of a sweep, or ValueError when it is below 0: bad input, not
+    a cap exceeded."""
+    if cap < 0:
+        raise ValueError(f"a cap must be at least 0, got {cap}")
+    return cap
+
+
 def _check_caps(shape: Partition, max_cells: int, max_count: int) -> int:
     """Raise unless `shape` is within the grid bytes and the caps; returns
-    its tableau count.  The byte limit is checked first, on the cell count
-    alone, since no cap lifts it."""
+    its tableau count.  Negative caps are refused first, then the byte
+    limit, on the cell count alone, since no cap lifts it."""
+    check_cap(max_cells)
+    check_cap(max_count)
     if shape.size > 255:
         raise RankLaneError(f"{shape.size} cells exceed the 255-cell limit of the sweep's grid bytes")
     if shape.size > max_cells:

@@ -1,24 +1,18 @@
 """Partial and standard tableaux on skew regions, and jeu de taquin.
 
-A PartialTableau keeps a sparse box -> entry map over a skew region, since
-the constructions in `orbits` interleave filled and unfilled cells in
-irregular patterns.  Every PartialTableau holds distinct positive ints,
-strictly increasing between adjacent filled cells, which turns a buggy
-slide into a loud error.  The constructor's dict validator checks this for
-a tableau built from a dict, and it is the only code that raises a
-TableauError about a tableau's contents.
+A PartialTableau is its region and its slide grid, the `to_grid` layout
+(`grid_size`) with 0 for an empty cell; `entries`, a box -> entry map, is
+built only when asked for.  `grid_slide` is the one slide kernel: the
+constructions in `orbits`, rectification, promotion and the orbit sweep
+all move entries through it on that layout.
 
-Slides run on a mutable grid instead (`to_grid`, `grid_slide`, `from_grid`),
-so a run of slides is checked once, when its public function returns:
-`from_grid` screens a filled grid with a few C-level passes over a cached
-per-region layout, and sends anything the screen does not pass (a partial
-filling, say) to the dict validator.  Parsed rows (`from_rows`, and so
-`loads`) take the same screen when every entry is an int >= 1, and go to
-the validator otherwise.  `row_lists` (and so `dumps` and `format_grid`)
-and `promotion` and its inverse read entries through the same layout.
-`grid_slide` is the one slide kernel: the constructions, rectification,
-promotion and the orbit sweep's flat promotion all move entries through it,
-on the one layout whose width and length `grid_size` gives.
+Every PartialTableau holds distinct positive ints, strictly increasing
+between adjacent filled cells, which turns a buggy slide into a loud
+error.  One validator, `_validate`, checks a grid at the public
+boundaries: `from_grid`, parsed rows (`from_rows`, `loads`), and a dict
+given to `PartialTableau(region, entries)` once its types, cells and signs
+are checked in its own order.  A promotion step slides a checked grid and
+keeps it standard, so it builds its result unchecked.
 
 Every public operation is a pure function returning new values; callers
 may parallelize freely.
@@ -30,6 +24,7 @@ import json
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, lt
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .shapes import (
@@ -53,68 +48,65 @@ class TableauFormatError(ValueError):
 
 
 class PartialTableau:
-    """Entries on a subset of the cells of a skew region."""
+    """Entries on a subset of the cells of a skew region, held in the
+    region's slide grid; `grid` is shared, so never mutate it."""
 
-    __slots__ = ("region", "entries")
+    __slots__ = ("region", "grid")
 
     def __init__(self, region: SkewShape, entries: Mapping | Iterable = ()):
+        """The checked tableau of a box -> entry map or of (box, entry) pairs."""
         items = entries.items() if isinstance(entries, Mapping) else entries
         norm = {}
         for b, v in items:
             if type(v) is not int:
                 raise TableauError(f"entry {v!r} at {tuple(b)} is not an integer")
             norm[b if type(b) is Box else Box(*b)] = v
-        outer_rows = region.outer.rows
-        inner_rows = region.inner.rows
-        n_inner = len(inner_rows)
-        nrows = len(outer_rows)
-        get = norm.get
-        for (r, c), v in norm.items():
-            if not (1 <= r <= nrows and c <= outer_rows[r - 1]) or c <= (inner_rows[r - 1] if r <= n_inner else 0):
-                raise TableauError(f"entry at {(r, c)} outside the region")
-            if v < 1:
-                raise TableauError(f"non-positive entry {v} at {(r, c)}")
-            right = get((r, c + 1))
-            if right is not None and right <= v:
-                raise TableauError(f"row not increasing at {(r, c)}: {v} !< {right}")
-            below = get((r + 1, c))
-            if below is not None and below <= v:
-                raise TableauError(f"column not increasing at {(r, c)}: {v} !< {below}")
-        if len(set(norm.values())) != len(norm):
-            raise TableauError("duplicate entries")
-        self.region = region
-        self.entries = norm
+        for b, v in norm.items():
+            if b not in region:
+                raise TableauError(f"entry at {tuple(b)} outside the region")
+            if v < 1:  # before a 0 can become an empty cell
+                raise TableauError(f"non-positive entry {v} at {tuple(b)}")
+        grid, _ = to_grid(region, norm)
+        _validate(_grid_layout(region), grid)
+        self.region, self.grid = region, grid
+
+    @property
+    def entries(self) -> Mapping[Box, int]:
+        """A read-only box -> entry map of the filled cells, row-major, built on each read."""
+        layout = _grid_layout(self.region)
+        return MappingProxyType({b: v for b, v in zip(layout.boxes, layout.read(self.grid)) if v})
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        values = _grid_layout(self.region).read(self.grid)
+        return len(values) - values.count(0)
 
     def get(self, box, default=None):
-        return self.entries.get(Box(*box), default)
+        """The entry at `box`; default for an empty cell or one outside the region."""
+        r, c = box
+        layout = _grid_layout(self.region)
+        i = r * layout.width + c
+        return (self.grid[i] if layout.cells.get(i) == (r, c) else 0) or default
 
     def __getitem__(self, box) -> int:
-        return self.entries[Box(*box)]
+        if (v := self.get(box)) is None:
+            raise KeyError(Box(*box))
+        return v
 
     def is_filled(self, box) -> bool:
-        return Box(*box) in self.entries
+        return self.get(box) is not None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, PartialTableau)
-            and self.region == other.region
-            and self.entries == other.entries
-        )
+        return isinstance(other, PartialTableau) and self.grid == other.grid and self.region == other.region
 
     def __hash__(self):
-        return hash((self.region, frozenset(self.entries.items())))
+        return hash((self.region, tuple(self.grid)))
 
     def row_lists(self) -> list[list]:
         """One list per region row, covering inner+1..outer columns;
         None marks an unfilled cell."""
-        # the layout of to_grid's width, which from_grid has cached too
-        layout = _grid_layout(self.region, grid_size(self.region.outer.nrows, self.region.outer.ncols)[0])
-        values = _cell_values(self, layout)
-        return [list(values[at]) for _, at in layout.rows]
+        rows = [self.grid[cells] for cells, _ in _grid_layout(self.region).rows]
+        return [row if 0 not in row else [v or None for v in row] for row in rows]
 
     def row_tuples(self) -> tuple:
         return tuple(tuple(row) for row in self.row_lists())
@@ -123,14 +115,18 @@ class PartialTableau:
         return f"PartialTableau({format_grid(self)!r})"
 
 
+def _unchecked(region: SkewShape, grid: list[int]) -> PartialTableau:
+    """The tableau of a grid known to be valid, built without the validator."""
+    t = PartialTableau.__new__(PartialTableau)
+    t.region, t.grid = region, grid
+    return t
+
+
 def from_rows(rows, inner=EMPTY) -> PartialTableau:
     """Build a tableau from per-row entry lists (None = unfilled cell).
 
-    rows[i] covers the cells of row i+1 right of the inner shape.  When
-    every entry is an int >= 1 the rows are written into a slide grid and
-    screened there by `from_grid`; anything else (an unfilled cell, a 0, a
-    bool, a float) goes to the dict validator, so a parsed 0 is never
-    taken for an empty grid cell.
+    rows[i] covers the cells of row i+1 right of the inner shape.  A 0 is
+    an entry, which the validator refuses, never an empty cell.
     """
     inner = inner if isinstance(inner, Partition) else Partition(tuple(inner))
     outer = Partition(tuple(inner.row_len(i + 1) + len(row) for i, row in enumerate(rows)))
@@ -139,22 +135,15 @@ def from_rows(rows, inner=EMPTY) -> PartialTableau:
 
 def _fill_rows(region: SkewShape, rows) -> PartialTableau:
     """`from_rows` on a region whose row lengths the rows already match."""
-    values = list(chain.from_iterable(rows))
-    if set(map(type, values)) == _INT and min(values) >= 1:
-        grid, width = to_grid(region, {})
-        for cells, at in _grid_layout(region, width).rows:
-            grid[cells] = values[at]
-        return from_grid(region, grid)
-    entries = {}
-    for i, row in enumerate(rows, start=1):
-        for j, v in enumerate(row, start=region.inner.row_len(i) + 1):
-            if v is not None:
-                entries[Box(i, j)] = v
-    return PartialTableau(region, entries)
-
-
-def is_filled(t: PartialTableau) -> bool:
-    return t.size == t.region.size
+    values = tuple(chain.from_iterable(rows))
+    # the validator reads anything but ints >= 1 off the rows, where a 0 is an entry
+    cells = None if set(map(type, values)) == _INT and min(values) >= 1 else values
+    layout = _grid_layout(region)
+    grid, _ = to_grid(region, {})
+    for at_grid, at in layout.rows:
+        grid[at_grid] = values[at] if cells is None else [v or 0 for v in values[at]]
+    _validate(layout, grid, cells)
+    return _unchecked(region, grid)
 
 
 def is_standard_normalized(t: PartialTableau) -> bool:
@@ -162,14 +151,15 @@ def is_standard_normalized(t: PartialTableau) -> bool:
 
     The entries of every PartialTableau are distinct positive ints, so
     N of them are exactly 1..N when the largest is N."""
-    return is_filled(t) and max(t.entries.values(), default=0) == t.size
+    values = _grid_layout(t.region).read(t.grid)
+    return 0 not in values and max(values, default=0) == len(values)
 
 
 def standard_rectangle_dims(t: PartialTableau, what: str) -> tuple[int, int]:
     """(nrows, ncols) of a standard filling 1..N of a full rectangle;
     raises TableauError naming `what` otherwise."""
     outer = t.region.outer
-    if t.region.inner.size or not outer.rows or len(set(outer.rows)) != 1:
+    if t.region.inner.rows or not outer.rows or len(set(outer.rows)) != 1:
         raise TableauError(f"{what} needs a full rectangle region")
     if not is_standard_normalized(t):
         raise TableauError(f"{what} needs a standard tableau with entries 1..N")
@@ -202,8 +192,9 @@ def _reader(index: tuple[int, ...]) -> Callable:
 
 
 class _GridLayout(NamedTuple):
-    """Where a region's cells sit in a grid of some width; shared, so never mutate it."""
+    """Where a region's cells sit in its `to_grid` grid; shared, so never mutate it."""
 
+    width: int
     cells: dict[int, Box]  # the region's cells keyed by grid index, row-major
     boxes: tuple[Box, ...]  # the same cells, as a tuple
     rows: tuple[tuple[slice, slice], ...]  # per region row, its cells as slices of the grid and of boxes
@@ -213,7 +204,8 @@ class _GridLayout(NamedTuple):
 
 
 @lru_cache(maxsize=1024)
-def _grid_layout(region: SkewShape, width: int) -> _GridLayout:
+def _grid_layout(region: SkewShape) -> _GridLayout:
+    width, _ = grid_size(region.outer.nrows, region.outer.ncols)
     cells = {b.row * width + b.col: b for b in region.cells()}
     pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
     lo, hi = zip(*pairs) if pairs else ((), ())
@@ -222,52 +214,52 @@ def _grid_layout(region: SkewShape, width: int) -> _GridLayout:
         start = region.inner.row_len(r)
         rows.append((slice(r * width + start + 1, r * width + end + 1), slice(done, done + end - start)))
         done += end - start
-    return _GridLayout(cells, tuple(cells.values()), tuple(rows), _reader(tuple(cells)), _reader(lo), _reader(hi))
-
-
-def _cell_values(t: PartialTableau, layout: _GridLayout) -> tuple:
-    """The entries of the layout's cells of t's region in row-major order,
-    None for an unfilled cell.  `from_grid` leaves the entries in that
-    order, and then they are read straight off the dict."""
-    entries = t.entries
-    if tuple(entries) == layout.boxes:
-        return tuple(entries.values())
-    return tuple(map(entries.get, layout.boxes))
-
-
-def _fill(grid: list[int], width: int, t: PartialTableau, shift: int = 0) -> None:
-    """Write the entries of the filled tableau `t`, each plus `shift`, into
-    the cells of its region in `grid`, one row slice at a time."""
-    layout = _grid_layout(t.region, width)
-    values = [v + shift for v in _cell_values(t, layout)]
-    for cells, at in layout.rows:
-        grid[cells] = values[at]
+    return _GridLayout(width, cells, tuple(cells.values()), tuple(rows), _reader(tuple(cells)), _reader(lo), _reader(hi))
 
 
 _INT = frozenset({int})
 
 
-def from_grid(region: SkewShape, grid: list[int]) -> PartialTableau:
-    """The validated tableau of the filled region cells of a grid laid out by `to_grid`.
+def _validate(layout: _GridLayout, grid: list, cells: tuple | None = None) -> None:
+    """The one tableau validator: raise TableauError unless the region
+    cells of `grid` hold distinct ints >= 1 increasing rightwards and
+    downwards between filled cells (a false value is an empty cell).
 
-    A grid whose region cells all hold distinct ints >= 1, increasing to
-    the right and downwards, passes a screen of C-level passes over a
-    cached layout and is built without the dict validator; anything else,
-    such as a partial filling, goes to `PartialTableau` as it is.  Both
-    give the same tableau, entries in row-major order, and only the
-    validator raises."""
-    _, boxes, _, read, lo, hi = _grid_layout(region, grid_size(region.outer.nrows, region.outer.ncols)[0])
-    values = read(grid)
+    A valid filled grid passes a screen of C-level passes; anything else
+    takes one row-major pass that raises for the first fault: a non-int
+    (over all cells first), then per cell an entry below 1, a row or a
+    column that does not increase, then a repeated entry.  `cells` gives
+    that pass its values (None: empty) for parsed rows, whose 0 is an entry."""
+    values = layout.read(grid)
     if (
         set(map(type, values)) == _INT
         and min(values) >= 1
         and len(set(values)) == len(values)
-        and all(map(lt, lo(grid), hi(grid)))
+        and all(map(lt, layout.lo(grid), layout.hi(grid)))
     ):
-        t = PartialTableau.__new__(PartialTableau)
-        t.region, t.entries = region, dict(zip(boxes, values))
-        return t
-    return PartialTableau(region, {b: v for b, v in zip(boxes, values) if v})
+        return
+    if cells is None:
+        cells = tuple(v or None for v in values)
+    filled = {b: v for b, v in zip(layout.boxes, cells) if v is not None}
+    for (r, c), v in filled.items():
+        if type(v) is not int:
+            raise TableauError(f"entry {v!r} at {(r, c)} is not an integer")
+    for (r, c), v in filled.items():
+        if v < 1:
+            raise TableauError(f"non-positive entry {v} at {(r, c)}")
+        for line, after in (("row", (r, c + 1)), ("column", (r + 1, c))):
+            if filled.get(after, v + 1) <= v:
+                raise TableauError(f"{line} not increasing at {(r, c)}: {v} !< {filled[after]}")
+    if len(set(filled.values())) != len(filled):
+        raise TableauError("duplicate entries")
+
+
+def from_grid(region: SkewShape, grid: list[int]) -> PartialTableau:
+    """The validated tableau of the filled region cells of a grid laid out
+    by `to_grid`, whose cells outside the region hold 0.  The tableau
+    keeps the grid, so the caller must not change it afterwards."""
+    _validate(_grid_layout(region), grid)
+    return _unchecked(region, grid)
 
 
 def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool = True) -> tuple[int, int]:
@@ -317,10 +309,10 @@ def rectify(t: PartialTableau) -> PartialTableau:
     The result is independent of the corner order; the suite checks this
     against random orders at small sizes.
     """
-    if not is_filled(t):
+    if t.size != t.region.size:
         raise TableauError("rectify needs a fully filled region")
     outer, inner = t.region.outer, t.region.inner
-    grid, width = to_grid(t.region, t.entries)
+    grid, width = t.grid[:], _grid_layout(t.region).width
     inner_rows = list(inner.rows)
     while any(inner_rows):
         r, c = removable_corners(Partition(tuple(inner_rows)))[-1]
@@ -336,19 +328,20 @@ def rectify(t: PartialTableau) -> PartialTableau:
 
 
 def _promotion_step(t: PartialTableau, forward: bool) -> PartialTableau:
-    """Promotion, or its inverse: shift every entry by -1 (+1), so that
-    entry 1 (N), always at the top-left (bottom-right) corner, leaves an
-    empty cell, slide it to the opposite corner, and put N (1) there."""
-    nrows, ncols = standard_rectangle_dims(t, "promotion" if forward else "inverse promotion")
-    grid, width = to_grid(t.region, {})
-    _fill(grid, width, t, -1 if forward else 1)
-    corners = (width + 1, nrows * width + ncols)
+    """Promotion, or its inverse, of a standard filling of a full
+    rectangle, unchecked: shift every entry by -1 (+1), so that entry 1
+    (N), always at the top-left (bottom-right) corner, leaves an empty
+    cell, slide it to the opposite corner, and put N (1) there."""
+    layout = _grid_layout(t.region)
+    width, cells = layout.width, len(layout.cells)
+    grid = [v and v - 1 for v in t.grid] if forward else [v and v + 1 for v in t.grid]
+    corners = (width + 1, len(grid) - width - 1)  # (1, 1) and (nrows, ncols)
     start, stop = corners if forward else corners[::-1]
     grid[start] = 0
     end, _ = grid_slide(grid, width, start, forward)
     assert end == stop
-    grid[end] = nrows * ncols if forward else 1
-    return from_grid(t.region, grid)
+    grid[end] = cells if forward else 1
+    return _unchecked(t.region, grid)
 
 
 def promotion(t: PartialTableau) -> PartialTableau:
@@ -358,10 +351,12 @@ def promotion(t: PartialTableau) -> PartialTableau:
     slide from (1,1), whose path necessarily ends at the bottom-right
     corner.
     """
+    standard_rectangle_dims(t, "promotion")
     return _promotion_step(t, True)
 
 
 def inverse_promotion(t: PartialTableau) -> PartialTableau:
+    standard_rectangle_dims(t, "inverse promotion")
     return _promotion_step(t, False)
 
 
@@ -371,7 +366,7 @@ def promotion_order(t: PartialTableau) -> int:
     cur = promotion(t)
     order = 1
     while cur != t:
-        cur = promotion(cur)
+        cur = _promotion_step(cur, True)
         order += 1
         if order > n_cells:
             raise TableauError("promotion order exceeds the cell count")
@@ -439,9 +434,10 @@ def loads(text: str) -> PartialTableau:
 
 def format_grid(t: PartialTableau) -> str:
     """Aligned text grid; '.' marks unfilled region cells."""
-    width = max((len(str(v)) for v in t.entries.values()), default=1)
+    rows = t.row_lists()
+    width = max((len(str(v)) for row in rows for v in row if v is not None), default=1)
     lines = []
-    for r, row in enumerate(t.row_lists(), start=1):
+    for r, row in enumerate(rows, start=1):
         cells = [" " * width] * t.region.inner.row_len(r) + [("." if v is None else str(v)).rjust(width) for v in row]
         lines.append(" ".join(cells).rstrip())
     return "\n".join(lines)

@@ -59,7 +59,7 @@ from .words import (
     strict_knuth,
 )
 from .sieving import divisors, q_hook_at_root, q_hook_polynomial
-from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, OrbitTable, orbit_table, standard_tableaux
+from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, OrbitTable, check_cap, orbit_table, standard_tableaux
 
 
 # -- named check suites ---------------------------------------------------
@@ -594,7 +594,7 @@ def run_suite(
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(SUITES + ('all',))}")
-    caps = {"max_cells": max_cells, "max_count": max_count}
+    caps = {"max_cells": check_cap(max_cells), "max_count": check_cap(max_count)}
     table = _once(partial(orbit_table, rect, **caps))
     cases: list[CaseResult] = []
     for name in SUITES if suite == "all" else (suite,):

@@ -300,7 +300,7 @@ def test_splice_checks_the_diagonal_boxes(monkeypatch):
 
     real = orbits.reverse_tableau
     rect = Rectangle(3, 4)
-    monkeypatch.setattr(orbits, "reverse_tableau", lambda w, d, r: real(promotion_cycle(3), d, r))
+    monkeypatch.setattr(orbits, "reverse_tableau", lambda w, d, r, **kw: real(promotion_cycle(3), d, r, **kw))
     with pytest.raises(DiagonalMismatchError, match="constructions disagree at"):
         minimal_orbit_tableau(identity(3), rect)
 

@@ -1,9 +1,12 @@
+import io
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
+from taquin.cli import main
 from taquin.orbits import box_sequence, forward_tableau, minimal_orbit_tableau, reverse_tableau
 from taquin.shapes import Box, Partition, Rectangle, SkewShape, enumerate_diagonals, parse_partition, removable_corners
 from taquin.tableaux import (
@@ -135,29 +138,46 @@ def _partitions(total, largest=None):
             yield (first, *rest)
 
 
-def _assert_screen_agrees(region, grid, width):
-    """`from_grid` returns what the dict validator makes of the grid's
-    filled region cells, entries in the same order, or raises its error."""
-    entries = {b: v for i, b in _grid_layout(region, width).cells.items() if (v := grid[i])}
-    try:
-        want = PartialTableau(region, entries)
-    except TableauError as exc:
+def _first_fault(entries):
+    """The message the validator must raise for `entries`, a box -> value
+    map of region cells in row-major order, or None for a valid filling:
+    the first value that is not an int, then per cell a value below 1, a
+    right or a lower neighbour not above it, and last a repeated value."""
+    for b, v in entries.items():
+        if type(v) is not int:
+            return f"entry {v!r} at {tuple(b)} is not an integer"
+    for (r, c), v in entries.items():
+        if v < 1:
+            return f"non-positive entry {v} at {(r, c)}"
+        for name, n in (("row", (r, c + 1)), ("column", (r + 1, c))):
+            if n in entries and entries[n] <= v:
+                return f"{name} not increasing at {(r, c)}: {v} !< {entries[n]}"
+    return "duplicate entries" if len(set(entries.values())) != len(entries) else None
+
+
+def _assert_grid_messages(region, grid):
+    """`from_grid` raises the first fault of the grid's filled region
+    cells, or returns the tableau of exactly those entries in row-major
+    order, which the dict route builds too."""
+    entries = {b: v for i, b in _grid_layout(region).cells.items() if (v := grid[i])}
+    fault = _first_fault(entries)
+    if fault is not None:
         with pytest.raises(TableauError) as got:
             from_grid(region, grid)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == fault
         return
-    got = from_grid(region, grid)
-    assert got == want
-    assert list(got.entries.items()) == list(want.entries.items())
+    got = from_grid(region, grid[:])
+    assert list(got.entries.items()) == list(entries.items())
+    assert got == PartialTableau(region, entries)
 
 
-def _assert_screen_agrees_on_mutations(t, rng):
+def _assert_grid_messages_on_mutations(t, rng):
     """The grid of t as it is, and with two adjacent entries swapped, a
     cell set to 0 or -1, an entry duplicated, and True or 2.0 in a cell."""
     grid, width = to_grid(t.region, t.entries)
-    cells = list(_grid_layout(t.region, width).cells)
+    cells = list(_grid_layout(t.region).cells)
     pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
-    _assert_screen_agrees(t.region, grid, width)
+    _assert_grid_messages(t.region, grid)
     mutations = []
     if cells:
         i = rng.choice(cells)
@@ -175,15 +195,15 @@ def _assert_screen_agrees_on_mutations(t, rng):
             g[i], g[j] = g[j], g[i]
         else:
             g[where] = v
-        _assert_screen_agrees(t.region, g, width)
+        _assert_grid_messages(t.region, g)
 
 
-def test_grid_screen_agrees_with_the_validator():
+def test_grid_validator_names_the_first_fault():
     rng = random.Random(17)
     for total in range(11):
         for rows in _partitions(total):
             for syt in standard_tableaux(Partition(rows)):
-                _assert_screen_agrees_on_mutations(from_rows(syt), rng)
+                _assert_grid_messages_on_mutations(from_rows(syt), rng)
     for rect in (Rectangle(3, 4), Rectangle(4, 4)):
         for d in enumerate_diagonals(rect):
             for w in all_permutations(rect.n):
@@ -191,13 +211,14 @@ def test_grid_screen_agrees_with_the_validator():
                 minus, back = reverse_tableau(w, d, rect, trace=True)
                 run = box_sequence(inverse_word_sequence(w), d, trace=True)
                 for t in (plus, minus, *frames, *back, *run.trace):
-                    _assert_screen_agrees_on_mutations(t, rng)
+                    _assert_grid_messages_on_mutations(t, rng)
 
 
-def _assert_rows_agree(rows, inner):
-    """`from_rows` returns what the dict validator makes of the rows'
-    non-None entries, in the same order, or raises its error; a tableau it
-    returns goes back to the same rows and to the JSON of those rows."""
+def _assert_row_messages(rows, inner):
+    """`from_rows` raises the first fault of the rows' non-None entries (a
+    0 among them), or returns the tableau of exactly those entries in
+    row-major order; a tableau it returns goes back to the same rows and
+    to the JSON of those rows."""
     inner = Partition(tuple(inner))
     starts = [inner.row_len(i) for i in range(1, len(rows) + 1)]
     region = SkewShape(Partition(tuple(s + len(row) for s, row in zip(starts, rows))), inner)
@@ -207,16 +228,15 @@ def _assert_rows_agree(rows, inner):
         for j, v in enumerate(row, start=1)
         if v is not None
     }
-    try:
-        want = PartialTableau(region, entries)
-    except TableauError as exc:
+    fault = _first_fault(entries)
+    if fault is not None:
         with pytest.raises(TableauError) as got:
             from_rows(rows, inner)
-        assert str(got.value) == str(exc)
+        assert str(got.value) == fault
         return
     got = from_rows(rows, inner)
-    assert got == want
-    assert list(got.entries.items()) == list(want.entries.items())
+    assert list(got.entries.items()) == list(entries.items())
+    assert got == PartialTableau(region, entries)
     assert got.row_lists() == [list(row) for row in rows]
     assert from_rows(got.row_lists(), inner) == got
     d = {"outer": list(region.outer.rows)}
@@ -254,17 +274,17 @@ def _row_mutations(t, rng):
     return out
 
 
-def test_rows_screen_agrees_with_the_validator():
+def test_rows_validator_names_the_first_fault():
     rng = random.Random(23)
     # every SYT of up to 10 cells, each with one of its mutations in turn
     k = 0
     for total in range(11):
         for rows in _partitions(total):
             for syt in standard_tableaux(Partition(rows)):
-                _assert_rows_agree(syt, ())
+                _assert_row_messages(syt, ())
                 if total:
                     mutations = _row_mutations(from_rows(syt), rng)
-                    _assert_rows_agree(mutations[k % len(mutations)], ())
+                    _assert_row_messages(mutations[k % len(mutations)], ())
                     k += 1
     # skew regions, one with a row of no cells, and partial fillings, each
     # with every mutation
@@ -276,9 +296,9 @@ def test_rows_screen_agrees_with_the_validator():
             minus, back = reverse_tableau(w, d, rect, trace=True)
             tableaux += [plus, minus, *frames, *back]
     for t in tableaux:
-        _assert_rows_agree(t.row_lists(), t.region.inner.rows)
+        _assert_row_messages(t.row_lists(), t.region.inner.rows)
         for rows in _row_mutations(t, rng):
-            _assert_rows_agree(rows, t.region.inner.rows)
+            _assert_row_messages(rows, t.region.inner.rows)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -294,34 +314,63 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_built_tableaux_skip_the_validator(monkeypatch):
-    import taquin.orbits as orbits
+def test_built_tableaux_skip_the_validator(monkeypatch, capsys):
     import taquin.tableaux as tableaux
 
     rect = Rectangle(6, 10)
     t = minimal_orbit_tableau(Permutation((3, 1, 6, 2, 5, 4)), rect)
     text = dumps(t)
     inits = _count_calls(monkeypatch, PartialTableau, "__init__")
-    # orbits binds from_grid at import, so both bindings are counted
-    screens = _count_calls(monkeypatch, tableaux, "from_grid")
-    screens_orbits = _count_calls(monkeypatch, orbits, "from_grid")
+    screens = _count_calls(monkeypatch, tableaux, "_validate")
     for w in all_permutations(6):
         minimal_orbit_tableau(w, rect)
-    assert len(screens) + len(screens_orbits) == 3 * 720  # two halves and the splice
+    assert len(screens) == 720  # the splice; the halves are not checked apart
     assert promotion(inverse_promotion(t)) == t
-    assert len(screens) + len(screens_orbits) == 3 * 720 + 2  # one per promotion step
-    assert len(inits) == 0
-    # parsed input is screened on the grid: one from_grid call, no validator
+    assert len(screens) == 720  # a promotion step builds unchecked
+    # parsed input is screened on its grid once
     screens.clear()
     assert loads(text) == t
     assert len(screens) == 1
+    # a whole construct | promote --steps k | invert op: construct's splice,
+    # two parses and the splice of the T_w that invert rebuilds
+    for steps in (0, 1, 5):
+        screens.clear()
+        assert main(["construct", "--m", "10", "--w", "316254"]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["promote", "--steps", str(steps)]) == 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+        assert main(["invert"]) == 0
+        capsys.readouterr()
+        assert len(screens) == 4, steps
     assert len(inits) == 0
-    # an invalid parsed tableau reaches the validator exactly once
+    # an invalid parsed tableau is named by the same one check
+    screens.clear()
     bad = json.loads(text)
     bad["rows"][0][0], bad["rows"][0][1] = bad["rows"][0][1], bad["rows"][0][0]
     with pytest.raises(TableauFormatError, match=r"^row not increasing at \(1, 1\): 2 !< 1$"):
         loads(json.dumps(bad))
-    assert len(inits) == 1
+    assert (len(screens), len(inits)) == (1, 0)
+
+
+def test_unchecked_builds_equal_what_the_validator_builds():
+    # promotion steps and the halves of T_w are built without the
+    # validator; each must be the tableau the validator builds from its
+    # entries, down to the empty grid cells outside the region
+    def assert_checked(t):
+        assert t == PartialTableau(t.region, t.entries)
+
+    for nrows in range(1, 13):
+        for ncols in range(1, 12 // nrows + 1):
+            for rows in standard_tableaux(Partition((ncols,) * nrows)):
+                t = from_rows(rows)
+                assert_checked(promotion(t))
+                assert_checked(inverse_promotion(t))
+    for rect in (Rectangle(3, 3), Rectangle(3, 4), Rectangle(4, 4)):
+        for d in enumerate_diagonals(rect):
+            for w in all_permutations(rect.n):
+                assert_checked(forward_tableau(w, d, screen=False))
+                assert_checked(reverse_tableau(w, d, rect, screen=False))
+                assert_checked(minimal_orbit_tableau(w, rect, d))
 
 
 # -- slides ------------------------------------------------------------------

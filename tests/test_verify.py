@@ -279,6 +279,20 @@ def test_enumeration_caps():
     assert sum(1 for _ in standard_tableaux(Partition((21,)), max_cells=25)) == 1
 
 
+@pytest.mark.parametrize("caps", [{"max_cells": -1}, {"max_count": -1}])
+def test_negative_caps_are_bad_input_not_a_cap_exceeded(caps):
+    # refused before any comparison, the 255-cell limit's included
+    calls = [
+        lambda: standard_tableaux(Partition((2, 2)), **caps),
+        lambda: standard_tableaux(Partition((300,)), **caps),
+        lambda: orbit_table(Rectangle(2, 2), **caps),
+        lambda: run_suite(Rectangle(2, 2), "bijection", **caps),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^a cap must be at least 0, got -1$"):
+            call()
+
+
 def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
     import taquin.sweep as sweep
 
