@@ -27,10 +27,11 @@ from .shapes import Diagonal, Rectangle, parse_partition
 from .tableaux import (
     TableauError,
     TableauFormatError,
-    _promotion_step,
     dumps,
     format_grid,
+    inverse_promotion,
     loads,
+    promotion,
     standard_rectangle_dims,
 )
 from .words import format_permutation, parse_permutation
@@ -81,13 +82,12 @@ def _cmd_construct(args) -> int:
 def _cmd_promote(args) -> int:
     t = _read_tableau(args.tableau)
     nrows, ncols = standard_rectangle_dims(t, "promote")
-    # promotion^N is the identity: walk the residue the shorter way round,
-    # forward on a tie; t is checked above, and each step keeps it standard
+    # promotion^N is the identity: walk the residue the shorter way round, forward on a tie
     cells = nrows * ncols
     steps = args.steps % cells
-    forward = 2 * steps <= cells
+    step = promotion if 2 * steps <= cells else inverse_promotion
     for _ in range(min(steps, cells - steps)):
-        t = _promotion_step(t, forward)
+        t = step(t)
     _print_tableau(t, args.format)
     return EXIT_OK
 

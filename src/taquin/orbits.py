@@ -66,25 +66,24 @@ class DiagonalMismatchError(RuntimeError):
 
 def superstandard_choice(shape: Partition) -> PartialTableau:
     """Row-by-row filling 1..N of a straight shape."""
-    return PartialTableau(SkewShape(shape), _choice_entries(None, shape))
+    return PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(shape.cells(), start=1)})
 
 
-def _choice_entries(choice: PartialTableau | None, shape: Partition) -> dict:
-    """Entries of the choice tableau on `shape`; the superstandard filling
-    when choice is None."""
+def _slide_order(choice: PartialTableau | None, shape: Partition) -> list[Box]:
+    """The cells of `shape` in the order they are slid: the k-th slide
+    uses the cell holding entry N+1-k of the choice tableau, the
+    superstandard filling when choice is None."""
     if choice is None:
-        return {b: k for k, b in enumerate(shape.cells(), start=1)}
+        return list(shape.cells())[::-1]
     if choice.region.inner.rows or choice.region.outer != shape:
         raise ValueError(f"choice tableau must live on {shape}, got {choice.region}")
     if not is_standard_normalized(choice):
         raise ValueError("choice tableau must be standard with entries 1..N")
-    return choice.entries
-
-
-def _slide_order(entries: dict) -> list[Box]:
-    """Boxes in the order they are slid: the k-th slide uses the box
-    holding entry N+1-k, i.e. decreasing entry order."""
-    return sorted(entries, key=entries.__getitem__, reverse=True)
+    layout = _grid_layout(choice.region)
+    order = list(layout.boxes)
+    for b, v in zip(layout.boxes, layout.read(choice.grid)):
+        order[-v] = b
+    return order
 
 
 def _pop_corner(mu: list[int], b: Box) -> None:
@@ -99,7 +98,7 @@ def _slide_starts(choice: PartialTableau | None, shape: Partition, width: int, f
     each cell of `shape` itself when far is 0, otherwise its 180-degree
     rotation far - i.  The largest entry of a standard filling sits at a
     corner of its shape, so each cell is a corner of what is left unslid."""
-    starts = [b.row * width + b.col for b in _slide_order(_choice_entries(choice, shape))]
+    starts = [b.row * width + b.col for b in _slide_order(choice, shape)]
     return tuple(far - i for i in starts) if far else tuple(starts)
 
 
@@ -159,11 +158,11 @@ def _construct(w: Permutation, diag: Diagonal, rect: Rectangle | None, choice: P
     grid = [0] * size
     for i, v in zip(seeds, w.oneline):
         grid[i] = v + shift
-    frames = [from_grid(region, grid[:])] if trace else None
+    frames = [from_grid(region, grid)] if trace else None
     for hole in starts:
         _refill_slide(grid, width, hole, forward, targets, n if forward else -n)
         if trace:
-            frames.append(from_grid(region, grid[:]))
+            frames.append(from_grid(region, grid))
     if not (trace or screen):
         return _unchecked(region, grid)
     t = frames[-1] if trace else from_grid(region, grid)
@@ -264,7 +263,7 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     grid = [0] * plan.size
     for k, i in enumerate(reversed(starts), start=1):
         grid[i] = k
-    frames = [from_grid(region, grid[:])] if trace else None
+    frames = [from_grid(region, grid)] if trace else None
     ends = []
     for s in sig:
         p = seeds[s - 1]
@@ -274,7 +273,7 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
         ends.append(end)
         grid[p] = 0
         if trace:
-            frames.append(from_grid(region, grid[:]))
+            frames.append(from_grid(region, grid))
     if auto and any(grid):
         raise RuntimeError("stabilization bound too small: entries remain")
     delta = {i: 0 for i in range(1, n + 1)}
@@ -352,9 +351,8 @@ def _splice(plus: PartialTableau, minus: PartialTableau, rect: Rectangle, diag: 
     """The rectangle filled by the two halves, which overlap on the
     diagonal boxes only: those must agree, and then the rows of plus are
     copied into a copy of minus's grid, the rectangle's, which is checked
-    once, by `from_grid`.  A filling that passes the check increases along
-    rows and columns, so it is 1..N when it is full and its largest entry
-    is N."""
+    once.  A filling that passes the check increases along rows and
+    columns, so it is 1..N when it is full and its largest entry is N."""
     pw, rw = _grid_layout(plus.region).width, _grid_layout(minus.region).width
     for cell in diag.boxes:
         if plus.grid[cell.row * pw + cell.col] != minus.grid[cell.row * rw + cell.col]:

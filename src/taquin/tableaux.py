@@ -100,7 +100,10 @@ class PartialTableau:
         return isinstance(other, PartialTableau) and self.grid == other.grid and self.region == other.region
 
     def __hash__(self):
-        return hash((self.region, tuple(self.grid)))
+        # one flat tuple, never 20 long (no grid is 19 long): CPython 3.11
+        # keeps every freed 20-tuple on a free list it never reuses, so a
+        # hash over tuple(grid) of a 20-long grid grows the heap per call
+        return hash((self.region, *self.grid))
 
     def row_lists(self) -> list[list]:
         """One list per region row, covering inner+1..outer columns;
@@ -256,8 +259,8 @@ def _validate(layout: _GridLayout, grid: list, cells: tuple | None = None) -> No
 
 def from_grid(region: SkewShape, grid: list[int]) -> PartialTableau:
     """The validated tableau of the filled region cells of a grid laid out
-    by `to_grid`, whose cells outside the region hold 0.  The tableau
-    keeps the grid, so the caller must not change it afterwards."""
+    by `to_grid`, whose cells outside the region hold 0; it keeps a copy."""
+    grid = list(grid)
     _validate(_grid_layout(region), grid)
     return _unchecked(region, grid)
 

@@ -145,10 +145,9 @@ def test_promote_takes_the_short_way_round(monkeypatch, capsys):
     assert main(["construct", "--m", "10", "--w", "352416"]) == 0
     tw = capsys.readouterr().out
     calls = []
-    # the parsed tableau is checked once, and each step is the unchecked one
-    real = cli._promotion_step
-    step = lambda t, forward: calls.append("promotion" if forward else "inverse_promotion") or real(t, forward)
-    monkeypatch.setattr(cli, "_promotion_step", step)
+    for name in ("promotion", "inverse_promotion"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda t, real=real, name=name: calls.append(name) or real(t))
 
     def promote(steps):
         calls.clear()

@@ -373,6 +373,14 @@ def test_unchecked_builds_equal_what_the_validator_builds():
                 assert_checked(minimal_orbit_tableau(w, rect, d))
 
 
+def test_from_grid_keeps_a_copy_of_its_grid():
+    t = from_rows([[1, 2, 5], [3, 4]])
+    grid = t.grid[:]
+    got = from_grid(t.region, grid)
+    grid[:] = [0] * len(grid)  # the caller slides on in its own grid
+    assert got == t and hash(got) == hash(t) and got.row_lists() == [[1, 2, 5], [3, 4]]
+
+
 # -- slides ------------------------------------------------------------------
 
 
