@@ -6,8 +6,10 @@ and its inverse.
 Constructions reuse per-shape plans: what a forward or reverse
 construction needs of its shapes alone (the grid layout, the diagonal's
 seed and target cells, the superstandard slide order) is built once per
-diagonal and rectangle and kept in a bounded cache.  A given choice
-tableau still has its slide order derived and checked on every call.
+diagonal and rectangle and kept in a bounded cache.  A choice tableau's
+slide order is derived and checked once per equal choice, shape and grid
+and kept in a bounded cache too; a choice that fails the check is
+refused again on every call.
 
 Orientation notes: the slide-based constructions work in either
 orientation of the rectangle.  `column_sequence` and `delta_closed_form`
@@ -93,11 +95,14 @@ def _pop_corner(mu: list[int], b: Box) -> None:
     mu[row - 1] -= 1
 
 
+@lru_cache(maxsize=1024)
 def _slide_starts(choice: PartialTableau | None, shape: Partition, width: int, far: int) -> tuple[int, ...]:
     """Grid indices of the slides, in the choice tableau's slide order:
     each cell of `shape` itself when far is 0, otherwise its 180-degree
     rotation far - i.  The largest entry of a standard filling sits at a
-    corner of its shape, so each cell is a corner of what is left unslid."""
+    corner of its shape, so each cell is a corner of what is left unslid.
+    Cached: equal choices share one derivation, and an exception is not
+    cached, so a bad choice raises on every call."""
     starts = [b.row * width + b.col for b in _slide_order(choice, shape)]
     return tuple(far - i for i in starts) if far else tuple(starts)
 
@@ -244,9 +249,12 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     box sigma_k, reverse-slide it through the current tableau, record the
     terminal, then delete whatever entry now occupies that diagonal box.
 
-    With steps=None runs n*(size of lambda_minus + 1) steps, enough for
-    every entry to have been deleted (asserted), after which all further
-    slides are trivial.
+    Each slide that moves deletes one entry.  Once none is left every
+    slide is trivial, ending at its own diagonal box, so the remaining
+    terminals are those boxes, recorded without sliding (with trace=True
+    the slides still run, one frame each).  With steps=None runs
+    n*(size of lambda_minus + 1) steps, enough for every entry to have
+    been deleted (asserted).
     """
     n = diag.n
     plan = _slide_plan(diag, None)
@@ -256,30 +264,34 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     if auto:
         steps = n * (diag.lambda_minus.size + 1)
     sig = prefix_terms(sigma, steps)
-    if any(not 1 <= s <= n for s in sig):
+    if sig and not (1 <= min(sig) and max(sig) <= n):
         raise ValueError(f"sequence terms must lie in 1..{n}")
     cells = _grid_layout(region).cells
     # slides go in decreasing entry order, so entry k sits at the k-th last start
     grid = [0] * plan.size
     for k, i in enumerate(reversed(starts), start=1):
         grid[i] = k
+    left = len(starts)
     frames = [from_grid(region, grid)] if trace else None
     ends = []
+    delta = dict.fromkeys(range(1, n + 1), 0)
     for s in sig:
+        if not (left or trace):
+            break
         p = seeds[s - 1]
         if grid[p]:
             raise RuntimeError(f"diagonal box {cells[p]} occupied before its slide")
-        end, _ = grid_slide(grid, width, p, False)
+        end, moved = grid_slide(grid, width, p, False)
         ends.append(end)
-        grid[p] = 0
+        if moved:  # so the terminal is off box p, and an entry reached p
+            grid[p] = 0
+            left -= 1
+            delta[s] += 1
         if trace:
             frames.append(from_grid(region, grid))
-    if auto and any(grid):
+    if auto and left:
         raise RuntimeError("stabilization bound too small: entries remain")
-    delta = {i: 0 for i in range(1, n + 1)}
-    for s, end in zip(sig, ends):
-        if end != seeds[s - 1]:
-            delta[s] += 1
+    ends += [seeds[s - 1] for s in sig[len(ends):]]
     return BoxSequenceRun(tuple(sig), tuple(map(cells.__getitem__, ends)), delta, tuple(frames) if trace else None)
 
 

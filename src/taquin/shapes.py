@@ -6,7 +6,9 @@ index.  Partitions are stored without trailing zeros; operations that need
 padding (complement_shape) pad explicitly to the rectangle's row count.
 
 All values are immutable after construction and safe to share between
-threads.
+threads.  Each shape computes its hash once, when it is built, and it is
+the value the dataclass would compute from its compared fields: shapes key
+the package's layout and plan caches, so a lookup does not rehash them.
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ class Partition:
         if any(map(lt, rows, rows[1:])):
             raise ValueError(f"row lengths must weakly decrease: {rows!r}")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_hash", hash((rows,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -161,6 +167,10 @@ class Rectangle:
             raise ValueError(f"a rectangle needs m >= n, got n={self.n}, m={self.m}; take the short side as n with n_is_rows=False")
         if self.n == self.m:
             object.__setattr__(self, "n_is_rows", True)
+        object.__setattr__(self, "_hash", hash((self.n, self.m, self.n_is_rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nrows(self) -> int:
@@ -213,6 +223,10 @@ class SkewShape:
                 raise ValueError(f"skew shape {name} must be a Partition: {p!r}")
         if not contains(self.inner, self.outer):
             raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
+        object.__setattr__(self, "_hash", hash((self.outer, self.inner)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -255,6 +269,10 @@ class Diagonal:
         rows = self.lambda_plus.rows
         object.__setattr__(self, "boxes", tuple(reversed(corners)))
         object.__setattr__(self, "lambda_minus", Partition(tuple(r - (r > below) for r, below in zip(rows, rows[1:] + (0,)))))
+        object.__setattr__(self, "_hash", hash((self.lambda_plus,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:

@@ -132,13 +132,15 @@ def from_rows(rows, inner=EMPTY) -> PartialTableau:
     an entry, which the validator refuses, never an empty cell.
     """
     inner = inner if isinstance(inner, Partition) else Partition(tuple(inner))
-    outer = Partition(tuple(inner.row_len(i + 1) + len(row) for i, row in enumerate(rows)))
+    # from a list: a tuple built from a generator is allocated large and
+    # shrunk, and CPython keeps the shrunk one on its size's free list
+    outer = Partition(tuple([inner.row_len(i + 1) + len(row) for i, row in enumerate(rows)]))
     return _fill_rows(SkewShape(outer, inner), rows)
 
 
 def _fill_rows(region: SkewShape, rows) -> PartialTableau:
     """`from_rows` on a region whose row lengths the rows already match."""
-    values = tuple(chain.from_iterable(rows))
+    values = list(chain.from_iterable(rows))  # never a 20-tuple (see `_reader`)
     # the validator reads anything but ints >= 1 off the rows, where a 0 is an entry
     cells = None if set(map(type, values)) == _INT and min(values) >= 1 else values
     layout = _grid_layout(region)
@@ -190,8 +192,14 @@ def to_grid(region: SkewShape, entries: Mapping) -> tuple[list[int], int]:
 
 
 def _reader(index: tuple[int, ...]) -> Callable:
-    """A C-level reader of the tuple (grid[i] for i in index)."""
-    return itemgetter(*index) if len(index) > 1 else lambda grid: tuple(grid[i] for i in index)
+    """A C-level reader of the entries grid[i] for i in index: an
+    `itemgetter` tuple, but a list for 0 or 1 index (where `itemgetter`
+    fails or returns the bare entry) and for 20.  CPython 3.11 keeps every
+    freed 20-tuple on a free list that it never reuses, so a 20-cell
+    region would grow the heap by one tuple per read."""
+    if len(index) in (0, 1, 20):
+        return lambda grid: list(map(grid.__getitem__, index))
+    return itemgetter(*index)
 
 
 class _GridLayout(NamedTuple):
@@ -223,7 +231,7 @@ def _grid_layout(region: SkewShape) -> _GridLayout:
 _INT = frozenset({int})
 
 
-def _validate(layout: _GridLayout, grid: list, cells: tuple | None = None) -> None:
+def _validate(layout: _GridLayout, grid: list, cells: list | None = None) -> None:
     """The one tableau validator: raise TableauError unless the region
     cells of `grid` hold distinct ints >= 1 increasing rightwards and
     downwards between filled cells (a false value is an empty cell).
@@ -242,7 +250,7 @@ def _validate(layout: _GridLayout, grid: list, cells: tuple | None = None) -> No
     ):
         return
     if cells is None:
-        cells = tuple(v or None for v in values)
+        cells = [v or None for v in values]
     filled = {b: v for b, v in zip(layout.boxes, cells) if v is not None}
     for (r, c), v in filled.items():
         if type(v) is not int:

@@ -405,6 +405,16 @@ BAD_INPUT_ROWS = [
 ]
 
 
+def test_a_refused_choice_tableau_is_refused_again_in_one_process(tmp_path, capsys):
+    # slide orders are cached per choice, but nothing is kept for a choice
+    # that fails its check: a second construct gets the same exit and message
+    choice = tmp_path / "nonstandard.json"
+    choice.write_text(BAD_FILES["nonstandard.json"])
+    argv = CONSTRUCT_4X6 + ["--diagonal", "5431", "--choice-tableau", str(choice)]
+    outcomes = [(main(argv), *capsys.readouterr()) for _ in range(2)]
+    assert outcomes[0] == outcomes[1] == (2, "", "error: choice tableau must be standard with entries 1..N\n")
+
+
 @pytest.mark.parametrize("argv, stdin, code, prefix, words", BAD_INPUT_ROWS)
 def test_bad_input_exit_codes(argv, stdin, code, prefix, words, tmp_path, monkeypatch, capsys):
     for name, text in BAD_FILES.items():

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taquin import orbits
 from taquin.orbits import (
     _refill_slide,
     _slide_plan,
+    _slide_starts,
     _splice,
     DiagonalMismatchError,
     NotMinimalOrbitError,
@@ -162,6 +164,23 @@ def test_forward_choice_validation():
         forward_tableau(W3142, DIAG_5431, bad)
     with pytest.raises(ValueError):
         forward_tableau(parse_permutation("312"), DIAG_5431)
+
+
+def test_equal_choices_share_one_slide_order_derivation():
+    # a fresh but equal choice tableau hits the slide-order cache; a choice
+    # that fails its check is cached nowhere, so it is refused every time
+    forward_tableau(W3142, DIAG_5431)  # the plan is cached from here on
+    before = _slide_starts.cache_info()
+    built = {forward_tableau(W3142, DIAG_5431, from_rows(CHOICE_4x6.row_lists())) for _ in range(4)}
+    assert built == {forward_tableau(W3142, DIAG_5431)}
+    after = _slide_starts.cache_info()
+    # four lookups, of which at most the first derives the order
+    assert after.hits - before.hits >= 3 and after.hits + after.misses - before.hits - before.misses == 4
+    bad = from_rows([[1, 3, 6, 7], [2, 4, 10], [5, 8]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"choice tableau must be standard with entries 1\.\.N"):
+            forward_tableau(W3142, DIAG_5431, bad)
+    assert _slide_starts.cache_info().currsize == after.currsize
 
 
 # -- reverse construction -----------------------------------------------------
@@ -343,8 +362,9 @@ def _small_rectangles():
 
 
 def test_cached_plans_match_an_explicit_choice_and_the_trace():
-    # with no choice the slide order comes from a cached per-shape plan;
-    # an explicit superstandard choice and trace=True take the per-call path
+    # with no choice the slide order comes from a cached per-shape plan, and
+    # with an explicit superstandard choice from the per-choice cache; the
+    # traced run's last frame must match both
     for rect in _small_rectangles():
         for d in enumerate_diagonals(rect):
             forward_choice = superstandard_choice(d.lambda_minus)
@@ -480,6 +500,28 @@ def test_box_sequence_intermediate_states():
     u2 = {(1, 3): 1, (1, 4): 3, (2, 1): 2, (2, 2): 4, (2, 3): 6, (3, 1): 5, (3, 2): 8}
     assert run.trace[1].entries == {Box(*b): v for b, v in u1.items()}
     assert run.trace[2].entries == {Box(*b): v for b, v in u2.items()}
+
+
+def test_box_sequence_stops_sliding_once_its_grid_is_empty(monkeypatch):
+    # each slide that moves deletes one entry; once none is left the later
+    # terminals are their own diagonal boxes, recorded without a slide.  A
+    # traced run slides every term, and must give the same run
+    slides = []
+    slide = orbits.grid_slide
+    monkeypatch.setattr(orbits, "grid_slide", lambda *a: slides.append(a[2]) or slide(*a))
+    rng = random.Random(11)
+    for rect in (Rectangle(3, 5), Rectangle(3, 3), Rectangle(2, 6, n_is_rows=False)):
+        d = staircase_diagonal(rect if rect.ncols == rect.n else rect.transposed())
+        for _ in range(40):
+            sigma = [rng.randint(1, d.n) for _ in range(rng.randint(0, 4 * d.n * (d.lambda_minus.size + 1)))]
+            slides.clear()
+            run = box_sequence(sigma, d, steps=len(sigma))
+            moved = [k for k, (s, b) in enumerate(zip(run.sigma_prefix, run.boxes), start=1) if b != d.boxes[s - 1]]
+            # every slide up to the last one that moves, and no other
+            assert len(slides) == (moved[-1] if len(moved) == d.lambda_minus.size else len(sigma))
+            full = box_sequence(sigma, d, steps=len(sigma), trace=True)
+            assert (run.sigma_prefix, run.boxes, run.delta) == (full.sigma_prefix, full.boxes, full.delta)
+            assert len(full.trace) == len(sigma) + 1
 
 
 def test_box_sequence_default_filling_is_the_superstandard_choice():

@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -339,3 +343,26 @@ def test_complement_diagonal():
     assert complement_diagonal(dd, rect) == d
     assert dd.boxes == tuple(complement_box(b, rect) for b in reversed(d.boxes))
     assert diagonal_from_boxes(dd.boxes) == dd
+
+
+def test_shape_hashes_follow_equality_and_survive_copies():
+    # each shape hashes once, when built, to the value the dataclass would
+    # compute from its compared fields; equal shapes hash equal, and so do
+    # pickled, deep-copied and replaced copies
+    assert Partition((3, 2, 0)) == Partition((3, 2)) and hash(Partition((3, 2, 0))) == hash(Partition((3, 2)))
+    d = Diagonal(Partition((5, 4, 3, 1)))
+    assert d == Diagonal(Partition((5, 4, 3, 1, 0))) and hash(d) == hash((d.lambda_plus,))
+    assert d != Diagonal(Partition((5, 4, 3, 2)))
+    assert dataclasses.replace(Rectangle(3, 3), n_is_rows=False) == Rectangle(3, 3)
+    assert hash(dataclasses.replace(Rectangle(3, 3), n_is_rows=False)) == hash(Rectangle(3, 3))
+    assert hash(dataclasses.replace(Partition((3, 2)), rows=(4, 1))) == hash(Partition((4, 1)))
+    shapes = {
+        Partition((3, 2)): ((3, 2),),
+        Rectangle(2, 5, n_is_rows=False): (2, 5, False),
+        SkewShape(Partition((4, 3)), Partition((1,))): (Partition((4, 3)), Partition((1,))),
+        d: (d.lambda_plus,),
+    }
+    for shape, fields in shapes.items():
+        assert hash(shape) == hash(fields), shape
+        for twin in (pickle.loads(pickle.dumps(shape)), copy.deepcopy(shape), dataclasses.replace(shape)):
+            assert twin == shape and hash(twin) == hash(shape), (shape, twin)

@@ -1,11 +1,14 @@
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 
 import pytest
 
+import taquin
 from taquin.cli import main
 from taquin.orbits import box_sequence, forward_tableau, minimal_orbit_tableau, reverse_tableau
 from taquin.shapes import Box, Partition, Rectangle, SkewShape, enumerate_diagonals, parse_partition, removable_corners
@@ -648,3 +651,32 @@ def test_format_grid():
     assert format_grid(t) == ". 2\n3 5"
     skew = from_rows([[1]], inner=[1])
     assert format_grid(skew) == "  1"
+
+
+HEAP_SCRIPT = """
+import sys
+from taquin.tableaux import from_rows, promotion
+rows = [[1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15], [16, 17, 18, 19, 20]]
+for _ in range(50):
+    promotion(from_rows(rows))
+before = sys.getallocatedblocks()
+for _ in range(2000):
+    promotion(from_rows(rows))
+print(sys.getallocatedblocks() - before)
+"""
+
+
+def test_parse_and_promote_keep_the_heap_flat_at_20_cells():
+    # CPython 3.11 keeps every freed tuple of 20 items on a free list it
+    # never reuses, and a tuple built from a generator is allocated large
+    # and freed onto its final size's list; a 4x5 tableau read through
+    # either would keep about one block per call.  A fresh process, so
+    # that free lists filled by earlier tests cannot hide the growth
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_SCRIPT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(taquin.__file__))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 200

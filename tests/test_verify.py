@@ -8,6 +8,7 @@ import math
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from taquin.cli import main
 from taquin.shapes import Box, Partition, Rectangle, SkewShape, enumerate_diagonals, parse_partition
 from taquin.tableaux import from_rows, grid_size, promotion, to_grid
+from taquin import orbits
 from taquin.orbits import NotMinimalOrbitError
 from taquin.words import Permutation, descent_sequence, insertion_tableau
 from taquin.sieving import (
@@ -866,6 +868,30 @@ def test_cli_output_is_pinned_byte_for_byte(monkeypatch, capsys):
                 promote.update(capsys.readouterr().out.encode())
     assert construct.hexdigest() == "0c34c8cbd120798272d510cb527ced1b43d2ae004ba5dbc87221e74067434b9e"
     assert promote.hexdigest() == "568025bc693434b775aeaf05bf91da9be8941c0ba10502f53bc299a9525e3576"
+
+
+def test_verify_3x6_all_diagonals_is_pinned_byte_for_byte(capsys):
+    # the benchmark's verify configuration, which the pin above stops short
+    # of: 3x6 with every diagonal and the default choices, for two seeds
+    digest = hashlib.sha256()
+    for seed in ("5", "11"):
+        assert main(["verify", "--n", "3", "--m", "6", "--suite", "all", "--all-diagonals", "--json", "--seed", seed]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "3d43473df7627f63991e3f1dbdc9225b836dbb17f9b0ecb2b8674a5b7970448b"
+
+
+def test_verify_3x6_derives_each_slide_order_once_and_skips_trivial_slides(monkeypatch):
+    # from empty caches: one slide order derivation per distinct (choice,
+    # shape, width, far), and no slide in a box sequence once its grid is
+    # empty; exact counts of the benchmark's verify configuration
+    orbits._slide_plan.cache_clear()
+    orbits._slide_starts.cache_clear()
+    counts = Counter()
+    order, slide = orbits._slide_order, orbits.grid_slide
+    monkeypatch.setattr(orbits, "_slide_order", lambda *a: counts.update(["_slide_order"]) or order(*a))
+    monkeypatch.setattr(orbits, "grid_slide", lambda *a: counts.update(["grid_slide"]) or slide(*a))
+    assert run_suite(Rectangle(3, 6), "all", seed=5, all_diagonals=True).passed
+    assert counts == {"_slide_order": 139, "grid_slide": 11453}
 
 
 def test_suite_case_names_in_order():
