@@ -100,22 +100,19 @@ class QPolynomial:
         return val
 
 
+@lru_cache(maxsize=None)
 def q_hook_polynomial(rect: Rectangle) -> QPolynomial:
     """[N]_q! divided by the product of [hook]_q over the boxes, computed
-    with exact integer arithmetic."""
-    return _q_hook_polynomial_cached(rect.nrows, rect.ncols)
+    with exact integer arithmetic.
 
-
-@lru_cache(maxsize=None)
-def _q_hook_polynomial_cached(nrows: int, ncols: int) -> QPolynomial:
-    """F = prod_k (1 - q^k) / prod_h (1 - q^h) over k = 1..N and the hooks
+    F = prod_k (1 - q^k) / prod_h (1 - q^h) over k = 1..N and the hooks
     h: [k]_q = (1 - q^k) / (1 - q), and there are N of each, so the
     factors 1 - q cancel.  Equal exponents cancel first; the rest act in
     place on the power series truncated past deg F, which is exact because
     F is a polynomial.  Times 1 - q^k is c_i -= c_{i-k} from the old
     values; over 1 - q^h is c_i += c_{i-h} bottom-up, a running sum along
     each residue class mod h."""
-    shape = Partition((ncols,) * nrows)
+    shape = rect.as_partition()
     numerator = Counter(range(1, shape.size + 1))
     hooks = Counter(hook_lengths(shape))
     numerator, hooks = numerator - hooks, hooks - numerator

@@ -26,11 +26,10 @@ count a lane cannot hold, with `RankLaneError`, before it enumerates).
 The orbits are the cycles of that array, walked over one visited byte
 per rank, and the table keeps each orbit as its size and the int of its
 first tableau; rows are read off the int on demand, for the orbits a
-check reports or promotes.  The test suite checks the enumeration
-against a recursive enumerator, the ranks against the enumeration order,
-flat promotion against the object-level promotion, the half slides
-against flat promotion, and the successor array and the orbit table
-against flat promotion.
+check reports or promotes.  The contract tests check the sweep by its
+public names alone: `standard_tableaux` against a recursive enumerator
+on row tuples, and `orbit_table` against the orbits of object-level
+`tableaux.promotion`.
 """
 
 from __future__ import annotations
@@ -117,8 +116,11 @@ MAX_COUNT = 1_000_000
 
 
 def check_cap(cap: int) -> int:
-    """A cap of a sweep, or ValueError when it is below 0: bad input, not
-    a cap exceeded."""
+    """A cap of a sweep, or ValueError when it is not an int (a bool,
+    float or string is never coerced) or is below 0: bad input, not a cap
+    exceeded."""
+    if type(cap) is not int:
+        raise ValueError(f"a cap must be an integer, got {cap!r}")
     if cap < 0:
         raise ValueError(f"a cap must be at least 0, got {cap}")
     return cap

@@ -66,7 +66,7 @@ class PartialTableau:
                 raise TableauError(f"entry at {tuple(b)} outside the region")
             if v < 1:  # before a 0 can become an empty cell
                 raise TableauError(f"non-positive entry {v} at {tuple(b)}")
-        grid, _ = to_grid(region, norm)
+        grid = to_grid(region, norm)
         _validate(_grid_layout(region), grid)
         self.region, self.grid = region, grid
 
@@ -144,7 +144,7 @@ def _fill_rows(region: SkewShape, rows) -> PartialTableau:
     # the validator reads anything but ints >= 1 off the rows, where a 0 is an entry
     cells = None if set(map(type, values)) == _INT and min(values) >= 1 else values
     layout = _grid_layout(region)
-    grid, _ = to_grid(region, {})
+    grid = to_grid(region, {})
     for at_grid, at in layout.rows:
         grid[at_grid] = values[at] if cells is None else [v or 0 for v in values[at]]
     _validate(layout, grid, cells)
@@ -181,14 +181,14 @@ def grid_size(nrows: int, ncols: int) -> tuple[int, int]:
     return width, (nrows + 2) * width
 
 
-def to_grid(region: SkewShape, entries: Mapping) -> tuple[list[int], int]:
+def to_grid(region: SkewShape, entries: Mapping) -> list[int]:
     """A fresh list grid for `region` holding `entries` (0 marks an empty
-    cell), and its width: the `grid_size` layout of its bounding rectangle."""
+    cell): the `grid_size` layout of its bounding rectangle."""
     width, length = grid_size(region.outer.nrows, region.outer.ncols)
     grid = [0] * length
     for (r, c), v in entries.items():
         grid[r * width + c] = v
-    return grid, width
+    return grid
 
 
 def _reader(index: tuple[int, ...]) -> Callable:

@@ -195,6 +195,8 @@ def test_deeply_nested_json_is_a_parse_error(monkeypatch, capsys):
 
 
 def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
+    """Nothing is enumerated before a cap refusal: `sweep._syt_halves`,
+    where every enumeration starts, is never called."""
     import taquin.sweep as sweep
 
     def never(*args, **kwargs):
@@ -207,6 +209,8 @@ def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
 
 
 def test_rank_lane_limit_is_checked_before_enumerating(monkeypatch, capsys):
+    """Nothing is enumerated before a lane refusal: `sweep._syt_halves`,
+    where every enumeration starts, is never called."""
     # 4x7 passes raised caps, but its 13,672,405,890 tableaux do not fit the
     # sweep's 4-byte successor ranks
     import taquin.sweep as sweep

@@ -54,6 +54,56 @@ def test_verify_imports_no_private_name_of_the_sweep_or_the_counts():
     assert [(source, name) for source, name in imports if source in ("sweep", "sieving") and name.startswith("_")] == []
 
 
+# the only tests that read a private name of the sweep, each mapped to the
+# invariant that only a private seam shows, which its docstring names
+PRIVATE_SWEEP_SEAMS = {
+    ("test_verify.py", "test_standard_tableaux_checks_caps_up_front_and_streams"): "The enumeration is lazy",
+    ("test_verify.py", "test_orbit_table_runs_the_kernel_once_per_memo_miss"): "The column memo works",
+    ("test_cli.py", "test_count_cap_is_checked_before_enumerating"): "Nothing is enumerated before a cap refusal",
+    ("test_cli.py", "test_rank_lane_limit_is_checked_before_enumerating"): "Nothing is enumerated before a lane refusal",
+}
+
+
+def _private_sweep_reads(tree: ast.Module) -> list[ast.AST]:
+    """The nodes where a module reads a private `taquin.sweep` name:
+    imported from it, read as `sweep._x`, or patched with
+    `monkeypatch.setattr(sweep, "_x", ...)`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "taquin.sweep":
+            private = any(alias.name.startswith("_") for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            private = node.value.id == "sweep" and node.attr.startswith("_")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and len(node.args) >= 2:
+            target, name = node.args[:2]
+            private = (
+                node.func.attr == "setattr"
+                and isinstance(target, ast.Name)
+                and target.id == "sweep"
+                and isinstance(name, ast.Constant)
+                and str(name.value).startswith("_")
+            )
+        else:
+            private = False
+        if private:
+            out.append(node)
+    return out
+
+
+def test_only_the_allow_listed_tests_read_private_sweep_names():
+    # {(file, test or None at module level): the test's docstring}
+    found = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(node): fn for fn in tree.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in _private_sweep_reads(tree):
+            fn = owners.get(id(node))
+            found[path.name, fn and fn.name] = fn and ast.get_docstring(fn)
+    assert set(found) == set(PRIVATE_SWEEP_SEAMS)
+    for key, invariant in PRIVATE_SWEEP_SEAMS.items():
+        assert (found[key] or "").startswith(invariant), key
+
+
 def test_sweep_caps_have_one_owner():
     assert (MAX_CELLS, MAX_COUNT) == (20, 1_000_000)
     for command in ("verify", "csp"):

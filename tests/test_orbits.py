@@ -42,6 +42,7 @@ from taquin.tableaux import (
     PartialTableau,
     complement_tableau,
     from_rows,
+    grid_size,
     is_standard_normalized,
     promotion,
     promotion_order,
@@ -344,11 +345,12 @@ def test_splice_refuses_a_filling_that_is_not_standard():
 def test_an_off_diagonal_slide_names_its_boxes():
     # the message decodes grid indices to 1-based boxes, in both directions
     region = SkewShape(Partition((2, 2)))
-    grid, width = to_grid(region, {Box(1, 2): 1, Box(2, 1): 2, Box(2, 2): 3})
+    width, _ = grid_size(2, 2)
+    grid = to_grid(region, {Box(1, 2): 1, Box(2, 1): 2, Box(2, 2): 3})
     with pytest.raises(DiagonalMismatchError) as forward:
         _refill_slide(grid, width, width + 1, True, frozenset(), 0)
     assert str(forward.value) == f"slide from {Box(1, 1)} ended at {Box(2, 2)}, off the diagonal"
-    grid, width = to_grid(region, {Box(1, 1): 1, Box(1, 2): 2, Box(2, 1): 3})
+    grid = to_grid(region, {Box(1, 1): 1, Box(1, 2): 2, Box(2, 1): 3})
     with pytest.raises(DiagonalMismatchError) as reverse:
         _refill_slide(grid, width, 2 * width + 2, False, frozenset(), 0)
     assert str(reverse.value) == f"slide from {Box(2, 2)} ended at {Box(1, 1)}, off the diagonal"

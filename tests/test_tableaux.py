@@ -177,8 +177,9 @@ def _assert_grid_messages(region, grid):
 def _assert_grid_messages_on_mutations(t, rng):
     """The grid of t as it is, and with two adjacent entries swapped, a
     cell set to 0 or -1, an entry duplicated, and True or 2.0 in a cell."""
-    grid, width = to_grid(t.region, t.entries)
-    cells = list(_grid_layout(t.region).cells)
+    grid = to_grid(t.region, t.entries)
+    layout = _grid_layout(t.region)
+    width, cells = layout.width, list(layout.cells)
     pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
     _assert_grid_messages(t.region, grid)
     mutations = []
@@ -398,7 +399,8 @@ def slide(t, hole, forward=True):
     is read off the cells whose values changed: a forward path only moves
     to larger grid indices and a reverse one to smaller, and a slide that
     never moves changes nothing."""
-    grid, width = to_grid(t.region, t.entries)
+    grid = to_grid(t.region, t.entries)
+    width = _grid_layout(t.region).width
     start = hole[0] * width + hole[1]
     before = grid[:]
     grid_slide(grid, width, start, forward)
