@@ -49,6 +49,7 @@ from .tableaux import (
 from .words import (
     DescentSequence,
     Permutation,
+    _check_length,
     augmented_word,
     conjugate_by_reversal,
     descents,
@@ -312,6 +313,7 @@ def column_sequence(descent_list, n: int, count: int) -> tuple[int, ...]:
     sequence, the k-th reverse-slide terminal lands in this column.
     Assumes n is the number of columns of the rectangle."""
     d = DescentSequence(tuple(descent_list), n).descents  # validates them
+    _check_length(count)
     out = []
     j = 0
     while len(out) < count:

@@ -160,6 +160,8 @@ def _root_value_by_pairing(total: int, hooks: list[int], e: int) -> int:
 def q_hook_at_root(rect: Rectangle, r: int) -> int:
     """Exact value of the q-hook polynomial at zeta^r, zeta a primitive
     (ncells)-th root of unity.  Both evaluation routes must agree."""
+    if type(r) is not int:  # a bool, float or string is never coerced
+        raise ValueError(f"r must be an integer, got {r!r}")
     total = rect.ncells
     if not 1 <= r <= total:
         raise ValueError(f"r must lie in 1..{total}")

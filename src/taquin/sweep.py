@@ -1,12 +1,13 @@
 """Standard-tableau enumeration and the promotion orbit sweep.
 
 The sweep has one encoding of a tableau, from enumeration to report: the
-big-endian int of the bytes of its `tableaux.to_grid` grid, one byte per
-cell (0 for an empty one), whose leading empty row adds nothing to the
-int.  A byte numbers at most 255 entries, so the caps check refuses
-larger shapes.  Standard tableaux are enumerated in two halves, the
-placements of the upper half of the entries listed once per partition
-the lower half ends on, and a tableau is the sum of its halves' ints.
+big-endian int of the bytes of its `PartialTableau.grid`, the
+`tableaux.grid_size` layout, one byte per cell (0 for an empty one),
+whose leading empty row adds nothing to the int.  A byte numbers at most
+255 entries, so the caps check refuses larger shapes.  Standard
+tableaux are enumerated in two halves, the placements of the upper half
+of the entries listed once per partition the lower half ends on, and a
+tableau is the sum of its halves' ints.
 Flat slides drop every entry of the grid bytes through a translate table
 and slide them in place through `tableaux.grid_slide`, the package's one
 slide kernel.  The orbit sweep

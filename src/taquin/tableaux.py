@@ -1,18 +1,21 @@
 """Partial and standard tableaux on skew regions, and jeu de taquin.
 
-A PartialTableau is its region and its slide grid, the `to_grid` layout
-(`grid_size`) with 0 for an empty cell; `entries`, a box -> entry map, is
-built only when asked for.  `grid_slide` is the one slide kernel: the
-constructions in `orbits`, rectification, promotion and the orbit sweep
-all move entries through it on that layout.
+A PartialTableau is its region and its slide grid, the `grid_size`
+layout of the region's bounding rectangle with 0 for an empty cell;
+`entries`, a box -> entry map, is built only when asked for.
+`grid_slide` is the one slide kernel: the constructions in `orbits`,
+rectification, promotion and the orbit sweep all move entries through it
+on that layout.
 
 Every PartialTableau holds distinct positive ints, strictly increasing
 between adjacent filled cells, which turns a buggy slide into a loud
 error.  One validator, `_validate`, checks a grid at the public
-boundaries: `from_grid`, parsed rows (`from_rows`, `loads`), and a dict
-given to `PartialTableau(region, entries)` once its types, cells and signs
-are checked in its own order.  A promotion step slides a checked grid and
-keeps it standard, so it builds its result unchecked.
+boundaries, and owns the entry rules and their row-major order:
+`from_grid` hands it a grid, and parsed rows (`from_rows`, `loads`) and a
+dict given to `PartialTableau(region, entries)` reach it through one
+step, `_fill`.  A dict is first checked only for what rows cannot hold: a
+box outside the region and a None value.  A promotion step slides a
+checked grid and keeps it standard, so it builds its result unchecked.
 
 Every public operation is a pure function returning new values; callers
 may parallelize freely.
@@ -25,7 +28,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 from .shapes import (
     EMPTY,
@@ -53,22 +56,14 @@ class PartialTableau:
 
     __slots__ = ("region", "grid")
 
-    def __init__(self, region: SkewShape, entries: Mapping | Iterable = ()):
-        """The checked tableau of a box -> entry map or of (box, entry) pairs."""
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        norm = {}
-        for b, v in items:
-            if type(v) is not int:
-                raise TableauError(f"entry {v!r} at {tuple(b)} is not an integer")
-            norm[b if type(b) is Box else Box(*b)] = v
-        for b, v in norm.items():
+    def __init__(self, region: SkewShape, entries: Mapping):
+        """The checked tableau of a box -> entry map; a box left out is empty."""
+        for b, v in entries.items():
             if b not in region:
                 raise TableauError(f"entry at {tuple(b)} outside the region")
-            if v < 1:  # before a 0 can become an empty cell
-                raise TableauError(f"non-positive entry {v} at {tuple(b)}")
-        grid = to_grid(region, norm)
-        _validate(_grid_layout(region), grid)
-        self.region, self.grid = region, grid
+            if v is None:  # never an empty cell
+                raise TableauError(f"entry None at {tuple(b)} is not an integer")
+        self.region, self.grid = region, _fill(region, [entries.get(b) for b in _grid_layout(region).boxes]).grid
 
     @property
     def entries(self) -> Mapping[Box, int]:
@@ -135,16 +130,18 @@ def from_rows(rows, inner=EMPTY) -> PartialTableau:
     # from a list: a tuple built from a generator is allocated large and
     # shrunk, and CPython keeps the shrunk one on its size's free list
     outer = Partition(tuple([inner.row_len(i + 1) + len(row) for i, row in enumerate(rows)]))
-    return _fill_rows(SkewShape(outer, inner), rows)
+    # a list, never a 20-tuple (see `_reader`)
+    return _fill(SkewShape(outer, inner), list(chain.from_iterable(rows)))
 
 
-def _fill_rows(region: SkewShape, rows) -> PartialTableau:
-    """`from_rows` on a region whose row lengths the rows already match."""
-    values = list(chain.from_iterable(rows))  # never a 20-tuple (see `_reader`)
-    # the validator reads anything but ints >= 1 off the rows, where a 0 is an entry
+def _fill(region: SkewShape, values: list) -> PartialTableau:
+    """The checked tableau of `values`, the region's cells in row-major
+    order: None for an empty cell, and a 0 an entry, which the validator
+    refuses."""
+    # the validator reads anything but ints >= 1 off the values, where a 0 is an entry
     cells = None if set(map(type, values)) == _INT and min(values) >= 1 else values
     layout = _grid_layout(region)
-    grid = to_grid(region, {})
+    grid = [0] * grid_size(region.outer.nrows, region.outer.ncols)[1]
     for at_grid, at in layout.rows:
         grid[at_grid] = values[at] if cells is None else [v or 0 for v in values[at]]
     _validate(layout, grid, cells)
@@ -181,16 +178,6 @@ def grid_size(nrows: int, ncols: int) -> tuple[int, int]:
     return width, (nrows + 2) * width
 
 
-def to_grid(region: SkewShape, entries: Mapping) -> list[int]:
-    """A fresh list grid for `region` holding `entries` (0 marks an empty
-    cell): the `grid_size` layout of its bounding rectangle."""
-    width, length = grid_size(region.outer.nrows, region.outer.ncols)
-    grid = [0] * length
-    for (r, c), v in entries.items():
-        grid[r * width + c] = v
-    return grid
-
-
 def _reader(index: tuple[int, ...]) -> Callable:
     """A C-level reader of the entries grid[i] for i in index: an
     `itemgetter` tuple, but a list for 0 or 1 index (where `itemgetter`
@@ -203,7 +190,7 @@ def _reader(index: tuple[int, ...]) -> Callable:
 
 
 class _GridLayout(NamedTuple):
-    """Where a region's cells sit in its `to_grid` grid; shared, so never mutate it."""
+    """Where a region's cells sit in its `grid_size` grid; shared, so never mutate it."""
 
     width: int
     cells: dict[int, Box]  # the region's cells keyed by grid index, row-major
@@ -240,7 +227,7 @@ def _validate(layout: _GridLayout, grid: list, cells: list | None = None) -> Non
     takes one row-major pass that raises for the first fault: a non-int
     (over all cells first), then per cell an entry below 1, a row or a
     column that does not increase, then a repeated entry.  `cells` gives
-    that pass its values (None: empty) for parsed rows, whose 0 is an entry."""
+    that pass its values (None: empty) from `_fill`, where a 0 is an entry."""
     values = layout.read(grid)
     if (
         set(map(type, values)) == _INT
@@ -266,8 +253,9 @@ def _validate(layout: _GridLayout, grid: list, cells: list | None = None) -> Non
 
 
 def from_grid(region: SkewShape, grid: list[int]) -> PartialTableau:
-    """The validated tableau of the filled region cells of a grid laid out
-    by `to_grid`, whose cells outside the region hold 0; it keeps a copy."""
+    """The validated tableau of the filled region cells of a grid in the
+    layout of `PartialTableau.grid`, whose cells outside the region hold
+    0; it keeps a copy."""
     grid = list(grid)
     _validate(_grid_layout(region), grid)
     return _unchecked(region, grid)
@@ -317,8 +305,9 @@ def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool
 def rectify(t: PartialTableau) -> PartialTableau:
     """Slide the inner shape away (always from its last removable corner).
 
-    The result is independent of the corner order; the suite checks this
-    against random orders at small sizes.
+    The result is independent of the corner order;
+    tests/test_tableaux.py::test_rectify_order_independent_small checks
+    this against random orders at small sizes.
     """
     if t.size != t.region.size:
         raise TableauError("rectify needs a fully filled region")
@@ -424,7 +413,7 @@ def from_file_dict(d) -> PartialTableau:
             cells = outer.row_len(i) - inner.row_len(i)
             if not isinstance(row, list) or len(row) != cells:
                 raise TableauFormatError(f"row {i} must be a list of {cells} cells")
-        return _fill_rows(region, rows)
+        return _fill(region, list(chain.from_iterable(rows)))
     except TableauFormatError:
         raise
     except (TypeError, ValueError) as exc:

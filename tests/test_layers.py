@@ -1,5 +1,6 @@
 """The layering of the verification code, read from the module sources,
-the one owner of the sweep caps, and what the package namespace holds."""
+the one owner of the sweep caps, the two callers of the tableau
+validator, and what the package namespace holds."""
 
 import ast
 import inspect
@@ -112,6 +113,22 @@ def test_sweep_caps_have_one_owner():
     for fn in (standard_tableaux, orbit_table, run_suite):
         params = inspect.signature(fn).parameters
         assert (params["max_cells"].default, params["max_count"].default) == (MAX_CELLS, MAX_COUNT), fn.__name__
+
+
+def test_the_tableau_validator_has_one_check_order():
+    # a grid enters through `from_grid`, rows and dicts through `_fill`;
+    # a third caller of `_validate` would be a third check order
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "tableaux.py":
+            assert set(re.findall(r"\w+", source)) & {"_validate", "_fill"} == set(), path.name
+        for fn in ast.walk(ast.parse(source)):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_validate":
+                        callers.add((path.stem, fn.name))
+    assert callers == {("tableaux", "from_grid"), ("tableaux", "_fill")}
 
 
 def test_package_namespace_holds_readme_and_demo_names_and_exceptions():

@@ -46,7 +46,6 @@ from taquin.tableaux import (
     is_standard_normalized,
     promotion,
     promotion_order,
-    to_grid,
 )
 from taquin.sweep import orbit_table, standard_tableaux
 from taquin.verify import random_corner_peeling
@@ -346,11 +345,11 @@ def test_an_off_diagonal_slide_names_its_boxes():
     # the message decodes grid indices to 1-based boxes, in both directions
     region = SkewShape(Partition((2, 2)))
     width, _ = grid_size(2, 2)
-    grid = to_grid(region, {Box(1, 2): 1, Box(2, 1): 2, Box(2, 2): 3})
+    grid = PartialTableau(region, {Box(1, 2): 1, Box(2, 1): 2, Box(2, 2): 3}).grid[:]
     with pytest.raises(DiagonalMismatchError) as forward:
         _refill_slide(grid, width, width + 1, True, frozenset(), 0)
     assert str(forward.value) == f"slide from {Box(1, 1)} ended at {Box(2, 2)}, off the diagonal"
-    grid = to_grid(region, {Box(1, 1): 1, Box(1, 2): 2, Box(2, 1): 3})
+    grid = PartialTableau(region, {Box(1, 1): 1, Box(1, 2): 2, Box(2, 1): 3}).grid[:]
     with pytest.raises(DiagonalMismatchError) as reverse:
         _refill_slide(grid, width, 2 * width + 2, False, frozenset(), 0)
     assert str(reverse.value) == f"slide from {Box(2, 2)} ended at {Box(1, 1)}, off the diagonal"
@@ -555,6 +554,12 @@ def test_column_sequence_refuses_n_below_1():
     # at n = 0 every block 1..n - d_j is empty, so no count is ever reached
     with pytest.raises(ValueError, match="n must be >= 1"):
         column_sequence((), 0, 3)
+
+
+def test_column_sequence_refuses_a_negative_count():
+    with pytest.raises(ValueError, match=r"^prefix length must be nonnegative, got -2$"):
+        column_sequence((), 3, -2)
+    assert column_sequence((), 3, 0) == ()
 
 
 def cols_orientation_cases():

@@ -4,10 +4,10 @@ recursive enumerator and the orbits of object-level promotion."""
 
 import pytest
 
-from taquin.shapes import Partition, Rectangle, SkewShape
+from taquin.shapes import Partition, Rectangle
 from taquin.sieving import count_standard_tableaux, divisors, q_hook_at_root
 from taquin.sweep import orbit_table, standard_tableaux
-from taquin.tableaux import from_rows, promotion, to_grid
+from taquin.tableaux import from_rows, promotion
 
 
 def syt_by_recursion(rows):
@@ -69,11 +69,6 @@ def rectangles(cells):
     ]
 
 
-def grid_int(rect, rows):
-    """The big-endian int of the bytes of the `to_grid` grid of `rows`."""
-    return int.from_bytes(bytes(to_grid(SkewShape(rect.as_partition()), from_rows(rows).entries)), "big")
-
-
 def test_standard_tableaux_are_the_recursive_enumeration_in_order():
     shapes = [Partition(p) for total in range(13) for p in partitions(total)] + [Partition((6, 6, 6))]
     assert len(shapes) == 273
@@ -94,8 +89,8 @@ def test_orbit_table_is_the_orbits_of_promotion(rect):
     assert table.counts == {r: sum(s for s in sizes if r % s == 0) for r in divisors(rect.ncells)}
     # each representative is its orbit's first tableau in enumeration order
     assert table.orbits == [(orbit[0], len(orbit)) for orbit in orbits]
-    # the sweep's ints are the bytes of the tableaux's `to_grid` grids
-    assert table.reps == [grid_int(rect, orbit[0]) for orbit in orbits]
+    # the sweep's ints are the bytes of the tableaux's slide grids
+    assert table.reps == [int.from_bytes(bytes(from_rows(orbit[0]).grid), "big") for orbit in orbits]
     for r in divisors(rect.ncells):
         assert table.fixed_rows(r) == [rows for orbit in orbits if r % len(orbit) == 0 for rows in orbit], r
 

@@ -23,6 +23,7 @@ from taquin.tableaux import (
     from_grid,
     from_rows,
     _grid_layout,
+    grid_size,
     grid_slide,
     inverse_promotion,
     is_standard_normalized,
@@ -31,7 +32,6 @@ from taquin.tableaux import (
     promotion_order,
     rectify,
     to_file_dict,
-    to_grid,
 )
 from taquin.sweep import standard_tableaux
 from taquin.words import Permutation, all_permutations, insertion_tableau, inverse_word_sequence, reading_word_of_rows
@@ -158,151 +158,116 @@ def _first_fault(entries):
     return "duplicate entries" if len(set(entries.values())) != len(entries) else None
 
 
-def _assert_grid_messages(region, grid):
-    """`from_grid` raises the first fault of the grid's filled region
-    cells, or returns the tableau of exactly those entries in row-major
-    order, which the dict route builds too."""
-    entries = {b: v for i, b in _grid_layout(region).cells.items() if (v := grid[i])}
-    fault = _first_fault(entries)
-    if fault is not None:
-        with pytest.raises(TableauError) as got:
-            from_grid(region, grid)
-        assert str(got.value) == fault
-        return
-    got = from_grid(region, grid[:])
-    assert list(got.entries.items()) == list(entries.items())
-    assert got == PartialTableau(region, entries)
+def _assert_every_door(region, values, doors=("grid", "rows", "dict")):
+    """Each door builds the tableau of `values`, the region's cells in
+    row-major order (None: an empty cell), or raises `_first_fault`'s
+    message for the entries it reads of them.  The grid door (`from_grid`)
+    reads a 0 as an empty cell; the rows door (`from_rows`, and `loads` of
+    their JSON) and the dict door (`PartialTableau`, given no empty cell)
+    read it as an entry.  Every valid build is the same tableau."""
+    boxes = list(region.cells())
+    width, length = grid_size(region.outer.nrows, region.outer.ncols)
+    entries = {b: v for b, v in zip(boxes, values) if v is not None}
+    grid = [0] * length
+    for (r, c), v in entries.items():
+        grid[r * width + c] = v
+    lengths = [o - i for o, i in itertools.zip_longest(region.outer.rows, region.inner.rows, fillvalue=0)]
+    ends = list(itertools.accumulate(lengths))
+    row_boxes = [boxes[start:end] for start, end in zip([0, *ends], ends)]
+    rows = [values[start:end] for start, end in zip([0, *ends], ends)]
+    d = {"outer": list(region.outer.rows), "inner": list(region.inner.rows), "rows": rows}
+    if not region.inner.rows:
+        del d["inner"]
+    on_grid = {b: v for b, v in entries.items() if v}
+    builds = {
+        "grid": [(lambda: from_grid(region, grid), on_grid, TableauError)],
+        "rows": [
+            (lambda: from_rows(rows, region.inner), entries, TableauError),
+            (lambda: loads(json.dumps(d)), entries, TableauFormatError),
+        ],
+        "dict": [(lambda: PartialTableau(region, entries), entries, TableauError)],
+    }
+    built = set()
+    for door in doors:
+        for build, read, error in builds[door]:
+            fault = _first_fault(read)
+            try:
+                t = build()
+            except error as exc:
+                assert str(exc) == fault, door
+                continue
+            assert fault is None, door
+            assert list(t.entries.items()) == list(read.items()), door
+            assert t.row_lists() == [[read.get(b) for b in row] for row in row_boxes], door
+            assert dumps(t) == json.dumps({**d, "rows": t.row_lists()}), door
+            built.add(t)
+    assert len(built) <= 1
 
 
-def _assert_grid_messages_on_mutations(t, rng):
-    """The grid of t as it is, and with two adjacent entries swapped, a
-    cell set to 0 or -1, an entry duplicated, and True or 2.0 in a cell."""
-    grid = to_grid(t.region, t.entries)
-    layout = _grid_layout(t.region)
-    width, cells = layout.width, list(layout.cells)
-    pairs = [(i, j) for i in cells for j in (i + 1, i + width) if j in cells]
-    _assert_grid_messages(t.region, grid)
-    mutations = []
-    if cells:
-        i = rng.choice(cells)
-        mutations += [(i, v) for v in (0, -1, True, 2.0)]
-    if len(cells) > 1:
-        i, j = rng.sample(cells, 2)
-        mutations.append((i, grid[j]))
+def _mutations(region, values, k, rng):
+    """`values` with a cell set to 0, -1, True, 2.0 or "3", erased or given
+    the value of a random cell, and with an adjacent pair swapped.  The
+    cells are the 7k-th and on in row-major order (mod their count) and
+    the pair the k-th, so that k = 0, 1, ... mutates every cell in turn."""
+    if not values:
+        return []
+    boxes = list(region.cells())
+    at = {b: i for i, b in enumerate(boxes)}
+    pairs = [(i, at[n]) for i, (r, c) in enumerate(boxes) for n in ((r, c + 1), (r + 1, c)) if n in at]
+    out = []
+    for j, v in enumerate((0, -1, True, 2.0, "3", None, values[rng.randrange(len(values))])):
+        out.append(values[:])
+        out[-1][(7 * k + j) % len(values)] = v
     if pairs:
-        i, j = rng.choice(pairs)
-        mutations.append(((i, j), None))
-    for where, v in mutations:
-        g = grid[:]
-        if v is None:
-            i, j = where
-            g[i], g[j] = g[j], g[i]
-        else:
-            g[where] = v
-        _assert_grid_messages(t.region, g)
+        i, j = pairs[k % len(pairs)]
+        out.append(values[:])
+        out[-1][i], out[-1][j] = values[j], values[i]
+    return out
 
 
-def test_grid_validator_names_the_first_fault():
-    rng = random.Random(17)
+def test_every_door_names_the_first_fault():
+    # a dict is first checked for what rows cannot hold, in its own order
+    region = SkewShape(Partition((2, 2)))
+    for entries, fault in (
+        ({(2, 2): 0, (1, 3): 1}, "entry at (1, 3) outside the region"),
+        ({(2, 1): None, (1, 3): 1}, "entry None at (2, 1) is not an integer"),
+        ({(1, 3): None}, "entry at (1, 3) outside the region"),
+    ):
+        with pytest.raises(TableauError) as got:
+            PartialTableau(region, entries)
+        assert str(got.value) == fault
+    # every shape of up to 10 cells: every SYT of up to 7 cells, and of
+    # 8-10 cells the first, the last and two seeded draws, so that a
+    # shape's fillings, 7 cell mutations each taken in turn, reach every cell
+    rng = random.Random(30)
+    inputs = []  # (region, its cell values in row-major order, doors)
     for total in range(11):
         for rows in _partitions(total):
-            for syt in standard_tableaux(Partition(rows)):
-                _assert_grid_messages_on_mutations(from_rows(syt), rng)
+            syts = list(standard_tableaux(Partition(rows)))
+            if total > 7:
+                syts = [syts[0], syts[-1], *rng.choices(syts, k=2)]
+            region = SkewShape(Partition(rows))
+            inputs += [(region, list(itertools.chain(*syt)), ("grid", "rows", "dict")) for syt in syts]
+    # skew regions, one with a row of no cells, partial fillings, and the
+    # 3x4 construction traces through rows and dicts; the 3x4 and 4x4
+    # construction and box sequence traces on the grid
+    tableaux = [t for shapes in (("332", "21"), ("22", "21"), ("431", "2")) for t in partial_tableaux_of(*shapes)]
+    traces = []
     for rect in (Rectangle(3, 4), Rectangle(4, 4)):
         for d in enumerate_diagonals(rect):
             for w in all_permutations(rect.n):
                 plus, frames = forward_tableau(w, d, trace=True)
                 minus, back = reverse_tableau(w, d, rect, trace=True)
                 run = box_sequence(inverse_word_sequence(w), d, trace=True)
-                for t in (plus, minus, *frames, *back, *run.trace):
-                    _assert_grid_messages_on_mutations(t, rng)
-
-
-def _assert_row_messages(rows, inner):
-    """`from_rows` raises the first fault of the rows' non-None entries (a
-    0 among them), or returns the tableau of exactly those entries in
-    row-major order; a tableau it returns goes back to the same rows and
-    to the JSON of those rows."""
-    inner = Partition(tuple(inner))
-    starts = [inner.row_len(i) for i in range(1, len(rows) + 1)]
-    region = SkewShape(Partition(tuple(s + len(row) for s, row in zip(starts, rows))), inner)
-    entries = {
-        Box(i, s + j): v
-        for i, (s, row) in enumerate(zip(starts, rows), start=1)
-        for j, v in enumerate(row, start=1)
-        if v is not None
-    }
-    fault = _first_fault(entries)
-    if fault is not None:
-        with pytest.raises(TableauError) as got:
-            from_rows(rows, inner)
-        assert str(got.value) == fault
-        return
-    got = from_rows(rows, inner)
-    assert list(got.entries.items()) == list(entries.items())
-    assert got == PartialTableau(region, entries)
-    assert got.row_lists() == [list(row) for row in rows]
-    assert from_rows(got.row_lists(), inner) == got
-    d = {"outer": list(region.outer.rows)}
-    if inner.rows:
-        d["inner"] = list(inner.rows)
-    d["rows"] = [list(row) for row in rows]
-    assert dumps(got) == json.dumps(d)
-
-
-def _row_mutations(t, rng):
-    """The rows of t with a cell set to 0, -1, True, 2.0, "3" or None, an
-    entry duplicated, and two adjacent cells swapped."""
-    rows = t.row_lists()
-    # cell (r, c) sits at rows[r - 1][c - inner row length - 1]
-    at = {b: (b.row - 1, b.col - t.region.inner.row_len(b.row) - 1) for b in t.region.cells()}
-    cells = list(at)
-    pairs = [(b, n) for b in cells for n in (Box(b.row, b.col + 1), Box(b.row + 1, b.col)) if n in at]
-    mutations = []
-    if cells:
-        b = rng.choice(cells)
-        mutations += [((b, v),) for v in (0, -1, True, 2.0, "3", None)]
-    if len(cells) > 1:
-        b, c = rng.sample(cells, 2)
-        mutations.append(((b, t.get(c)),))
-    if pairs:
-        b, c = rng.choice(pairs)
-        mutations.append(((b, t.get(c)), (c, t.get(b))))
-    out = []
-    for changes in mutations:
-        new = [list(row) for row in rows]
-        for b, v in changes:
-            i, j = at[b]
-            new[i][j] = v
-        out.append(new)
-    return out
-
-
-def test_rows_validator_names_the_first_fault():
-    rng = random.Random(23)
-    # every SYT of up to 10 cells, each with one of its mutations in turn
-    k = 0
-    for total in range(11):
-        for rows in _partitions(total):
-            for syt in standard_tableaux(Partition(rows)):
-                _assert_row_messages(syt, ())
-                if total:
-                    mutations = _row_mutations(from_rows(syt), rng)
-                    _assert_row_messages(mutations[k % len(mutations)], ())
-                    k += 1
-    # skew regions, one with a row of no cells, and partial fillings, each
-    # with every mutation
-    tableaux = [t for shapes in (("332", "21"), ("22", "21"), ("431", "2")) for t in partial_tableaux_of(*shapes)]
-    rect = Rectangle(3, 4)
-    for d in enumerate_diagonals(rect):
-        for w in all_permutations(rect.n):
-            plus, frames = forward_tableau(w, d, trace=True)
-            minus, back = reverse_tableau(w, d, rect, trace=True)
-            tableaux += [plus, minus, *frames, *back]
-    for t in tableaux:
-        _assert_row_messages(t.row_lists(), t.region.inner.rows)
-        for rows in _row_mutations(t, rng):
-            _assert_row_messages(rows, t.region.inner.rows)
+                traces += [plus, minus, *frames, *back, *run.trace]
+                if rect.n == 3:
+                    tableaux += [plus, minus, *frames, *back]
+    for ts, doors in ((tableaux, ("rows", "dict")), (traces, ("grid",))):
+        # each distinct tableau once
+        inputs += [(t.region, list(itertools.chain(*t.row_lists())), doors) for t in dict.fromkeys(ts)]
+    for k, (region, values, doors) in enumerate(inputs):
+        for mutated in (values, *_mutations(region, values, k, rng)):
+            _assert_every_door(region, mutated, doors)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -399,7 +364,7 @@ def slide(t, hole, forward=True):
     is read off the cells whose values changed: a forward path only moves
     to larger grid indices and a reverse one to smaller, and a slide that
     never moves changes nothing."""
-    grid = to_grid(t.region, t.entries)
+    grid = t.grid[:]
     width = _grid_layout(t.region).width
     start = hole[0] * width + hole[1]
     before = grid[:]

@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import pytest
 
 from taquin.cli import main
-from taquin.shapes import Box, Partition, Rectangle, SkewShape, enumerate_diagonals, parse_partition
-from taquin.tableaux import from_rows, to_grid
+from taquin.shapes import Box, Partition, Rectangle, enumerate_diagonals, parse_partition
+from taquin.tableaux import from_rows
 from taquin import orbits
 from taquin.orbits import NotMinimalOrbitError
 from taquin.words import Permutation, descent_sequence, insertion_tableau
@@ -366,6 +366,10 @@ def test_q_hook_at_root_2x2():
     assert q_hook_at_root(rect, 4) == 2  # value at 1
     with pytest.raises(ValueError):
         q_hook_at_root(rect, 5)
+    for r in (True, 2.0, "1"):  # never coerced, not even to a valid r
+        with pytest.raises(ValueError) as got:
+            q_hook_at_root(rect, r)
+        assert str(got.value) == f"r must be an integer, got {r!r}"
 
 
 def test_q_hook_at_root_against_complex_evaluation():
@@ -759,7 +763,7 @@ def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
     # divide N = 6
     rect = Rectangle(2, 3)
     rows = [((1, 3, 5), (2, 4, 6)), ((1, 2, 4), (3, 5, 6))]
-    reps = [int.from_bytes(bytes(to_grid(SkewShape(rect.as_partition()), from_rows(t).entries)), "big") for t in rows]
+    reps = [int.from_bytes(bytes(from_rows(t).grid), "big") for t in rows]
     table = OrbitTable(rect, reps, [3, 4], {1: 0, 2: 0, 3: 3, 6: 3}, 7)
     inverted = []
 
