@@ -225,7 +225,50 @@ def _mutations(region, values, k, rng):
     return out
 
 
-def test_every_door_names_the_first_fault():
+def _syt_inputs():
+    """(region, cell values in row-major order) for every shape of up to 10
+    cells: every SYT of up to 7 cells, and of 8-10 cells the first, the
+    last and two seeded draws, so that a shape's fillings, 7 cell
+    mutations each taken in turn, reach every cell."""
+    rng = random.Random(30)
+    inputs = []
+    for total in range(11):
+        for rows in _partitions(total):
+            syts = list(standard_tableaux(Partition(rows)))
+            if total > 7:
+                syts = [syts[0], syts[-1], *rng.choices(syts, k=2)]
+            inputs += [(SkewShape(Partition(rows)), list(itertools.chain(*syt))) for syt in syts]
+    return inputs
+
+
+def _assert_doors_on_mutations(inputs, doors, seed):
+    """Every input, and each of its `_mutations`, through `doors`."""
+    rng = random.Random(seed)
+    for k, (region, values) in enumerate(inputs):
+        for mutated in (values, *_mutations(region, values, k, rng)):
+            _assert_every_door(region, mutated, doors)
+
+
+def _values(tableaux):
+    """(region, cell values in row-major order) of each distinct tableau once."""
+    return [(t.region, list(itertools.chain(*t.row_lists()))) for t in dict.fromkeys(tableaux)]
+
+
+def test_grid_validator_names_the_first_fault():
+    # the SYT sweep, and the 3x4 and 4x4 construction and box sequence traces
+    traces = []
+    for rect in (Rectangle(3, 4), Rectangle(4, 4)):
+        for d in enumerate_diagonals(rect):
+            for w in all_permutations(rect.n):
+                plus, frames = forward_tableau(w, d, trace=True)
+                minus, back = reverse_tableau(w, d, rect, trace=True)
+                run = box_sequence(inverse_word_sequence(w), d, trace=True)
+                traces += [plus, minus, *frames, *back, *run.trace]
+    inputs = _syt_inputs() + _values(traces)
+    _assert_doors_on_mutations(inputs, ("grid",), 17)
+
+
+def test_rows_validator_names_the_first_fault():
     # a dict is first checked for what rows cannot hold, in its own order
     region = SkewShape(Partition((2, 2)))
     for entries, fault in (
@@ -236,38 +279,17 @@ def test_every_door_names_the_first_fault():
         with pytest.raises(TableauError) as got:
             PartialTableau(region, entries)
         assert str(got.value) == fault
-    # every shape of up to 10 cells: every SYT of up to 7 cells, and of
-    # 8-10 cells the first, the last and two seeded draws, so that a
-    # shape's fillings, 7 cell mutations each taken in turn, reach every cell
-    rng = random.Random(30)
-    inputs = []  # (region, its cell values in row-major order, doors)
-    for total in range(11):
-        for rows in _partitions(total):
-            syts = list(standard_tableaux(Partition(rows)))
-            if total > 7:
-                syts = [syts[0], syts[-1], *rng.choices(syts, k=2)]
-            region = SkewShape(Partition(rows))
-            inputs += [(region, list(itertools.chain(*syt)), ("grid", "rows", "dict")) for syt in syts]
-    # skew regions, one with a row of no cells, partial fillings, and the
-    # 3x4 construction traces through rows and dicts; the 3x4 and 4x4
-    # construction and box sequence traces on the grid
+    # the SYT sweep; skew regions, one with a row of no cells, partial
+    # fillings, and the 3x4 construction traces
     tableaux = [t for shapes in (("332", "21"), ("22", "21"), ("431", "2")) for t in partial_tableaux_of(*shapes)]
-    traces = []
-    for rect in (Rectangle(3, 4), Rectangle(4, 4)):
-        for d in enumerate_diagonals(rect):
-            for w in all_permutations(rect.n):
-                plus, frames = forward_tableau(w, d, trace=True)
-                minus, back = reverse_tableau(w, d, rect, trace=True)
-                run = box_sequence(inverse_word_sequence(w), d, trace=True)
-                traces += [plus, minus, *frames, *back, *run.trace]
-                if rect.n == 3:
-                    tableaux += [plus, minus, *frames, *back]
-    for ts, doors in ((tableaux, ("rows", "dict")), (traces, ("grid",))):
-        # each distinct tableau once
-        inputs += [(t.region, list(itertools.chain(*t.row_lists())), doors) for t in dict.fromkeys(ts)]
-    for k, (region, values, doors) in enumerate(inputs):
-        for mutated in (values, *_mutations(region, values, k, rng)):
-            _assert_every_door(region, mutated, doors)
+    rect = Rectangle(3, 4)
+    for d in enumerate_diagonals(rect):
+        for w in all_permutations(rect.n):
+            plus, frames = forward_tableau(w, d, trace=True)
+            minus, back = reverse_tableau(w, d, rect, trace=True)
+            tableaux += [plus, minus, *frames, *back]
+    inputs = _syt_inputs() + _values(tableaux)
+    _assert_doors_on_mutations(inputs, ("rows", "dict"), 23)
 
 
 def _count_calls(monkeypatch, module, name):
