@@ -390,6 +390,17 @@ def _minimal_orbit_tableau_insertion(w: Permutation, rect: Rectangle, diag: Diag
     return _splice(plus, minus, rect, diag)
 
 
+def _checked_diagonal(diag: Diagonal | None, rect: Rectangle) -> Diagonal:
+    """`diag`, or the staircase diagonal of rect when None; raises
+    ValueError unless it has n corners and fits in rect."""
+    diag = diag if diag is not None else staircase_diagonal(rect)
+    if diag.n != rect.n:
+        raise ValueError(f"diagonal shape {diag.lambda_plus} has {diag.n} corners, need {rect.n}")
+    if diag.lambda_plus.nrows > rect.nrows or diag.lambda_plus.ncols > rect.ncols:
+        raise ValueError(f"diagonal shape {diag.lambda_plus} does not fit in {rect.nrows}x{rect.ncols}")
+    return diag
+
+
 def minimal_orbit_tableau(
     w: Permutation,
     rect: Rectangle,
@@ -415,11 +426,7 @@ def minimal_orbit_tableau(
         raise ValueError(f"unknown route {via!r}")
     if choice is not None and via == "insertion":
         raise ValueError("a choice tableau fixes the slide order; the insertion route makes no slides")
-    diag = diag if diag is not None else staircase_diagonal(rect)
-    if diag.n != n:
-        raise ValueError(f"diagonal shape {diag.lambda_plus} has {diag.n} corners, need {n}")
-    if diag.lambda_plus.nrows > rect.nrows or diag.lambda_plus.ncols > rect.ncols:
-        raise ValueError(f"diagonal shape {diag.lambda_plus} does not fit in {rect.nrows}x{rect.ncols}")
+    diag = _checked_diagonal(diag, rect)
     if via == "insertion":
         if not rect.n_is_rows:
             raise ValueError("insertion route needs n as the row count")
@@ -434,14 +441,16 @@ def minimal_orbit_tableau(
 def invert(t: PartialTableau, diag: Diagonal | None = None) -> Permutation:
     """Read the permutation back off the diagonal residues mod n.
 
-    Raises NotMinimalOrbitError when the residues collide or the
-    reconstructed permutation does not rebuild t, both of which certify
-    that t is outside the minimal promotion-orbit set.
+    Raises ValueError, before any residue is read, for a diagonal that
+    does not have n corners or fit in t's rectangle, and
+    NotMinimalOrbitError when the residues collide or the reconstructed
+    permutation does not rebuild t, both of which certify that t is
+    outside the minimal promotion-orbit set.
     """
     nrows, ncols = standard_rectangle_dims(t, "invert")
     n, m = min(nrows, ncols), max(nrows, ncols)
     rect = Rectangle(n, m, n_is_rows=(nrows == n))
-    diag = diag if diag is not None else staircase_diagonal(rect)
+    diag = _checked_diagonal(diag, rect)
     grid, width = t.grid, grid_size(nrows, ncols)[0]
     residues = tuple((grid[r * width + c] - 1) % n + 1 for r, c in diag.boxes)
     if sorted(residues) != list(range(1, n + 1)):

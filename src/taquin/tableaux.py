@@ -14,8 +14,9 @@ boundaries, and owns the entry rules and their row-major order:
 `from_grid` hands it a grid, and parsed rows (`from_rows`, `loads`) and a
 dict given to `PartialTableau(region, entries)` reach it through one
 step, `_fill`.  A dict is first checked only for what rows cannot hold: a
-box outside the region and a None value.  A promotion step slides a
-checked grid and keeps it standard, so it builds its result unchecked.
+key that is not a pair of ints, a box outside the region and a None
+value.  A promotion step slides a checked grid and keeps it standard, so
+it builds its result unchecked.
 
 Every public operation is a pure function returning new values; callers
 may parallelize freely.
@@ -59,6 +60,8 @@ class PartialTableau:
     def __init__(self, region: SkewShape, entries: Mapping):
         """The checked tableau of a box -> entry map; a box left out is empty."""
         for b, v in entries.items():
+            if not isinstance(b, tuple) or tuple(map(type, b)) != (int, int):
+                raise TableauError(f"box {b!r} is not a pair of integers")
             if b not in region:
                 raise TableauError(f"entry at {tuple(b)} outside the region")
             if v is None:  # never an empty cell
@@ -358,19 +361,6 @@ def promotion(t: PartialTableau) -> PartialTableau:
 def inverse_promotion(t: PartialTableau) -> PartialTableau:
     standard_rectangle_dims(t, "inverse promotion")
     return _promotion_step(t, False)
-
-
-def promotion_order(t: PartialTableau) -> int:
-    """Smallest r >= 1 with promotion^r(t) = t; divides the cell count."""
-    n_cells = t.size
-    cur = promotion(t)
-    order = 1
-    while cur != t:
-        cur = _promotion_step(cur, True)
-        order += 1
-        if order > n_cells:
-            raise TableauError("promotion order exceeds the cell count")
-    return order
 
 
 def complement_tableau(t: PartialTableau, rect: Rectangle) -> PartialTableau:

@@ -1,52 +1,32 @@
 """Acceptance batteries: one test per criterion, each checked exactly and
 timed against its runtime budget.  Run with `pytest tests/test_acceptance.py -s`
 to see one PASS line per criterion.
+
+Criteria 04-10 run the shipped check suites (`taquin.verify.run_suite`) at
+their sizes and assert that the cases of their claim pass; those cases are
+shown to fail on a broken claim in `tests/test_verify.py`.  Criteria 01-03,
+11 and 12 reach further than any suite case and check directly.
 """
 
 import math
 import random
 import time
-
-import pytest
+from functools import lru_cache
 
 from taquin.orbits import (
+    augmented_insertion_tableau,
     box_sequence,
-    column_sequence,
-    delta_closed_form,
     forward_tableau,
     invert,
     minimal_orbit_tableau,
     reverse_tableau,
-    augmented_insertion_tableau,
-    tableau_from_box_sequence,
 )
-from taquin.shapes import (
-    Diagonal,
-    Rectangle,
-    box_less,
-    enumerate_diagonals,
-    parse_partition,
-    staircase_diagonal,
-)
-from taquin.tableaux import from_rows, is_standard_normalized, promotion, promotion_order
-from taquin.sieving import (
-    _root_value_by_pairing,
-    _root_value_by_reduction,
-    divisors,
-    hook_lengths,
-    q_hook_at_root,
-)
-from taquin.sweep import orbit_table, standard_tableaux
-from taquin.words import (
-    all_permutations,
-    descent_sequence,
-    descents,
-    inverse_word_sequence,
-    parse_permutation,
-    promotion_cycle,
-    right_multiply,
-    strict_knuth,
-)
+from taquin.shapes import Diagonal, Rectangle, box_less, enumerate_diagonals, parse_partition, staircase_diagonal
+from taquin.sieving import count_standard_tableaux
+from taquin.sweep import standard_tableaux
+from taquin.tableaux import from_rows
+from taquin.verify import run_suite
+from taquin.words import all_permutations, parse_permutation, strict_knuth
 
 W3142 = parse_permutation("3142")
 DIAG_5431 = Diagonal(parse_partition("5431"))
@@ -77,13 +57,23 @@ COMBINED_4x6 = (
 THEOREM_RECTS = [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (4, 5)]
 CSP_RECTS = [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)]
 
-_tables = {}
+
+@lru_cache(maxsize=None)
+def suite_report(rect, suite, **options):
+    """`run_suite` once per configuration, shared by the criteria that read
+    it, so each rectangle builds one orbit table."""
+    return run_suite(rect, suite, **options)
 
 
-def get_table(n, m):
-    if (n, m) not in _tables:
-        _tables[(n, m)] = orbit_table(Rectangle(n, m), max_count=2_000_000)
-    return _tables[(n, m)]
+def assert_cases_pass(suite, *names):
+    """Assert that each of `names`, a case name or a prefix ending in ".",
+    picks at least one case of the report `suite`, and that every case
+    picked passed."""
+    for name in names:
+        picked = [c for c in suite.cases if c.name == name or (name.endswith(".") and c.name.startswith(name))]
+        assert picked, (suite.rect, name)
+        failed = {c.name: c.counterexample for c in picked if c.status == "fail"}
+        assert not failed, (suite.rect, failed)
 
 
 def report(number, label, elapsed, budget):
@@ -111,7 +101,9 @@ def test_criterion_01_forward_construction_golden():
 
 def test_criterion_02_reverse_construction_golden():
     rect = Rectangle(4, 6)
-    assert reverse_tableau(W3142, DIAG_5431, rect).row_tuples() == REVERSE_FINAL
+    t = reverse_tableau(W3142, DIAG_5431, rect)
+    assert t.row_tuples() == REVERSE_FINAL
+    assert t.region.inner == parse_partition("432")
     elapsed = best_of(lambda: reverse_tableau(W3142, DIAG_5431, rect))
     report(2, "reverse construction reproduces the final tableau", elapsed, 1e-3)
 
@@ -130,120 +122,53 @@ def test_criterion_04_choice_independence_sweep():
     checked = 0
     for m in (3, 4, 5):
         rect = Rectangle(3, m)
-        for diag in enumerate_diagonals(rect):
-            choices = [from_rows(rows) for rows in standard_tableaux(diag.lambda_minus)]
-            for w in all_permutations(3):
-                results = {forward_tableau(w, diag, u) for u in choices}
-                assert len(results) == 1, (w, diag.lambda_plus)
-                checked += len(choices)
+        independence = run_suite(rect, "independence", all_choices=True, all_diagonals=True)
+        assert_cases_pass(independence, "forward-choice-independence", "reverse-choice-independence")
+        # every choice on every diagonal, for each of the 3! permutations
+        checked += 6 * sum(count_standard_tableaux(d.lambda_minus) for d in enumerate_diagonals(rect))
     report(4, f"forward construction independent of all {checked} slide orders", time.perf_counter() - t0, 10)
 
 
 def test_criterion_05_diagonal_agreement_and_independence():
     t0 = time.perf_counter()
     for m in (4, 5):
-        rect = Rectangle(4, m)
-        diagonals = enumerate_diagonals(rect)
-        for w in all_permutations(4):
-            combined = set()
-            for diag in diagonals:
-                plus = forward_tableau(w, diag)
-                minus = reverse_tableau(w, diag, rect)
-                for b in diag.boxes:
-                    assert plus[b] == minus[b], (w, diag.lambda_plus, b)
-                t = minimal_orbit_tableau(w, rect, diag)
-                assert is_standard_normalized(t)
-                combined.add(t)
-            assert len(combined) == 1, w
+        independence = run_suite(Rectangle(4, m), "independence", all_diagonals=True)
+        assert_cases_pass(independence, "diagonal-agreement", "diagonal-independence")
     report(5, "forward/reverse agree on every diagonal and splice identically", time.perf_counter() - t0, 30)
 
 
 def test_criterion_06_bijection_battery():
     t0 = time.perf_counter()
     for n, m in THEOREM_RECTS:
-        rect = Rectangle(n, m)
-        c = promotion_cycle(n)
-        table = get_table(n, m)
-        assert table.counts[n] == math.factorial(n), (n, m)
-        image = {w: minimal_orbit_tableau(w, rect) for w in all_permutations(n)}
-        # one promotion step subtracts 1 mod n from each diagonal residue,
-        # i.e. it sends the tableau of w to the tableau of c o w
-        for w, t in image.items():
-            assert promotion(t) == image[right_multiply(c, w)], (n, m, w)
-        assert {t.row_tuples() for t in image.values()} == set(table.fixed_rows(n)), (n, m)
-        for w, t in image.items():
-            assert invert(t) == w
+        assert_cases_pass(suite_report(Rectangle(n, m), "all", max_count=2_000_000), "bijection.")
     report(6, "promotion equivariance and image = minimal orbits on six rectangles", time.perf_counter() - t0, 120)
 
 
 def test_criterion_07_full_cycle_order():
     t0 = time.perf_counter()
     for n, m in THEOREM_RECTS:
-        table = get_table(n, m)
-        cells = n * m
-        assert sum(size for _, size in table.orbits) == table.total
-        for _, size in table.orbits:
-            assert cells % size == 0, (n, m, size)
-        for r in divisors(cells):
-            if r < n:
-                assert table.counts[r] == 0, (n, m, r)
-        # spot-check the object-level promotion against the orbit sizes
-        rows, size = table.orbits[0]
-        assert promotion_order(from_rows(rows)) == size
+        assert_cases_pass(suite_report(Rectangle(n, m), "all", max_count=2_000_000), "haiman.")
     report(7, "promotion order divides the cell count everywhere", time.perf_counter() - t0, 120)
 
 
 def test_criterion_08_cyclic_sieving():
     t0 = time.perf_counter()
     for n, m in CSP_RECTS:
-        rect = Rectangle(n, m)
-        table = get_table(n, m)
-        hooks = hook_lengths(rect.as_partition())
-        for r in divisors(n * m):
-            e = (n * m) // math.gcd(r, n * m)
-            by_reduction = _root_value_by_reduction(rect, e)
-            by_pairing = _root_value_by_pairing(n * m, hooks, e)
-            assert by_reduction == by_pairing, (n, m, r)
-            assert table.counts[r] == q_hook_at_root(rect, r), (n, m, r)
+        assert_cases_pass(suite_report(Rectangle(n, m), "all", max_count=2_000_000), "csp.")
     report(8, "fixed-point counts equal the q-hook values at roots of unity", time.perf_counter() - t0, 120)
 
 
 def test_criterion_09_box_sequence_reconstruction():
     t0 = time.perf_counter()
-    diag = staircase_diagonal(Rectangle(4, 6))
-    for w in all_permutations(4):
-        run = box_sequence(inverse_word_sequence(w), diag)
-        assert tableau_from_box_sequence(run, diag) == forward_tableau(w, diag), w
+    assert_cases_pass(suite_report(Rectangle(4, 6), "propositions", all_diagonals=True), "box-sequence-reconstruction")
     report(9, "box sequences rebuild the forward construction entrywise", time.perf_counter() - t0, 10)
 
 
 def test_criterion_10_descent_run_battery():
     t0 = time.perf_counter()
-    n = 4
-    rect = Rectangle(4, 6, n_is_rows=False)  # 6 rows, n = 4 columns
-    diagonals = enumerate_diagonals(rect)
-    steps = n * (max(d.lambda_minus.size for d in diagonals) + 1)
-    runs = {}
-    for w in all_permutations(n):
-        d_desc = tuple(sorted(descents(w), reverse=True))
-        for d in diagonals:
-            run = box_sequence(descent_sequence(w), d, steps=steps)
-            runs[(w, d.lambda_plus)] = run
-            cols = column_sequence(d_desc, n, steps)
-            assert tuple(b.col for b in run.boxes) == cols, (w, d.lambda_plus)
-            delta = {i: 0 for i in range(1, n + 1)}
-            for s, b in zip(run.sigma_prefix, run.boxes):
-                if b != d.boxes[s - 1]:
-                    delta[s] += 1
-            assert delta == delta_closed_form(w, d.lambda_plus), (w, d.lambda_plus)
-    for w in all_permutations(n):
-        for i, da in enumerate(diagonals):
-            for db in diagonals[i + 1 :]:
-                ra = runs[(w, da.lambda_plus)].boxes
-                rb = runs[(w, db.lambda_plus)].boxes
-                for k in range(steps):
-                    if rb[k] in da.lambda_plus and ra[k] in db.lambda_plus:
-                        assert ra[k] == rb[k], (w, da.lambda_plus, db.lambda_plus, k)
+    # the runs are on the tall 6x4 orientation (n = 4 columns), every diagonal
+    propositions = suite_report(Rectangle(4, 6), "propositions", all_diagonals=True)
+    assert_cases_pass(propositions, "descent-run-columns-and-delta", "cross-diagonal-compatibility")
     report(10, "descent-driven runs: columns, displacement counts, compatibility", time.perf_counter() - t0, 30)
 
 

@@ -29,7 +29,6 @@ from taquin.tableaux import (
     is_standard_normalized,
     loads,
     promotion,
-    promotion_order,
     rectify,
     to_file_dict,
 )
@@ -275,6 +274,12 @@ def test_rows_validator_names_the_first_fault():
         ({(2, 2): 0, (1, 3): 1}, "entry at (1, 3) outside the region"),
         ({(2, 1): None, (1, 3): 1}, "entry None at (2, 1) is not an integer"),
         ({(1, 3): None}, "entry at (1, 3) outside the region"),
+        # a key is a pair of exact ints, never coerced
+        *(
+            ({key: 1}, f"box {key!r} is not a pair of integers")
+            for key in ((True, 1), (1, True), (1, 1.0), (1.0, 1), ("1", 1))
+        ),
+        ({(1, 3): 1, (1, 1.0): 1}, "entry at (1, 3) outside the region"),
     ):
         with pytest.raises(TableauError) as got:
             PartialTableau(region, entries)
@@ -519,16 +524,6 @@ def test_promotion_rejects_bad_input():
         promotion(from_rows([[1, 2], [3]]))
     with pytest.raises(TableauError):
         promotion(from_rows([[2, 3], [4, 5]]))
-
-
-def test_promotion_order_examples():
-    t = from_rows([[1, 2], [3, 5], [4, 6]])
-    assert promotion_order(t) == 3
-    # the unique standard tableau of a single row is fixed by promotion
-    for m in (1, 2, 5):
-        row = from_rows([list(range(1, m + 1))])
-        assert promotion_order(row) == 1
-    assert promotion_order(from_rows([[1, 2], [3, 4]])) == 2
 
 
 # -- complement, reading words, rectify ---------------------------------------

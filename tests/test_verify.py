@@ -4,8 +4,8 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -14,10 +14,10 @@ from types import SimpleNamespace
 import pytest
 
 from taquin.cli import main
-from taquin.shapes import Box, Partition, Rectangle, enumerate_diagonals, parse_partition
+from taquin.shapes import Box, Partition, Rectangle, complement_shape, enumerate_diagonals, parse_partition, staircase_diagonal
 from taquin.tableaux import from_rows
 from taquin import orbits
-from taquin.orbits import NotMinimalOrbitError
+from taquin.orbits import NotMinimalOrbitError, superstandard_choice
 from taquin.words import Permutation, descent_sequence, insertion_tableau
 from taquin.sieving import (
     _cyclotomic,
@@ -311,12 +311,6 @@ def test_orbit_table_keeps_no_rows_at_3x6():
     assert table.total == 87_516
 
 
-def test_orbit_table_minimal_count_is_factorial():
-    for n, m in [(2, 2), (2, 3), (3, 3), (3, 4)]:
-        table = orbit_table(Rectangle(n, m))
-        assert table.counts[n] == math.factorial(n)
-
-
 # -- q-hook polynomial -------------------------------------------------------------
 
 
@@ -385,21 +379,7 @@ def test_q_hook_at_root_against_complex_evaluation():
             assert abs(approx - q_hook_at_root(rect, r)) < 1e-6
 
 
-def test_csp_counts_match_polynomial():
-    for n, m in [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)]:
-        rect = Rectangle(n, m)
-        table = orbit_table(rect)
-        for r in divisors(rect.ncells):
-            assert table.counts[r] == q_hook_at_root(rect, r)
-
-
 # -- suites -------------------------------------------------------------------------
-
-
-def test_all_suites_pass_small():
-    for n, m in [(2, 2), (2, 3), (3, 3)]:
-        report = run_suite(Rectangle(n, m), "all", all_choices=True, all_diagonals=True)
-        assert report.passed, report.format_text()
 
 
 def test_suite_report_shape_and_determinism():
@@ -505,6 +485,10 @@ def test_grouped_cross_conflict_matches_the_pairwise_loop_on_planted_runs():
     assert 100 < found < 350, found
 
 
+# the case that the planted conflicts below fail
+CROSS_DIAGONAL_CASE = "cross-diagonal-compatibility"
+
+
 def test_cross_diagonal_case_reports_the_first_planted_conflict(monkeypatch):
     import taquin.verify as verify
 
@@ -537,7 +521,7 @@ def test_cross_diagonal_case_reports_the_first_planted_conflict(monkeypatch):
     assert expected == "w=132, diagonals 0,1, step 5: Box(row=1, col=1) vs Box(row=1, col=2)"
     report = run_suite(rect, "propositions", all_diagonals=True)
     failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
-    assert failed == {"cross-diagonal-compatibility": expected}
+    assert failed == {CROSS_DIAGONAL_CASE: expected}
 
 
 def _rotated(w):
@@ -548,8 +532,47 @@ def _unknown_verdict(*args, **kwargs):
     return SimpleNamespace(status="unknown")
 
 
+def _with_one_fixed_point(table):
+    return dataclasses.replace(table, counts={**table.counts, 1: 1})
+
+
+# every case of run_suite(Rectangle(3, 4), "all"), in report order
+SUITE_CASES = [
+    "bijection.minimal-orbit-count-3!",
+    "bijection.image-equals-minimal-orbits",
+    "bijection.promotion-equivariance",
+    "bijection.invert-round-trip",
+    "bijection.non-minimal-rejected",
+    "independence.forward-choice-independence",
+    "independence.reverse-choice-independence",
+    "independence.diagonal-agreement",
+    "independence.diagonal-independence",
+    "csp.polynomial-at-one",
+    "csp.sieving-r=1",
+    "csp.sieving-r=2",
+    "csp.sieving-r=3",
+    "csp.sieving-r=4",
+    "csp.sieving-r=6",
+    "csp.sieving-r=12",
+    "haiman.orbit-sizes-divide-cell-count",
+    "haiman.full-cycle-spot-check",
+    "haiman.no-orbits-below-n",
+    "propositions.box-sequence-reconstruction",
+    "propositions.box-order-transport",
+    "propositions.strict-knuth-equivariance",
+    "propositions.descent-run-columns-and-delta",
+    "propositions.cross-diagonal-compatibility",
+    "propositions.corner-peeling-equivalence",
+    "propositions.insertion-route",
+    "propositions.periodic-word-equivalence",
+    "propositions.descent-sequence-equivalence",
+    "propositions.row-strict-insertion-moves",
+]
+
+
 # (name patched in taquin.verify, replacement built from the real function,
-#  {failing case: its first counterexample} for run_suite(Rectangle(3, 4), "all"))
+#  {failing case: its first counterexample} for
+#  run_suite(Rectangle(3, 4), "all", **options), options)
 BROKEN_DEPENDENCIES = [
     (
         "invert",
@@ -558,16 +581,19 @@ BROKEN_DEPENDENCIES = [
             "bijection.invert-round-trip": "invert round trip failed: 132 -> 123",
             "bijection.non-minimal-rejected": "invert accepted a non-minimal tableau as 123",
         },
+        {},
     ),
     (
         "promotion",
         lambda real: lambda t: t,
         {"bijection.promotion-equivariance": "promotion(T_123) != T_312"},
+        {},
     ),
     (
         "reverse_tableau",
         lambda real: lambda w, *args: real(_rotated(w), *args),
         {"independence.diagonal-agreement": "w=123, diagonal 321: disagree at Box(row=3, col=1)"},
+        {},
     ),
     (
         "q_hook_at_root",
@@ -580,11 +606,13 @@ BROKEN_DEPENDENCIES = [
             "csp.sieving-r=6": "F(zeta^6) = 31 but 30 tableaux are fixed",
             "csp.sieving-r=12": "F(zeta^12) = 463 but 462 tableaux are fixed",
         },
+        {},
     ),
     (
         "tableau_from_box_sequence",
         lambda real: lambda run, d: None,
         {"propositions.box-sequence-reconstruction": "box-sequence reconstruction differs for w=123"},
+        {},
     ),
     (
         "box_less",
@@ -593,16 +621,19 @@ BROKEN_DEPENDENCIES = [
             "propositions.box-order-transport": "sigma=(2, 2, 1, 2, 3, 2, 2, 2, 2), k=2: descent not transported",
             "propositions.strict-knuth-equivariance": "sigma=(1, 3, 2, 2, 3, 2, 1, 3, 1), k=1: move undefined on the box sequence",
         },
+        {},
     ),
     (
         "column_sequence",
         lambda real: lambda descents, n, k: [1] * k,
         {"propositions.descent-run-columns-and-delta": "w=123: box 2 lands in column 2, expected 1"},
+        {},
     ),
     (
         "delta_closed_form",
         lambda real: lambda w, lambda_plus: {},
         {"propositions.descent-run-columns-and-delta": "w=123: delta {1: 3, 2: 2, 3: 1} != closed form {}"},
+        {},
     ),
     (
         "forward_tableau_by_peeling",
@@ -615,11 +646,13 @@ BROKEN_DEPENDENCIES = [
                 "Box(row=1, col=1)] differs for w=123"
             )
         },
+        {},
     ),
     (
         "augmented_insertion_tableau",
         lambda real: lambda w, m, shape: real(_rotated(w), m, shape),
         {"propositions.insertion-route": "insertion route differs for w=123"},
+        {},
     ),
     (
         "bounded_equivalence",
@@ -628,21 +661,71 @@ BROKEN_DEPENDENCIES = [
             "propositions.periodic-word-equivalence": "132 ~ 231 came back unknown",
             "propositions.descent-sequence-equivalence": "descent sequence of 123 came back unknown",
         },
+        {},
     ),
     (
         "reading_word_of_rows",
         lambda real: lambda rows: (),
         {"propositions.row-strict-insertion-moves": "replay of (2, 1, 3, 2) missed the reading word"},
+        {},
+    ),
+    # each construction rotates w unless its choice is the superstandard
+    # filling: the suite passes explicit choices only, so a fault on the
+    # default choice alone would never show
+    (
+        "forward_tableau",
+        lambda real: lambda w, d, choice=None, **kwargs: real(
+            w if choice in (None, superstandard_choice(d.lambda_minus)) else _rotated(w), d, choice, **kwargs
+        ),
+        {"independence.forward-choice-independence": "forward construction depends on the choice for w=123, diagonal 321"},
+        {"all_choices": True},
+    ),
+    (
+        "reverse_tableau",
+        lambda real: lambda w, d, rect, choice=None, **kwargs: real(
+            w if choice in (None, superstandard_choice(complement_shape(d.lambda_plus, rect))) else _rotated(w),
+            d, rect, choice, **kwargs,
+        ),
+        {"independence.reverse-choice-independence": "reverse construction depends on the choice for w=123, diagonal 321"},
+        {"all_choices": True},
+    ),
+    # rotates w on every diagonal but the staircase one
+    (
+        "minimal_orbit_tableau",
+        lambda real: lambda w, rect, diag=None, **kwargs: real(
+            w if diag in (None, staircase_diagonal(rect)) else _rotated(w), rect, diag, **kwargs
+        ),
+        {"independence.diagonal-independence": "combined tableau depends on the diagonal for w=123"},
+        {"all_diagonals": True},
+    ),
+    (
+        "q_hook_polynomial",
+        lambda real: lambda rect: lambda q, poly=real(rect): poly(q) + 1,
+        {"csp.polynomial-at-one": "F(1) = 463 != 462 tableaux"},
+        {},
+    ),
+    (
+        "orbit_table",
+        lambda real: lambda rect, **caps: _with_one_fixed_point(real(rect, **caps)),
+        {
+            "csp.sieving-r=1": "F(zeta^1) = 0 but 1 tableaux are fixed",
+            "haiman.no-orbits-below-n": "1 tableaux fixed by 1-fold promotion with r < n",
+        },
+        {},
     ),
 ]
 
 
-@pytest.mark.parametrize("name, broken, expected", BROKEN_DEPENDENCIES, ids=[row[0] for row in BROKEN_DEPENDENCIES])
-def test_suite_cases_report_their_first_counterexample(monkeypatch, name, broken, expected):
+@pytest.mark.parametrize(
+    "name, broken, expected, options",
+    BROKEN_DEPENDENCIES,
+    ids=[name + "".join(f"-{option}" for option in options) for name, _, _, options in BROKEN_DEPENDENCIES],
+)
+def test_suite_cases_report_their_first_counterexample(monkeypatch, name, broken, expected, options):
     import taquin.verify as verify
 
     monkeypatch.setattr(verify, name, broken(getattr(verify, name)))
-    report = run_suite(Rectangle(3, 4), "all")
+    report = run_suite(Rectangle(3, 4), "all", **options)
     failed = {c.name: c.counterexample for c in report.cases if c.status == "fail"}
     assert failed == expected
     assert all(c.status == "pass" and c.counterexample is None for c in report.cases if c.name not in expected)
@@ -711,38 +794,21 @@ def test_verify_3x6_derives_each_slide_order_once_and_skips_trivial_slides(monke
 
 def test_suite_case_names_in_order():
     report = run_suite(Rectangle(3, 4), "all", all_choices=True, all_diagonals=True)
-    assert [c.name for c in report.cases] == [
-        "bijection.minimal-orbit-count-3!",
-        "bijection.image-equals-minimal-orbits",
-        "bijection.promotion-equivariance",
-        "bijection.invert-round-trip",
-        "bijection.non-minimal-rejected",
-        "independence.forward-choice-independence",
-        "independence.reverse-choice-independence",
-        "independence.diagonal-agreement",
-        "independence.diagonal-independence",
-        "csp.polynomial-at-one",
-        "csp.sieving-r=1",
-        "csp.sieving-r=2",
-        "csp.sieving-r=3",
-        "csp.sieving-r=4",
-        "csp.sieving-r=6",
-        "csp.sieving-r=12",
-        "haiman.orbit-sizes-divide-cell-count",
-        "haiman.full-cycle-spot-check",
-        "haiman.no-orbits-below-n",
-        "propositions.box-sequence-reconstruction",
-        "propositions.box-order-transport",
-        "propositions.strict-knuth-equivariance",
-        "propositions.descent-run-columns-and-delta",
-        "propositions.cross-diagonal-compatibility",
-        "propositions.corner-peeling-equivalence",
-        "propositions.insertion-route",
-        "propositions.periodic-word-equivalence",
-        "propositions.descent-sequence-equivalence",
-        "propositions.row-strict-insertion-moves",
-    ]
+    assert [c.name for c in report.cases] == SUITE_CASES
     assert report.passed
+
+
+def test_every_suite_case_fails_under_some_fault():
+    # a case that no fault test fails could pass on a broken claim unseen:
+    # the dependency faults, the hand-made table and the planted conflict
+    # must fail every case between them
+    def one_name(case):  # minimal-orbit-count-{n}! at any n
+        return re.sub(r"count-\d+!$", "count-n!", case)
+
+    failed = {case for _, _, expected, _ in BROKEN_DEPENDENCIES for case in expected}
+    failed |= {f"{suite}.{case}" for suite, cases in TABLE_FAILURES.items() for case in cases}
+    failed.add(f"propositions.{CROSS_DIAGONAL_CASE}")
+    assert {one_name(case) for case in failed} == {one_name(case) for case in SUITE_CASES}
 
 
 def test_suites_read_no_rows(monkeypatch):
@@ -754,6 +820,22 @@ def test_suites_read_no_rows(monkeypatch):
 
     monkeypatch.setattr(OrbitTable, "orbits", property(rows_read))
     assert [run_suite(rect, "all").to_json_dict() for rect in rects] == expected
+
+
+# {suite: {failing case: its counterexample}} on the hand-made table below
+TABLE_FAILURES = {
+    "haiman": {
+        "orbit-sizes-divide-cell-count": "orbit of size 4 does not divide 6: ((1, 2, 4), (3, 5, 6))",
+        "full-cycle-spot-check": "full-cycle promotion moved ((1, 3, 5), (2, 4, 6))",
+    },
+    "bijection": {
+        "minimal-orbit-count-2!": "counts[2] = 0 != 2",
+        "image-equals-minimal-orbits": "image has 2 tableaux, enumeration gives 0; symmetric difference size 2",
+        "promotion-equivariance": "promotion(T_12) != T_21",
+        "invert-round-trip": "invert round trip failed: 12 -> 21",
+        "non-minimal-rejected": "invert accepted a non-minimal tableau as 21",
+    },
+}
 
 
 def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
@@ -779,17 +861,8 @@ def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
     def failed(suite):
         return {c.name: c.counterexample for c in suite(rect, 0, False, False, caps, lambda: table) if c.status == "fail"}
 
-    assert failed(verify._suite_haiman) == {
-        "orbit-sizes-divide-cell-count": "orbit of size 4 does not divide 6: ((1, 2, 4), (3, 5, 6))",
-        "full-cycle-spot-check": "full-cycle promotion moved ((1, 3, 5), (2, 4, 6))",
-    }
-    assert failed(verify._suite_bijection) == {
-        "minimal-orbit-count-2!": "counts[2] = 0 != 2",
-        "image-equals-minimal-orbits": "image has 2 tableaux, enumeration gives 0; symmetric difference size 2",
-        "promotion-equivariance": "promotion(T_12) != T_21",
-        "invert-round-trip": "invert round trip failed: 12 -> 21",
-        "non-minimal-rejected": "invert accepted a non-minimal tableau as 21",
-    }
+    for suite, expected in TABLE_FAILURES.items():
+        assert failed(getattr(verify, f"_suite_{suite}")) == expected, suite
     # the round trip stops at T_12; the rejection case inverts the orbit of size 3
     assert inverted == [((1, 2, 4), (3, 5, 6)), rows[0]]
 
