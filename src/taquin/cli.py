@@ -1,24 +1,23 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error (bad
-arguments, including a rectangle with m < n, a diagonal or choice tableau
-that does not suit the rectangle, or a cap exceeded), 4 tableau parse
-error (a tableau file that cannot be read, is not a tableau, or is not one
-the command takes), 5 domain error (tableau outside the minimal orbit
-set).  Code 3 is retired and unused.  These are stable so shell harnesses
-need no output parsing.  `main` maps exceptions to them in one place; the
-input rules live in the library, m >= n in `shapes.Rectangle`.  `main`
-parses a named command with that command's parser alone, and builds the
-parser of all five for help, top-level errors and leftover arguments;
-either way it prints the same bytes.  Each command imports the layers it
-runs: `construct`, `promote` and `invert` never compile `sweep`, `sieving` or
-`verify`.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad arguments,
+including a rectangle with m < n, a diagonal or choice tableau that does not
+suit the rectangle, or a cap exceeded), 4 tableau parse error (a tableau
+file that cannot be read, is not a tableau, or is not one the command
+takes), 5 domain error (tableau outside the minimal orbit set), 141 stdout's
+reader gone (128 + SIGPIPE).  They are stable, so shell harnesses need no
+output parsing.  `main` maps exceptions to them in one place; the input
+rules live in the library, m >= n in `shapes.Rectangle`.  `main` parses a
+named command with its own parser, and help, top-level errors and leftovers
+with the parser of all five, which prints the same bytes.  `construct`,
+`promote` and `invert` never compile `sweep`, `sieving` or `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -41,6 +40,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PARSE = 4
 EXIT_DOMAIN = 5
+EXIT_PIPE = 141
 
 
 def _read_tableau(path: str, what: str = ""):
@@ -185,6 +185,11 @@ def _csp_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-count", type=_cap, default=MAX_COUNT)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse's own drops a failed write: main must see it
+        (file or sys.stdout).write(self.format_help())
+
+
 class Command(NamedTuple):
     help: str
     add_arguments: Callable[[argparse.ArgumentParser], None]
@@ -203,7 +208,7 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, for help, top-level errors and leftovers."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taquin",
         description="Minimal promotion orbits of rectangular standard Young tableaux.",
     )
@@ -214,11 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        code = _run(sys.argv[1:] if argv is None else list(argv))
+        sys.stdout.flush()  # a buffered write to a reader that has gone fails here
+        return code
+    except BrokenPipeError:  # `taquin verify ... | head -1`: stdout to devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+
+
+def _run(argv: list) -> int:
     name = argv[0] if argv and argv[0] in COMMANDS else None
     try:
         if name is not None:  # the subparser that the full parser would hand argv[1:] to
-            parser = argparse.ArgumentParser(prog=f"taquin {name}")
+            parser = _Parser(prog=f"taquin {name}")
             COMMANDS[name].add_arguments(parser)
             args, extras = parser.parse_known_args(argv[1:])
             args.command = name

@@ -265,8 +265,9 @@ def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, st
     if auto:
         steps = n * (diag.lambda_minus.size + 1)
     sig = prefix_terms(sigma, steps)
-    if sig and not (1 <= min(sig) and max(sig) <= n):
-        raise ValueError(f"sequence terms must lie in 1..{n}")
+    if sig and (set(map(type, sig)) != {int} or not (1 <= min(sig) and max(sig) <= n)):
+        bad = next(s for s in sig if type(s) is not int or not 1 <= s <= n)
+        raise ValueError(f"sequence term {bad!r} is not an integer in 1..{n}")
     cells = _grid_layout(region).cells
     # slides go in decreasing entry order, so entry k sits at the k-th last start
     grid = [0] * plan.size

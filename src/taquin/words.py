@@ -102,8 +102,8 @@ def descents(w: Permutation) -> set[int]:
 
 
 def _check_length(n: int) -> None:
-    if n < 0:
-        raise ValueError(f"prefix length must be nonnegative, got {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"prefix length must be {'nonnegative' if type(n) is int else 'an integer'}, got {n!r}")
 
 
 @dataclass(frozen=True)

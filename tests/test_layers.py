@@ -1,6 +1,7 @@
 """The layering of the verification code, read from the module sources,
 the one owner of the sweep caps, the two callers of the tableau
-validator, and what the package namespace holds."""
+validator, the tests that start a process, and what the package
+namespace holds."""
 
 import ast
 import inspect
@@ -103,6 +104,37 @@ def test_only_the_allow_listed_tests_read_private_sweep_names():
     assert set(found) == set(PRIVATE_SWEEP_SEAMS)
     for key, invariant in PRIVATE_SWEEP_SEAMS.items():
         assert (found[key] or "").startswith(invariant), key
+
+
+# the only tests that start a process, each mapped to what no in-process
+# call shows; `cli.main` is tested in-process everywhere else
+PROCESS_TESTS = {
+    ("test_cli.py", "test_construct_invert_pipe_round_trip"): "only a process runs the module entry's exit code",
+    ("test_cli.py", "test_a_reader_gone_before_the_first_write_exits_141_quietly"): "only a process has a stdout fd",
+    ("test_cli.py", "test_the_pipe_runs_no_sweep_counts_or_checks"): "a fresh interpreter shows what the pipe loads",
+    ("test_demos.py", "test_demo_runs"): "each demo runs as a script, as its reader runs it",
+    ("test_demos.py", "test_readme_quick_start_runs"): "the quick start runs as a script, as its reader runs it",
+    ("test_layers.py", "test_check_layer_names_load_on_first_use"): "a fresh interpreter shows what loads on first use",
+    ("test_tableaux.py", "test_parse_and_promote_keep_the_heap_flat_at_20_cells"): "free lists that earlier tests filled hide growth",
+}
+
+
+def test_only_the_allow_listed_tests_start_a_process():
+    # {(file, top-level function, or None at module level)}: a module-level
+    # helper that starts a process is not a test on the list
+    found = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {id(node): fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and (node.func.value.id, node.func.attr) in {("subprocess", "run"), ("subprocess", "Popen")}
+            ):
+                found.add((path.name, owners.get(id(node))))
+    assert found == set(PROCESS_TESTS)
 
 
 def test_sweep_caps_have_one_owner():

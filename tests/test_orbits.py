@@ -33,7 +33,6 @@ from taquin.shapes import (
     SkewShape,
     complement_diagonal,
     complement_shape,
-    diagonal_from_boxes,
     enumerate_diagonals,
     parse_partition,
     staircase_diagonal,
@@ -46,13 +45,11 @@ from taquin.tableaux import (
     is_standard_normalized,
 )
 from taquin.sweep import standard_tableaux
-from taquin.verify import random_corner_peeling
 from taquin.words import (
     Permutation,
     all_permutations,
     conjugate_by_reversal,
     descent_sequence,
-    descents,
     identity,
     inverse_word_sequence,
     parse_permutation,
@@ -185,14 +182,6 @@ def test_reverse_matches_complement_of_forward():
 def test_combined_tableau_1x1():
     t = minimal_orbit_tableau(Permutation((1,)), Rectangle(1, 1))
     assert t.row_tuples() == ((1,),)
-
-
-def test_combined_diagonal_independence_3x4():
-    rect = Rectangle(3, 4)
-    for w in all_permutations(3):
-        results = {minimal_orbit_tableau(w, rect, d) for d in enumerate_diagonals(rect)}
-        assert len(results) == 1
-        assert is_standard_normalized(results.pop())
 
 
 def test_combined_diagonal_entries_separate_permutations():
@@ -341,13 +330,6 @@ def test_slides_route_matches_insertion_route_and_any_diagonal(data):
 # -- inversion -------------------------------------------------------------------
 
 
-def test_invert_round_trip_small():
-    for n, m in [(2, 2), (3, 3), (3, 4)]:
-        rect = Rectangle(n, m)
-        for w in all_permutations(n):
-            assert invert(minimal_orbit_tableau(w, rect)) == w
-
-
 @pytest.mark.parametrize(
     "rows, message",
     [
@@ -425,6 +407,18 @@ def test_box_sequence_single_box_diagonal():
 def test_box_sequence_validation():
     with pytest.raises(ValueError):
         box_sequence([5], DIAG_5431, steps=1)
+    # terms and step counts are ints, never coerced: each refusal names the value
+    for sigma, steps, message in (
+        ([True, 2], 2, "sequence term True is not an integer in 1..4"),
+        ([1.0, 2], 2, "sequence term 1.0 is not an integer in 1..4"),
+        ([1, 2.5], 2, "sequence term 2.5 is not an integer in 1..4"),
+        ([1, "1"], 2, "sequence term '1' is not an integer in 1..4"),
+        ([1, 2], True, "prefix length must be an integer, got True"),
+        ([1, 2], 2.0, "prefix length must be an integer, got 2.0"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            box_sequence(sigma, DIAG_5431, steps=steps)
+        assert str(refused.value) == message
     with pytest.raises(ValueError):
         tableau_from_box_sequence(box_sequence([1], DIAG_5431, steps=1), DIAG_5431)
 
@@ -519,15 +513,6 @@ def cols_orientation_cases():
     return rect, enumerate_diagonals(rect)
 
 
-def test_descent_run_columns_match():
-    rect, diags = cols_orientation_cases()
-    for d in diags[:4]:
-        for w in all_permutations(4):
-            run = box_sequence(descent_sequence(w), d)
-            cols = column_sequence(tuple(sorted(descents(w), reverse=True)), 4, len(run.boxes))
-            assert tuple(b.col for b in run.boxes) == cols
-
-
 def test_delta_closed_form_examples():
     rect, diags = cols_orientation_cases()
     lam = diags[0].lambda_plus
@@ -542,14 +527,6 @@ def test_delta_closed_form_examples():
         delta_closed_form(identity(4), parse_partition("321"))
 
 
-def test_delta_closed_form_matches_runs():
-    rect, diags = cols_orientation_cases()
-    for d in diags[:3]:
-        for w in all_permutations(4):
-            run = box_sequence(descent_sequence(w), d)
-            assert run.delta == delta_closed_form(w, d.lambda_plus)
-
-
 # -- corner peeling ---------------------------------------------------------------
 
 
@@ -557,17 +534,6 @@ def test_peeling_single_cell():
     d = Diagonal(Partition((1,)))
     t = forward_tableau_by_peeling(Permutation((1,)), d, [Box(1, 1)])
     assert t.entries == {Box(1, 1): 1}
-
-
-def test_peeling_matches_forward_random_orders():
-    rng = random.Random(11)
-    rect = Rectangle(3, 4)
-    d = staircase_diagonal(rect)
-    perms = list(all_permutations(3))
-    for _ in range(30):
-        order = random_corner_peeling(3, 4, rng)
-        for w in perms:
-            assert forward_tableau_by_peeling(w, d, order) == forward_tableau(w, d)
 
 
 def test_peeling_validation():

@@ -144,26 +144,6 @@ def test_hook_lengths():
     assert hook_lengths(Partition()) == []
 
 
-def test_enumeration_is_deterministic_and_distinct():
-    shape = parse_partition("332")
-    first = list(standard_tableaux(shape))
-    second = list(standard_tableaux(shape))
-    assert first == second
-    assert len(set(first)) == len(first) == count_standard_tableaux(shape)
-    # placement order: filling row 1 first comes first
-    assert first[0] == ((1, 2, 3), (4, 5, 6), (7, 8))
-
-
-def test_enumeration_validity():
-    for rows in standard_tableaux(parse_partition("3221")):
-        flat = [v for row in rows for v in row]
-        assert sorted(flat) == list(range(1, 9))
-        for row in rows:
-            assert list(row) == sorted(row)
-        for a, b in zip(rows, rows[1:]):
-            assert all(x < y for x, y in zip(a, b))
-
-
 def test_enumeration_caps():
     with pytest.raises(EnumerationCapError):
         list(standard_tableaux(Partition((21,))))
@@ -226,21 +206,7 @@ def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
     assert len(pulled) == 1
 
 
-def test_empty_shape():
-    assert list(standard_tableaux(Partition())) == [()]
-    assert count_standard_tableaux(Partition()) == 1
-
-
 # -- orbit tables -----------------------------------------------------------------
-
-
-def test_orbit_table_2x2():
-    table = orbit_table(Rectangle(2, 2))
-    assert table.total == 2
-    assert table.counts == {1: 0, 2: 2, 4: 2}
-    assert len(table.orbits) == 1 and table.orbits[0][1] == 2
-    assert table.fixed_rows(2) == [((1, 2), (3, 4)), ((1, 3), (2, 4))]
-    assert table.fixed_rows(1) == []
 
 
 def test_orbit_table_runs_the_kernel_once_per_memo_miss(monkeypatch):
