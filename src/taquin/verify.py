@@ -59,7 +59,7 @@ from .words import (
     strict_knuth,
 )
 from .sieving import divisors, q_hook_at_root, q_hook_polynomial
-from .sweep import MAX_CELLS, MAX_COUNT, EnumerationCapError, OrbitTable, check_cap, orbit_table, standard_tableaux
+from .sweep import MAX_COUNT, EnumerationCapError, OrbitTable, check_cap, orbit_table, standard_tableaux
 
 
 # -- named check suites ---------------------------------------------------
@@ -137,9 +137,9 @@ def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
     return out
 
 
-def _choice_tableaux(shape: Partition, all_choices: bool, caps: dict):
+def _choice_tableaux(shape: Partition, all_choices: bool, max_count: int):
     if all_choices:
-        return [from_rows(rows) for rows in standard_tableaux(shape, **caps)]
+        return [from_rows(rows) for rows in standard_tableaux(shape, max_count=max_count)]
     out = [superstandard_choice(shape)]
     alt = _column_superstandard(shape)
     if alt != out[0]:
@@ -179,16 +179,16 @@ def _once(build):
     return read
 
 
-# Every suite takes (rect, seed, all_choices, all_diagonals, caps, table) and
-# returns its cases in a fixed order.  Each case is a check that returns its
-# first counterexample, or None when it passes, and `_case` runs it; checks
-# that draw from the suite's rng run in case order, so reports are
-# deterministic per seed.  `table()` reads the run's one orbit table, built
-# on the first read by any suite, so a build that raises runs once and fails
-# every check that reads the table instead of aborting the run.
+# Every suite takes (rect, seed, all_choices, all_diagonals, max_count,
+# table) and returns its cases in a fixed order.  Each case is a check that
+# returns its first counterexample, or None when it passes, and `_case` runs
+# it; checks that draw from the suite's rng run in case order, so reports
+# are deterministic per seed.  `table()` reads the run's one orbit table,
+# built on the first read by any suite, so a build that raises runs once and
+# fails every check that reads the table instead of aborting the run.
 
 
-def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
+def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, max_count: int, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     n = rect.n
     # one promotion step subtracts 1 mod n from every diagonal residue,
     # i.e. it carries the tableau of w to the tableau of c o w
@@ -255,20 +255,20 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
     return cases
 
 
-def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
+def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, max_count: int, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     perms = _perm_sample(rect.n, seed)
     diagonals = enumerate_diagonals(rect) if all_diagonals else [staircase_diagonal(rect)]
 
     def forward_choices():
         for d in diagonals:
-            choices = _choice_tableaux(d.lambda_minus, all_choices, caps)
+            choices = _choice_tableaux(d.lambda_minus, all_choices, max_count)
             for w in perms:
                 if len({forward_tableau(w, d, u) for u in choices}) != 1:
                     return f"forward construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
 
     def reverse_choices():
         for d in diagonals:
-            choices = _choice_tableaux(complement_shape(d.lambda_plus, rect), all_choices, caps)
+            choices = _choice_tableaux(complement_shape(d.lambda_plus, rect), all_choices, max_count)
             for w in perms:
                 if len({reverse_tableau(w, d, rect, u) for u in choices}) != 1:
                     return f"reverse construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
@@ -295,7 +295,7 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
     ]
 
 
-def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
+def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, max_count: int, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     def at_one_is_total():
         total = table().total
         at_one = q_hook_polynomial(rect)(1)
@@ -317,7 +317,7 @@ def _suite_csp(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: boo
     ]
 
 
-def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
+def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, max_count: int, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     total_cells = rect.ncells
 
     def sizes_divide():
@@ -349,7 +349,7 @@ def _suite_haiman(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: 
     ]
 
 
-def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, caps: dict, table: Callable[[], OrbitTable]) -> list[CaseResult]:
+def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, max_count: int, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     n = rect.n
     length = 3 * n
     rng = random.Random(seed)
@@ -382,7 +382,7 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
         # at n >= 3 too few defined moves is a failure
         if n < 3:
             return None
-        choices = [from_rows(rows) for rows in standard_tableaux(stair.lambda_minus, **caps)]
+        choices = [from_rows(rows) for rows in standard_tableaux(stair.lambda_minus, max_count=max_count)]
         letters, positions = _randints(rng, n), _randints(rng, length - 2)
         done = attempts = 0
         while done < instances and attempts < 50 * instances:
@@ -580,7 +580,6 @@ def run_suite(
     seed: int = 0,
     all_choices: bool = False,
     all_diagonals: bool = False,
-    max_cells: int = MAX_CELLS,
     max_count: int = MAX_COUNT,
 ) -> SuiteReport:
     """Run one suite of `SUITES`, or all of them in that order for "all"
@@ -588,20 +587,21 @@ def run_suite(
 
     Each case records pass, or fail with the first counterexample its check
     found; a failing check becomes a report entry, never an exception, and
-    a check that raises fails with `raised <repr>`.  The caps bound every
-    enumeration a suite makes; exceeding one raises `EnumerationCapError`.
+    a check that raises fails with `raised <repr>`.  `max_count` caps the
+    tableaux of every enumeration a suite makes; exceeding it raises
+    `EnumerationCapError`.
     Reports are deterministic for a fixed seed; a run's suites share one orbit table.
     """
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(SUITES + ('all',))}")
-    caps = {"max_cells": check_cap(max_cells), "max_count": check_cap(max_count)}
-    table = _once(partial(orbit_table, rect, **caps))
+    check_cap(max_count)
+    table = _once(partial(orbit_table, rect, max_count=max_count))
     cases: list[CaseResult] = []
     for name in SUITES if suite == "all" else (suite,):
         prefix = f"{name}." if suite == "all" else ""
         # looked up at call time, like `orbit_table` above, so a replaced
         # module attribute (a tracing wrapper, say) is the one that runs
         check = globals()[f"_suite_{name}"]
-        for c in check(rect, seed, all_choices, all_diagonals, caps, table):
+        for c in check(rect, seed, all_choices, all_diagonals, max_count, table):
             cases.append(CaseResult(prefix + c.name, c.status, c.counterexample))
     return SuiteReport(suite, rect, cases)

@@ -133,6 +133,8 @@ class DescentSequence:
 
     def __post_init__(self):
         d = self.descents
+        if type(self.n) is not int or any(type(x) is not int for x in d):  # a bool, float or str is never coerced
+            raise ValueError(f"n and the descents must be integers, got n={self.n!r}, descents {d!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if any(not 1 <= x <= self.n - 1 for x in d):
@@ -256,8 +258,9 @@ def bounded_equivalence(a, b, n: int, budget: int = 100_000, slack: int = 4) -> 
     could in principle pull letters in from beyond any finite prefix, so
     this refutes only at the chosen horizon); otherwise "inconclusive".
     """
-    if n < 0 or budget < 0 or slack < 0:
-        raise ValueError("n, budget and slack must be nonnegative")
+    for name, value in (("n", n), ("budget", budget), ("slack", slack)):
+        if type(value) is not int or value < 0:  # a bool, float or str is never coerced
+            raise ValueError(f"n, budget and slack must be nonnegative integers, got {name}={value!r}")
     target = prefix_terms(b, n)
     length = n + slack
     start = prefix_terms(a, length)

@@ -213,24 +213,27 @@ def test_count_cap_is_checked_before_enumerating(monkeypatch, capsys):
         raise AssertionError("enumeration started despite the count cap")
 
     monkeypatch.setattr(sweep, "_syt_halves", never)
-    assert main(["verify", "--n", "4", "--m", "5"]) == 2
-    assert main(["csp", "--n", "4", "--m", "5"]) == 2
-    assert "max-count" in capsys.readouterr().err
+    assert main(["verify", "--n", "3", "--m", "8"]) == 2
+    assert main(["csp", "--n", "2", "--m", "14"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 23371634 tableaux exceed the 2000000 cap; raise max_count (CLI: --max-count) to sweep\n"
+        "error: 2674440 tableaux exceed the 2000000 cap; raise max_count (CLI: --max-count) to sweep\n"
+    )
 
 
 def test_rank_lane_limit_is_checked_before_enumerating(monkeypatch, capsys):
     """Nothing is enumerated before a lane refusal: `sweep._syt_halves`,
     where every enumeration starts, is never called."""
-    # 4x7 passes raised caps, but its 13,672,405,890 tableaux do not fit the
-    # sweep's 4-byte successor ranks
+    # 4x7 passes a raised cap, but its 13,672,405,890 tableaux do not fit
+    # the sweep's 4-byte successor ranks
     import taquin.sweep as sweep
 
     def never(*args, **kwargs):
         raise AssertionError("enumeration started beyond the rank lanes")
 
     monkeypatch.setattr(sweep, "_syt_halves", never)
-    assert main(["csp", "--n", "4", "--m", "7", "--max-cells", "28", "--max-count", "20000000000"]) == 2
-    # no cap lifts the lane limit, so the caps' hint is left off
+    assert main(["csp", "--n", "4", "--m", "7", "--max-count", "20000000000"]) == 2
+    # no cap lifts the lane limit, so the message names no remedy
     assert capsys.readouterr().err == "error: 13672405890 tableaux exceed the 32-bit ranks of the sweep\n"
 
 
@@ -245,6 +248,8 @@ def test_csp_table(monkeypatch):
     assert "3 6 6" in out.splitlines()
     code, out, _ = run_cli("csp", "--n", "1", "--m", "1")
     assert code == 0 and out.strip() == "1 1 1"
+    # 22 cells and 58,786 tableaux: the tableau count alone is capped
+    assert run_cli("csp", "--n", "2", "--m", "11") == (0, "1 0 0\n2 2 2\n11 462 462\n22 58786 58786\n", "")
     # a polynomial value one too high at every divisor; `csp` imports
     # q_hook_at_root from taquin.sieving when it runs, so patch it there
     real = sieving.q_hook_at_root
@@ -274,11 +279,15 @@ def test_verify_suites():
 
 
 def test_verify_caps_reach_the_choice_enumerations(capsys):
-    argv = ["verify", "--n", "1", "--m", "22", "--all-choices", "--all-diagonals"]
-    assert main(argv + ["--max-cells", "22"]) == 0
+    # independence reads no orbit table: its choice enumerations refuse
+    argv = ["verify", "--n", "2", "--m", "9", "--suite", "independence", "--all-choices", "--all-diagonals"]
+    assert main(argv + ["--max-count", "1000"]) == 2
+    assert capsys.readouterr() == ("", "error: 1001 tableaux exceed the 1000 cap; raise max_count (CLI: --max-count) to sweep\n")
+    assert main(argv + ["--max-count", "1430"]) == 0
+    assert "independence: 4/4 cases ok" in capsys.readouterr().out
+    # 22 cells pass with the default cap
+    assert main(["verify", "--n", "1", "--m", "22", "--all-choices", "--all-diagonals"]) == 0
     assert "all: 26/26 cases ok" in capsys.readouterr().out
-    assert main(argv) == 2
-    assert "22 cells exceeds the 20-cell cap (see --max-cells/--max-count)" in capsys.readouterr().err
 
 
 def test_main_callable_directly(capsys):
@@ -326,6 +335,7 @@ BAD_FILES = {
     "wrongshape.json": dumps(from_rows([[1, 2, 3], [4, 5, 6]])),
 }
 CONSTRUCT_4X6 = ["construct", "--n", "4", "--m", "6", "--w", "3142"]
+CAP_EXCEEDED = "tableaux exceed the 2000000 cap; raise max_count (CLI: --max-count) to sweep\n"
 BAD_INPUT_ROWS = [
     (["construct", "--n", "3", "--m", "4", "--w", "3142"], "", 2, "error: ", ["--w has 4 letters", "--n is 3"]),
     (CONSTRUCT_4X6 + ["--diagonal", "531"], "", 2, "error: ", ["531", "3 corners"]),
@@ -343,22 +353,22 @@ BAD_INPUT_ROWS = [
     (["invert"], dumps(from_rows([[1, 2, 3], [4, 5, 6]])), 5, "not in O_n: ", ["residues (2, 2) collide"]),
     (["invert", "--tableau", "@missing.json"], "", 4, "error: ", ["No such file", "missing.json"]),
     (["verify", "--n", "3", "--m", "2"], "", 2, "error: ", ["m >= n"]),
-    (["verify", "--n", "4", "--m", "6"], "", 2, "error: ", ["24 cells", "20-cell cap", "(see --max-cells/--max-count)"]),
-    (["verify", "--n", "4", "--m", "5"], "", 2, "error: ", ["1000000", "(see --max-cells/--max-count)"]),
+    (["verify", "--n", "4", "--m", "6"], "", 2, "error: ", ["140229804 " + CAP_EXCEEDED]),
+    (["verify", "--n", "3", "--m", "8"], "", 2, "error: ", ["23371634 " + CAP_EXCEEDED]),
     (["csp", "--n", "3", "--m", "2"], "", 2, "error: ", ["m >= n"]),
-    (["csp", "--n", "4", "--m", "6"], "", 2, "error: ", ["24 cells", "20-cell cap", "(see --max-cells/--max-count)"]),
-    (["csp", "--n", "4", "--m", "5"], "", 2, "error: ", ["1000000", "(see --max-cells/--max-count)"]),
+    (["csp", "--n", "4", "--m", "6"], "", 2, "error: ", ["140229804 " + CAP_EXCEEDED]),
+    (["csp", "--n", "2", "--m", "14"], "", 2, "error: ", ["2674440 " + CAP_EXCEEDED]),
     (CONSTRUCT_4X6 + ["--diagonal", "[]"], "", 2, "error: ", ["empty shape has no diagonal"]),
-    # the message ends the line: no cap lifts the lane limit, so no caps hint
-    (["csp", "--n", "4", "--m", "7", "--max-cells", "28", "--max-count", "20000000000"], "", 2, "error: ",
+    # the message ends the line: no cap lifts the lane limit, so it names no remedy
+    (["csp", "--n", "4", "--m", "7", "--max-count", "20000000000"], "", 2, "error: ",
      ["13672405890 tableaux exceed the 32-bit ranks of the sweep\n"]),
     # one grid byte per entry: refused on the cell count alone, before the
-    # cell cap and the hook length count, with no caps hint
-    (["csp", "--n", "1", "--m", "300", "--max-cells", "400"], "", 2, "error: ",
+    # hook length count is held to the cap, and naming no remedy
+    (["csp", "--n", "1", "--m", "300", "--max-count", "0"], "", 2, "error: ",
      ["300 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
     (["csp", "--n", "1", "--m", "300"], "", 2, "error: ",
      ["300 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
-    (["csp", "--n", "300", "--m", "300", "--max-cells", "100000"], "", 2, "error: ",
+    (["csp", "--n", "300", "--m", "300"], "", 2, "error: ",
      ["90000 cells exceed the 255-cell limit of the sweep's grid bytes\n"]),
     # parsed 2x2 entries that are not a standard filling: the validator's
     # message, whole; a 0 is an entry, never an empty cell
@@ -377,8 +387,8 @@ BAD_INPUT_ROWS = [
         )
     ),
     # a negative cap is bad input, refused by argparse naming the option
-    (["csp", "--n", "2", "--m", "2", "--max-cells", "-1"], "", 2, "usage: taquin csp ",
-     ["taquin csp: error: argument --max-cells: a cap must be at least 0, got -1\n"]),
+    (["csp", "--n", "2", "--m", "2", "--max-count", "-1"], "", 2, "usage: taquin csp ",
+     ["taquin csp: error: argument --max-count: a cap must be at least 0, got -1\n"]),
     (["verify", "--n", "2", "--m", "2", "--max-count", "-1"], "", 2, "usage: taquin verify ",
      ["taquin verify: error: argument --max-count: a cap must be at least 0, got -1\n"]),
     # parsed tableaux that no row above covers: the message, whole; an inner
@@ -431,7 +441,7 @@ VERIFY_USAGE = (
     "usage: taquin verify [-h] --n N --m M\n"
     "                     [--suite {bijection,independence,csp,haiman,propositions,all}]\n"
     "                     [--all-choices] [--all-diagonals] [--seed SEED] [--json]\n"
-    "                     [--max-cells MAX_CELLS] [--max-count MAX_COUNT]\n"
+    "                     [--max-count MAX_COUNT]\n"
 )
 ARGPARSE_ERROR_ROWS = [
     ([], 2, TOP_USAGE + "taquin: error: the following arguments are required: command\n"),

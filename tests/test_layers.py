@@ -1,8 +1,9 @@
 """The layering of the verification code, read from the module sources,
-the one owner of the sweep caps, the two callers of the tableau
-validator, the tests that start a process, and what the package
-namespace holds."""
+the one owner of the sweep cap, the command-line flags the README names,
+the two callers of the tableau validator, the tests that start a
+process, and what the package namespace holds."""
 
+import argparse
 import ast
 import inspect
 import os
@@ -12,8 +13,8 @@ import sys
 from pathlib import Path
 
 import taquin
-from taquin.cli import build_parser
-from taquin.sweep import MAX_CELLS, MAX_COUNT, orbit_table, standard_tableaux
+from taquin.cli import COMMANDS, build_parser
+from taquin.sweep import MAX_COUNT, orbit_table, standard_tableaux
 from taquin.verify import run_suite
 
 PACKAGE = Path(taquin.__file__).parent
@@ -138,13 +139,29 @@ def test_only_the_allow_listed_tests_start_a_process():
 
 
 def test_sweep_caps_have_one_owner():
-    assert (MAX_CELLS, MAX_COUNT) == (20, 1_000_000)
+    # the tableau count is the one cap: no function or command takes a cell cap
+    assert MAX_COUNT == 2_000_000
     for command in ("verify", "csp"):
         args = build_parser().parse_args([command, "--n", "2", "--m", "3"])
-        assert (args.max_cells, args.max_count) == (MAX_CELLS, MAX_COUNT), command
+        assert args.max_count == MAX_COUNT, command
+        assert [name for name in vars(args) if name.startswith("max_")] == ["max_count"], command
     for fn in (standard_tableaux, orbit_table, run_suite):
         params = inspect.signature(fn).parameters
-        assert (params["max_cells"].default, params["max_count"].default) == (MAX_CELLS, MAX_COUNT), fn.__name__
+        assert params["max_count"].default == MAX_COUNT, fn.__name__
+        assert [name for name in params if name.startswith("max_")] == ["max_count"], fn.__name__
+
+
+def test_readme_names_exactly_the_command_line_flags():
+    # every "--" option of the five command parsers, and nothing else but
+    # help and pip's own flag, so a removed or renamed flag cannot linger
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--help", "--no-build-isolation"}
+    options = set()
+    for name, command in COMMANDS.items():
+        parser = argparse.ArgumentParser(prog=name)
+        command.add_arguments(parser)
+        options.update(flag for action in parser._actions for flag in action.option_strings if flag.startswith("--"))
+    assert named == options - {"--help"}
 
 
 def test_the_tableau_validator_has_one_check_order():

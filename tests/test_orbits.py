@@ -494,6 +494,13 @@ def test_column_sequence_examples():
         column_sequence((1, 2), 4, 5)
     with pytest.raises(ValueError):
         column_sequence((4,), 4, 5)
+    # the descents and n pass through `DescentSequence`, which coerces neither
+    with pytest.raises(ValueError, match=r"^n and the descents must be integers, got n=True, descents \(\)$"):
+        column_sequence((), True, 3)
+    with pytest.raises(ValueError, match=r"^n and the descents must be integers, got n=2\.0, descents \(1,\)$"):
+        column_sequence((1,), 2.0, 3)
+    with pytest.raises(ValueError, match=r"^n and the descents must be integers, got n=3, descents \(True,\)$"):
+        column_sequence((True,), 3, 4)
 
 
 def test_column_sequence_refuses_n_below_1():

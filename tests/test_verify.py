@@ -145,31 +145,34 @@ def test_hook_lengths():
 
 
 def test_enumeration_caps():
-    with pytest.raises(EnumerationCapError):
-        list(standard_tableaux(Partition((21,))))
+    with pytest.raises(EnumerationCapError, match=r"^2674440 tableaux exceed the 2000000 cap; raise max_count \(CLI: --max-count\) to sweep$"):
+        standard_tableaux(Partition((14, 14)))
     with pytest.raises(EnumerationCapError):
         list(standard_tableaux(parse_partition("444"), max_count=100))
     # explicit override allows it
-    assert sum(1 for _ in standard_tableaux(Partition((21,)), max_cells=25)) == 1
+    assert sum(1 for _ in standard_tableaux(parse_partition("444"), max_count=462)) == 462
+    # the count alone is capped: a row of 22 cells is one tableau
+    assert sum(1 for _ in standard_tableaux(Partition((22,)))) == 1
 
 
 @pytest.mark.parametrize(
     "caps",
     [
-        {"max_cells": -1},
+        {"max_count": -(2**64)},
         {"max_count": -1},
-        {"max_cells": True},
-        {"max_cells": 4.5},
+        {"max_count": True},
+        {"max_count": 4.5},
         {"max_count": 2.0},
         {"max_count": "10"},
-        {"max_cells": None},
+        {"max_count": None},
     ],
 )
 def test_negative_caps_are_bad_input_not_a_cap_exceeded(caps):
     # refused before any comparison, the 255-cell limit's included, and
-    # never coerced
+    # never coerced; a cap exceeded is a ValueError too, but always an
+    # `EnumerationCapError`, and a bad cap never is
     (value,) = caps.values()
-    message = "a cap must be at least 0, got -1" if value == -1 else f"a cap must be an integer, got {value!r}"
+    message = f"a cap must be at least 0, got {value}" if type(value) is int else f"a cap must be an integer, got {value!r}"
     calls = [
         lambda: standard_tableaux(Partition((2, 2)), **caps),
         lambda: standard_tableaux(Partition((300,)), **caps),
@@ -179,7 +182,7 @@ def test_negative_caps_are_bad_input_not_a_cap_exceeded(caps):
     for call in calls:
         with pytest.raises(ValueError) as refused:
             call()
-        assert str(refused.value) == message
+        assert type(refused.value) is ValueError and str(refused.value) == message
 
 
 def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
@@ -188,10 +191,10 @@ def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
     import taquin.sweep as sweep
 
     with pytest.raises(EnumerationCapError):
-        standard_tableaux(parse_partition("5555"))  # raised by the call, nothing iterated
+        standard_tableaux(Partition((8, 8, 8)))  # raised by the call, nothing iterated
     # a grid byte numbers at most 255 entries, and no cap lifts that limit
     with pytest.raises(RankLaneError, match="300 cells exceed the 255-cell limit"):
-        standard_tableaux(Partition((300,)), max_cells=400)
+        standard_tableaux(Partition((300,)), max_count=1)
     pulled = []
     real = sweep._syt_halves
 
@@ -201,7 +204,7 @@ def test_standard_tableaux_checks_caps_up_front_and_streams(monkeypatch):
             yield half
 
     monkeypatch.setattr(sweep, "_syt_halves", counting)
-    it = standard_tableaux(parse_partition("5555"), max_count=2_000_000)
+    it = standard_tableaux(parse_partition("5555"))
     assert next(it) == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10), (11, 12, 13, 14, 15), (16, 17, 18, 19, 20))
     assert len(pulled) == 1
 
@@ -822,10 +825,10 @@ def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
     monkeypatch.setattr(verify, "invert", accept)
     other = from_rows([[1, 2, 3], [4, 5, 6]])
     monkeypatch.setattr(verify, "promotion", lambda t: other)
-    caps = {"max_cells": 20, "max_count": 1_000_000}
 
     def failed(suite):
-        return {c.name: c.counterexample for c in suite(rect, 0, False, False, caps, lambda: table) if c.status == "fail"}
+        # a cap of 0 refuses every enumeration: the cases read the given table alone
+        return {c.name: c.counterexample for c in suite(rect, 0, False, False, 0, lambda: table) if c.status == "fail"}
 
     for suite, expected in TABLE_FAILURES.items():
         assert failed(getattr(verify, f"_suite_{suite}")) == expected, suite
@@ -1001,7 +1004,18 @@ def test_all_is_the_single_suites_in_order(rect):
 
 
 def test_caps_reach_every_enumeration():
-    report = run_suite(Rectangle(1, 22), "all", all_choices=True, all_diagonals=True, max_cells=22)
+    # one cap per run, taken by each enumeration a suite makes: the orbit
+    # table, the choice tableaux (independence reads no table) and the
+    # strict-Knuth choices (propositions reads neither)
+    for rect, suite, cap, count in (
+        (Rectangle(2, 9), "csp", 4861, 4862),
+        (Rectangle(2, 9), "independence", 1000, 1001),
+        (Rectangle(3, 4), "propositions", 1, 2),
+    ):
+        with pytest.raises(EnumerationCapError, match=f"^{count} tableaux exceed the {cap} cap"):
+            run_suite(rect, suite, all_choices=True, all_diagonals=True, max_count=cap)
+    # 22 cells, past the seed's cell cap, and no enumeration of more than 22 tableaux
+    report = run_suite(Rectangle(1, 22), "all", all_choices=True, all_diagonals=True)
     assert report.passed and len(report.cases) == 26
 
 

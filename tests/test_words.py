@@ -136,6 +136,12 @@ def test_descent_sequence_prefix():
         DescentSequence((1, 2), 4)  # must strictly decrease
     with pytest.raises(ValueError):
         DescentSequence((4,), 4)  # out of range
+    # a bool, float or str is never coerced, and is refused when built,
+    # not at the first prefix
+    for descents, n in (((1.0,), 3), ((True,), 3), ((2, "1"), 3), ((), 3.0), ((), True)):
+        with pytest.raises(ValueError) as refused:
+            DescentSequence(descents, n)
+        assert str(refused.value) == f"n and the descents must be integers, got n={n!r}, descents {descents!r}"
 
 
 def test_descent_sequence_refuses_n_below_1():
@@ -300,13 +306,30 @@ def test_bounded_equivalence_trivial_cases():
     assert verdict.status == "inconclusive"
 
 
-@pytest.mark.parametrize("kwargs", [{"n": -1}, {"budget": -1}, {"slack": -1}], ids=["n", "budget", "slack"])
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n": -1},
+        {"budget": -1},
+        {"slack": -1},
+        {"n": 4.0},
+        {"budget": 2.5},
+        {"budget": True},
+        {"budget": "5"},
+        {"slack": True},
+        {"slack": 1.0},
+    ],
+    ids=["n", "budget", "slack", "n-float", "budget-float", "budget-bool", "budget-str", "slack-bool", "slack-float"],
+)
 def test_bounded_equivalence_refuses_negative_lengths(kwargs):
     # with slack=-1 a sequence was "refuted" against itself: its 3-term
-    # start never equals the 4-term target
+    # start never equals the 4-term target; a bool, float or str is never
+    # coerced, and the message names the argument and its value
     a = PeriodicSequence((1, 2))
-    with pytest.raises(ValueError, match="n, budget and slack must be nonnegative"):
+    ((name, value),) = kwargs.items()
+    with pytest.raises(ValueError) as refused:
         bounded_equivalence(a, a, **{"n": 4, **kwargs})
+    assert str(refused.value) == f"n, budget and slack must be nonnegative integers, got {name}={value!r}"
 
 
 def test_bounded_equivalence_descent_sequence_of_21():
