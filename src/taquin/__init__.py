@@ -9,9 +9,10 @@ q-analogue of the hook length formula.
 
 The package namespace holds the names the README and the demos use, and
 the package's exceptions; everything else is imported from its module.
-The check layers (`sieving`, `sweep`, `verify`) enter `sys.modules` unrun
-(`LazyLoader`), and `__getattr__` resolves their names in `_LAZY` on first
-access, so `import taquin` and the pipe commands compile no check layer.
+The check layers (`sequences`, `sieving`, `sweep`, `verify`) enter
+`sys.modules` unrun (`LazyLoader`), and `__getattr__` resolves their names
+in `_LAZY` on first access, so `import taquin` and the pipe commands
+compile no check layer.
 """
 
 import importlib.util
@@ -30,35 +31,23 @@ from .tableaux import (
     from_rows,
     promotion,
 )
-from .words import (
-    bounded_equivalence,
-    descent_sequence,
-    descents,
-    elementary_knuth,
-    inverse_word_sequence,
-    parse_permutation,
-    prefix_terms,
-    promotion_cycle,
-    right_multiply,
-    strict_knuth,
-)
+from .words import parse_permutation, promotion_cycle, right_multiply
 from .orbits import (
     NotMinimalOrbitError,
-    box_sequence,
-    column_sequence,
-    delta_closed_form,
     forward_tableau,
     invert,
     minimal_orbit_tableau,
     reverse_tableau,
-    tableau_from_box_sequence,
 )
 
 __version__ = "0.1.0"
 
 _LAZY = {"q_hook_at_root": "sieving", "q_hook_polynomial": "sieving", "run_suite": "verify",
-         "EnumerationCapError": "sweep", "RankLaneError": "sweep", "orbit_table": "sweep"}
-for _layer in ("sieving", "sweep", "verify"):  # each runs on its first attribute access
+         "EnumerationCapError": "sweep", "RankLaneError": "sweep", "orbit_table": "sweep",
+         **dict.fromkeys(("bounded_equivalence", "box_sequence", "column_sequence", "delta_closed_form",
+                          "descent_sequence", "descents", "elementary_knuth", "inverse_word_sequence",
+                          "prefix_terms", "strict_knuth", "tableau_from_box_sequence"), "sequences")}
+for _layer in ("sequences", "sieving", "sweep", "verify"):  # each runs on its first attribute access
     _spec = importlib.util.find_spec(f"{__name__}.{_layer}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     globals()[_layer] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)

@@ -10,7 +10,8 @@ output parsing.  `main` maps exceptions to them in one place; the input
 rules live in the library, m >= n in `shapes.Rectangle`.  `main` parses a
 named command with its own parser, and help, top-level errors and leftovers
 with the parser of all five, which prints the same bytes.  `construct`,
-`promote` and `invert` never compile `sweep`, `sieving` or `verify`.
+`promote` and `invert` never compile `sequences`, `sieving`, `sweep` or
+`verify`.
 """
 
 from __future__ import annotations
@@ -227,7 +228,11 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a buffered write to a reader that has gone fails here
         return code
     except BrokenPipeError:  # `taquin verify ... | head -1`: stdout to devnull, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return EXIT_PIPE
 
 

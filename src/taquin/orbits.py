@@ -1,7 +1,6 @@
 """The core constructions: forward/reverse tableau building along a
-diagonal, box sequences with their displacement counts, closed forms for
-descent-driven runs, the combined minimal-orbit tableau of a permutation,
-and its inverse.
+diagonal, the combined minimal-orbit tableau of a permutation, its
+augmented-word insertion route, and its inverse.
 
 Constructions reuse per-shape plans: what a forward or reverse
 construction needs of its shapes alone (the grid layout, the diagonal's
@@ -11,16 +10,18 @@ slide order is derived and checked once per equal choice, shape and grid
 and kept in a bounded cache too; a choice that fails the check is
 refused again on every call.
 
-Orientation notes: the slide-based constructions work in either
-orientation of the rectangle.  `column_sequence` and `delta_closed_form`
-assume the permutation size n is the number of *columns*, while
-`augmented_insertion_tableau` assumes n is the number of *rows*; both
-check their assumption instead of transposing silently.
+Corner peeling, box sequences and their closed forms serve only the
+checks, and live in `taquin.sequences` on these plans, so the pipe never
+compiles them.
+
+Orientation note: the slide-based constructions work in either
+orientation of the rectangle, while `augmented_insertion_tableau`
+assumes n is the number of *rows*, and checks it instead of transposing
+silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -46,16 +47,7 @@ from .tableaux import (
     is_standard_normalized,
     standard_rectangle_dims,
 )
-from .words import (
-    DescentSequence,
-    Permutation,
-    _check_length,
-    augmented_word,
-    conjugate_by_reversal,
-    descents,
-    insertion_tableau,
-    prefix_terms,
-)
+from .words import Permutation, augmented_word, conjugate_by_reversal, insertion_tableau
 
 
 class NotMinimalOrbitError(ValueError):
@@ -87,13 +79,6 @@ def _slide_order(choice: PartialTableau | None, shape: Partition) -> list[Box]:
     for b, v in zip(layout.boxes, layout.read(choice.grid)):
         order[-v] = b
     return order
-
-
-def _pop_corner(mu: list[int], b: Box) -> None:
-    row, col = b
-    if not (1 <= row <= len(mu) and mu[row - 1] == col and (row == len(mu) or mu[row] < col)):
-        raise ValueError(f"{b} is not a removable corner of the unfilled region")
-    mu[row - 1] -= 1
 
 
 @lru_cache(maxsize=1024)
@@ -200,144 +185,6 @@ def reverse_tableau(w: Permutation, diag: Diagonal, rect: Rectangle, choice: Par
     `forward_tableau`.
     """
     return _construct(w, diag, rect, choice, trace, screen)
-
-
-def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> PartialTableau:
-    """Equivalent reformulation of forward_tableau driven by a corner
-    peeling of the full rectangle down to the empty shape: seed when a
-    diagonal box is peeled, slide when a cell below/left of the diagonal
-    is peeled, ignore the rest."""
-    order = [Box(*b) for b in corner_order]
-    if not order:
-        raise ValueError("empty peeling order")
-    nrows = max(b.row for b in order)
-    ncols = max(b.col for b in order)
-    if sorted(order) != sorted(Partition((ncols,) * nrows).cells()):
-        raise ValueError("peeling order must cover a full rectangle exactly once")
-    n = diag.n
-    if w.n != n:
-        raise ValueError(f"permutation size {w.n} != diagonal size {n}")
-    plan = _slide_plan(diag, None)
-    width = plan.width
-    seed = {b: i for i, b in enumerate(diag.boxes, start=1)}
-    grid = [0] * plan.size
-    mu = [ncols] * nrows
-    for b in order:
-        _pop_corner(mu, b)
-        if b in seed:
-            grid[b.row * width + b.col] = w(seed[b])
-        elif b in diag.lambda_minus:
-            _refill_slide(grid, width, b.row * width + b.col, True, plan.targets, n)
-    t = from_grid(plan.region, grid)
-    assert t.size == diag.lambda_plus.size
-    return t
-
-
-@dataclass
-class BoxSequenceRun:
-    """Terminals of diagonal-driven reverse slides and the displacement
-    counts delta(i) = #{k : sigma_k = i and the k-th terminal is not the
-    i-th diagonal box}."""
-
-    sigma_prefix: tuple[int, ...]
-    boxes: tuple[Box, ...]
-    delta: dict[int, int]
-    trace: tuple[PartialTableau, ...] | None = None
-
-
-def box_sequence(sigma, diag: Diagonal, choice: PartialTableau | None = None, steps: int | None = None, trace: bool = False) -> BoxSequenceRun:
-    """Drive reverse slides from diagonal boxes: at step k put a hole at
-    box sigma_k, reverse-slide it through the current tableau, record the
-    terminal, then delete whatever entry now occupies that diagonal box.
-
-    Each slide that moves deletes one entry.  Once none is left every
-    slide is trivial, ending at its own diagonal box, so the remaining
-    terminals are those boxes, recorded without sliding (with trace=True
-    the slides still run, one frame each).  With steps=None runs
-    n*(size of lambda_minus + 1) steps, enough for every entry to have
-    been deleted (asserted).
-    """
-    n = diag.n
-    plan = _slide_plan(diag, None)
-    region, width, seeds = plan.region, plan.width, plan.seeds
-    starts = plan.starts if choice is None else _slide_starts(choice, plan.shape, width, 0)
-    auto = steps is None
-    if auto:
-        steps = n * (diag.lambda_minus.size + 1)
-    sig = prefix_terms(sigma, steps)
-    if sig and (set(map(type, sig)) != {int} or not (1 <= min(sig) and max(sig) <= n)):
-        bad = next(s for s in sig if type(s) is not int or not 1 <= s <= n)
-        raise ValueError(f"sequence term {bad!r} is not an integer in 1..{n}")
-    cells = _grid_layout(region).cells
-    # slides go in decreasing entry order, so entry k sits at the k-th last start
-    grid = [0] * plan.size
-    for k, i in enumerate(reversed(starts), start=1):
-        grid[i] = k
-    left = len(starts)
-    frames = [from_grid(region, grid)] if trace else None
-    ends = []
-    delta = dict.fromkeys(range(1, n + 1), 0)
-    for s in sig:
-        if not (left or trace):
-            break
-        p = seeds[s - 1]
-        if grid[p]:
-            raise RuntimeError(f"diagonal box {cells[p]} occupied before its slide")
-        end, moved = grid_slide(grid, width, p, False)
-        ends.append(end)
-        if moved:  # so the terminal is off box p, and an entry reached p
-            grid[p] = 0
-            left -= 1
-            delta[s] += 1
-        if trace:
-            frames.append(from_grid(region, grid))
-    if auto and left:
-        raise RuntimeError("stabilization bound too small: entries remain")
-    ends += [seeds[s - 1] for s in sig[len(ends):]]
-    return BoxSequenceRun(tuple(sig), tuple(map(cells.__getitem__, ends)), delta, tuple(frames) if trace else None)
-
-
-def tableau_from_box_sequence(run: BoxSequenceRun, diag: Diagonal) -> PartialTableau:
-    """Reconstruct the forward tableau: the entry in each box is the first
-    step at which it appeared as a terminal."""
-    first = {}
-    for k, b in enumerate(run.boxes, start=1):
-        first.setdefault(b, k)
-    missing = [b for b in SkewShape(diag.lambda_plus).cells() if b not in first]
-    if missing:
-        raise ValueError(f"run too short: boxes never reached: {missing}")
-    return PartialTableau(SkewShape(diag.lambda_plus), first)
-
-
-def column_sequence(descent_list, n: int, count: int) -> tuple[int, ...]:
-    """Concatenated blocks (1, ..., n-d_j); with sigma the descent-driven
-    sequence, the k-th reverse-slide terminal lands in this column.
-    Assumes n is the number of columns of the rectangle."""
-    d = DescentSequence(tuple(descent_list), n).descents  # validates them
-    _check_length(count)
-    out = []
-    j = 0
-    while len(out) < count:
-        dj = d[j] if j < len(d) else 0
-        out.extend(range(1, n - dj + 1))
-        j += 1
-    return tuple(out[:count])
-
-
-def delta_closed_form(w: Permutation, lambda_plus: Partition) -> dict[int, int]:
-    """Displacement counts for the descent-driven sequence, directly from
-    the descent set: delta(i) = C_i - #{j : d_j >= i} + #{j : d_j >= n+1-i} - 1
-    with C_i the i-th column length of lambda_plus.  Assumes n = w.n is
-    the number of columns of the rectangle."""
-    n = w.n
-    if lambda_plus.ncols != n:
-        raise ValueError("lambda_plus must have exactly n columns (n-columns orientation)")
-    d = sorted(descents(w), reverse=True)
-    out = {}
-    for i in range(1, n + 1):
-        ci = lambda_plus.col_len(i)
-        out[i] = ci - sum(1 for x in d if x >= i) + sum(1 for x in d if x >= n + 1 - i) - 1
-    return out
 
 
 def augmented_insertion_tableau(w: Permutation, m: int, shape: Partition | None = None) -> PartialTableau:
@@ -460,3 +307,12 @@ def invert(t: PartialTableau, diag: Diagonal | None = None) -> Permutation:
     if minimal_orbit_tableau(w, rect, diag).grid != grid:
         raise NotMinimalOrbitError("residues form a permutation but do not rebuild the tableau")
     return w
+
+
+def __getattr__(name):
+    # bench/spans.py reads `taquin.orbits.box_sequence`; this forward goes
+    # with the next benchmark revision
+    if name == "box_sequence":
+        from .sequences import box_sequence
+        return box_sequence
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

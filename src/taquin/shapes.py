@@ -27,21 +27,6 @@ class Box(NamedTuple):
     col: int
 
 
-def box_leq(a, b) -> bool:
-    """Box order: a <= b iff b is weakly right of and weakly above a."""
-    a, b = Box(*a), Box(*b)
-    return b.col >= a.col and b.row <= a.row
-
-
-def box_less(a, b) -> bool:
-    """Strict box order.
-
-    Distinct boxes that are strictly right and strictly below one another
-    are incomparable, so this is a genuine partial order.
-    """
-    return tuple(a) != tuple(b) and box_leq(a, b)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Weakly decreasing positive row lengths; () is the empty partition."""
@@ -279,23 +264,6 @@ class Diagonal:
         return len(self.boxes)
 
 
-def _shape_around(boxes) -> Partition:
-    """Smallest partition containing the given boxes; empty for none."""
-    nrows = max((b.row for b in boxes), default=0)
-    return Partition(tuple(max(b.col for b in boxes if b.row >= r) for r in range(1, nrows + 1)))
-
-
-def diagonal_from_boxes(boxes) -> Diagonal:
-    """The diagonal with the given boxes, listed bottom-left to top-right;
-    raises ValueError unless they are the corners of the smallest shape
-    around them in that order."""
-    boxes = tuple(Box(*b) for b in boxes)
-    d = Diagonal(_shape_around(boxes))
-    if d.boxes != boxes:
-        raise ValueError(f"{boxes} is not a diagonal: each box must be strictly above and right of the last")
-    return d
-
-
 @lru_cache(maxsize=256)
 def staircase_diagonal(rect: Rectangle) -> Diagonal:
     """The default diagonal hugging the bottom-left corner of rect.
@@ -318,10 +286,3 @@ def enumerate_diagonals(rect: Rectangle) -> list[Diagonal]:
     if not rect.n_is_rows:
         return [Diagonal(transpose(d.lambda_plus)) for d in enumerate_diagonals(rect.transposed())]
     return [Diagonal(Partition(cols[::-1])) for cols in combinations(range(1, rect.m + 1), rect.n)]
-
-
-def complement_diagonal(d: Diagonal, rect: Rectangle) -> Diagonal:
-    """The image of a diagonal under the 180-degree complement: its boxes
-    rotated in rect.  For a diagonal of rect, its shapes are the complements
-    of d's, inner and outer swapped."""
-    return diagonal_from_boxes(complement_box(b, rect) for b in reversed(d.boxes))

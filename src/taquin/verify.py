@@ -23,7 +23,6 @@ from .shapes import (
     Partition,
     Rectangle,
     SkewShape,
-    box_less,
     complement_shape,
     enumerate_diagonals,
     removable_corners,
@@ -33,30 +32,33 @@ from .tableaux import PartialTableau, from_rows, promotion
 from .orbits import (
     NotMinimalOrbitError,
     augmented_insertion_tableau,
-    box_sequence,
-    column_sequence,
-    delta_closed_form,
     forward_tableau,
-    forward_tableau_by_peeling,
     invert,
     minimal_orbit_tableau,
     reverse_tableau,
     superstandard_choice,
-    tableau_from_box_sequence,
 )
 from .words import (
     Permutation,
     all_permutations,
+    insertion_tableau,
+    promotion_cycle,
+    right_multiply,
+)
+from .sequences import (
     bounded_equivalence,
+    box_less,
+    box_sequence,
+    column_sequence,
+    delta_closed_form,
     descent_sequence,
     descents,
+    forward_tableau_by_peeling,
     insertion_knuth_positions,
-    insertion_tableau,
     inverse_word_sequence,
-    promotion_cycle,
     reading_word_of_rows,
-    right_multiply,
     strict_knuth,
+    tableau_from_box_sequence,
 )
 from .sieving import divisors, q_hook_at_root, q_hook_polynomial
 from .sweep import MAX_COUNT, EnumerationCapError, OrbitTable, check_cap, orbit_table, standard_tableaux
@@ -138,13 +140,30 @@ def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
 
 
 def _choice_tableaux(shape: Partition, all_choices: bool, max_count: int):
+    """The choice tableaux of `shape`: every standard filling, streamed in
+    enumeration order (the cap is checked by this call), or else the row
+    and column superstandard fillings."""
     if all_choices:
-        return [from_rows(rows) for rows in standard_tableaux(shape, max_count=max_count)]
+        return map(from_rows, standard_tableaux(shape, max_count=max_count))
     out = [superstandard_choice(shape)]
     alt = _column_superstandard(shape)
     if alt != out[0]:
         out.append(alt)
     return out
+
+
+def _first_choice_dependent(perms: list[Permutation], choices, build):
+    """The first w of `perms` that `build(w, u)` maps to more than one
+    tableau over the choices u, or None.  Reads the choices once, each
+    for every w in turn, so no list of them is kept."""
+    first: dict[int, object] = {}
+    differs = set()
+    for u in choices:
+        for i, w in enumerate(perms):
+            t = build(w, u)
+            if first.setdefault(i, t) != t:
+                differs.add(i)
+    return perms[min(differs)] if differs else None
 
 
 def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
@@ -262,16 +281,16 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
     def forward_choices():
         for d in diagonals:
             choices = _choice_tableaux(d.lambda_minus, all_choices, max_count)
-            for w in perms:
-                if len({forward_tableau(w, d, u) for u in choices}) != 1:
-                    return f"forward construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
+            w = _first_choice_dependent(perms, choices, lambda w, u: forward_tableau(w, d, u))
+            if w is not None:
+                return f"forward construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
 
     def reverse_choices():
         for d in diagonals:
             choices = _choice_tableaux(complement_shape(d.lambda_plus, rect), all_choices, max_count)
-            for w in perms:
-                if len({reverse_tableau(w, d, rect, u) for u in choices}) != 1:
-                    return f"reverse construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
+            w = _first_choice_dependent(perms, choices, lambda w, u: reverse_tableau(w, d, rect, u))
+            if w is not None:
+                return f"reverse construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
 
     def agreement():
         for d in diagonals:

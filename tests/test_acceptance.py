@@ -15,18 +15,18 @@ from functools import lru_cache
 
 from taquin.orbits import (
     augmented_insertion_tableau,
-    box_sequence,
     forward_tableau,
     invert,
     minimal_orbit_tableau,
     reverse_tableau,
 )
-from taquin.shapes import Diagonal, Rectangle, box_less, enumerate_diagonals, parse_partition, staircase_diagonal
+from taquin.sequences import box_less, box_sequence, strict_knuth
+from taquin.shapes import Diagonal, Rectangle, enumerate_diagonals, parse_partition, staircase_diagonal
 from taquin.sieving import count_standard_tableaux
 from taquin.sweep import standard_tableaux
 from taquin.tableaux import from_rows
 from taquin.verify import run_suite
-from taquin.words import all_permutations, parse_permutation, strict_knuth
+from taquin.words import all_permutations, parse_permutation
 
 W3142 = parse_permutation("3142")
 DIAG_5431 = Diagonal(parse_partition("5431"))

@@ -116,11 +116,26 @@ def test_construct_invert_pipe_round_trip():
     assert err == "not in O_n: diagonal residues (2, 2) collide; not in the minimal orbit set\n"
 
 
+# The child of the 141 test: `main` on the command line's arguments, which
+# must leave the process's open file descriptors as it found them.
+MAIN_KEEPS_FDS_SCRIPT = """
+import os
+from taquin.cli import main
+
+before = sorted(os.listdir("/proc/self/fd"))
+code = main()
+after = sorted(os.listdir("/proc/self/fd"))
+assert after == before, (before, after)
+raise SystemExit(code)
+"""
+
+
 def test_a_reader_gone_before_the_first_write_exits_141_quietly():
     # `taquin verify ... | head -1`: the exit is a filter's killed by SIGPIPE,
     # and nothing is printed, not even by the flush at shutdown.  Buffered
     # stdout fails at main's flush; unbuffered fails at the write, help's
-    # inside argparse included
+    # inside argparse included.  The descriptor main opens on devnull is
+    # closed again
     procs = []
     for unbuffered, argv in (
         ("", ["construct", "--m", "6", "--w", "3142"]),
@@ -131,7 +146,7 @@ def test_a_reader_gone_before_the_first_write_exits_141_quietly():
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": unbuffered}
         read, write = os.pipe()
         os.close(read)
-        cmd = [sys.executable, "-m", "taquin.cli", *argv]
+        cmd = [sys.executable, "-c", MAIN_KEEPS_FDS_SCRIPT, *argv]
         procs.append((argv, unbuffered, subprocess.Popen(cmd, stdout=write, stderr=subprocess.PIPE, text=True, env=env)))
         os.close(write)
     for argv, unbuffered, proc in procs:
@@ -601,9 +616,12 @@ def test_the_pipe_runs_no_sweep_counts_or_checks():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert proc.returncode == 0, proc.stderr
-    everything = "taquin taquin.cli taquin.orbits taquin.shapes taquin.sieving taquin.sweep taquin.tableaux taquin.verify taquin.words"
+    everything = (
+        "taquin taquin.cli taquin.orbits taquin.sequences taquin.shapes taquin.sieving taquin.sweep taquin.tableaux"
+        " taquin.verify taquin.words"
+    )
     # the check layers sit in sys.modules from `import taquin` on, but only verify and csp run them
     assert proc.stdout.splitlines() == [
         f"{everything} | __init__ cli orbits shapes tableaux words",
-        f"{everything} | __init__ cli orbits shapes sieving sweep tableaux verify words",
+        f"{everything} | __init__ cli orbits sequences shapes sieving sweep tableaux verify words",
     ]

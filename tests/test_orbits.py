@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taquin import orbits
+from taquin import sequences
 from taquin.orbits import (
     _refill_slide,
     _slide_plan,
@@ -14,15 +14,19 @@ from taquin.orbits import (
     DiagonalMismatchError,
     NotMinimalOrbitError,
     augmented_insertion_tableau,
-    box_sequence,
-    column_sequence,
-    delta_closed_form,
     forward_tableau,
-    forward_tableau_by_peeling,
     invert,
     minimal_orbit_tableau,
     reverse_tableau,
     superstandard_choice,
+)
+from taquin.sequences import (
+    box_sequence,
+    column_sequence,
+    delta_closed_form,
+    descent_sequence,
+    forward_tableau_by_peeling,
+    inverse_word_sequence,
     tableau_from_box_sequence,
 )
 from taquin.shapes import (
@@ -31,7 +35,6 @@ from taquin.shapes import (
     Partition,
     Rectangle,
     SkewShape,
-    complement_diagonal,
     complement_shape,
     enumerate_diagonals,
     parse_partition,
@@ -49,9 +52,7 @@ from taquin.words import (
     Permutation,
     all_permutations,
     conjugate_by_reversal,
-    descent_sequence,
     identity,
-    inverse_word_sequence,
     parse_permutation,
     promotion_cycle,
 )
@@ -171,7 +172,7 @@ def test_reverse_matches_complement_of_forward():
     for w, d, rect in cases:
         direct = reverse_tableau(w, d, rect)
         dual_route = complement_tableau(
-            forward_tableau(conjugate_by_reversal(w), complement_diagonal(d, rect)), rect
+            forward_tableau(conjugate_by_reversal(w), Diagonal(complement_shape(d.lambda_minus, rect))), rect
         )
         assert direct == dual_route
 
@@ -454,8 +455,8 @@ def test_box_sequence_stops_sliding_once_its_grid_is_empty(monkeypatch):
     # terminals are their own diagonal boxes, recorded without a slide.  A
     # traced run slides every term, and must give the same run
     slides = []
-    slide = orbits.grid_slide
-    monkeypatch.setattr(orbits, "grid_slide", lambda *a: slides.append(a[2]) or slide(*a))
+    slide = sequences.grid_slide
+    monkeypatch.setattr(sequences, "grid_slide", lambda *a: slides.append(a[2]) or slide(*a))
     rng = random.Random(11)
     for rect in (Rectangle(3, 5), Rectangle(3, 3), Rectangle(2, 6, n_is_rows=False)):
         d = staircase_diagonal(rect if rect.ncols == rect.n else rect.transposed())

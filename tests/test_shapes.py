@@ -12,13 +12,9 @@ from taquin.shapes import (
     Partition,
     Rectangle,
     SkewShape,
-    box_leq,
-    box_less,
     complement_box,
-    complement_diagonal,
     complement_shape,
     contains,
-    diagonal_from_boxes,
     enumerate_diagonals,
     format_partition,
     parse_partition,
@@ -26,6 +22,7 @@ from taquin.shapes import (
     staircase_diagonal,
     transpose,
 )
+from taquin.sequences import box_leq, box_less
 
 
 # -- independent oracles ---------------------------------------------------
@@ -70,6 +67,29 @@ def chains_by_dfs(nrows, ncols, length):
 
     grow([])
     return out
+
+
+def _shape_around(boxes) -> Partition:
+    """Smallest partition containing the given boxes; empty for none."""
+    nrows = max((b.row for b in boxes), default=0)
+    return Partition(tuple(max(b.col for b in boxes if b.row >= r) for r in range(1, nrows + 1)))
+
+
+def diagonal_from_boxes(boxes) -> Diagonal:
+    """The diagonal with the given boxes, listed bottom-left to top-right;
+    raises ValueError unless they are the corners of the smallest shape
+    around them in that order."""
+    boxes = tuple(Box(*b) for b in boxes)
+    d = Diagonal(_shape_around(boxes))
+    if d.boxes != boxes:
+        raise ValueError(f"{boxes} is not a diagonal: each box must be strictly above and right of the last")
+    return d
+
+
+def complement_diagonal(d: Diagonal, rect: Rectangle) -> Diagonal:
+    """The image of a diagonal under the 180-degree complement: its boxes
+    rotated in rect."""
+    return diagonal_from_boxes(complement_box(b, rect) for b in reversed(d.boxes))
 
 
 # -- partitions ------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 
 import taquin
 from taquin.cli import main
-from taquin.orbits import box_sequence, forward_tableau, minimal_orbit_tableau, reverse_tableau
+from taquin.orbits import forward_tableau, minimal_orbit_tableau, reverse_tableau
+from taquin.sequences import box_sequence, inverse_word_sequence, reading_word_of_rows
 from taquin.shapes import Box, Partition, Rectangle, SkewShape, enumerate_diagonals, parse_partition, removable_corners
 from taquin.tableaux import (
     PartialTableau,
@@ -33,7 +34,7 @@ from taquin.tableaux import (
     to_file_dict,
 )
 from taquin.sweep import standard_tableaux
-from taquin.words import Permutation, all_permutations, insertion_tableau, inverse_word_sequence, reading_word_of_rows
+from taquin.words import Permutation, all_permutations, insertion_tableau
 
 
 # -- independent oracles ---------------------------------------------------

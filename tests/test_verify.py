@@ -16,9 +16,10 @@ import pytest
 from taquin.cli import main
 from taquin.shapes import Box, Partition, Rectangle, complement_shape, enumerate_diagonals, parse_partition, staircase_diagonal
 from taquin.tableaux import from_rows
-from taquin import orbits
+from taquin import orbits, sequences
 from taquin.orbits import NotMinimalOrbitError, superstandard_choice
-from taquin.words import Permutation, descent_sequence, insertion_tableau
+from taquin.sequences import descent_sequence
+from taquin.words import Permutation, insertion_tableau
 from taquin.sieving import (
     _cyclotomic,
     _poly_div_exact,
@@ -756,7 +757,8 @@ def test_verify_3x6_derives_each_slide_order_once_and_skips_trivial_slides(monke
     counts = Counter()
     order, slide = orbits._slide_order, orbits.grid_slide
     monkeypatch.setattr(orbits, "_slide_order", lambda *a: counts.update(["_slide_order"]) or order(*a))
-    monkeypatch.setattr(orbits, "grid_slide", lambda *a: counts.update(["grid_slide"]) or slide(*a))
+    for module in (orbits, sequences):  # the constructions' slides and the box sequences'
+        monkeypatch.setattr(module, "grid_slide", lambda *a: counts.update(["grid_slide"]) or slide(*a))
     assert run_suite(Rectangle(3, 6), "all", seed=5, all_diagonals=True).passed
     assert counts == {"_slide_order": 139, "grid_slide": 11453}
 

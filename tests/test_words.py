@@ -5,29 +5,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from taquin.shapes import Box, box_less
-from taquin.words import (
+from taquin.sequences import (
     DescentSequence,
     PeriodicSequence,
-    Permutation,
-    all_permutations,
-    augmented_word,
     bounded_equivalence,
-    conjugate_by_reversal,
+    box_less,
     descent_sequence,
     descents,
     elementary_knuth,
-    identity,
     insertion_knuth_positions,
-    insertion_tableau,
     inverse_word_sequence,
+    prefix_terms,
+    reading_word_of_rows,
+    strict_knuth,
+)
+from taquin.shapes import Box
+from taquin.words import (
+    Permutation,
+    all_permutations,
+    augmented_word,
+    conjugate_by_reversal,
+    identity,
+    insertion_tableau,
     parse_permutation,
     format_permutation,
-    prefix_terms,
     promotion_cycle,
-    reading_word_of_rows,
     right_multiply,
-    strict_knuth,
 )
 
 
@@ -333,16 +336,12 @@ def test_bounded_equivalence_refuses_negative_lengths(kwargs):
 
 
 def test_bounded_equivalence_descent_sequence_of_21():
-    from taquin.words import descent_sequence, inverse_word_sequence
-
     w = parse_permutation("21")
     verdict = bounded_equivalence(inverse_word_sequence(w), descent_sequence(w), 4)
     assert verdict.status == "proved"
 
 
 def test_bounded_equivalence_witness_replays():
-    from taquin.words import descent_sequence, inverse_word_sequence
-
     for text in ["312", "231", "321", "132"]:
         w = parse_permutation(text)
         a, b = inverse_word_sequence(w), descent_sequence(w)
@@ -357,8 +356,6 @@ def test_bounded_equivalence_witness_replays():
 
 
 def test_bounded_equivalence_same_insertion_tableau():
-    from taquin.words import inverse_word_sequence
-
     # 213 and 231 have the same insertion tableau, so the periodic words of
     # their inverses are equivalent
     w1 = parse_permutation("213").inverse()
