@@ -24,10 +24,12 @@ that exits mu at c, so the array is written a prefix at a time, each
 segment one big-int sum over the column's lanes (one lane of
 `array("I").itemsize` bytes per rank; `orbit_table` refuses a tableau
 count a lane cannot hold, with `RankLaneError`, before it enumerates).
-The orbits are the cycles of that array, walked over one visited byte
-per rank, and the table keeps each orbit as its size and the int of its
-first tableau; rows are read off the int on demand, for the orbits a
-check reports or promotes.  The contract tests check the sweep by its
+The orbits are the cycles of that array: each walk starts at the
+smallest unvisited rank and stops when it returns there, flagging one
+visited byte per rank.  The table keeps each orbit as its size and the
+rank of its first tableau, and the halves that decode a rank: its grid
+int, and rows read off it, are built on demand, for the orbits a check
+reports or promotes.  The contract tests check the sweep by its
 public names alone: `standard_tableaux` against a recursive enumerator
 on row tuples, and `orbit_table` against the orbits of object-level
 `tableaux.promotion`.
@@ -36,8 +38,11 @@ on row tuples, and `orbit_table` against the orbits of object-level
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import count
+from typing import Sequence
 
 from .shapes import Partition, Rectangle, SkewShape
 from .tableaux import _grid_layout, grid_size, grid_slide
@@ -182,19 +187,34 @@ def _promote_flat(code: int, nrows: int, ncols: int) -> int:
 class OrbitTable:
     """Promotion orbit decomposition of the standard tableaux of rect.
 
-    Each orbit is kept as its representative, the first of its tableaux in
-    enumeration order, as the int of its slide grid bytes (the sum p + q
-    of its halves that the sweep walks), and its size; `reps` and `sizes`
-    list the orbits in enumeration order of their representatives.
-    `rep_rows(k)` gives the rows of the k-th representative, and `orbits`
-    pairs each representative's rows with its size, built anew on each
-    read."""
+    Each orbit is kept as its size and the enumeration rank of its
+    representative, the first of its tableaux in enumeration order;
+    `rep_ranks` and `sizes` list the orbits in that order.  A rank is
+    decoded only when read, from the halves of the sweep: `halves[k]` is a
+    prefix p and its tails, `starts[k]` the rank of p + tails[0], so the
+    tableau of rank r is p + tails[r - starts[k]] for the last start at
+    or below r.  `reps` lists the representatives' grid ints,
+    `rep_rows(k)` gives the rows of the k-th, and `orbits` pairs each
+    representative's rows with its size, built anew on each read."""
 
     rect: Rectangle
-    reps: list[int]
+    rep_ranks: Sequence[int]  # array("I") from the sweep
     sizes: list[int]
     counts: dict[int, int]  # divisor r of the cell count -> #{T : r-fold promotion fixes T}
     total: int
+    starts: Sequence[int]  # array("I") from the sweep, ascending
+    halves: list[tuple[int, list[int]]]
+
+    def _grid_int(self, rank: int) -> int:
+        """The grid int of the tableau of enumeration rank `rank`."""
+        k = bisect_right(self.starts, rank) - 1
+        p, tails = self.halves[k]
+        return p + tails[rank - self.starts[k]]
+
+    @property
+    def reps(self) -> list[int]:
+        """The grid int of every representative."""
+        return [self._grid_int(rank) for rank in self.rep_ranks]
 
     @property
     def orbits(self) -> list[tuple[tuple, int]]:
@@ -204,16 +224,17 @@ class OrbitTable:
 
     def rep_rows(self, k: int) -> tuple:
         """The rows of the representative of the k-th orbit."""
-        return _flat_rows(self.reps[k], *_row_slices(self.rect.as_partition()))
+        return _flat_rows(self._grid_int(self.rep_ranks[k]), *_row_slices(self.rect.as_partition()))
 
     def fixed_rows(self, r: int) -> list[tuple]:
         """All tableaux fixed by r-fold promotion, as row tuples."""
         nrows, ncols = self.rect.nrows, self.rect.ncols
         length, slices = _row_slices(self.rect.as_partition())
         out = []
-        for cur, size in zip(self.reps, self.sizes):
+        for rank, size in zip(self.rep_ranks, self.sizes):
             if r % size:
                 continue
+            cur = self._grid_int(rank)
             for _ in range(size):
                 out.append(_flat_rows(cur, length, slices))
                 cur = _promote_flat(cur, nrows, ncols)
@@ -315,36 +336,35 @@ def orbit_table(rect: Rectangle, *, max_count: int = MAX_COUNT) -> OrbitTable:
     each half of a tableau on its own.  A count of tableaux that one
     `array("I")` lane cannot hold is refused with `RankLaneError`, like
     the cap, before any enumeration.  The orbits are the cycles of that
-    array: the sweep jumps to the next unvisited rank of each prefix with
-    `bytearray.find` and walks its cycle, flagging each rank in a
-    bytearray.  Each orbit is kept as its size and its representative, the
-    first of its tableaux in enumeration order, as the int p + q the walk
-    holds; no rows are built."""
+    array: each walk starts at the smallest unvisited rank, which
+    `bytearray.find` jumps to, flags each rank it meets in a bytearray,
+    and stops when it returns to its start.  Each orbit is kept as its
+    size and the rank of its representative, the first of its tableaux in
+    enumeration order, in an `array("I")`, with the halves that decode a
+    rank; no grid int or rows are built."""
     from array import array
 
     shape = rect.as_partition()
-    count = _check_caps(shape, max_count)
+    total = _check_caps(shape, max_count)
     bits = 8 * array("I").itemsize
-    if count >> bits:
-        raise RankLaneError(f"{count} tableaux exceed the {bits}-bit ranks of the sweep")
+    if total >> bits:
+        raise RankLaneError(f"{total} tableaux exceed the {bits}-bit ranks of the sweep")
     halves, offset, index = _ranked_halves(shape)
     nxt = _successor_ranks(rect.nrows, rect.ncols, halves, offset, index)
-    seen = bytearray(len(nxt))
-    reps: list[int] = []
+    seen = bytearray(total)
+    rep_ranks = array("I")
     sizes: list[int] = []
-    for p, tails in halves:
-        first = offset[p]
-        end = first + len(tails)
-        start = seen.find(0, first, end)
-        while start >= 0:
-            size, rank = 0, start
-            while not seen[rank]:
-                seen[rank] = 1
-                rank = nxt[rank]
-                size += 1
-            reps.append(p + tails[start - first])
-            sizes.append(size)
-            start = seen.find(0, start + 1, end)
+    start = 0
+    while start >= 0:
+        rank = start
+        for size in count(1):
+            seen[rank] = 1
+            rank = nxt[rank]
+            if rank == start:
+                break
+        rep_ranks.append(start)
+        sizes.append(size)
+        start = seen.find(0, start + 1)
     histogram = Counter(sizes)
     counts = {r: sum(s * k for s, k in histogram.items() if r % s == 0) for r in divisors(rect.ncells)}
-    return OrbitTable(rect, reps, sizes, counts, len(seen))
+    return OrbitTable(rect, rep_ranks, sizes, counts, total, array("I", offset.values()), halves)

@@ -3,9 +3,9 @@
 A PartialTableau is its region and its slide grid, the `grid_size`
 layout of the region's bounding rectangle with 0 for an empty cell;
 `entries`, a box -> entry map, is built only when asked for.
-`grid_slide` is the one slide kernel: the constructions in `orbits`,
-rectification, promotion and the orbit sweep all move entries through it
-on that layout.
+`grid_slide` is the one slide kernel: the constructions in `orbits`
+and `sequences`, promotion and the orbit sweep all move entries through
+it on that layout.
 
 Every PartialTableau holds distinct positive ints, strictly increasing
 between adjacent filled cells, which turns a buggy slide into a loud
@@ -39,7 +39,6 @@ from .shapes import (
     SkewShape,
     complement_box,
     complement_shape,
-    removable_corners,
 )
 
 
@@ -90,9 +89,6 @@ class PartialTableau:
         if (v := self.get(box)) is None:
             raise KeyError(Box(*box))
         return v
-
-    def is_filled(self, box) -> bool:
-        return self.get(box) is not None
 
     def __eq__(self, other):
         return isinstance(other, PartialTableau) and self.grid == other.grid and self.region == other.region
@@ -303,31 +299,6 @@ def grid_slide(grid: list[int] | bytearray, width: int, hole: int, forward: bool
                 break
     g[p] = 0
     return p, moved
-
-
-def rectify(t: PartialTableau) -> PartialTableau:
-    """Slide the inner shape away (always from its last removable corner).
-
-    The result is independent of the corner order;
-    tests/test_tableaux.py::test_rectify_order_independent_small checks
-    this against random orders at small sizes.
-    """
-    if t.size != t.region.size:
-        raise TableauError("rectify needs a fully filled region")
-    outer, inner = t.region.outer, t.region.inner
-    grid, width = t.grid[:], _grid_layout(t.region).width
-    inner_rows = list(inner.rows)
-    while any(inner_rows):
-        r, c = removable_corners(Partition(tuple(inner_rows)))[-1]
-        grid_slide(grid, width, r * width + c)
-        inner_rows[r - 1] -= 1
-    rows = []
-    for r in range(1, outer.nrows + 1):
-        row = grid[r * width + 1 : r * width + outer.row_len(r) + 1]
-        filled = sum(1 for v in row if v)
-        assert all(row[:filled]), "rectified entries are not left-justified"
-        rows.append(row[:filled])
-    return from_rows(rows)
 
 
 def _promotion_step(t: PartialTableau, forward: bool) -> PartialTableau:

@@ -44,10 +44,6 @@ class Permutation:
         return format_permutation(self)
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def promotion_cycle(n: int) -> Permutation:
     """The n-cycle sending 1 to n and k to k-1.
 

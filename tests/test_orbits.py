@@ -52,10 +52,14 @@ from taquin.words import (
     Permutation,
     all_permutations,
     conjugate_by_reversal,
-    identity,
     parse_permutation,
     promotion_cycle,
 )
+
+
+def identity(n):
+    return Permutation(tuple(range(1, n + 1)))
+
 
 W3142 = parse_permutation("3142")
 DIAG_5431 = Diagonal(parse_partition("5431"))

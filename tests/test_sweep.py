@@ -91,6 +91,8 @@ def test_orbit_table_is_the_orbits_of_promotion(rect):
     assert table.orbits == [(orbit[0], len(orbit)) for orbit in orbits]
     # the sweep's ints are the bytes of the tableaux's slide grids
     assert table.reps == [int.from_bytes(bytes(from_rows(orbit[0]).grid), "big") for orbit in orbits]
+    # the rows `verify` reads, decoded from one rank at a time
+    assert [table.rep_rows(k) for k in range(len(orbits))] == [orbit[0] for orbit in orbits]
     for r in divisors(rect.ncells):
         assert table.fixed_rows(r) == [rows for orbit in orbits if r % len(orbit) == 0 for rows in orbit], r
 

@@ -30,7 +30,6 @@ from taquin.tableaux import (
     is_standard_normalized,
     loads,
     promotion,
-    rectify,
     to_file_dict,
 )
 from taquin.sweep import standard_tableaux
@@ -55,6 +54,32 @@ def slide_recursive(entries, region, hole):
     new = dict(entries)
     new[hole] = new.pop(nxt)
     return slide_recursive(new, region, nxt)
+
+
+def is_filled(t, box):
+    return t.get(box) is not None
+
+
+def rectify(t):
+    """Slide the inner shape away, always from its last removable corner;
+    the result does not depend on the corner order
+    (`test_rectify_order_independent_small`)."""
+    if t.size != t.region.size:
+        raise TableauError("rectify needs a fully filled region")
+    outer, inner = t.region.outer, t.region.inner
+    grid, width = t.grid[:], _grid_layout(t.region).width
+    inner_rows = list(inner.rows)
+    while any(inner_rows):
+        r, c = removable_corners(Partition(tuple(inner_rows)))[-1]
+        grid_slide(grid, width, r * width + c)
+        inner_rows[r - 1] -= 1
+    rows = []
+    for r in range(1, outer.nrows + 1):
+        row = grid[r * width + 1 : r * width + outer.row_len(r) + 1]
+        filled = sum(1 for v in row if v)
+        assert all(row[:filled]), "rectified entries are not left-justified"
+        rows.append(row[:filled])
+    return from_rows(rows)
 
 
 def promotion_by_generic_rectification(t):
@@ -124,7 +149,7 @@ def test_row_round_trip():
     assert t.region.inner == parse_partition("1")
     assert t.row_tuples() == ((1, 2, 6), (3, None, 7), (5, 9))
     assert t[(1, 3)] == 2
-    assert not t.is_filled((2, 2))
+    assert not is_filled(t, (2, 2))
 
 
 def test_standard_from_rows():
@@ -407,7 +432,7 @@ def test_forward_slide_first_worked_step():
     slid, path = slide(worked_start(), (2, 3))
     assert path[-1] == Box(3, 3)
     assert slid[(2, 3)] == 1
-    assert not slid.is_filled((3, 3))
+    assert not is_filled(slid, (3, 3))
     assert path == (Box(2, 3), Box(3, 3))
 
 
@@ -435,7 +460,7 @@ def test_reverse_slide_first_worked_step():
     slid, path = slide(t, (3, 4), forward=False)
     assert path[-1] == Box(2, 4)
     assert slid[(3, 4)] == 24
-    assert not slid.is_filled((2, 4))
+    assert not is_filled(slid, (2, 4))
 
 
 def test_slide_duality_exhaustive_small_regions():
@@ -446,7 +471,7 @@ def test_slide_duality_exhaustive_small_regions():
             for hole in t.region.cells():
                 r, c = hole
                 # a forward slide starts at an empty cell with nothing filled left of or above it
-                if t.is_filled(hole) or t.is_filled((r, c - 1)) or t.is_filled((r - 1, c)):
+                if is_filled(t, hole) or is_filled(t, (r, c - 1)) or is_filled(t, (r - 1, c)):
                     continue
                 slid, path = slide(t, hole)
                 back, back_path = slide(slid, path[-1], forward=False)
@@ -594,7 +619,7 @@ def test_rectify_order_independent_small():
             cur, _ = slide(cur, corner)
             inner_rows[corner.row - 1] -= 1
         shape = tuple(
-            sum(1 for c in range(1, outer.row_len(r) + 1) if cur.is_filled((r, c)))
+            sum(1 for c in range(1, outer.row_len(r) + 1) if is_filled(cur, (r, c)))
             for r in range(1, outer.nrows + 1)
         )
         return PartialTableau(SkewShape(Partition(shape)), cur.entries)

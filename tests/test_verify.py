@@ -267,8 +267,7 @@ def test_orbit_table_peak_memory_at_3x6():
 
 
 def test_orbit_table_keeps_no_rows_at_3x6():
-    # one representative grid int and one size per orbit stay alive: a
-    # tuple of row tuples per orbit kept about 1.8 MB
+    # no rows stay alive: a tuple of row tuples per orbit kept about 1.8 MB
     tracemalloc.start()
     try:
         table = orbit_table(Rectangle(3, 6))
@@ -279,6 +278,21 @@ def test_orbit_table_keeps_no_rows_at_3x6():
         tracemalloc.stop()
     assert current < 450_000, current
     assert table.total == 87_516
+
+
+def test_orbit_table_keeps_ranks_not_grid_ints_at_3x6():
+    # a rank and a size per orbit, and the 771 prefixes that decode a rank,
+    # stay alive: a table with a grid int per orbit kept about 360 KB
+    orbit_table(Rectangle(3, 6))  # fills the caches a first build fills
+    tracemalloc.start()
+    try:
+        table = orbit_table(Rectangle(3, 6))
+        gc.collect()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 256_000, current
+    assert len(table.sizes) == 4_896
 
 
 # -- q-hook polynomial -------------------------------------------------------------
@@ -816,8 +830,9 @@ def test_table_cases_report_the_rows_of_the_orbit_they_name(monkeypatch):
     # divide N = 6
     rect = Rectangle(2, 3)
     rows = [((1, 3, 5), (2, 4, 6)), ((1, 2, 4), (3, 5, 6))]
+    # one prefix, the empty one, whose tails are the two representatives
     reps = [int.from_bytes(bytes(from_rows(t).grid), "big") for t in rows]
-    table = OrbitTable(rect, reps, [3, 4], {1: 0, 2: 0, 3: 3, 6: 3}, 7)
+    table = OrbitTable(rect, [0, 1], [3, 4], {1: 0, 2: 0, 3: 3, 6: 3}, 7, [0], [(0, reps)])
     inverted = []
 
     def accept(t):

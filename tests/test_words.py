@@ -25,7 +25,6 @@ from taquin.words import (
     all_permutations,
     augmented_word,
     conjugate_by_reversal,
-    identity,
     insertion_tableau,
     parse_permutation,
     format_permutation,
@@ -35,6 +34,10 @@ from taquin.words import (
 
 
 # -- independent oracles ---------------------------------------------------
+
+
+def identity(n):
+    return Permutation(tuple(range(1, n + 1)))
 
 
 def inverse_by_search(w):
