@@ -176,7 +176,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--suite", default="all", choices=(*SUITES, "all"))
-    p.add_argument("--all-choices", action="store_true", help="sweep every choice tableau")
+    p.add_argument("--all-choices", action="store_true", help="check every choice tableau, by one walk over slide states")
     p.add_argument("--all-diagonals", action="store_true", help="sweep every diagonal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="also print a JSON report")

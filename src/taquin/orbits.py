@@ -10,9 +10,9 @@ slide order is derived and checked once per equal choice, shape and grid
 and kept in a bounded cache too; a choice that fails the check is
 refused again on every call.
 
-Corner peeling, box sequences and their closed forms serve only the
-checks, and live in `taquin.sequences` on these plans, so the pipe never
-compiles them.
+Corner peeling, the walk over every choice tableau, box sequences and
+their closed forms serve only the checks, and live in `taquin.sequences`
+on these plans, so the pipe never compiles them.
 
 Orientation note: the slide-based constructions work in either
 orientation of the rectangle, while `augmented_insertion_tableau`
@@ -130,28 +130,34 @@ def _refill_slide(grid: list[int], width: int, hole: int, forward: bool, targets
     grid[end] = moved + shift
 
 
+def _seeded(w: Permutation, diag: Diagonal, rect: Rectangle | None) -> tuple[_SlidePlan, list[int]]:
+    """The plan of the construction along `diag` (forward when rect is
+    None) and its grid with w(i) seeded at the i-th diagonal box, plus
+    (m-1)n in reverse."""
+    if w.n != diag.n:
+        raise ValueError(f"permutation size {w.n} != diagonal size {diag.n}")
+    plan = _slide_plan(diag, rect)
+    grid = [0] * plan.size
+    shift = 0 if rect is None else rect.ncells - diag.n
+    for i, v in zip(plan.seeds, w.oneline):
+        grid[i] = v + shift
+    return plan, grid
+
+
 def _construct(w: Permutation, diag: Diagonal, rect: Rectangle | None, choice: PartialTableau | None, trace: bool, screen: bool):
-    """Seed w(i) at the i-th diagonal box, plus (m-1)n in reverse, then
-    slide from each cell of the plan's shape in the choice tableau's slide
-    order: forward from the cell itself when rect is None, otherwise in
-    reverse from its 180-degree rotation in rect.  Each path must end on
-    the diagonal, whose box takes the entry that left it plus n (forward)
-    or minus n.  With screen=False (and no trace) the result is built
-    without the validator, for a caller that checks it itself."""
-    n = diag.n
-    if w.n != n:
-        raise ValueError(f"permutation size {w.n} != diagonal size {n}")
-    region, shape, width, size, seeds, targets, starts, far = _slide_plan(diag, rect)
+    """Seed w, then slide from each cell of the plan's shape in the choice
+    tableau's slide order: forward from the cell itself when rect is None,
+    otherwise in reverse from its 180-degree rotation in rect.  Each path
+    must end on the diagonal, whose box takes the entry that left it plus
+    n (forward) or minus n.  With screen=False (and no trace) the result
+    is built without the validator, for a caller that checks it itself."""
+    (region, shape, width, _, _, targets, starts, far), grid = _seeded(w, diag, rect)
     if choice is not None:
         starts = _slide_starts(choice, shape, width, far)
     forward = rect is None
-    shift = 0 if forward else rect.ncells - n
-    grid = [0] * size
-    for i, v in zip(seeds, w.oneline):
-        grid[i] = v + shift
     frames = [from_grid(region, grid)] if trace else None
     for hole in starts:
-        _refill_slide(grid, width, hole, forward, targets, n if forward else -n)
+        _refill_slide(grid, width, hole, forward, targets, diag.n if forward else -diag.n)
         if trace:
             frames.append(from_grid(region, grid))
     if not (trace or screen):

@@ -1,7 +1,8 @@
 """The check layer's sequences: descents, periodic and descent sequences,
 classical and strict Knuth moves over a poset with the bounded equivalence
-search, the moves of row insertion, corner peeling, diagonal-driven box
-sequences with their displacement counts and closed forms, and the box
+search, the moves of row insertion, corner peeling, the walk of the
+constructions over every choice tableau's corner order, diagonal-driven
+box sequences with their displacement counts and closed forms, and the box
 order that transports the moves to box sequences.
 
 The verification suites and the demos read these; the pipe (`construct`,
@@ -21,10 +22,11 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import chain, islice
 
-from .shapes import Box, Diagonal, Partition, SkewShape
+from .shapes import Box, Diagonal, Partition, Rectangle, SkewShape
 from .tableaux import PartialTableau, _grid_layout, from_grid, grid_slide
 from .words import Permutation
-from .orbits import _refill_slide, _slide_plan, _slide_starts
+from .orbits import _refill_slide, _seeded, _slide_plan, _slide_starts
+from .sweep import MAX_COUNT, _check_caps
 
 
 # -- words and sequences --------------------------------------------------
@@ -293,6 +295,32 @@ def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> 
     t = from_grid(plan.region, grid)
     assert t.size == diag.lambda_plus.size
     return t
+
+
+def choice_grids(w: Permutation, diag: Diagonal, rect: Rectangle | None = None, *, max_count: int = MAX_COUNT) -> set[tuple[int, ...]]:
+    """The grids of the forward construction along `diag` (rect None), or
+    of the reverse one in rect, over every choice tableau.  Its slides
+    start at corners of the cells not yet slid, so after k slides the state
+    is (mu, grid), mu the partition of those cells: level by level the walk
+    keeps each mu's distinct grids (two corner orders need not agree in
+    between) and steps each once per corner of mu.  Each choice tableau is
+    one path, so the choice count, capped before the first slide as by
+    `standard_tableaux`, bounds the slides."""
+    (_, shape, width, _, _, targets, _, far), grid = _seeded(w, diag, rect)
+    _check_caps(shape, max_count)
+    states = {shape.rows: {tuple(grid)}}
+    for _ in range(shape.size):
+        nxt: dict[tuple, set] = {}
+        for mu, grids in states.items():
+            for r, c in enumerate(mu, start=1):
+                if c > (mu[r] if r < len(mu) else 0):  # (r, c) is a corner of mu
+                    hole = far - (r * width + c) if far else r * width + c
+                    out = nxt.setdefault(mu[: r - 1] + (c - 1,) + mu[r:], set())
+                    for g in map(list, grids):
+                        _refill_slide(g, width, hole, rect is None, targets, diag.n if rect is None else -diag.n)
+                        out.add(tuple(g))
+        states = nxt
+    return states.popitem()[1]
 
 
 @dataclass

@@ -189,17 +189,17 @@ class OrbitTable:
 
     Each orbit is kept as its size and the enumeration rank of its
     representative, the first of its tableaux in enumeration order;
-    `rep_ranks` and `sizes` list the orbits in that order.  A rank is
-    decoded only when read, from the halves of the sweep: `halves[k]` is a
-    prefix p and its tails, `starts[k]` the rank of p + tails[0], so the
-    tableau of rank r is p + tails[r - starts[k]] for the last start at
-    or below r.  `reps` lists the representatives' grid ints,
-    `rep_rows(k)` gives the rows of the k-th, and `orbits` pairs each
-    representative's rows with its size, built anew on each read."""
+    `rep_ranks` and `sizes` (a byte each: a size divides N <= 255) list
+    the orbits in that order.  A rank is decoded only when read, from the
+    halves of the sweep: `halves[k]` is a prefix p and its tails,
+    `starts[k]` the rank of p + tails[0], so the tableau of rank r is
+    p + tails[r - starts[k]] for the last start at or below r.
+    `rep_rows(k)` gives the rows of the k-th representative, and `orbits`
+    pairs each representative's rows with its size, built on each read."""
 
     rect: Rectangle
     rep_ranks: Sequence[int]  # array("I") from the sweep
-    sizes: list[int]
+    sizes: Sequence[int]  # bytearray from the sweep
     counts: dict[int, int]  # divisor r of the cell count -> #{T : r-fold promotion fixes T}
     total: int
     starts: Sequence[int]  # array("I") from the sweep, ascending
@@ -212,15 +212,10 @@ class OrbitTable:
         return p + tails[rank - self.starts[k]]
 
     @property
-    def reps(self) -> list[int]:
-        """The grid int of every representative."""
-        return [self._grid_int(rank) for rank in self.rep_ranks]
-
-    @property
     def orbits(self) -> list[tuple[tuple, int]]:
         """(representative rows, orbit size) for every orbit."""
         length, slices = _row_slices(self.rect.as_partition())
-        return [(_flat_rows(code, length, slices), size) for code, size in zip(self.reps, self.sizes)]
+        return [(_flat_rows(self._grid_int(rank), length, slices), size) for rank, size in zip(self.rep_ranks, self.sizes)]
 
     def rep_rows(self, k: int) -> tuple:
         """The rows of the representative of the k-th orbit."""
@@ -353,7 +348,7 @@ def orbit_table(rect: Rectangle, *, max_count: int = MAX_COUNT) -> OrbitTable:
     nxt = _successor_ranks(rect.nrows, rect.ncols, halves, offset, index)
     seen = bytearray(total)
     rep_ranks = array("I")
-    sizes: list[int] = []
+    sizes = bytearray()
     start = 0
     while start >= 0:
         rank = start

@@ -49,6 +49,7 @@ from .sequences import (
     bounded_equivalence,
     box_less,
     box_sequence,
+    choice_grids,
     column_sequence,
     delta_closed_form,
     descent_sequence,
@@ -95,12 +96,7 @@ class SuiteReport:
         }
 
     def format_text(self) -> str:
-        lines = []
-        for c in self.cases:
-            if c.status == "pass":
-                lines.append(f"PASS {c.name}")
-            else:
-                lines.append(f"FAIL {c.name}: {c.counterexample}")
+        lines = [f"PASS {c.name}" if c.status == "pass" else f"FAIL {c.name}: {c.counterexample}" for c in self.cases]
         verdict = "ok" if self.passed else "FAILED"
         lines.append(f"{self.suite}: {sum(c.status == 'pass' for c in self.cases)}/{len(self.cases)} cases {verdict}")
         return "\n".join(lines)
@@ -116,11 +112,6 @@ def _case(name: str, check) -> CaseResult:
     except Exception as exc:
         counterexample = f"raised {exc!r}"
     return CaseResult(name, "pass" if counterexample is None else "fail", counterexample)
-
-
-def _column_superstandard(shape: Partition) -> PartialTableau:
-    cells = sorted(shape.cells(), key=lambda b: (b.col, b.row))
-    return PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(cells, start=1)})
 
 
 def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
@@ -139,42 +130,20 @@ def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
     return out
 
 
-def _choice_tableaux(shape: Partition, all_choices: bool, max_count: int):
-    """The choice tableaux of `shape`: every standard filling, streamed in
-    enumeration order (the cap is checked by this call), or else the row
-    and column superstandard fillings."""
-    if all_choices:
-        return map(from_rows, standard_tableaux(shape, max_count=max_count))
-    out = [superstandard_choice(shape)]
-    alt = _column_superstandard(shape)
-    if alt != out[0]:
-        out.append(alt)
-    return out
-
-
-def _first_choice_dependent(perms: list[Permutation], choices, build):
-    """The first w of `perms` that `build(w, u)` maps to more than one
-    tableau over the choices u, or None.  Reads the choices once, each
-    for every w in turn, so no list of them is kept."""
-    first: dict[int, object] = {}
-    differs = set()
-    for u in choices:
-        for i, w in enumerate(perms):
-            t = build(w, u)
-            if first.setdefault(i, t) != t:
-                differs.add(i)
-    return perms[min(differs)] if differs else None
+def _choice_tableaux(shape: Partition) -> list[PartialTableau]:
+    """The row and column superstandard fillings of `shape`, or the one
+    filling when they coincide."""
+    cells = sorted(shape.cells(), key=lambda b: (b.col, b.row))
+    by_column = PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(cells, start=1)})
+    return list(dict.fromkeys((superstandard_choice(shape), by_column)))
 
 
 def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
     """A uniform-ish random order peeling the rectangle corner by corner."""
-    mu = [ncols] * nrows
-    order = []
+    mu, order = [ncols] * nrows, []
     while any(mu):
-        corners = removable_corners(Partition(tuple(mu)))
-        b = rng.choice(corners)
-        order.append(Box(*b))
-        mu[b.row - 1] -= 1
+        order.append(rng.choice(removable_corners(Partition(tuple(mu)))))
+        mu[order[-1].row - 1] -= 1
     return order
 
 
@@ -278,19 +247,19 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
     perms = _perm_sample(rect.n, seed)
     diagonals = enumerate_diagonals(rect) if all_diagonals else [staircase_diagonal(rect)]
 
-    def forward_choices():
+    def choice_independence(direction, outer):
+        # the construction forward when outer is None: over every choice
+        # tableau by one walk, or else over the superstandard pair
         for d in diagonals:
-            choices = _choice_tableaux(d.lambda_minus, all_choices, max_count)
-            w = _first_choice_dependent(perms, choices, lambda w, u: forward_tableau(w, d, u))
+            if all_choices:
+                results = lambda w: choice_grids(w, d, outer, max_count=max_count)
+            else:
+                choices = _choice_tableaux(d.lambda_minus if outer is None else complement_shape(d.lambda_plus, rect))
+                build = forward_tableau if outer is None else lambda w, diag, u: reverse_tableau(w, diag, rect, u)
+                results = lambda w: {build(w, d, u) for u in choices}
+            w = next((w for w in perms if len(results(w)) > 1), None)
             if w is not None:
-                return f"forward construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
-
-    def reverse_choices():
-        for d in diagonals:
-            choices = _choice_tableaux(complement_shape(d.lambda_plus, rect), all_choices, max_count)
-            w = _first_choice_dependent(perms, choices, lambda w, u: reverse_tableau(w, d, rect, u))
-            if w is not None:
-                return f"reverse construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
+                return f"{direction} construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
 
     def agreement():
         for d in diagonals:
@@ -307,8 +276,8 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 return f"combined tableau depends on the diagonal for w={w}"
 
     return [
-        _case("forward-choice-independence", forward_choices),
-        _case("reverse-choice-independence", reverse_choices),
+        _case("forward-choice-independence", partial(choice_independence, "forward", None)),
+        _case("reverse-choice-independence", partial(choice_independence, "reverse", rect)),
         _case("diagonal-agreement", agreement),
         _case("diagonal-independence", diagonal_independence),
     ]
@@ -606,9 +575,11 @@ def run_suite(
 
     Each case records pass, or fail with the first counterexample its check
     found; a failing check becomes a report entry, never an exception, and
-    a check that raises fails with `raised <repr>`.  `max_count` caps the
-    tableaux of every enumeration a suite makes; exceeding it raises
-    `EnumerationCapError`.
+    a check that raises fails with `raised <repr>`.  `all_choices` checks
+    every choice tableau by one walk over slide states (`choice_grids`),
+    not only the row and column superstandard ones.  `max_count` caps the
+    tableaux of every enumeration a suite makes and the choice tableaux
+    that walk covers; exceeding it raises `EnumerationCapError`.
     Reports are deterministic for a fixed seed; a run's suites share one orbit table.
     """
     if suite != "all" and suite not in SUITES:

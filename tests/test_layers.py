@@ -14,6 +14,7 @@ from pathlib import Path
 
 import taquin
 from taquin.cli import COMMANDS, build_parser
+from taquin.sequences import choice_grids
 from taquin.sweep import MAX_COUNT, orbit_table, standard_tableaux
 from taquin.verify import run_suite
 
@@ -139,13 +140,14 @@ def test_only_the_allow_listed_tests_start_a_process():
 
 
 def test_sweep_caps_have_one_owner():
-    # the tableau count is the one cap: no function or command takes a cell cap
+    # the tableau count is the one cap: no function or command takes a cell
+    # cap, and the walk over every choice tableau takes the same cap
     assert MAX_COUNT == 2_000_000
     for command in ("verify", "csp"):
         args = build_parser().parse_args([command, "--n", "2", "--m", "3"])
         assert args.max_count == MAX_COUNT, command
         assert [name for name in vars(args) if name.startswith("max_")] == ["max_count"], command
-    for fn in (standard_tableaux, orbit_table, run_suite):
+    for fn in (standard_tableaux, orbit_table, choice_grids, run_suite):
         params = inspect.signature(fn).parameters
         assert params["max_count"].default == MAX_COUNT, fn.__name__
         assert [name for name in params if name.startswith("max_")] == ["max_count"], fn.__name__

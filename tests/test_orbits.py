@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taquin import sequences
+from taquin import orbits, sequences
 from taquin.orbits import (
     _refill_slide,
     _slide_plan,
@@ -22,6 +22,7 @@ from taquin.orbits import (
 )
 from taquin.sequences import (
     box_sequence,
+    choice_grids,
     column_sequence,
     delta_closed_form,
     descent_sequence,
@@ -146,6 +147,46 @@ def test_equal_choices_share_one_slide_order_derivation():
         with pytest.raises(ValueError, match=r"choice tableau must be standard with entries 1\.\.N"):
             forward_tableau(W3142, DIAG_5431, bad)
     assert _slide_starts.cache_info().currsize == after.currsize
+
+
+def _grids_over_every_choice(rect, diag, w, screen=True):
+    """The reference of `choice_grids`: the forward and the reverse
+    construction's grids, built once per choice tableau."""
+    forward = {tuple(forward_tableau(w, diag, from_rows(u), screen=screen).grid) for u in standard_tableaux(diag.lambda_minus)}
+    complement = complement_shape(diag.lambda_plus, rect)
+    reverse = {tuple(reverse_tableau(w, diag, rect, from_rows(u), screen=screen).grid) for u in standard_tableaux(complement)}
+    return forward, reverse
+
+
+@pytest.mark.parametrize(
+    "rect",
+    [Rectangle(2, 4), Rectangle(3, 4), Rectangle(3, 5), Rectangle(2, 5, n_is_rows=False)],
+    ids=lambda r: f"{r.nrows}x{r.ncols}",
+)
+def test_choice_grids_are_the_constructions_over_every_choice_tableau(rect):
+    for d in enumerate_diagonals(rect):
+        for w in all_permutations(rect.n):
+            assert (choice_grids(w, d), choice_grids(w, d, rect)) == _grids_over_every_choice(rect, d, w), (d, w)
+
+
+def test_choice_grids_keep_every_distinct_grid(monkeypatch):
+    # a refill that reads the slide's start cell makes the constructions
+    # depend on the choice; the walk must reach every grid they reach
+    real = orbits._refill_slide
+
+    def planted(grid, width, hole, forward, targets, shift):
+        real(grid, width, hole, forward, targets, shift + hole % 2)
+
+    for module in (orbits, sequences):
+        monkeypatch.setattr(module, "_refill_slide", planted)
+    rect = Rectangle(3, 4)
+    sizes = []
+    for d in enumerate_diagonals(rect):
+        for w in all_permutations(3):
+            forward, reverse = _grids_over_every_choice(rect, d, w, screen=False)
+            assert (choice_grids(w, d), choice_grids(w, d, rect)) == (forward, reverse), (d, w)
+            sizes += [len(forward), len(reverse)]
+    assert max(sizes) == 7
 
 
 # -- reverse construction -----------------------------------------------------

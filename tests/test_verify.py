@@ -655,14 +655,15 @@ BROKEN_DEPENDENCIES = [
     ),
     # each construction rotates w unless its choice is the superstandard
     # filling: the suite passes explicit choices only, so a fault on the
-    # default choice alone would never show
+    # default choice alone would never show; only the superstandard pair,
+    # without `all_choices`, calls the constructions with a choice
     (
         "forward_tableau",
         lambda real: lambda w, d, choice=None, **kwargs: real(
             w if choice in (None, superstandard_choice(d.lambda_minus)) else _rotated(w), d, choice, **kwargs
         ),
         {"independence.forward-choice-independence": "forward construction depends on the choice for w=123, diagonal 321"},
-        {"all_choices": True},
+        {"all_choices": False},
     ),
     (
         "reverse_tableau",
@@ -671,6 +672,17 @@ BROKEN_DEPENDENCIES = [
             d, rect, choice, **kwargs,
         ),
         {"independence.reverse-choice-independence": "reverse construction depends on the choice for w=123, diagonal 321"},
+        {"all_choices": False},
+    ),
+    # the walk over every choice tableau also reaches the grid of w rotated,
+    # a fault that only `all_choices` reads
+    (
+        "choice_grids",
+        lambda real: lambda w, d, outer, **caps: real(w, d, outer, **caps) | real(_rotated(w), d, outer, **caps),
+        {
+            "independence.forward-choice-independence": "forward construction depends on the choice for w=123, diagonal 321",
+            "independence.reverse-choice-independence": "reverse construction depends on the choice for w=123, diagonal 321",
+        },
         {"all_choices": True},
     ),
     # rotates w on every diagonal but the staircase one
@@ -703,7 +715,7 @@ BROKEN_DEPENDENCIES = [
 @pytest.mark.parametrize(
     "name, broken, expected, options",
     BROKEN_DEPENDENCIES,
-    ids=[name + "".join(f"-{option}" for option in options) for name, _, _, options in BROKEN_DEPENDENCIES],
+    ids=[name + "".join(f"-{'' if on else 'no_'}{option}" for option, on in options.items()) for name, _, _, options in BROKEN_DEPENDENCIES],
 )
 def test_suite_cases_report_their_first_counterexample(monkeypatch, name, broken, expected, options):
     import taquin.verify as verify
@@ -1034,6 +1046,20 @@ def test_caps_reach_every_enumeration():
     # 22 cells, past the seed's cell cap, and no enumeration of more than 22 tableaux
     report = run_suite(Rectangle(1, 22), "all", all_choices=True, all_diagonals=True)
     assert report.passed and len(report.cases) == 26
+
+
+def test_every_choice_is_checked_without_listing_a_choice_tableau(monkeypatch):
+    # `all_choices` walks the slide states: it enumerates no choice tableau
+    # and parses none
+    import taquin.verify as verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("a choice tableau was listed")
+
+    monkeypatch.setattr(verify, "standard_tableaux", never)
+    monkeypatch.setattr(verify, "from_rows", never)
+    for rect in (Rectangle(3, 4), Rectangle(2, 5, n_is_rows=False)):
+        assert run_suite(rect, "independence", all_choices=True, all_diagonals=True).passed
 
 
 def test_perm_sample_picks_by_rank_without_listing_s_n(monkeypatch):
