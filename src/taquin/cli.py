@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from .orbits import NotMinimalOrbitError, invert, minimal_orbit_tableau
 from .shapes import Diagonal, Rectangle, parse_partition
@@ -164,9 +164,9 @@ def _cap(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _max_count_argument(p: argparse.ArgumentParser) -> None:
+def _max_count_argument(p: argparse.ArgumentParser, also: str = "") -> None:
     from .sweep import MAX_COUNT
-    text = ("the most standard tableaux a sweep may enumerate (default: %(default)s), counted by the hook length "
+    text = (f"the most standard tableaux a sweep may enumerate{also} (default: %(default)s), counted by the hook length "
             "formula before anything is enumerated; no setting lifts the 255-cell and 2^32-rank limits")
     p.add_argument("--max-count", type=_cap, default=MAX_COUNT, help=text)
 
@@ -180,7 +180,7 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--all-diagonals", action="store_true", help="sweep every diagonal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="also print a JSON report")
-    _max_count_argument(p)
+    _max_count_argument(p, ", and the most choice tableaux the --all-choices walk may cover")
 
 
 def _csp_arguments(p: argparse.ArgumentParser) -> None:
@@ -194,10 +194,9 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-class Command(NamedTuple):
-    help: str
-    add_arguments: Callable[[argparse.ArgumentParser], None]
-    run: Callable[[argparse.Namespace], int]
+# A subcommand: its help line, what adds its arguments to a parser, and
+# what runs it on the parsed arguments and returns the exit code.
+Command = namedtuple("Command", "help add_arguments run")
 
 
 # One entry per subcommand, in the order help lists them.

@@ -22,8 +22,8 @@ silently.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .shapes import (
     Box,
@@ -93,17 +93,17 @@ def _slide_starts(choice: PartialTableau | None, shape: Partition, width: int, f
     return tuple(far - i for i in starts) if far else tuple(starts)
 
 
-class _SlidePlan(NamedTuple):
-    """What a construction along a diagonal needs of its shapes alone."""
-
-    region: SkewShape
-    shape: Partition  # the slid cells, on which a choice tableau lives
-    width: int
-    size: int  # grid length
-    seeds: tuple[int, ...]  # grid index of the i-th diagonal box
-    targets: frozenset[int]  # grid indices of the diagonal boxes
-    starts: tuple[int, ...]  # slide starts in the superstandard order
-    far: int  # 0 forward; reverse, the grid length: the rotation maps index i to far - i
+# What a construction along a diagonal needs of its shapes alone.
+_SlidePlan = namedtuple("_SlidePlan", (
+    "region",  # a SkewShape
+    "shape",  # the slid cells, a Partition on which a choice tableau lives
+    "width",
+    "size",  # grid length
+    "seeds",  # grid index of the i-th diagonal box
+    "targets",  # frozenset of the grid indices of the diagonal boxes
+    "starts",  # slide starts in the superstandard order
+    "far",  # 0 forward; reverse, the grid length: the rotation maps index i to far - i
+))
 
 
 @lru_cache(maxsize=1024)

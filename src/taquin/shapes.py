@@ -6,36 +6,82 @@ index.  Partitions are stored without trailing zeros; operations that need
 padding (complement_shape) pad explicitly to the rectangle's row count.
 
 All values are immutable after construction and safe to share between
-threads.  Each shape computes its hash once, when it is built, and it is
-the value the dataclass would compute from its compared fields: shapes key
-the package's layout and plan caches, so a lookup does not rehash them.
+threads.  The shapes and `words.Permutation` are `_Value`s: each computes
+its hash once, when it is built, as the hash of the tuple of its compared
+fields, so shapes key the package's layout and plan caches without being
+rehashed on each lookup.  None of this needs `dataclasses` or `typing`,
+whose imports would lengthen the start of every command of the pipe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from operator import le, lt
-from typing import Iterator, NamedTuple
+
+Box = namedtuple("Box", "row col")
+Box.__doc__ = "A 1-based (row, col) cell."
+
+_set = object.__setattr__  # how a value's own __init__ fills its slots
+_INT = frozenset({int})
 
 
-class Box(NamedTuple):
-    """A 1-based (row, col) cell."""
+class _Value:
+    """An immutable value on `__slots__`, equal only to a value of its own
+    class with equal compared fields.
 
-    row: int
-    col: int
+    A subclass names its constructor's arguments in `_fields`, sets its
+    slots with `_set` and ends its `__init__` with `_seal(key)`, where key
+    holds its compared fields in `_fields` order: the checked, normalised
+    arguments.  The hash is that tuple's, taken once; repr spells the
+    fields as a dataclass would, and pickle and copy rebuild the value
+    through its constructor.
+    """
+
+    __slots__ = ("_key", "_hash")
+    _fields: tuple[str, ...] = ()
+
+    def _seal(self, key: tuple) -> None:
+        _set_key(self, key)
+        _set_hash(self, hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._key
 
 
-@dataclass(frozen=True)
-class Partition:
+# a slot's own setter, quicker than `_set` on the path every value takes
+_set_key, _set_hash = _Value._key.__set__, _Value._hash.__set__
+
+
+class Partition(_Value):
     """Weakly decreasing positive row lengths; () is the empty partition."""
 
-    rows: tuple[int, ...] = ()
+    __slots__ = ("rows",)
+    _fields = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        if any(type(r) is not int for r in rows):  # a bool, float or str is never coerced
+    def __init__(self, rows: tuple[int, ...] = ()):
+        rows = tuple(rows)
+        if not _INT.issuperset(map(type, rows)):  # a bool, float or str is never coerced
             raise ValueError(f"row lengths must be integers: {rows!r}")
         while rows and rows[-1] == 0:
             rows = rows[:-1]
@@ -43,11 +89,8 @@ class Partition:
             raise ValueError(f"negative row length in {rows!r}")
         if any(map(lt, rows, rows[1:])):
             raise ValueError(f"row lengths must weakly decrease: {rows!r}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_hash", hash((rows,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        _set(self, "rows", rows)
+        self._seal((rows,))
 
     @property
     def size(self) -> int:
@@ -125,8 +168,7 @@ def removable_corners(p: Partition) -> list[Box]:
     return out
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Value):
     """An n-by-m rectangle with m >= n; `n_is_rows` says which dimension
     counts rows.
 
@@ -137,25 +179,24 @@ class Rectangle:
     has one spelling: its n_is_rows is always True.
     """
 
-    n: int
-    m: int
-    n_is_rows: bool = True
+    __slots__ = ("n", "m", "n_is_rows")
+    _fields = ("n", "m", "n_is_rows")
 
-    def __post_init__(self):
-        if type(self.n) is not int or type(self.m) is not int:
-            raise ValueError(f"rectangle sides must be integers: n={self.n!r}, m={self.m!r}")
-        if type(self.n_is_rows) is not bool:
-            raise ValueError(f"n_is_rows must be True or False: {self.n_is_rows!r}")
-        if self.n < 1 or self.m < 1:
+    def __init__(self, n: int, m: int, n_is_rows: bool = True):
+        if type(n) is not int or type(m) is not int:
+            raise ValueError(f"rectangle sides must be integers: n={n!r}, m={m!r}")
+        if type(n_is_rows) is not bool:
+            raise ValueError(f"n_is_rows must be True or False: {n_is_rows!r}")
+        if n < 1 or m < 1:
             raise ValueError("rectangle dimensions must be positive")
-        if self.m < self.n:
-            raise ValueError(f"a rectangle needs m >= n, got n={self.n}, m={self.m}; take the short side as n with n_is_rows=False")
-        if self.n == self.m:
-            object.__setattr__(self, "n_is_rows", True)
-        object.__setattr__(self, "_hash", hash((self.n, self.m, self.n_is_rows)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        if m < n:
+            raise ValueError(f"a rectangle needs m >= n, got n={n}, m={m}; take the short side as n with n_is_rows=False")
+        if n == m:
+            n_is_rows = True
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "n_is_rows", n_is_rows)
+        self._seal((n, m, n_is_rows))
 
     @property
     def nrows(self) -> int:
@@ -195,23 +236,21 @@ def complement_box(b, rect: Rectangle) -> Box:
     return Box(rect.nrows + 1 - b.row, rect.ncols + 1 - b.col)
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(_Value):
     """Cells of `outer` not in `inner`; inner must fit inside outer."""
 
-    outer: Partition
-    inner: Partition = EMPTY
+    __slots__ = ("outer", "inner")
+    _fields = ("outer", "inner")
 
-    def __post_init__(self):
-        for name, p in (("outer", self.outer), ("inner", self.inner)):
+    def __init__(self, outer: Partition, inner: Partition = EMPTY):
+        for name, p in (("outer", outer), ("inner", inner)):
             if not isinstance(p, Partition):  # a tuple of row lengths is never coerced
                 raise ValueError(f"skew shape {name} must be a Partition: {p!r}")
-        if not contains(self.inner, self.outer):
-            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
-        object.__setattr__(self, "_hash", hash((self.outer, self.inner)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        if not contains(inner, outer):
+            raise ValueError(f"inner {inner} not contained in outer {outer}")
+        _set(self, "outer", outer)
+        _set(self, "inner", inner)
+        self._seal((outer, inner))
 
     @property
     def size(self) -> int:
@@ -231,8 +270,7 @@ class SkewShape:
         return f"{self.outer}/{self.inner}" if self.inner.rows else str(self.outer)
 
 
-@dataclass(frozen=True)
-class Diagonal:
+class Diagonal(_Value):
     """n marked boxes, each strictly above and strictly right of the last,
     given by the smallest partition lambda_plus containing them.
 
@@ -241,23 +279,20 @@ class Diagonal:
     and `lambda_minus` (lambda_plus without them) are derived here.
     """
 
-    lambda_plus: Partition
-    boxes: tuple[Box, ...] = field(init=False, compare=False, repr=False)
-    lambda_minus: Partition = field(init=False, compare=False, repr=False)
+    __slots__ = ("lambda_plus", "boxes", "lambda_minus")
+    _fields = ("lambda_plus",)
 
-    def __post_init__(self):
-        if not isinstance(self.lambda_plus, Partition):
-            raise ValueError(f"a diagonal's lambda_plus must be a Partition: {self.lambda_plus!r}")
-        corners = removable_corners(self.lambda_plus)
+    def __init__(self, lambda_plus: Partition):
+        if not isinstance(lambda_plus, Partition):
+            raise ValueError(f"a diagonal's lambda_plus must be a Partition: {lambda_plus!r}")
+        corners = removable_corners(lambda_plus)
         if not corners:
             raise ValueError("empty shape has no diagonal")
-        rows = self.lambda_plus.rows
-        object.__setattr__(self, "boxes", tuple(reversed(corners)))
-        object.__setattr__(self, "lambda_minus", Partition(tuple(r - (r > below) for r, below in zip(rows, rows[1:] + (0,)))))
-        object.__setattr__(self, "_hash", hash((self.lambda_plus,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        rows = lambda_plus.rows
+        _set(self, "lambda_plus", lambda_plus)
+        _set(self, "boxes", tuple(reversed(corners)))
+        _set(self, "lambda_minus", Partition(tuple(r - (r > below) for r, below in zip(rows, rows[1:] + (0,)))))
+        self._seal((lambda_plus,))
 
     @property
     def n(self) -> int:

@@ -25,13 +25,15 @@ may parallelize freely.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter, lt
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
 
 from .shapes import (
+    _INT,
     EMPTY,
     Box,
     Partition,
@@ -188,16 +190,16 @@ def _reader(index: tuple[int, ...]) -> Callable:
     return itemgetter(*index)
 
 
-class _GridLayout(NamedTuple):
-    """Where a region's cells sit in its `grid_size` grid; shared, so never mutate it."""
-
-    width: int
-    cells: dict[int, Box]  # the region's cells keyed by grid index, row-major
-    boxes: tuple[Box, ...]  # the same cells, as a tuple
-    rows: tuple[tuple[slice, slice], ...]  # per region row, its cells as slices of the grid and of boxes
-    read: Callable  # grid -> the entries of those cells
-    lo: Callable  # grid -> per pair of adjacent region cells, the left or upper entry
-    hi: Callable  # grid -> per pair, the right or lower entry
+# Where a region's cells sit in its `grid_size` grid; shared, so never mutate it.
+_GridLayout = namedtuple("_GridLayout", (
+    "width",
+    "cells",  # {grid index: Box} of the region's cells, row-major
+    "boxes",  # the same cells, as a tuple
+    "rows",  # per region row, its cells as a (grid slice, boxes slice) pair
+    "read",  # grid -> the entries of those cells
+    "lo",  # grid -> per pair of adjacent region cells, the left or upper entry
+    "hi",  # grid -> per pair, the right or lower entry
+))
 
 
 @lru_cache(maxsize=1024)
@@ -213,8 +215,6 @@ def _grid_layout(region: SkewShape) -> _GridLayout:
         done += end - start
     return _GridLayout(width, cells, tuple(cells.values()), tuple(rows), _reader(tuple(cells)), _reader(lo), _reader(hi))
 
-
-_INT = frozenset({int})
 
 
 def _validate(layout: _GridLayout, grid: list, cells: list | None = None) -> None:

@@ -1,6 +1,9 @@
 """Permutations, the augmented word of a permutation, and row insertion:
 what the constructions and the command line run.
 
+A Permutation is a `shapes._Value`, so it hashes once, when it is built,
+and the pipe imports no `dataclasses` to define it.
+
 Descents, periodic and descent sequences, and the Knuth moves with the
 bounded equivalence search serve only the checks, and live in
 `taquin.sequences`, which the pipe never compiles.
@@ -9,23 +12,25 @@ bounded equivalence search serve only the checks, and live in
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import permutations
 
+from .shapes import _INT, _set, _Value
 
-@dataclass(frozen=True)
-class Permutation:
+
+class Permutation(_Value):
     """One-line notation w(1)..w(n); a bijection on {1..n}."""
 
-    oneline: tuple[int, ...]
+    __slots__ = ("oneline",)
+    _fields = ("oneline",)
 
-    def __post_init__(self):
-        w = tuple(self.oneline)
-        if any(type(v) is not int for v in w):  # a bool, float or str is never coerced
+    def __init__(self, oneline: tuple[int, ...]):
+        w = tuple(oneline)
+        if not _INT.issuperset(map(type, w)):  # a bool, float or str is never coerced
             raise ValueError(f"permutation values must be integers: {w!r}")
-        object.__setattr__(self, "oneline", w)
         if sorted(w) != list(range(1, len(w) + 1)):
             raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
+        _set(self, "oneline", w)
+        self._seal((w,))
 
     @property
     def n(self) -> int:

@@ -531,6 +531,8 @@ def test_one_command_help_matches_the_full_parser(command, monkeypatch, capsys):
     assert main([command, "--help"]) == 0
     out, err = capsys.readouterr()
     assert out.startswith(f"usage: taquin {command} [-h]") and err == ""
+    # the one cap of verify also bounds the choice tableaux of --all-choices
+    assert ("choice tableaux the --all-choices walk may cover" in " ".join(out.split())) == (command == "verify")
     # main built this command's parser alone; the parser of all five prints the same
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([command, "--help"])
@@ -579,9 +581,11 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     assert capsys.readouterr() == ("3142\n", "")
 
 
-# A fresh interpreter runs the pipe in-process through main, then verify,
-# and prints after each the taquin modules in sys.modules and those whose
-# code has run (the audit hook sees each module body that `exec` runs).
+# A fresh interpreter without `site` (whose start-up may import `typing`)
+# runs the pipe in-process through main, then verify, and prints after each
+# the taquin modules in sys.modules, those whose code has run, and which of
+# `dataclasses`, `inspect` and `typing` have run (the audit hook sees each
+# module body that `exec` runs).
 LOADED_MODULES_SCRIPT = """
 import contextlib, io, sys
 from pathlib import Path
@@ -598,7 +602,9 @@ def run(argv, text=""):
 
 def loaded():
     modules = sorted(key for key in sys.modules if key.partition(".")[0] == "taquin")
-    return " ".join(modules) + " | " + " ".join(sorted(Path(f).stem for f in ran if Path(f).parent.name == "taquin"))
+    taquin = sorted(Path(f).stem for f in ran if Path(f).parent.name == "taquin")
+    stdlib = sorted({"dataclasses", "inspect", "typing"} & {Path(f).stem for f in ran if Path(f).parent.name != "taquin"})
+    return " | ".join((" ".join(modules), " ".join(taquin), " ".join(stdlib)))
 
 t = run(["construct", "--m", "10", "--w", "351624"])
 assert run(["invert"], run(["promote", "--steps", "3"], t)) == "624351\\n"
@@ -610,7 +616,7 @@ print(loaded())
 
 def test_the_pipe_runs_no_sweep_counts_or_checks():
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES_SCRIPT],
+        [sys.executable, "-S", "-c", LOADED_MODULES_SCRIPT],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -620,8 +626,9 @@ def test_the_pipe_runs_no_sweep_counts_or_checks():
         "taquin taquin.cli taquin.orbits taquin.sequences taquin.shapes taquin.sieving taquin.sweep taquin.tableaux"
         " taquin.verify taquin.words"
     )
-    # the check layers sit in sys.modules from `import taquin` on, but only verify and csp run them
+    # the check layers sit in sys.modules from `import taquin` on, but only
+    # verify and csp run them, and only they run dataclasses and typing
     assert proc.stdout.splitlines() == [
-        f"{everything} | __init__ cli orbits shapes tableaux words",
-        f"{everything} | __init__ cli orbits sequences shapes sieving sweep tableaux verify words",
+        f"{everything} | __init__ cli orbits shapes tableaux words | ",
+        f"{everything} | __init__ cli orbits sequences shapes sieving sweep tableaux verify words | dataclasses inspect typing",
     ]

@@ -22,16 +22,24 @@ PACKAGE = Path(taquin.__file__).parent
 ROOT = PACKAGE.parent.parent
 
 
+def _imports(module: str, module_level: bool = False) -> list[ast.Import | ast.ImportFrom]:
+    """The import statements of `module`, at any depth of its source, or
+    only outside its functions if `module_level`."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    in_functions = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (module_level and id(node) in in_functions)
+    ]
+
+
 def _package_imports(module: str, module_level: bool = False) -> list[tuple[str, str]]:
     """(module, name) for every name `module` imports from the package,
     relative or absolute, at any depth of its source, or only outside its
     functions if `module_level`."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    in_functions = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
     out = []
-    for node in ast.walk(tree):
-        if module_level and id(node) in in_functions:
-            continue
+    for node in _imports(module, module_level):
         if isinstance(node, ast.ImportFrom):
             source = node.module or ""
             if node.level == 0:
@@ -39,7 +47,7 @@ def _package_imports(module: str, module_level: bool = False) -> list[tuple[str,
                     continue
                 source = source.removeprefix("taquin").removeprefix(".")
             out.extend((source, alias.name) for alias in node.names)
-        elif isinstance(node, ast.Import):
+        else:
             out.extend((alias.name.removeprefix("taquin."), "*") for alias in node.names if alias.name.startswith("taquin"))
     return out
 
@@ -246,9 +254,26 @@ def test_check_layer_names_load_on_first_use():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
+# every module the pipe runs
+PIPE_MODULES = ("__init__", "cli", "shapes", "tableaux", "words", "orbits")
+
+
 def test_cli_and_package_import_no_check_layer_at_module_level():
-    # every module the pipe runs
-    for module in ("__init__", "cli", "shapes", "tableaux", "words", "orbits"):
+    for module in PIPE_MODULES:
         # `from . import verify` is ("", "verify")
         imported = {source or name for source, name in _package_imports(module, module_level=True)}
         assert imported & {"sequences", "verify", "sweep", "sieving"} == set(), module
+
+
+def test_pipe_modules_import_no_dataclasses_or_typing_at_module_level():
+    # `dataclasses` pulls in `inspect`, `ast`, `dis` and `tokenize`, each
+    # compiled afresh by a process that writes no bytecode; the pipe's
+    # values and records are slotted classes and `collections.namedtuple`s
+    for module in PIPE_MODULES:
+        imported = set()
+        for node in _imports(module, module_level=True):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif node.level == 0:
+                imported.add(node.module.partition(".")[0])
+        assert imported & {"dataclasses", "typing"} == set(), module

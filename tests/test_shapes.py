@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -23,6 +22,7 @@ from taquin.shapes import (
     transpose,
 )
 from taquin.sequences import box_leq, box_less
+from taquin.words import Permutation
 
 
 # -- independent oracles ---------------------------------------------------
@@ -366,16 +366,16 @@ def test_complement_diagonal():
 
 
 def test_shape_hashes_follow_equality_and_survive_copies():
-    # each shape hashes once, when built, to the value the dataclass would
-    # compute from its compared fields; equal shapes hash equal, and so do
-    # pickled, deep-copied and replaced copies
+    # each shape hashes once, when built, to the hash of its compared
+    # fields; equal shapes hash equal, and so do pickled, deep-copied and
+    # rebuilt copies
     assert Partition((3, 2, 0)) == Partition((3, 2)) and hash(Partition((3, 2, 0))) == hash(Partition((3, 2)))
     d = Diagonal(Partition((5, 4, 3, 1)))
     assert d == Diagonal(Partition((5, 4, 3, 1, 0))) and hash(d) == hash((d.lambda_plus,))
     assert d != Diagonal(Partition((5, 4, 3, 2)))
-    assert dataclasses.replace(Rectangle(3, 3), n_is_rows=False) == Rectangle(3, 3)
-    assert hash(dataclasses.replace(Rectangle(3, 3), n_is_rows=False)) == hash(Rectangle(3, 3))
-    assert hash(dataclasses.replace(Partition((3, 2)), rows=(4, 1))) == hash(Partition((4, 1)))
+    assert Rectangle(3, 3, n_is_rows=False) == Rectangle(3, 3)
+    assert hash(Rectangle(3, 3, n_is_rows=False)) == hash(Rectangle(3, 3))
+    assert hash(Partition(rows=(4, 1, 0))) == hash(Partition((4, 1)))
     shapes = {
         Partition((3, 2)): ((3, 2),),
         Rectangle(2, 5, n_is_rows=False): (2, 5, False),
@@ -384,5 +384,50 @@ def test_shape_hashes_follow_equality_and_survive_copies():
     }
     for shape, fields in shapes.items():
         assert hash(shape) == hash(fields), shape
-        for twin in (pickle.loads(pickle.dumps(shape)), copy.deepcopy(shape), dataclasses.replace(shape)):
+        for twin in (pickle.loads(pickle.dumps(shape)), copy.deepcopy(shape), type(shape)(*fields)):
             assert twin == shape and hash(twin) == hash(shape), (shape, twin)
+
+
+# each value class, its repr (the dataclass spelling), and its compared
+# fields, which are also its constructor's arguments; the partition and the
+# permutation compare on the same fields
+VALUES = [
+    (Partition((2, 1)), "Partition(rows=(2, 1))", ((2, 1),)),
+    (Rectangle(2, 5, n_is_rows=False), "Rectangle(n=2, m=5, n_is_rows=False)", (2, 5, False)),
+    (
+        SkewShape(Partition((4, 3)), Partition((1,))),
+        "SkewShape(outer=Partition(rows=(4, 3)), inner=Partition(rows=(1,)))",
+        (Partition((4, 3)), Partition((1,))),
+    ),
+    (Diagonal(Partition((5, 4, 3, 1))), "Diagonal(lambda_plus=Partition(rows=(5, 4, 3, 1)))", (Partition((5, 4, 3, 1)),)),
+    (Permutation((2, 1)), "Permutation(oneline=(2, 1))", ((2, 1),)),
+]
+
+
+@pytest.mark.parametrize("value, spelling, fields", VALUES, ids=[type(value).__name__ for value, _, _ in VALUES])
+def test_value_classes_keep_the_frozen_dataclass_contract(value, spelling, fields):
+    assert repr(value) == spelling
+    assert hash(value) == hash(fields)
+    assert not hasattr(value, "__dict__")
+    # equal only within its class: never to a tuple, nor to a value of
+    # another class or a subclass holding the same fields
+    assert value != fields and fields != value and value != fields[0]
+    assert all(value != other for other, _, _ in VALUES if other is not value)
+
+    class Sub(type(value)):
+        __slots__ = ()
+
+    assert Sub(*fields) != value and value != Sub(*fields)
+    # frozen: no field, slot or new name can be assigned or deleted
+    for name in (*type(value)._fields, "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == spelling and hash(value) == hash(fields)
+    # pickle and both copies rebuild it through the constructor
+    assert value.__reduce__() == (type(value), fields)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value), twin
+        assert repr(twin) == spelling
+
