@@ -242,9 +242,10 @@ def reading_word_of_rows(rows) -> tuple[int, ...]:
 
 
 def box_leq(a, b) -> bool:
-    """Box order: a <= b iff b is weakly right of and weakly above a."""
-    a, b = Box(*a), Box(*b)
-    return b.col >= a.col and b.row <= a.row
+    """Box order on (row, col) pairs: a <= b iff b is weakly right of and
+    weakly above a."""
+    (arow, acol), (brow, bcol) = a, b
+    return bcol >= acol and brow <= arow
 
 
 def box_less(a, b) -> bool:
@@ -253,7 +254,8 @@ def box_less(a, b) -> bool:
     Distinct boxes that are strictly right and strictly below one another
     are incomparable, so this is a genuine partial order.
     """
-    return tuple(a) != tuple(b) and box_leq(a, b)
+    (arow, acol), (brow, bcol) = a, b
+    return bcol >= acol and brow <= arow and (acol != bcol or arow != brow)
 
 
 # -- corner peeling and box sequences -------------------------------------
@@ -271,12 +273,13 @@ def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> 
     peeling of the full rectangle down to the empty shape: seed when a
     diagonal box is peeled, slide when a cell below/left of the diagonal
     is peeled, ignore the rest."""
-    order = [Box(*b) for b in corner_order]
+    order = [b if type(b) is Box else Box(*b) for b in corner_order]
     if not order:
         raise ValueError("empty peeling order")
     nrows = max(b.row for b in order)
     ncols = max(b.col for b in order)
-    if sorted(order) != sorted(Partition((ncols,) * nrows).cells()):
+    # as many boxes as cells, and the same set: each cell exactly once
+    if len(order) != nrows * ncols or set(order) != set(Partition((ncols,) * nrows).cells()):
         raise ValueError("peeling order must cover a full rectangle exactly once")
     n = diag.n
     if w.n != n:
@@ -284,13 +287,14 @@ def forward_tableau_by_peeling(w: Permutation, diag: Diagonal, corner_order) -> 
     plan = _slide_plan(diag, None)
     width = plan.width
     seed = {b: i for i, b in enumerate(diag.boxes, start=1)}
+    inner = set(diag.lambda_minus.cells())
     grid = [0] * plan.size
     mu = [ncols] * nrows
     for b in order:
         _pop_corner(mu, b)
         if b in seed:
             grid[b.row * width + b.col] = w(seed[b])
-        elif b in diag.lambda_minus:
+        elif b in inner:
             _refill_slide(grid, width, b.row * width + b.col, True, plan.targets, n)
     t = from_grid(plan.region, grid)
     assert t.size == diag.lambda_plus.size

@@ -26,13 +26,13 @@ segment one big-int sum over the column's lanes (one lane of
 count a lane cannot hold, with `RankLaneError`, before it enumerates).
 The orbits are the cycles of that array: each walk starts at the
 smallest unvisited rank and stops when it returns there, flagging one
-visited byte per rank.  The table keeps each orbit as its size and the
-rank of its first tableau, and the halves that decode a rank: its grid
-int, and rows read off it, are built on demand, for the orbits a check
-reports or promotes.  The contract tests check the sweep by its
-public names alone: `standard_tableaux` against a recursive enumerator
-on row tuples, and `orbit_table` against the orbits of object-level
-`tableaux.promotion`.
+visited byte per rank, two ranks per pass.  The table keeps each orbit
+as its size and the rank of its first tableau, and the halves that
+decode a rank: its grid int, and rows read off it, are built on demand,
+for the orbits a check reports or promotes.  The contract tests check
+the sweep by its public names alone: `standard_tableaux` against a
+recursive enumerator on row tuples, and `orbit_table` against the orbits
+of object-level `tableaux.promotion`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import count
 from typing import Sequence
 
 from .shapes import Partition, Rectangle, SkewShape
@@ -333,10 +332,10 @@ def orbit_table(rect: Rectangle, *, max_count: int = MAX_COUNT) -> OrbitTable:
     the cap, before any enumeration.  The orbits are the cycles of that
     array: each walk starts at the smallest unvisited rank, which
     `bytearray.find` jumps to, flags each rank it meets in a bytearray,
-    and stops when it returns to its start.  Each orbit is kept as its
-    size and the rank of its representative, the first of its tableaux in
-    enumeration order, in an `array("I")`, with the halves that decode a
-    rank; no grid int or rows are built."""
+    two steps per pass, and stops when it returns to its start.  Each
+    orbit is kept as its size and the rank of its representative, the
+    first of its tableaux in enumeration order, in an `array("I")`, with
+    the halves that decode a rank; no grid int or rows are built."""
     from array import array
 
     shape = rect.as_partition()
@@ -351,12 +350,19 @@ def orbit_table(rect: Rectangle, *, max_count: int = MAX_COUNT) -> OrbitTable:
     sizes = bytearray()
     start = 0
     while start >= 0:
-        rank = start
-        for size in count(1):
+        # two steps per pass; an orbit of odd size ends its last pass one
+        # step past its start, on a rank already flagged
+        rank, size = start, 0
+        while True:
             seen[rank] = 1
-            rank = nxt[rank]
-            if rank == start:
+            mid = nxt[rank]
+            seen[mid] = 1
+            rank = nxt[mid]
+            size += 2
+            if rank == start or mid == start:
                 break
+        if mid == start:
+            size -= 1
         rep_ranks.append(start)
         sizes.append(size)
         start = seen.find(0, start + 1)

@@ -131,11 +131,12 @@ def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
 
 
 def _choice_tableaux(shape: Partition) -> list[PartialTableau]:
-    """The row and column superstandard fillings of `shape`, or the one
-    filling when they coincide."""
+    """The column superstandard filling of `shape` alone, or no filling
+    when it is the row superstandard one, whose slide order the
+    constructions take by default."""
     cells = sorted(shape.cells(), key=lambda b: (b.col, b.row))
     by_column = PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(cells, start=1)})
-    return list(dict.fromkeys((superstandard_choice(shape), by_column)))
+    return [] if by_column == superstandard_choice(shape) else [by_column]
 
 
 def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
@@ -246,17 +247,31 @@ def _suite_bijection(rect: Rectangle, seed: int, all_choices: bool, all_diagonal
 def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diagonals: bool, max_count: int, table: Callable[[], OrbitTable]) -> list[CaseResult]:
     perms = _perm_sample(rect.n, seed)
     diagonals = enumerate_diagonals(rect) if all_diagonals else [staircase_diagonal(rect)]
+    halves: dict[tuple, PartialTableau] = {}
+
+    def default_half(w, d, outer):
+        # the forward half of T_w along d when outer is None, else the
+        # reverse one, in the default slide order, which is the row
+        # superstandard filling's order: built on the first read, so the
+        # agreement case and the superstandard pair of each choice case
+        # share one construction per (w, d); a build that raises is not
+        # kept, and raises again for the next case that reads it
+        key = w, d, outer
+        if key not in halves:
+            halves[key] = forward_tableau(w, d) if outer is None else reverse_tableau(w, d, rect)
+        return halves[key]
 
     def choice_independence(direction, outer):
         # the construction forward when outer is None: over every choice
-        # tableau by one walk, or else over the superstandard pair
+        # tableau by one walk, or else over the superstandard pair, whose
+        # column filling alone is built here
         for d in diagonals:
             if all_choices:
                 results = lambda w: choice_grids(w, d, outer, max_count=max_count)
             else:
-                choices = _choice_tableaux(d.lambda_minus if outer is None else complement_shape(d.lambda_plus, rect))
-                build = forward_tableau if outer is None else lambda w, diag, u: reverse_tableau(w, diag, rect, u)
-                results = lambda w: {build(w, d, u) for u in choices}
+                columns = _choice_tableaux(d.lambda_minus if outer is None else complement_shape(d.lambda_plus, rect))
+                build = lambda w, u: forward_tableau(w, d, u) if outer is None else reverse_tableau(w, d, rect, u)
+                results = lambda w: {default_half(w, d, outer), *(build(w, u) for u in columns)}
             w = next((w for w in perms if len(results(w)) > 1), None)
             if w is not None:
                 return f"{direction} construction depends on the choice for w={w}, diagonal {d.lambda_plus}"
@@ -264,8 +279,8 @@ def _suite_independence(rect: Rectangle, seed: int, all_choices: bool, all_diago
     def agreement():
         for d in diagonals:
             for w in perms:
-                plus = forward_tableau(w, d)
-                minus = reverse_tableau(w, d, rect)
+                plus = default_half(w, d, None)
+                minus = default_half(w, d, rect)
                 bad = next((b for b in d.boxes if plus[b] != minus[b]), None)
                 if bad is not None:
                     return f"w={w}, diagonal {d.lambda_plus}: disagree at {bad}"

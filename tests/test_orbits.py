@@ -597,6 +597,38 @@ def test_peeling_validation():
         forward_tableau_by_peeling(Permutation((1, 2)), d, [Box(2, 2), Box(2, 1), Box(1, 2)])
 
 
+# a full peeling of the 2x3 rectangle, and each refusal of a bad call with its message
+PEEL_2X3 = [Box(2, 3), Box(2, 2), Box(1, 3), Box(2, 1), Box(1, 2), Box(1, 1)]
+PEELING_REFUSALS = {
+    "empty": ((2, 1), [], ValueError, "empty peeling order"),
+    "repeated-box": ((2, 1), PEEL_2X3[:1] + PEEL_2X3, ValueError, "peeling order must cover a full rectangle exactly once"),
+    "repeated-box-same-length": (
+        (2, 1), PEEL_2X3[:1] + PEEL_2X3[2:], ValueError, "peeling order must cover a full rectangle exactly once",
+    ),
+    "missing-cell": ((2, 1), PEEL_2X3[:3] + PEEL_2X3[4:], ValueError, "peeling order must cover a full rectangle exactly once"),
+    "not-a-corner": (
+        (2, 1), [(1, 1)] + PEEL_2X3[:-1], ValueError, "Box(row=1, col=1) is not a removable corner of the unfilled region",
+    ),
+    "three-element-box": ((2, 1), [(2, 3, 0)] + PEEL_2X3[1:], TypeError, "Box.__new__() takes 3 positional arguments but 4 were given"),
+    "wrong-permutation-size": ((1, 2, 3), PEEL_2X3, ValueError, "permutation size 3 != diagonal size 2"),
+}
+
+
+@pytest.mark.parametrize("oneline, order, error, message", PEELING_REFUSALS.values(), ids=PEELING_REFUSALS)
+def test_peeling_refusals_and_their_messages(oneline, order, error, message):
+    d = staircase_diagonal(Rectangle(2, 3))
+    with pytest.raises(error) as refused:
+        forward_tableau_by_peeling(Permutation(oneline), d, order)
+    assert str(refused.value) == message
+
+
+def test_peeling_takes_boxes_tuples_and_lists():
+    d = staircase_diagonal(Rectangle(2, 3))
+    expected = forward_tableau(Permutation((2, 1)), d)
+    for order in (PEEL_2X3, [tuple(b) for b in PEEL_2X3], [list(b) for b in PEEL_2X3]):
+        assert forward_tableau_by_peeling(Permutation((2, 1)), d, order) == expected
+
+
 # -- insertion route ---------------------------------------------------------------
 
 

@@ -228,6 +228,25 @@ def test_box_order():
     assert not box_less(Box(1, 1), Box(2, 2)) and not box_less(Box(2, 2), Box(1, 1))
 
 
+def test_box_order_is_its_definition_on_boxes_tuples_and_lists():
+    # every ordered pair of cells of a 4x4 grid, each given as a Box, a
+    # tuple and a list: a <= b iff b is weakly right of and weakly above a
+    cells = [Box(r, c) for r in range(1, 5) for c in range(1, 5)]
+    kinds = (lambda b: b, tuple, list)
+    seen = set()
+    for a in cells:
+        for b in cells:
+            leq = b.col >= a.col and b.row <= a.row
+            less = leq and a != b
+            seen.add((a == b, leq or (b.col <= a.col and b.row >= a.row)))
+            for make_a in kinds:
+                for make_b in kinds:
+                    assert box_leq(make_a(a), make_b(b)) is leq
+                    assert box_less(make_a(a), make_b(b)) is less
+    # equal boxes, comparable distinct boxes and incomparable ones all occur
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 # -- skew shapes and diagonals ----------------------------------------------
 
 

@@ -776,17 +776,20 @@ def test_verify_3x6_all_diagonals_is_pinned_byte_for_byte(capsys):
 
 def test_verify_3x6_derives_each_slide_order_once_and_skips_trivial_slides(monkeypatch):
     # from empty caches: one slide order derivation per distinct (choice,
-    # shape, width, far), and no slide in a box sequence once its grid is
-    # empty; exact counts of the benchmark's verify configuration
+    # shape, width, far), no slide in a box sequence once its grid is
+    # empty, and one construction of each default half of T_w per
+    # permutation and diagonal in the independence suite; exact counts of
+    # the benchmark's verify configuration
     orbits._slide_plan.cache_clear()
     orbits._slide_starts.cache_clear()
     counts = Counter()
-    order, slide = orbits._slide_order, orbits.grid_slide
+    order, slide, construct = orbits._slide_order, orbits.grid_slide, orbits._construct
     monkeypatch.setattr(orbits, "_slide_order", lambda *a: counts.update(["_slide_order"]) or order(*a))
+    monkeypatch.setattr(orbits, "_construct", lambda *a: counts.update(["_construct"]) or construct(*a))
     for module in (orbits, sequences):  # the constructions' slides and the box sequences'
         monkeypatch.setattr(module, "grid_slide", lambda *a: counts.update(["grid_slide"]) or slide(*a))
     assert run_suite(Rectangle(3, 6), "all", seed=5, all_diagonals=True).passed
-    assert counts == {"_slide_order": 139, "grid_slide": 11453}
+    assert counts == {"_slide_order": 100, "grid_slide": 9653, "_construct": 764}
 
 
 def test_suite_case_names_in_order():
