@@ -59,11 +59,6 @@ class DiagonalMismatchError(RuntimeError):
     the combination theorem forbids; this signals an implementation bug."""
 
 
-def superstandard_choice(shape: Partition) -> PartialTableau:
-    """Row-by-row filling 1..N of a straight shape."""
-    return PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(shape.cells(), start=1)})
-
-
 def _slide_order(choice: PartialTableau | None, shape: Partition) -> list[Box]:
     """The cells of `shape` in the order they are slid: the k-th slide
     uses the cell holding entry N+1-k of the choice tableau, the
@@ -134,11 +129,12 @@ def _seeded(w: Permutation, diag: Diagonal, rect: Rectangle | None) -> tuple[_Sl
     """The plan of the construction along `diag` (forward when rect is
     None) and its grid with w(i) seeded at the i-th diagonal box, plus
     (m-1)n in reverse."""
-    if w.n != diag.n:
-        raise ValueError(f"permutation size {w.n} != diagonal size {diag.n}")
+    n = diag.n
+    if w.n != n:
+        raise ValueError(f"permutation size {w.n} != diagonal size {n}")
     plan = _slide_plan(diag, rect)
     grid = [0] * plan.size
-    shift = 0 if rect is None else rect.ncells - diag.n
+    shift = 0 if rect is None else rect.ncells - n
     for i, v in zip(plan.seeds, w.oneline):
         grid[i] = v + shift
     return plan, grid
@@ -155,9 +151,10 @@ def _construct(w: Permutation, diag: Diagonal, rect: Rectangle | None, choice: P
     if choice is not None:
         starts = _slide_starts(choice, shape, width, far)
     forward = rect is None
+    shift = diag.n if forward else -diag.n
     frames = [from_grid(region, grid)] if trace else None
     for hole in starts:
-        _refill_slide(grid, width, hole, forward, targets, diag.n if forward else -diag.n)
+        _refill_slide(grid, width, hole, forward, targets, shift)
         if trace:
             frames.append(from_grid(region, grid))
     if not (trace or screen):

@@ -241,19 +241,10 @@ def reading_word_of_rows(rows) -> tuple[int, ...]:
 # -- the box order --------------------------------------------------------
 
 
-def box_leq(a, b) -> bool:
-    """Box order on (row, col) pairs: a <= b iff b is weakly right of and
-    weakly above a."""
-    (arow, acol), (brow, bcol) = a, b
-    return bcol >= acol and brow <= arow
-
-
 def box_less(a, b) -> bool:
-    """Strict box order.
-
-    Distinct boxes that are strictly right and strictly below one another
-    are incomparable, so this is a genuine partial order.
-    """
+    """Strict box order on (row, col) pairs: a < b iff a != b and b is
+    weakly right of and weakly above a.  Distinct boxes strictly right and
+    strictly below one another are incomparable: a genuine partial order."""
     (arow, acol), (brow, bcol) = a, b
     return bcol >= acol and brow <= arow and (acol != bcol or arow != brow)
 
@@ -312,6 +303,7 @@ def choice_grids(w: Permutation, diag: Diagonal, rect: Rectangle | None = None, 
     `standard_tableaux`, bounds the slides."""
     (_, shape, width, _, _, targets, _, far), grid = _seeded(w, diag, rect)
     _check_caps(shape, max_count)
+    shift = diag.n if rect is None else -diag.n
     states = {shape.rows: {tuple(grid)}}
     for _ in range(shape.size):
         nxt: dict[tuple, set] = {}
@@ -321,7 +313,7 @@ def choice_grids(w: Permutation, diag: Diagonal, rect: Rectangle | None = None, 
                     hole = far - (r * width + c) if far else r * width + c
                     out = nxt.setdefault(mu[: r - 1] + (c - 1,) + mu[r:], set())
                     for g in map(list, grids):
-                        _refill_slide(g, width, hole, rect is None, targets, diag.n if rect is None else -diag.n)
+                        _refill_slide(g, width, hole, rect is None, targets, shift)
                         out.add(tuple(g))
         states = nxt
     return states.popitem()[1]

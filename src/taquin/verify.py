@@ -14,7 +14,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import accumulate, chain, compress, islice
 from math import factorial
 from typing import Callable
 
@@ -22,7 +22,6 @@ from .shapes import (
     Box,
     Partition,
     Rectangle,
-    SkewShape,
     complement_shape,
     enumerate_diagonals,
     removable_corners,
@@ -36,7 +35,6 @@ from .orbits import (
     invert,
     minimal_orbit_tableau,
     reverse_tableau,
-    superstandard_choice,
 )
 from .words import (
     Permutation,
@@ -68,11 +66,18 @@ from .sweep import MAX_COUNT, EnumerationCapError, OrbitTable, check_cap, orbit_
 # -- named check suites ---------------------------------------------------
 
 
+PERM_SAMPLE = 24  # the permutations a check draws from S_n
+KNUTH_MOVES = 200  # the strict-Knuth moves strict-knuth-equivariance makes
+
+
 @dataclass
 class CaseResult:
     name: str
-    status: str  # "pass" | "fail"
     counterexample: str | None = None
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.counterexample is None else "fail"
 
 
 @dataclass
@@ -111,14 +116,14 @@ def _case(name: str, check) -> CaseResult:
         raise
     except Exception as exc:
         counterexample = f"raised {exc!r}"
-    return CaseResult(name, "pass" if counterexample is None else "fail", counterexample)
+    return CaseResult(name, counterexample)
 
 
-def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
-    """All of S_n in lexicographic order if it has at most `limit` elements,
-    else `limit` of them drawn by lexicographic rank; S_n is never listed."""
+def _perm_sample(n: int, seed: int) -> list[Permutation]:
+    """All of S_n in lexicographic order if it has at most PERM_SAMPLE
+    elements, else PERM_SAMPLE of them drawn by rank; S_n is never listed."""
     total = factorial(n)
-    ranks = range(total) if total <= limit else random.Random(seed).sample(range(total), limit)
+    ranks = range(total) if total <= PERM_SAMPLE else random.Random(seed).sample(range(total), PERM_SAMPLE)
     out = []
     for rank in ranks:
         letters = list(range(1, n + 1))
@@ -131,12 +136,13 @@ def _perm_sample(n: int, seed: int, limit: int = 24) -> list[Permutation]:
 
 
 def _choice_tableaux(shape: Partition) -> list[PartialTableau]:
-    """The column superstandard filling of `shape` alone, or no filling
-    when it is the row superstandard one, whose slide order the
-    constructions take by default."""
-    cells = sorted(shape.cells(), key=lambda b: (b.col, b.row))
-    by_column = PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(cells, start=1)})
-    return [] if by_column == superstandard_choice(shape) else [by_column]
+    """The column superstandard filling of `shape`, or none for a shape of
+    one row or one column: there it is the row superstandard filling,
+    whose slide order the constructions take by default."""
+    if shape.nrows <= 1 or shape.ncols <= 1:
+        return []
+    before = list(accumulate(map(shape.col_len, range(1, shape.ncols)), initial=0))
+    return [from_rows([[before[c] + r for c in range(length)] for r, length in enumerate(shape.rows, start=1)])]
 
 
 def random_corner_peeling(nrows: int, ncols: int, rng: random.Random) -> list:
@@ -378,9 +384,9 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 if sigma[k] > sigma[k + 1] and not box_less(run.boxes[k + 1], run.boxes[k]):
                     return f"sigma={sigma}, k={k + 1}: descent not transported"
 
-    def equivariance(instances=200):
-        # random strict-Knuth moves on the driving sequence must transport to
-        # the box sequence and leave the displacement counts alone
+    def equivariance():
+        # KNUTH_MOVES random strict-Knuth moves on the driving sequence must
+        # transport to the box sequence and leave the displacement counts alone
         # strict moves need 3 distinct letters: n < 3 has none to check, and
         # at n >= 3 too few defined moves is a failure
         if n < 3:
@@ -388,7 +394,7 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
         choices = [from_rows(rows) for rows in standard_tableaux(stair.lambda_minus, max_count=max_count)]
         letters, positions = _randints(rng, n), _randints(rng, length - 2)
         done = attempts = 0
-        while done < instances and attempts < 50 * instances:
+        while done < KNUTH_MOVES and attempts < 50 * KNUTH_MOVES:
             attempts += 1
             sigma = tuple(islice(letters, length))
             k = next(positions)
@@ -406,8 +412,8 @@ def _suite_propositions(rect: Rectangle, seed: int, all_choices: bool, all_diago
                 return f"sigma={sigma}, k={k}: box sequences differ"
             if run_a.delta != run_b.delta:
                 return f"sigma={sigma}, k={k}: delta changed"
-        if done < instances:
-            return f"only {done} of {instances} strict-Knuth moves were defined"
+        if done < KNUTH_MOVES:
+            return f"only {done} of {KNUTH_MOVES} strict-Knuth moves were defined"
 
     def descent_runs():
         for d in diags:
@@ -608,5 +614,5 @@ def run_suite(
         # module attribute (a tracing wrapper, say) is the one that runs
         check = globals()[f"_suite_{name}"]
         for c in check(rect, seed, all_choices, all_diagonals, max_count, table):
-            cases.append(CaseResult(prefix + c.name, c.status, c.counterexample))
+            cases.append(CaseResult(prefix + c.name, c.counterexample))
     return SuiteReport(suite, rect, cases)

@@ -332,7 +332,7 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
     from taquin.verify import CaseResult, SuiteReport
 
     def fake_run_suite(rect, suite, **kwargs):
-        return SuiteReport(suite, rect, [CaseResult("doomed", "fail", "made up")])
+        return SuiteReport(suite, rect, [CaseResult("doomed", "made up")])
 
     # `verify` imports run_suite from taquin.verify when it runs, so patch it there
     monkeypatch.setattr(verify, "run_suite", fake_run_suite)

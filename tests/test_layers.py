@@ -205,6 +205,47 @@ def test_package_namespace_holds_readme_and_demo_names_and_exceptions():
     assert sorted(public.keys() - exceptions - used) == []
 
 
+def _names_read(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names `tree` reads, outside the subtree `skip`: loaded names,
+    attributes, imported names and identifier strings (the lazy names of
+    the package are strings)."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip is not None else set()
+    out = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_every_public_function_and_class_has_a_reader_outside_the_tests():
+    # no thin wrappers that only the tests call: each module-level public
+    # function or class is read by the package, apart from its own
+    # definition, or by a demo, or by the README's code
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    elsewhere = set(re.findall(r"\w+", "\n".join(re.findall(r"```.*?```|`[^`\n]+`", readme, re.S))))
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        elsewhere |= _names_read(ast.parse(demo.read_text(encoding="utf-8")))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    unread = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                readers = [other for other in trees.values() if node.name in _names_read(other, node)]
+                if not readers and node.name not in elsewhere:
+                    unread.append(f"{module}.{node.name}")
+    assert unread == []
+
+
 # A fresh interpreter imports the package, then takes each name of the
 # check layers from it; every assert runs in the child, and the audit hook
 # sees each module body that `exec` runs.

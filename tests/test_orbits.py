@@ -18,7 +18,6 @@ from taquin.orbits import (
     invert,
     minimal_orbit_tableau,
     reverse_tableau,
-    superstandard_choice,
 )
 from taquin.sequences import (
     box_sequence,
@@ -60,6 +59,11 @@ from taquin.words import (
 
 def identity(n):
     return Permutation(tuple(range(1, n + 1)))
+
+
+def row_filling(shape):
+    """The row superstandard filling of a straight shape: 1..N row by row."""
+    return PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(shape.cells(), start=1)})
 
 
 W3142 = parse_permutation("3142")
@@ -253,7 +257,7 @@ def test_combined_validations():
     with pytest.raises(ValueError):
         minimal_orbit_tableau(W3142, Rectangle(4, 6), d3)
     # a choice the slides route takes is still refused by the insertion route
-    choice = superstandard_choice(DIAG_5431.lambda_minus)
+    choice = row_filling(DIAG_5431.lambda_minus)
     with pytest.raises(ValueError, match="choice tableau"):
         minimal_orbit_tableau(W3142, Rectangle(4, 6), DIAG_5431, via="insertion", choice=choice)
 
@@ -340,8 +344,8 @@ def test_cached_plans_match_an_explicit_choice_and_the_trace():
     # traced run's last frame must match both
     for rect in _small_rectangles():
         for d in enumerate_diagonals(rect):
-            forward_choice = superstandard_choice(d.lambda_minus)
-            reverse_choice = superstandard_choice(complement_shape(d.lambda_plus, rect))
+            forward_choice = row_filling(d.lambda_minus)
+            reverse_choice = row_filling(complement_shape(d.lambda_plus, rect))
             for w in all_permutations(rect.n):
                 plus = forward_tableau(w, d)
                 assert plus == forward_tableau(w, d, forward_choice)
@@ -478,7 +482,7 @@ def test_box_sequence_refuses_negative_steps():
 def test_box_sequence_trace():
     run = box_sequence([2, 4], DIAG_5431, steps=2, trace=True)
     assert run.trace is not None and len(run.trace) == 3
-    assert run.trace[0].entries == superstandard_choice(parse_partition("432")).entries
+    assert run.trace[0].entries == row_filling(parse_partition("432")).entries
 
 
 def test_box_sequence_intermediate_states():
@@ -522,7 +526,7 @@ def test_box_sequence_default_filling_is_the_superstandard_choice():
     # starts; runs and frames must match an explicit superstandard choice
     for rect in (Rectangle(3, 4), Rectangle(3, 5), Rectangle(4, 4)):
         for d in enumerate_diagonals(rect):
-            choice = superstandard_choice(d.lambda_minus)
+            choice = row_filling(d.lambda_minus)
             for w in all_permutations(rect.n):
                 for sigma in (inverse_word_sequence(w), descent_sequence(w)):
                     run = box_sequence(sigma, d, trace=True)

@@ -14,10 +14,10 @@ from types import SimpleNamespace
 import pytest
 
 from taquin.cli import main
-from taquin.shapes import Box, Partition, Rectangle, complement_shape, enumerate_diagonals, parse_partition, staircase_diagonal
-from taquin.tableaux import from_rows
+from taquin.shapes import Box, Partition, Rectangle, SkewShape, complement_shape, enumerate_diagonals, parse_partition, staircase_diagonal
+from taquin.tableaux import PartialTableau, from_rows
 from taquin import orbits, sequences
-from taquin.orbits import NotMinimalOrbitError, superstandard_choice
+from taquin.orbits import NotMinimalOrbitError
 from taquin.sequences import descent_sequence
 from taquin.words import Permutation, insertion_tableau
 from taquin.sieving import (
@@ -40,6 +40,7 @@ from taquin.sweep import (
 from taquin.verify import (
     SUITES,
     CaseResult,
+    _choice_tableaux,
     _first_cross_conflict,
     _holders,
     _perm_sample,
@@ -512,6 +513,11 @@ def _rotated(w):
     return Permutation(w.oneline[1:] + w.oneline[:1])
 
 
+def row_filling(shape):
+    """The row superstandard filling of a straight shape: 1..N row by row."""
+    return PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(shape.cells(), start=1)})
+
+
 def _unknown_verdict(*args, **kwargs):
     return SimpleNamespace(status="unknown")
 
@@ -660,7 +666,7 @@ BROKEN_DEPENDENCIES = [
     (
         "forward_tableau",
         lambda real: lambda w, d, choice=None, **kwargs: real(
-            w if choice in (None, superstandard_choice(d.lambda_minus)) else _rotated(w), d, choice, **kwargs
+            w if choice in (None, row_filling(d.lambda_minus)) else _rotated(w), d, choice, **kwargs
         ),
         {"independence.forward-choice-independence": "forward construction depends on the choice for w=123, diagonal 321"},
         {"all_choices": False},
@@ -668,7 +674,7 @@ BROKEN_DEPENDENCIES = [
     (
         "reverse_tableau",
         lambda real: lambda w, d, rect, choice=None, **kwargs: real(
-            w if choice in (None, superstandard_choice(complement_shape(d.lambda_plus, rect))) else _rotated(w),
+            w if choice in (None, row_filling(complement_shape(d.lambda_plus, rect))) else _rotated(w),
             d, rect, choice, **kwargs,
         ),
         {"independence.reverse-choice-independence": "reverse construction depends on the choice for w=123, diagonal 321"},
@@ -1027,7 +1033,7 @@ def test_a_run_builds_one_table_for_every_suite(monkeypatch):
 def test_all_is_the_single_suites_in_order(rect):
     report = run_suite(rect, "all", all_diagonals=True)
     singles = [
-        CaseResult(f"{suite}.{c.name}", c.status, c.counterexample)
+        CaseResult(f"{suite}.{c.name}", c.counterexample)
         for suite in SUITES
         for c in run_suite(rect, suite, all_diagonals=True).cases
     ]
@@ -1063,6 +1069,33 @@ def test_every_choice_is_checked_without_listing_a_choice_tableau(monkeypatch):
     monkeypatch.setattr(verify, "from_rows", never)
     for rect in (Rectangle(3, 4), Rectangle(2, 5, n_is_rows=False)):
         assert run_suite(rect, "independence", all_choices=True, all_diagonals=True).passed
+
+
+def test_choice_tableaux_are_the_column_filling_unless_it_is_the_default():
+    # every partition of at most 10 cells: the filling is its definition,
+    # the cells sorted by (col, row) and numbered 1..N, and none is given
+    # exactly when that is the row-by-row filling the constructions take
+    def partitions(total, largest):
+        if total == 0:
+            yield ()
+        for first in range(min(total, largest), 0, -1):
+            for rest in partitions(total - first, first):
+                yield (first, *rest)
+
+    shapes = [Partition(rows) for total in range(11) for rows in partitions(total, total)]
+    assert len(shapes) == 139 and Partition(()) in shapes
+    assert Partition((10,)) in shapes and Partition((1,) * 10) in shapes
+    defaults = 0
+    for shape in shapes:
+        cells = sorted(shape.cells(), key=lambda b: (b.col, b.row))
+        by_column = PartialTableau(SkewShape(shape), {b: k for k, b in enumerate(cells, start=1)})
+        if by_column == row_filling(shape):
+            defaults += 1
+            assert _choice_tableaux(shape) == [], shape
+        else:
+            assert _choice_tableaux(shape) == [by_column], shape
+    # the empty shape, one cell, and one row and one column of each size 2..10
+    assert defaults == 20
 
 
 def test_perm_sample_picks_by_rank_without_listing_s_n(monkeypatch):
